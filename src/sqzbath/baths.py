@@ -75,18 +75,37 @@ class OhmicBathPhase:
         return np.isfinite(self.pos).all(axis=-1) & np.isfinite(self.mom).all(axis=-1)
 
 
+class OhmicWorkspace:
+    """Preallocated arrays for :func:`ohmic_forces` on one bath shape.
+
+    ``stiffness`` caches m_j Omega_j^2. ``force`` receives the bath force and
+    ``scratch`` the harmonic term; both have the shape of the bath positions,
+    (N,) or (batch, N), and are free for other use between calls.
+    """
+
+    def __init__(self, bath: OhmicBathParams, shape):
+        self.stiffness = bath.mass * bath.freqs ** 2
+        self.force = np.empty(shape)
+        self.scratch = np.empty(shape)
+
+
 def ohmic_forces(phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
-                 bath: OhmicBathParams):
+                 bath: OhmicBathParams, work: OhmicWorkspace | None = None):
     """Bath contribution to the dynamics.
 
     Returns ``(sys_kick, bath_force)``: the former is added to both dp1/dt
-    and dp2/dt, the latter is dP_j/dt = -Omega_j^2 R_j + c_j (q1 + q2).
+    and dp2/dt, the latter is dP_j/dt = -m_j Omega_j^2 R_j + c_j (q1 + q2).
+    ``bath_force`` is ``work.force``, overwritten by the next call with the
+    same workspace; without ``work`` a fresh one is allocated.
     """
+    if work is None:
+        work = OhmicWorkspace(bath, np.shape(phase_bath.pos))
     sys_kick = phase_bath.pos @ bath.couplings
-    qsum = phase_sys.q1 + phase_sys.q2
-    bath_force = (np.multiply.outer(qsum, bath.couplings)
-                  - bath.freqs ** 2 * phase_bath.pos)
-    return sys_kick, bath_force
+    qsum = np.asarray(phase_sys.q1 + phase_sys.q2)
+    np.multiply(qsum[..., None], bath.couplings, out=work.force)
+    np.multiply(work.stiffness, phase_bath.pos, out=work.scratch)
+    np.subtract(work.force, work.scratch, out=work.force)
+    return sys_kick, work.force
 
 
 def ohmic_energy(t, phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
@@ -197,10 +216,10 @@ def nhc_bath_forces(phase_sys: SystemPhase, phase_bath: NHCBathPhase,
     """Conservative forces of the NHC model (thermostat drag excluded).
 
     Returns ``(sys_kick, osc_force)`` with sys_kick = c1*R1 added to both
-    system momenta and osc_force = -Omega_1^2 R1 + c1 (q1 + q2).
+    system momenta and osc_force = -m_1 Omega_1^2 R1 + c1 (q1 + q2).
     """
     sys_kick = bath.coupling * phase_bath.osc_q
-    osc_force = (-bath.osc_freq ** 2 * phase_bath.osc_q
+    osc_force = (-(bath.osc_mass * bath.osc_freq ** 2) * phase_bath.osc_q
                  + bath.coupling * (phase_sys.q1 + phase_sys.q2))
     return sys_kick, osc_force
 

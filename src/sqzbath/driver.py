@@ -339,13 +339,12 @@ def temperature_sweep(config: RunConfig, temperatures) -> SweepResult:
         _, oracle_var_q, _ = mode2_variance_exact(config.system, temp,
                                                   config.sampling,
                                                   fundamental=fundamental)
-        obs_idx = np.arange(0, cfg_int.n_steps + 1, cfg_int.stride)
         rows.append(SweepRow(temperature=temp,
                              min_variance=diag.min_variance,
                              se_at_min=diag.se_at_min,
                              first_crossing=diag.first_crossing,
                              significant=diag.significant,
-                             oracle_min_variance=float(oracle_var_q[obs_idx].min()),
+                             oracle_min_variance=float(oracle_var_q.min()),
                              series=result.series))
 
     mc_threshold = None

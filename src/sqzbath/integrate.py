@@ -2,10 +2,14 @@
 
 The Hamiltonian part is a velocity-Verlet step whose explicit time
 dependence (the drive) is evaluated at the step midpoint, which keeps the
-map second-order accurate and time-reversible. The Nose-Hoover chain wraps
-that step between two thermostat half-updates built from a Suzuki-Yoshida
-composition with a multiple-time-step inner loop; the drag on the bath
-oscillator momentum is applied as an exact exponential scaling.
+map second-order accurate and time-reversible. The Ohmic bath force depends
+on positions only, so within one :func:`integrate` call it is evaluated once
+per step, after the drift, and serves both adjacent half-kicks ("first same
+as last"); the result is bit-identical to evaluating it at every half-kick.
+The Nose-Hoover chain wraps that step between two thermostat half-updates
+built from a Suzuki-Yoshida composition with a multiple-time-step inner
+loop; the drag on the bath oscillator momentum is applied as an exact
+exponential scaling.
 
 All steppers mutate the state in place and operate transparently on scalar
 or batched (leading-axis) phase coordinates.
@@ -19,7 +23,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .baths import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase,
-                    nhc_bath_forces, ohmic_forces)
+                    OhmicWorkspace, nhc_bath_forces, ohmic_forces)
 from .system import SystemParams, SystemPhase, system_force
 
 
@@ -90,18 +94,13 @@ def yoshida_weights(n_yoshida: int) -> np.ndarray:
 
 def _kick(state: TrajectoryState, sys: SystemParams, bath: BathParams,
           h: float, t_force: float) -> None:
-    """Momentum update p += h * F with all forces evaluated at t_force."""
+    """Momentum update p += h * F with all forces evaluated at t_force
+    (isolated and NHC models)."""
     ph = state.system
     f1, f2 = system_force(t_force, ph, sys)
     if bath is None:
         ph.p1 = ph.p1 + h * f1
         ph.p2 = ph.p2 + h * f2
-        return
-    if isinstance(bath, OhmicBathParams):
-        sys_kick, bath_force = ohmic_forces(ph, state.bath, bath)
-        ph.p1 = ph.p1 + h * (f1 + sys_kick)
-        ph.p2 = ph.p2 + h * (f2 + sys_kick)
-        state.bath.mom += h * bath_force
         return
     sys_kick, osc_force = nhc_bath_forces(ph, state.bath, bath)
     ph.p1 = ph.p1 + h * (f1 + sys_kick)
@@ -111,22 +110,72 @@ def _kick(state: TrajectoryState, sys: SystemParams, bath: BathParams,
 
 def _drift(state: TrajectoryState, sys: SystemParams, bath: BathParams,
            dt: float) -> None:
+    """Position update of the system and the NHC oscillator; the Ohmic step
+    drifts its bath itself."""
     ph = state.system
     ph.q1 = ph.q1 + dt * ph.p1 / sys.mass
     ph.q2 = ph.q2 + dt * ph.p2 / sys.mass
-    if isinstance(bath, OhmicBathParams):
-        state.bath.pos += (dt / bath.mass) * state.bath.mom
-    elif isinstance(bath, NHCBathParams):
+    if isinstance(bath, NHCBathParams):
         state.bath.osc_q = state.bath.osc_q + dt * state.bath.osc_p / bath.osc_mass
 
 
+class _OhmicKick:
+    """The Ohmic bath half-kick h*F and its pull pos @ c on the system at
+    the current bath positions, held in preallocated buffers.
+
+    The bath force depends on positions only, so the value computed after
+    one step's drift also serves the first half-kick of the next step
+    ("first same as last"). One instance lives inside one
+    :func:`integrate` call, whose observers must not modify the state.
+    """
+
+    def __init__(self, bath: OhmicBathParams, shape):
+        self.bath = bath
+        self.work = OhmicWorkspace(bath, shape)
+        self.h = None           # half-step of the cached h*F; None until computed
+        self.sys_kick = None
+
+    def update(self, state: TrajectoryState, h: float) -> None:
+        self.sys_kick, force = ohmic_forces(state.system, state.bath, self.bath,
+                                            self.work)
+        np.multiply(force, h, out=force)
+        self.h = h
+
+    def apply(self, state: TrajectoryState, sys: SystemParams,
+              t_force: float) -> None:
+        ph = state.system
+        f1, f2 = system_force(t_force, ph, sys)
+        ph.p1 = ph.p1 + self.h * (f1 + self.sys_kick)
+        ph.p2 = ph.p2 + self.h * (f2 + self.sys_kick)
+        state.bath.mom += self.work.force
+
+
 def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
-                     bath: BathParams, dt: float) -> TrajectoryState:
-    """One symmetric kick-drift-kick step; drive frozen at the midpoint time."""
+                     bath: BathParams, dt: float,
+                     ohmic: Optional[_OhmicKick] = None) -> TrajectoryState:
+    """One symmetric kick-drift-kick step; drive frozen at the midpoint time.
+
+    ``ohmic`` carries the Ohmic bath force left by the previous step of the
+    same :func:`integrate` call. Standalone calls omit it, and the force is
+    then evaluated at entry.
+    """
     t_mid = state.t + 0.5 * dt
-    _kick(state, sys, bath, 0.5 * dt, t_mid)
-    _drift(state, sys, bath, dt)
-    _kick(state, sys, bath, 0.5 * dt, t_mid)
+    if isinstance(bath, OhmicBathParams):
+        h = 0.5 * dt
+        if ohmic is None:
+            ohmic = _OhmicKick(bath, np.shape(state.bath.pos))
+        if ohmic.h != h:
+            ohmic.update(state, h)
+        ohmic.apply(state, sys, t_mid)
+        _drift(state, sys, bath, dt)
+        drift = np.multiply(state.bath.mom, dt / bath.mass, out=ohmic.work.scratch)
+        state.bath.pos += drift
+        ohmic.update(state, h)
+        ohmic.apply(state, sys, t_mid)
+    else:
+        _kick(state, sys, bath, 0.5 * dt, t_mid)
+        _drift(state, sys, bath, dt)
+        _kick(state, sys, bath, 0.5 * dt, t_mid)
     state.t += dt
     return state
 
@@ -182,11 +231,13 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
     if observer is not None:
         observer(0, state)
     nhc = isinstance(bath, NHCBathParams)
+    ohmic = (_OhmicKick(bath, np.shape(state.bath.pos))
+             if isinstance(bath, OhmicBathParams) else None)
     for i in range(1, config.n_steps + 1):
         if nhc:
             step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts)
         else:
-            step_hamiltonian(state, sys, bath, config.dt)
+            step_hamiltonian(state, sys, bath, config.dt, ohmic)
         if i % config.stride == 0 or i == config.n_steps:
             if strict and not np.all(state.is_finite()):
                 raise TrajectoryFailure(i)

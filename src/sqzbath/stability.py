@@ -119,7 +119,8 @@ def write_stability_csv(smap: StabilityMap, path, header_lines=()) -> None:
         fh.write("x,y,abs_trace,unstable,marginal\n")
         for iy, y in enumerate(smap.ys):
             for ix, x in enumerate(smap.xs):
-                fh.write(f"{x!r},{y!r},{smap.abs_trace[iy, ix]!r},"
+                fh.write(f"{float(x)!r},{float(y)!r},"
+                         f"{float(smap.abs_trace[iy, ix])!r},"
                          f"{int(smap.unstable[iy, ix])},{int(smap.marginal[iy, ix])}\n")
 
 

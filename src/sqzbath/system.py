@@ -97,12 +97,13 @@ def coupling_freq_sq(t, sys: SystemParams):
 
 
 def system_force(t, phase: SystemPhase, sys: SystemParams):
-    """Forces (dp1/dt, dp2/dt) from the system Hamiltonian, bath terms excluded."""
-    wsq = sys.freq ** 2
-    wt2 = coupling_freq_sq(t, sys)
+    """Forces (dp1/dt, dp2/dt) = -dH/dq from the system Hamiltonian, bath
+    terms excluded."""
+    k_own = sys.mass * sys.freq ** 2
+    k_rel = sys.mass * coupling_freq_sq(t, sys)
     rel = phase.q2 - phase.q1
-    f1 = -wsq * phase.q1 + wt2 * rel
-    f2 = -wsq * phase.q2 - wt2 * rel
+    f1 = -k_own * phase.q1 + k_rel * rel
+    f2 = -k_own * phase.q2 - k_rel * rel
     return f1, f2
 
 

@@ -156,6 +156,20 @@ class TestSweepCommand:
         assert payload["oracle_only"]
         assert len(payload["rows"]) == 3
 
+    def test_full_and_oracle_only_share_oracle_minimum(self, small_config, tmp_path):
+        # both paths take the minimum over every integration step, not only
+        # over the observation stride
+        cfg, out = small_config
+        grid = ["--grid", "0.95:1.05:0.05"]
+        assert main(["sweep", "--config", cfg] + grid) == EXIT_OK
+        full = json.loads(open(os.path.join(out, "demo_sweep.json")).read())
+        only_dir = str(tmp_path / "oracle_only")
+        assert main(["sweep", "--config", cfg, "--oracle-only", "--out-dir", only_dir]
+                    + grid) == EXIT_OK
+        only = json.loads(open(os.path.join(only_dir, "demo_sweep.json")).read())
+        assert ([r["oracle_min_variance"] for r in full["rows"]]
+                == [r["oracle_min_variance"] for r in only["rows"]])
+
     def test_bad_grid(self, small_config, capsys):
         cfg, _ = small_config
         assert main(["sweep", "--config", cfg, "--grid", "2:1:0.1"]) == EXIT_CONFIG

@@ -1,0 +1,189 @@
+"""Property tests over random masses and states: every force is -dH/dq, the
+energy is conserved with frozen coupling, and the Ohmic step inside
+integrate() evaluates the bath force once per step ("first same as last")
+without changing a bit of the trajectory."""
+
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from sqzbath import (IntegratorConfig, NHCBathParams, NHCBathPhase, OhmicBathPhase,
+                     SystemParams, SystemPhase, TrajectoryState, build_ohmic_bath,
+                     integrate, nhc_bath_forces, nhc_extended_energy, ohmic_energy,
+                     ohmic_forces, step_hamiltonian, system_energy, system_force)
+
+N_MODES = 4
+
+masses = st.floats(0.25, 4.0)
+times = st.floats(0.0, 20.0)
+
+
+def coords(n):
+    return arrays(np.float64, n, elements=st.floats(-2.0, 2.0))
+
+
+def minus_gradient(energy, x, eps=1e-4):
+    """-dE/dx by central differences; exact up to round-off for quadratic E."""
+    grad = np.empty(len(x))
+    for i in range(len(x)):
+        step = np.zeros(len(x))
+        step[i] = eps
+        grad[i] = (energy(x + step) - energy(x - step)) / (2 * eps)
+    return -grad
+
+
+def assert_matches(force, expected):
+    np.testing.assert_allclose(force, expected, rtol=1e-7, atol=1e-7)
+
+
+def ohmic_bath(mass, kondo=0.05):
+    return build_ohmic_bath(N_MODES, kondo, 3.0, mass=mass)
+
+
+def nhc_bath(mass):
+    return NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0, osc_mass=mass)
+
+
+def nhc_phase(osc_q, osc_p):
+    return NHCBathPhase(osc_q=osc_q, osc_p=osc_p, eta1=0.3, eta2=-0.2,
+                        p_eta1=0.1, p_eta2=0.5)
+
+
+class TestForceIsMinusGradient:
+    @settings(max_examples=50, deadline=None)
+    @given(mass=masses, spring_k=st.floats(0.5, 3.0), t=times, x=coords(4))
+    def test_isolated(self, mass, spring_k, t, x):
+        sys = SystemParams(mass=mass, spring_k=spring_k)
+
+        def energy(q):
+            return system_energy(t, SystemPhase(q[0], q[1], x[2], x[3]), sys)
+
+        f1, f2 = system_force(t, SystemPhase(*x), sys)
+        assert_matches([f1, f2], minus_gradient(energy, x[:2]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(mass=masses, bath_mass=masses, t=times, x=coords(4 + 2 * N_MODES))
+    def test_ohmic(self, mass, bath_mass, t, x):
+        sys = SystemParams(mass=mass)
+        bath = ohmic_bath(bath_mass)
+        mom = x[2 + N_MODES:2 + 2 * N_MODES]
+
+        def energy(q):
+            return ohmic_energy(t, SystemPhase(q[0], q[1], x[-2], x[-1]),
+                                OhmicBathPhase(q[2:], mom), sys, bath)
+
+        ph = SystemPhase(x[0], x[1], x[-2], x[-1])
+        f1, f2 = system_force(t, ph, sys)
+        sys_kick, bath_force = ohmic_forces(ph, OhmicBathPhase(x[2:2 + N_MODES], mom),
+                                            bath)
+        assert_matches(np.concatenate([[f1 + sys_kick, f2 + sys_kick], bath_force]),
+                       minus_gradient(energy, x[:2 + N_MODES]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(mass=masses, osc_mass=masses, t=times, x=coords(6))
+    def test_nhc(self, mass, osc_mass, t, x):
+        sys = SystemParams(mass=mass)
+        bath = nhc_bath(osc_mass)
+
+        def energy(q):
+            return nhc_extended_energy(t, SystemPhase(q[0], q[1], x[3], x[4]),
+                                       nhc_phase(q[2], x[5]), sys, bath)
+
+        ph = SystemPhase(x[0], x[1], x[3], x[4])
+        f1, f2 = system_force(t, ph, sys)
+        sys_kick, osc_force = nhc_bath_forces(ph, nhc_phase(x[2], x[5]), bath)
+        assert_matches([f1 + sys_kick, f2 + sys_kick, osc_force],
+                       minus_gradient(energy, x[:3]))
+
+
+def _energy_drift(state, sys, bath, energy, n_steps=2000):
+    """(E0, largest |E - E0|) over an integrate() run, sampled every 50 steps."""
+    e0 = energy(state)
+    worst = [0.0]
+
+    def observer(step, st):
+        worst[0] = max(worst[0], abs(energy(st) - e0))
+
+    integrate(state, sys, bath, IntegratorConfig(n_steps=n_steps, stride=50), observer)
+    return e0, worst[0]
+
+
+class TestEnergyConservationAnyMass:
+    # velocity Verlet keeps the energy within O((omega dt)^2) of its start;
+    # with the mass left out of a force it drifts by tens of percent
+    TOL = 2e-3
+
+    @settings(max_examples=15, deadline=None)
+    @given(mass=masses, x=coords(4))
+    def test_isolated(self, mass, x):
+        sys = SystemParams(mass=mass, frozen_coupling=True)
+        state = TrajectoryState(0.0, SystemPhase(*x))
+        e0, drift = _energy_drift(state, sys, None,
+                                  lambda s: system_energy(s.t, s.system, sys))
+        assert drift <= self.TOL * e0
+
+    @settings(max_examples=15, deadline=None)
+    @given(mass=masses, bath_mass=masses, x=coords(4 + 2 * N_MODES))
+    def test_ohmic(self, mass, bath_mass, x):
+        sys = SystemParams(mass=mass, frozen_coupling=True)
+        bath = ohmic_bath(bath_mass)
+        state = TrajectoryState(0.0, SystemPhase(x[0], x[1], x[-2], x[-1]),
+                                OhmicBathPhase(x[2:2 + N_MODES].copy(),
+                                               x[2 + N_MODES:2 + 2 * N_MODES].copy()))
+        e0, drift = _energy_drift(
+            state, sys, bath, lambda s: ohmic_energy(s.t, s.system, s.bath, sys, bath))
+        assert drift <= self.TOL * e0
+
+
+def _ohmic_state(x, batch):
+    """Phase point from a flat vector; batch 0 gives scalar system coordinates
+    and (N,) bath arrays, otherwise every row is a scaled copy."""
+    rows = np.linspace(1.0, 0.5, max(batch, 1))[:, None] * x
+    if batch == 0:
+        rows = rows[0]
+    return TrajectoryState(0.0, SystemPhase(*(rows[..., i].copy() for i in range(4))),
+                           OhmicBathPhase(rows[..., 4:4 + N_MODES].copy(),
+                                          rows[..., 4 + N_MODES:].copy()))
+
+
+def _ohmic_vector(state):
+    ph = state.system
+    return np.concatenate([np.stack([ph.q1, ph.q2, ph.p1, ph.p2], axis=-1),
+                           state.bath.pos, state.bath.mom], axis=-1)
+
+
+class TestOhmicFirstSameAsLast:
+    @settings(max_examples=30, deadline=None)
+    @given(mass=masses, bath_mass=masses, batch=st.integers(0, 5),
+           n_steps=st.integers(1, 40), dt=st.sampled_from([0.01, 0.005, 0.02]),
+           x=coords(4 + 2 * N_MODES))
+    def test_integrate_matches_standalone_steps_bitwise(self, mass, bath_mass, batch,
+                                                         n_steps, dt, x):
+        sys = SystemParams(mass=mass)
+        bath = ohmic_bath(bath_mass)
+        fused = _ohmic_state(x, batch)
+        looped = _ohmic_state(x, batch)
+        integrate(fused, sys, bath, IntegratorConfig(dt=dt, n_steps=n_steps))
+        for _ in range(n_steps):
+            step_hamiltonian(looped, sys, bath, dt)
+        assert fused.t == looped.t
+        assert np.array_equal(_ohmic_vector(fused), _ohmic_vector(looped))
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 60])
+    def test_one_force_evaluation_per_step(self, monkeypatch, n_steps):
+        module = importlib.import_module("sqzbath.integrate")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ohmic_forces(*args, **kwargs)
+
+        monkeypatch.setattr(module, "ohmic_forces", counting)
+        state = _ohmic_state(np.linspace(-1.0, 1.0, 4 + 2 * N_MODES), 3)
+        integrate(state, SystemParams(), ohmic_bath(1.0),
+                  IntegratorConfig(n_steps=n_steps, stride=5))
+        assert len(calls) == n_steps + 1

@@ -110,3 +110,6 @@ class TestStabilityMap:
         assert lines[0] == "# hello"
         assert lines[1] == "x,y,abs_trace,unstable,marginal"
         assert len(lines) == 2 + 25
+        # plain numbers, so numpy.genfromtxt and float() read every cell
+        cells = [float(cell) for line in lines[2:] for cell in line.split(",")]
+        assert len(cells) == 5 * 25
