@@ -6,23 +6,22 @@ __version__ = "0.1.0"
 
 from .baths import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase,
                     build_ohmic_bath, nhc_bath_forces, nhc_extended_energy,
-                    nhc_from_ohmic, nhc_matched_to_ohmic,
-                    nhc_thermostat_derivatives, ohmic_energy, ohmic_forces)
+                    nhc_from_ohmic, nhc_matched_to_ohmic, ohmic_energy,
+                    ohmic_forces)
 from .driver import (BathComparison, EnsembleFailure, EnsembleResult, ModelKind,
                      RunConfig, SweepResult, bath_equivalence,
                      compare_variance_series, run_ensemble, temperature_sweep)
 from .integrate import (IntegratorConfig, TrajectoryFailure, TrajectoryState,
                         integrate, step_hamiltonian, step_nhc, yoshida_weights)
-from .observables import (MarginalHistogram, SqueezeReport, VarianceAccumulator,
-                          VarianceSeries, marginal_histogram, read_variance_csv,
-                          squeeze_report, write_variance_csv)
-from .oracle import (BracketError, CovarianceSeries, FundamentalSolution,
+from .observables import (SqueezeReport, VarianceAccumulator, VarianceSeries,
+                          read_variance_csv, squeeze_report, write_variance_csv)
+from .oracle import (CovarianceSeries, FundamentalSolution,
                      ThresholdResult, full_covariance_exact, fundamental_solution,
                      isolated_variance_series, mode2_variance_exact,
                      threshold_temperature)
 from .sampling import (SamplingMode, ThermalWidths, init_nhc_bath,
                        sample_ohmic_bath, sample_system, thermal_widths,
-                       trajectory_rng)
+                       trajectory_rng, width_temperature)
 from .stability import (MathieuParams, StabilityMap, grows_unbounded,
                         mathieu_params, monodromy, stability_map,
                         write_stability_csv)

@@ -224,33 +224,6 @@ def nhc_bath_forces(phase_sys: SystemPhase, phase_bath: NHCBathPhase,
     return sys_kick, osc_force
 
 
-@dataclass
-class ThermostatDerivatives:
-    """Time derivatives of the chain variables and the drag rate on P1."""
-
-    d_eta1: float | np.ndarray
-    d_eta2: float | np.ndarray
-    d_p_eta1: float | np.ndarray
-    d_p_eta2: float | np.ndarray
-    drag: float | np.ndarray    # contribution to dP1/dt
-
-
-def nhc_thermostat_derivatives(phase_bath: NHCBathPhase,
-                               bath: NHCBathParams) -> ThermostatDerivatives:
-    """Chain equations of motion; the fixed point balances P1^2 = g*T."""
-    kt = bath.temperature
-    xi1 = phase_bath.p_eta1 / bath.mass_eta1
-    xi2 = phase_bath.p_eta2 / bath.mass_eta2
-    return ThermostatDerivatives(
-        d_eta1=xi1,
-        d_eta2=xi2,
-        d_p_eta1=(phase_bath.osc_p ** 2 / bath.osc_mass - bath.thermo_dof * kt
-                  - xi2 * phase_bath.p_eta1),
-        d_p_eta2=phase_bath.p_eta1 ** 2 / bath.mass_eta1 - kt,
-        drag=-xi1 * phase_bath.osc_p,
-    )
-
-
 def nhc_extended_energy(t, phase_sys: SystemPhase, phase_bath: NHCBathPhase,
                         sys, bath: NHCBathParams):
     """Extended Hamiltonian including the chain terms g*T*eta1 + T*eta2.

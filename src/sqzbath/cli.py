@@ -25,7 +25,7 @@ from .config import ConfigError, build_run_config, config_hash, read_config_file
 from .driver import (EnsembleFailure, SEED_STREAM_RULE, bath_equivalence,
                      run_ensemble, temperature_sweep)
 from .observables import write_variance_csv
-from .oracle import (BracketError, fundamental_solution, isolated_variance_series,
+from .oracle import (fundamental_solution, isolated_variance_series,
                      mode2_variance_exact, threshold_temperature)
 from .stability import MathieuParams, monodromy, stability_map, write_stability_csv
 
@@ -234,20 +234,19 @@ def cmd_oracle(args) -> int:
     _ensure_dir(out.directory)
     csv_path = os.path.join(out.directory, f"{out.prefix}_oracle_variance.csv")
     write_variance_csv(series, csv_path, _csv_header(resolved, run_cfg.seed))
-    lo, hi = args.bracket
-    payload = {"config_hash": config_hash(resolved), "bracket": [lo, hi]}
+    payload = {"config_hash": config_hash(resolved)}
     for definition in ("anywhere", "sustained"):
-        try:
-            result = threshold_temperature(run_cfg.system, lo, hi,
-                                           mode=run_cfg.sampling,
-                                           dt=run_cfg.integrator.dt,
-                                           n_steps=run_cfg.integrator.n_steps,
-                                           definition=definition,
-                                           fundamental=fundamental)
-            payload[definition] = result.to_dict()
-        except BracketError as exc:
+        result = threshold_temperature(run_cfg.system, mode=run_cfg.sampling,
+                                       dt=run_cfg.integrator.dt,
+                                       n_steps=run_cfg.integrator.n_steps,
+                                       definition=definition,
+                                       fundamental=fundamental)
+        if result is None:
             payload[definition] = None
-            payload[f"{definition}_note"] = str(exc)
+            payload[f"{definition}_note"] = (f"no temperature meets the {definition} "
+                                             f"squeezing definition")
+        else:
+            payload[definition] = result.to_dict()
     json_path = os.path.join(out.directory, f"{out.prefix}_threshold.json")
     _write_json(payload, json_path)
     _write_manifest(out.directory, out.prefix, resolved, run_cfg.seed,
@@ -256,7 +255,7 @@ def cmd_oracle(args) -> int:
     if summary is not None:
         print(f"oracle: threshold (anywhere) T = {summary['temperature']:.4f}")
     else:
-        print(f"oracle: no threshold in bracket [{lo}, {hi}]")
+        print("oracle: no squeezing at any temperature")
     return EXIT_OK
 
 
@@ -368,11 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_compare_baths)
 
-    p = sub.add_parser("oracle", help="exact covariance curves and threshold search")
+    p = sub.add_parser("oracle", help="exact covariance curves and threshold temperature")
     common(p, ensemble=False)
     p.add_argument("--seed", type=int, default=None, help="seed recorded in outputs")
-    p.add_argument("--bracket", nargs=2, type=float, default=(0.25, 8.0),
-                   metavar=("LO", "HI"), help="temperature bracket for bisection")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("plot", help="emit plot scripts for existing results")

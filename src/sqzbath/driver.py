@@ -278,33 +278,13 @@ class SweepResult:
 def _oracle_threshold_auto(sys: SystemParams, t_lo: float, t_hi: float,
                            mode: SamplingMode, dt: float, n_steps: int,
                            fundamental: FundamentalSolution):
-    """Bisect with a geometrically expanded bracket; None when no threshold
-    exists (e.g. no squeezing at any temperature)."""
-    lo, hi = t_lo, t_hi
-
-    def objective(temp):
-        _, var_q, _ = mode2_variance_exact(sys, temp, mode, fundamental=fundamental)
-        return float(var_q.min()) - 0.5
-
-    # var(T) is pointwise monotone in T, so expanding the ends is sound.
-    for _ in range(60):
-        if objective(lo) < 0:
-            break
-        lo /= 2.0
-        if lo < 1e-6:
-            return None, "no squeezing even as T -> 0; threshold undefined"
-    else:
-        return None, "bracket expansion failed at the low end"
-    for _ in range(60):
-        if objective(hi) >= 0:
-            break
-        hi *= 2.0
-        if hi > 1e6:
-            return None, "squeezing persists at all probed temperatures"
-    else:
-        return None, "bracket expansion failed at the high end"
-    result = threshold_temperature(sys, lo, hi, mode=mode, dt=dt, n_steps=n_steps,
+    """Closed-form ``anywhere`` threshold as ``(dict, note)``; the dict is
+    None when no temperature squeezes, and the note flags a threshold
+    outside the sweep window [t_lo, t_hi]."""
+    result = threshold_temperature(sys, mode=mode, dt=dt, n_steps=n_steps,
                                    fundamental=fundamental)
+    if result is None:
+        return None, "no squeezing even as T -> 0; threshold undefined"
     note = ""
     if not (t_lo <= result.temperature <= t_hi):
         note = (f"threshold {result.temperature:.4f} lies outside the requested "

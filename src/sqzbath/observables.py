@@ -9,13 +9,10 @@ matches the phase-space-average definition of the moments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .system import NormalModePhase
 
 COORD_NAMES = ("qt1", "qt2", "pt1", "pt2")
 
@@ -29,28 +26,6 @@ class VarianceAccumulator:
         self.count = np.zeros(nt, dtype=np.int64)
         self.mean = np.zeros((nt, 4))
         self.m2 = np.zeros((nt, 4))
-
-    def add_snapshot(self, time: float, modes: NormalModePhase) -> None:
-        """Single-trajectory update at one grid time; off-grid times are errors."""
-        idx = np.flatnonzero(np.isclose(self.times, time, rtol=0, atol=1e-9))
-        if len(idx) != 1:
-            raise ValueError(f"time {time} is not on the observation grid")
-        i = int(idx[0])
-        x = np.array([modes.qt1, modes.qt2, modes.pt1, modes.pt2], dtype=float)
-        self.count[i] += 1
-        delta = x - self.mean[i]
-        self.mean[i] += delta / self.count[i]
-        self.m2[i] += delta * (x - self.mean[i])
-
-    def add_trajectory(self, values: np.ndarray) -> None:
-        """Update with one trajectory's (n_times, 4) coordinate track."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(self.times), 4):
-            raise ValueError(f"expected shape {(len(self.times), 4)}, got {values.shape}")
-        self.count += 1
-        delta = values - self.mean
-        self.mean += delta / self.count[:, None]
-        self.m2 += delta * (values - self.mean)
 
     def add_block(self, values: np.ndarray) -> None:
         """Merge a whole (n_traj, n_times, 4) block in one vectorized update."""
@@ -201,63 +176,3 @@ def squeeze_report(series: VarianceSeries, threshold: float = 0.5) -> SqueezeRep
         )
     return SqueezeReport(threshold=threshold, coords=coords)
 
-
-@dataclass
-class MarginalHistogram:
-    """2-D phase-space histogram of one normal mode at a snapshot time."""
-
-    mode_index: int
-    time: float
-    counts: np.ndarray      # (bins, bins), q along axis 0
-    q_edges: np.ndarray
-    p_edges: np.ndarray
-    covariance: np.ndarray  # 2x2 sample covariance of (qt, pt)
-    eigenvalue_ratio: float
-
-
-def marginal_histogram(qt: np.ndarray, pt: np.ndarray, mode_index: int,
-                       time: float, bins: int = 64,
-                       span: float = 4.0) -> MarginalHistogram:
-    """Histogram an ensemble snapshot over +-span sample standard deviations.
-
-    Samples beyond the span are clipped into the edge bins so the total count
-    always equals the ensemble size.
-    """
-    qt = np.asarray(qt, dtype=float)
-    pt = np.asarray(pt, dtype=float)
-    if qt.size == 0 or pt.size == 0:
-        raise ValueError("cannot histogram an empty ensemble")
-    cov = np.cov(np.vstack([qt, pt]), ddof=0)
-    evals = np.linalg.eigvalsh(cov)
-    centers = qt.mean(), pt.mean()
-    widths = max(qt.std(), 1e-300), max(pt.std(), 1e-300)
-    q_edges = np.linspace(centers[0] - span * widths[0], centers[0] + span * widths[0], bins + 1)
-    p_edges = np.linspace(centers[1] - span * widths[1], centers[1] + span * widths[1], bins + 1)
-    eps_q = 1e-9 * (q_edges[-1] - q_edges[0])
-    eps_p = 1e-9 * (p_edges[-1] - p_edges[0])
-    counts, _, _ = np.histogram2d(np.clip(qt, q_edges[0], q_edges[-1] - eps_q),
-                                  np.clip(pt, p_edges[0], p_edges[-1] - eps_p),
-                                  bins=[q_edges, p_edges])
-    return MarginalHistogram(mode_index=mode_index, time=time, counts=counts,
-                             q_edges=q_edges, p_edges=p_edges, covariance=cov,
-                             eigenvalue_ratio=float(evals[-1] / evals[0]))
-
-
-def write_histogram_csv(hist: MarginalHistogram, csv_path, sidecar_path) -> None:
-    """Dense count grid plus a JSON sidecar describing the bin geometry."""
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in hist.counts:
-            fh.write(",".join(str(int(c)) for c in row) + "\n")
-    sidecar = {
-        "mode_index": hist.mode_index,
-        "time": hist.time,
-        "bins": int(hist.counts.shape[0]),
-        "q_edges": [float(e) for e in hist.q_edges],
-        "p_edges": [float(e) for e in hist.p_edges],
-        "covariance": [[float(c) for c in row] for row in hist.covariance],
-        "eigenvalue_ratio": hist.eigenvalue_ratio,
-        "total_counts": int(hist.counts.sum()),
-    }
-    with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .baths import OhmicBathParams, OhmicBathPhase
 from .integrate import IntegratorConfig, TrajectoryState, integrate
-from .sampling import SamplingMode, thermal_widths
+from .sampling import SamplingMode, thermal_widths, width_temperature
 from .system import SystemParams, SystemPhase, normal_mode_freqs, to_normal_modes
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -80,13 +80,14 @@ def mode2_variance_exact(sys: SystemParams, temperature: float,
     """Exact (var_qt2, var_pt2) curves from the fundamental solutions.
 
     Returns ``(times, var_q, var_p)``. The initial widths are thermal at the
-    undriven mode frequency; the curves are exact for all three models since
-    the relative mode never couples to a bath.
+    relative-mode frequency at t=0, as the sampler draws them; the curves are
+    exact for all three models since the relative mode never couples to a
+    bath.
     """
     if fundamental is None:
         fundamental = fundamental_solution(sys, dt=dt, n_steps=n_steps)
-    w1, _ = normal_mode_freqs(0.0, sys)
-    wid = thermal_widths(sys.mass, w1, temperature, mode)
+    _, w2 = normal_mode_freqs(0.0, sys)
+    wid = thermal_widths(sys.mass, w2, temperature, mode)
     m = sys.mass
     var_q = fundamental.pos_a ** 2 * wid.var_q + fundamental.pos_b ** 2 * (wid.var_p / m ** 2)
     var_p = (m * fundamental.vel_a) ** 2 * wid.var_q + fundamental.vel_b ** 2 * wid.var_p
@@ -124,15 +125,9 @@ def isolated_variance_series(sys: SystemParams, temperature: float,
                           count=np.zeros(n_obs, dtype=np.int64))
 
 
-class BracketError(ValueError):
-    """The threshold search window does not bracket a sign change."""
-
-    def __init__(self, t_lo, t_hi, f_lo, f_hi):
-        super().__init__(
-            f"no squeezing-threshold bracket in [{t_lo}, {t_hi}]: "
-            f"f({t_lo}) = {f_lo:.6g}, f({t_hi}) = {f_hi:.6g}")
-        self.f_lo = f_lo
-        self.f_hi = f_hi
+# Round-off bound on the closed-form threshold temperature, reported as its
+# ``tolerance``: the closed form is exact for the discrete oracle curve.
+THRESHOLD_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -141,74 +136,70 @@ class ThresholdResult:
     definition: str          # "anywhere" or "sustained"
     tolerance: float
     min_variance: float      # minimum of the variance curve at the threshold
-    f_lo: float
-    f_hi: float
 
     def to_dict(self) -> dict:
         return {"temperature": self.temperature, "definition": self.definition,
-                "tolerance": self.tolerance, "min_variance": self.min_variance,
-                "f_lo": self.f_lo, "f_hi": self.f_hi}
+                "tolerance": self.tolerance, "min_variance": self.min_variance}
 
 
-def threshold_temperature(sys: SystemParams, t_lo: float, t_hi: float,
-                          tolerance: float = 1e-3, threshold: float = 0.5,
+def _sustained_level(shape: np.ndarray) -> float:
+    """Infimum of the levels u at which ``shape``, once below u, stays below u.
+
+    Where ``shape`` sets a new prefix minimum at index j, j is its first
+    point below every level in (shape[j], previous minimum]; the curve stays
+    below such a level from j on when the level exceeds its suffix maximum.
+    So the levels in (suffix max, previous min] are sustained wherever that
+    interval is non-empty (which implies a new prefix minimum at j).
+    """
+    suffix_max = np.maximum.accumulate(shape[::-1])[::-1]
+    previous_min = np.concatenate([[np.inf], np.minimum.accumulate(shape)[:-1]])
+    return float(suffix_max[suffix_max < previous_min].min())
+
+
+def threshold_temperature(sys: SystemParams, *, threshold: float = 0.5,
                           mode: SamplingMode = SamplingMode.QUANTUM,
                           dt: float = 0.01, n_steps: int = 25000,
                           definition: str = "anywhere",
-                          fundamental: Optional[FundamentalSolution] = None) -> ThresholdResult:
-    """Bisect for the temperature where position squeezing disappears.
+                          fundamental: Optional[FundamentalSolution] = None
+                          ) -> Optional[ThresholdResult]:
+    """Temperature where position squeezing of the relative mode disappears.
 
-    ``anywhere``: the minimum of var_qt2 over the window touches the
-    threshold. ``sustained``: the curve must stay below the threshold from
-    its first crossing to the end of the window.
+    The initial momentum variance is m^2 w2^2 times the position variance in
+    both sampling modes, so var_qt2(t; T) = var_q0(T) * g(t) with
+    g = pos_a^2 + (w2 pos_b)^2 independent of T. ``anywhere``: the minimum
+    of var_qt2 over the window touches the threshold, var_q0(T*) =
+    threshold / min g. ``sustained``: the highest temperature at which the
+    curve, once below the threshold, stays below it to the end of the
+    window. Returns None when no positive temperature meets the definition,
+    e.g. when even the zero-point curve never dips below the threshold.
     """
     if definition not in ("anywhere", "sustained"):
         raise ValueError(f"unknown threshold definition {definition!r}")
-    if not (0 < t_lo < t_hi):
-        raise ValueError(f"need 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
     if fundamental is None:
         fundamental = fundamental_solution(sys, dt=dt, n_steps=n_steps)
-
-    def objective(temp):
-        _, var_q, _ = mode2_variance_exact(sys, temp, mode, fundamental=fundamental)
-        below = var_q < threshold
-        if definition == "anywhere":
-            return float(var_q.min()) - threshold
-        if not below.any():
-            return float(var_q.min()) - threshold  # positive: no crossing at all
-        return float(var_q[np.argmax(below):].max()) - threshold
-
-    f_lo, f_hi = objective(t_lo), objective(t_hi)
-    if not (f_lo < 0 <= f_hi or f_hi < 0 <= f_lo):
-        raise BracketError(t_lo, t_hi, f_lo, f_hi)
-    lo, hi = (t_lo, t_hi) if f_lo < 0 else (t_hi, t_lo)
-    while abs(hi - lo) > tolerance:
-        mid = 0.5 * (lo + hi)
-        if objective(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    t_star = 0.5 * (lo + hi)
+    # the shape is read off the oracle curve itself (at T = 1), so T* is
+    # exact for that curve up to round-off
+    _, w2 = normal_mode_freqs(0.0, sys)
+    _, var_q, _ = mode2_variance_exact(sys, 1.0, mode, fundamental=fundamental)
+    shape = var_q / thermal_widths(sys.mass, w2, 1.0, mode).var_q
+    level = float(shape.min()) if definition == "anywhere" else _sustained_level(shape)
+    t_star = width_temperature(sys.mass, w2, threshold / level, mode)
+    if t_star is None:
+        return None
     _, var_q, _ = mode2_variance_exact(sys, t_star, mode, fundamental=fundamental)
     return ThresholdResult(temperature=t_star, definition=definition,
-                           tolerance=tolerance, min_variance=float(var_q.min()),
-                           f_lo=f_lo, f_hi=f_hi)
+                           tolerance=THRESHOLD_TOLERANCE,
+                           min_variance=float(var_q.min()))
 
 
 @dataclass
 class CovarianceSeries:
     """Exact normal-mode variances of the full linear model on the
-    observation grid, with optional full covariance matrices."""
+    observation grid."""
 
     times: np.ndarray
     variances: np.ndarray           # (n_times, 4): qt1, qt2, pt1, pt2
     dim: int
-    full: Optional[np.ndarray] = None   # (n_times, dim, dim)
-
-    def eigenvalue_floor(self) -> float:
-        if self.full is None:
-            raise ValueError("full covariance matrices were not kept")
-        return float(min(np.linalg.eigvalsh(sigma)[0] for sigma in self.full))
 
 
 MAX_ORACLE_BATH_MODES = 512
@@ -217,8 +208,7 @@ MAX_ORACLE_BATH_MODES = 512
 def full_covariance_exact(sys: SystemParams, bath: OhmicBathParams,
                           temperature: float,
                           mode: SamplingMode = SamplingMode.QUANTUM,
-                          config: Optional[IntegratorConfig] = None,
-                          keep_full: bool = False) -> CovarianceSeries:
+                          config: Optional[IntegratorConfig] = None) -> CovarianceSeries:
     """Propagate the full covariance of the Ohmic model exactly.
 
     The one-step map is linear, so the propagator columns are obtained by
@@ -265,12 +255,8 @@ def full_covariance_exact(sys: SystemParams, bath: OhmicBathParams,
     ])
 
     n_obs = config.n_steps // config.stride + 1
-    if keep_full and n_obs * dim * dim > 2 * 10 ** 8:
-        raise ValueError("keep_full would exceed the matrix-storage budget; "
-                         "reduce bath size or increase the stride")
     times = np.empty(n_obs)
     variances = np.empty((n_obs, 4))
-    full = np.empty((n_obs, dim, dim)) if keep_full else None
     snapshot_index = [0]
 
     def observer(step, st):
@@ -283,11 +269,6 @@ def full_covariance_exact(sys: SystemParams, bath: OhmicBathParams,
                           (ph.p1 + ph.p2) * _SQRT_HALF,
                           (ph.p1 - ph.p2) * _SQRT_HALF])
         variances[i] = rows ** 2 @ sigma0_sq
-        if keep_full:
-            phi = np.vstack([ph.q1, ph.q2, st.bath.pos.T, ph.p1, ph.p2,
-                             st.bath.mom.T])
-            scaled = phi * np.sqrt(sigma0_sq)
-            full[i] = scaled @ scaled.T
 
     integrate(state, sys, bath, config, observer)
-    return CovarianceSeries(times=times, variances=variances, dim=dim, full=full)
+    return CovarianceSeries(times=times, variances=variances, dim=dim)

@@ -14,7 +14,9 @@ documented on each sampler. Streams are independent of worker scheduling.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -65,6 +67,23 @@ def thermal_widths(mass, freq, temperature, mode: SamplingMode) -> ThermalWidths
                              var_p=mass * freq / (2.0 * th))
     return ThermalWidths(var_q=temperature / (mass * freq ** 2),
                          var_p=mass * temperature)
+
+
+def width_temperature(mass: float, freq: float, var_q: float,
+                      mode: SamplingMode) -> Optional[float]:
+    """Inverse of :func:`thermal_widths`: the temperature whose position
+    variance is ``var_q``.
+
+    Quantum: T = w / (2 artanh(1/(2 m w var_q))); None when var_q is at or
+    below the zero-point width 1/(2 m w), which no temperature reaches.
+    Classical: T = var_q m w^2.
+    """
+    if mode is SamplingMode.QUANTUM:
+        ratio = 2.0 * mass * freq * var_q
+        if not ratio > 1.0:
+            return None
+        return float(freq / (2.0 * math.atanh(1.0 / ratio)))
+    return float(var_q * mass * freq ** 2)
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:

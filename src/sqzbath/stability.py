@@ -18,15 +18,17 @@ from .system import SystemParams
 
 @dataclass(frozen=True)
 class MathieuParams:
-    a: float
-    q: float
+    """Mathieu parameters of one cell, or arrays of them for a batch of cells."""
+
+    a: float | np.ndarray
+    q: float | np.ndarray
 
     def __post_init__(self):
-        if self.q < 0:
+        if np.any(np.asarray(self.q) < 0):
             raise ValueError(f"q must be >= 0, got {self.q}")
 
     @classmethod
-    def from_axes(cls, x: float, y: float) -> "MathieuParams":
+    def from_axes(cls, x, y) -> "MathieuParams":
         """Map map-plane coordinates x=(w/wd)^2, y=(w0/wd)^2 to (a, q)."""
         return cls(a=x + y, q=y / 2.0)
 
@@ -126,13 +128,12 @@ def write_stability_csv(smap: StabilityMap, path, header_lines=()) -> None:
 
 def grows_unbounded(params: MathieuParams, periods: int = 50,
                     growth_threshold: float = 1e6,
-                    steps_per_period: int = 4096) -> bool:
+                    steps_per_period: int = 4096):
     """Brute-force classification: does |y| exceed the threshold within
-    ``periods`` periods for either fundamental solution?"""
+    ``periods`` periods for either fundamental solution? Elementwise when
+    ``params`` holds arrays of cells."""
     ay, by, av, bv = _propagate_fundamental(params.a, params.q,
                                             periods * np.pi,
                                             periods * steps_per_period)
-    peak = max(abs(float(ay)), abs(float(by)), abs(float(av)), abs(float(bv)))
-    if not np.isfinite(peak):
-        return True
-    return peak > growth_threshold
+    peak = np.max(np.abs([ay, by, av, bv]), axis=0)
+    return ~np.isfinite(peak) | (peak > growth_threshold)

@@ -5,7 +5,7 @@ import pytest
 
 from sqzbath import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase,
                      SystemPhase, build_ohmic_bath, nhc_bath_forces,
-                     nhc_from_ohmic, nhc_thermostat_derivatives, ohmic_forces)
+                     nhc_from_ohmic, ohmic_forces)
 
 
 class TestBuildOhmic:
@@ -134,26 +134,3 @@ class TestNHCForces:
                                               make_nhc_phase(osc_q=0.5), nhc)
         assert sys_kick == pytest.approx(0.05)
         assert osc_force == pytest.approx(-0.3)
-
-
-class TestThermostatDerivatives:
-    def test_equilibrium_fixed_point(self):
-        nhc = NHCBathParams(osc_freq=1.0, coupling=0.1, temperature=1.0)
-        ph = make_nhc_phase(osc_p=1.0)   # P1^2 = g*T
-        d = nhc_thermostat_derivatives(ph, nhc)
-        assert d.d_p_eta1 == pytest.approx(0.0, abs=1e-15)
-
-    def test_second_link_balance(self):
-        nhc = NHCBathParams(osc_freq=1.0, coupling=0.1, temperature=1.0)
-        ph = make_nhc_phase(p_eta1=1.0)  # p_eta1^2 = m_eta1 * T
-        d = nhc_thermostat_derivatives(ph, nhc)
-        assert d.d_p_eta2 == pytest.approx(0.0, abs=1e-15)
-
-    def test_hand_evaluated(self):
-        nhc = NHCBathParams(osc_freq=1.0, coupling=0.1, temperature=1.0)
-        ph = make_nhc_phase(osc_p=1.0, p_eta1=0.5, p_eta2=0.2)
-        d = nhc_thermostat_derivatives(ph, nhc)
-        assert d.d_p_eta1 == pytest.approx(-0.1, rel=1e-12)
-        assert d.d_eta1 == pytest.approx(0.5)
-        assert d.d_eta2 == pytest.approx(0.2)
-        assert d.drag == pytest.approx(-0.5)

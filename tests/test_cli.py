@@ -220,6 +220,10 @@ class TestOracleCommand:
         assert np.all(series.std_errors == 0.0)
         payload = json.loads(open(os.path.join(out, "demo_threshold.json")).read())
         assert "anywhere" in payload and "sustained" in payload
+        assert "bracket" not in payload
+        assert set(payload["anywhere"]) == {"temperature", "definition",
+                                            "tolerance", "min_variance"}
+        assert payload["anywhere"]["tolerance"] > 0
 
 
 class TestPlotCommand:

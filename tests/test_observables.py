@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sqzbath import (NormalModePhase, VarianceAccumulator, marginal_histogram,
-                     read_variance_csv, squeeze_report, write_variance_csv)
-from sqzbath.observables import write_histogram_csv
+from sqzbath import (VarianceAccumulator, read_variance_csv, squeeze_report,
+                     write_variance_csv)
 
 
 def accumulator_from_samples(samples, times=None):
@@ -22,7 +21,7 @@ class TestAccumulator:
         track = np.tile(np.array([[0.3, -0.2, 0.1, 0.4]]), (5, 1))
         acc = VarianceAccumulator(np.arange(5.0))
         for _ in range(10):
-            acc.add_trajectory(track)
+            acc.add_block(track[None])
         s = acc.series()
         assert np.all(s.variances == 0.0)
 
@@ -30,8 +29,8 @@ class TestAccumulator:
         # +-a with the 1/n convention gives exactly a^2
         a = 0.7
         acc = VarianceAccumulator(np.array([0.0]))
-        acc.add_trajectory(np.array([[a, a, a, a]]))
-        acc.add_trajectory(np.array([[-a, -a, -a, -a]]))
+        acc.add_block(np.array([[[a, a, a, a]]]))
+        acc.add_block(np.array([[[-a, -a, -a, -a]]]))
         s = acc.series()
         assert np.allclose(s.variances, a * a, rtol=1e-14)
 
@@ -42,23 +41,6 @@ class TestAccumulator:
         se = 1.0 * math.sqrt(2.0 / (n - 1))
         assert np.all(np.abs(s.variances - 1.0) < 3 * se)
         assert np.allclose(s.std_errors, s.variances * math.sqrt(2 / (n - 1)))
-
-    def test_add_snapshot_matches_block(self, rng):
-        samples = rng.standard_normal((40, 2, 4))
-        times = np.array([0.0, 0.5])
-        acc_a = VarianceAccumulator(times)
-        for traj in samples:
-            for ti, t in enumerate(times):
-                acc_a.add_snapshot(t, NormalModePhase(*traj[ti]))
-        acc_b = VarianceAccumulator(times)
-        acc_b.add_block(samples)
-        assert np.allclose(acc_a.mean, acc_b.mean, rtol=1e-12, atol=1e-14)
-        assert np.allclose(acc_a.m2, acc_b.m2, rtol=1e-12, atol=1e-14)
-
-    def test_off_grid_snapshot_rejected(self):
-        acc = VarianceAccumulator(np.array([0.0, 0.5]))
-        with pytest.raises(ValueError, match="not on the observation grid"):
-            acc.add_snapshot(0.3, NormalModePhase(0, 0, 0, 0))
 
     def test_merge_is_order_independent(self, rng):
         samples = rng.standard_normal((90, 4, 4))
@@ -128,38 +110,6 @@ class TestSqueezeReport:
         payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["threshold"] == 0.5
         assert payload["coords"]["qt2"]["min_variance"] == pytest.approx(0.4)
-
-
-class TestMarginalHistogram:
-    def test_counts_equal_ensemble_size(self, rng):
-        qt = rng.standard_normal(5000)
-        pt = rng.standard_normal(5000)
-        hist = marginal_histogram(qt, pt, mode_index=2, time=0.0)
-        assert hist.counts.sum() == 5000
-
-    def test_thermal_snapshot_ellipticity(self, rng):
-        # thermal state: var_p / var_q = w^2 = 1.25
-        n = 40000
-        qt = rng.standard_normal(n) * math.sqrt(0.8816473)
-        pt = rng.standard_normal(n) * math.sqrt(1.1020592)
-        hist = marginal_histogram(qt, pt, mode_index=1, time=0.0)
-        assert hist.eigenvalue_ratio == pytest.approx(1.25, rel=0.05)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            marginal_histogram(np.array([]), np.array([]), 1, 0.0)
-
-    def test_writers(self, tmp_path, rng):
-        hist = marginal_histogram(rng.standard_normal(100), rng.standard_normal(100),
-                                  1, 2.5, bins=8)
-        csv = tmp_path / "h.csv"
-        sidecar = tmp_path / "h.json"
-        write_histogram_csv(hist, csv, sidecar)
-        grid = np.loadtxt(csv, delimiter=",")
-        assert grid.shape == (8, 8)
-        meta = json.loads(sidecar.read_text())
-        assert meta["total_counts"] == 100
-        assert meta["time"] == 2.5
 
 
 class TestCsv:

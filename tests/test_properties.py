@@ -1,7 +1,7 @@
 """Property tests over random masses and states: every force is -dH/dq, the
-energy is conserved with frozen coupling, and the Ohmic step inside
-integrate() evaluates the bath force once per step ("first same as last")
-without changing a bit of the trajectory."""
+energy is conserved with frozen coupling, the relative mode never feels a
+bath, and the Ohmic step inside integrate() evaluates the bath force once per
+step ("first same as last") without changing a bit of the trajectory."""
 
 import importlib
 
@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 from sqzbath import (IntegratorConfig, NHCBathParams, NHCBathPhase, OhmicBathPhase,
                      SystemParams, SystemPhase, TrajectoryState, build_ohmic_bath,
                      integrate, nhc_bath_forces, nhc_extended_energy, ohmic_energy,
-                     ohmic_forces, step_hamiltonian, system_energy, system_force)
+                     ohmic_forces, step_hamiltonian, system_energy, system_force,
+                     to_normal_modes)
 
 N_MODES = 4
 
@@ -137,6 +138,31 @@ class TestEnergyConservationAnyMass:
         e0, drift = _energy_drift(
             state, sys, bath, lambda s: ohmic_energy(s.t, s.system, s.bath, sys, bath))
         assert drift <= self.TOL * e0
+
+
+class TestMode2BathIndependence:
+    # both baths couple to q1 + q2, so from the same system state the
+    # relative mode (qt2, pt2) of the Ohmic and NHC models follows the
+    # isolated model to round-off: the premise of the closed-form threshold
+    @settings(max_examples=20, deadline=None)
+    @given(mass=masses, bath_mass=masses, osc_mass=masses,
+           x=coords(4 + 2 * N_MODES + 2))
+    def test_ohmic_and_nhc_match_isolated(self, mass, bath_mass, osc_mass, x):
+        sys = SystemParams(mass=mass)
+
+        def relative_mode(bath, bath_phase):
+            state = TrajectoryState(0.0, SystemPhase(*x[:4]), bath_phase)
+            integrate(state, sys, bath, IntegratorConfig(n_steps=300))
+            modes = to_normal_modes(state.system)
+            return np.array([modes.qt2, modes.pt2])
+
+        isolated = relative_mode(None, None)
+        ohmic = relative_mode(ohmic_bath(bath_mass),
+                              OhmicBathPhase(x[4:4 + N_MODES].copy(),
+                                             x[4 + N_MODES:4 + 2 * N_MODES].copy()))
+        nhc = relative_mode(nhc_bath(osc_mass), nhc_phase(x[-2], x[-1]))
+        np.testing.assert_allclose(ohmic, isolated, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(nhc, isolated, rtol=1e-9, atol=1e-10)
 
 
 def _ohmic_state(x, batch):

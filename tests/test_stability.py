@@ -90,9 +90,9 @@ class TestStabilityMap:
     def test_brute_force_growth_agrees(self, rng):
         xs = rng.uniform(0.0, 40.0, size=20)
         ys = rng.uniform(0.0, 40.0, size=20)
+        cells = []
         for x, y in zip(xs, ys):
-            p = MathieuParams.from_axes(x, y)
-            m = monodromy(p)
+            m = monodromy(MathieuParams.from_axes(x, y))
             trace = abs(m[0, 0] + m[1, 1])
             if abs(trace - 2.0) < 1e-3:
                 continue  # boundary cells are excluded from the comparison
@@ -100,7 +100,18 @@ class TestStabilityMap:
             # skip the thin ambiguous shell just above the boundary
             if 2.0 < trace < 2.1:
                 continue
-            assert grows_unbounded(p) == (trace > 2.0), (x, y, trace)
+            cells.append((x, y, trace))
+        x, y, trace = np.array(cells).T
+        grows = grows_unbounded(MathieuParams.from_axes(x, y))
+        assert np.array_equal(grows, trace > 2.0), np.array(cells)[grows != (trace > 2.0)]
+
+    def test_batched_growth_matches_single_cells(self):
+        x = np.array([0.8, 6.173, 12.0])
+        y = np.array([0.2, 30.864, 20.0])
+        batch = grows_unbounded(MathieuParams.from_axes(x, y), periods=3)
+        single = [grows_unbounded(MathieuParams.from_axes(xi, yi), periods=3)
+                  for xi, yi in zip(x, y)]
+        assert list(batch) == single
 
     def test_csv_writer(self, tmp_path):
         smap = stability_map((0.0, 4.0), (0.0, 4.0), resolution=5, steps=512)
