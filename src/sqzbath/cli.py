@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys as _sys
 import time
@@ -27,7 +28,8 @@ from .driver import (EnsembleFailure, SEED_STREAM_RULE, bath_equivalence,
 from .observables import write_variance_csv
 from .oracle import (fundamental_solution, isolated_variance_series,
                      mode2_variance_exact, threshold_temperature)
-from .stability import MathieuParams, monodromy, stability_map, write_stability_csv
+from .stability import (MathieuParams, classify_trace, monodromy, stability_map,
+                        write_stability_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,7 +58,8 @@ def _parse_grid(spec: str):
     lo, hi, step = values
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad grid spec {spec!r}: need stop >= start and step > 0")
-    n = int(round((hi - lo) / step)) + 1
+    # every point up to stop; the allowance absorbs round-off in the quotient
+    n = math.floor((hi - lo) / step + 1e-9) + 1
     return [lo + i * step for i in range(n)]
 
 
@@ -185,10 +188,14 @@ def cmd_stability(args) -> int:
     run_cfg, out, resolved = _load(args)
     if args.point is not None:
         x, y = args.point
-        m = monodromy(MathieuParams.from_axes(x, y), steps=args.steps)
+        try:
+            m = monodromy(MathieuParams.from_axes(x, y), steps=args.steps)
+        except ValueError as exc:
+            raise ConfigError(f"stability point x={x:g} y={y:g}: {exc}") from None
         tr = abs(float(m[0, 0] + m[1, 1]))
-        print(f"x={x:g} y={y:g} abs_trace={tr!r} unstable={int(tr > 2 + 1e-9)} "
-              f"marginal={int(abs(tr - 2) < 1e-3)}")
+        unstable, marginal = classify_trace(tr)
+        print(f"x={x:g} y={y:g} abs_trace={tr!r} unstable={int(unstable)} "
+              f"marginal={int(marginal)}")
         return EXIT_OK
     x_range, y_range = _parse_window(args.window)
     started = time.perf_counter()
@@ -229,18 +236,15 @@ def cmd_oracle(args) -> int:
     fundamental = fundamental_solution(run_cfg.system, dt=run_cfg.integrator.dt,
                                        n_steps=run_cfg.integrator.n_steps)
     series = isolated_variance_series(run_cfg.system, run_cfg.temperature,
-                                      run_cfg.sampling, run_cfg.integrator,
+                                      run_cfg.sampling, config=run_cfg.integrator,
                                       fundamental=fundamental)
     _ensure_dir(out.directory)
     csv_path = os.path.join(out.directory, f"{out.prefix}_oracle_variance.csv")
     write_variance_csv(series, csv_path, _csv_header(resolved, run_cfg.seed))
     payload = {"config_hash": config_hash(resolved)}
     for definition in ("anywhere", "sustained"):
-        result = threshold_temperature(run_cfg.system, mode=run_cfg.sampling,
-                                       dt=run_cfg.integrator.dt,
-                                       n_steps=run_cfg.integrator.n_steps,
-                                       definition=definition,
-                                       fundamental=fundamental)
+        result = threshold_temperature(run_cfg.system, fundamental=fundamental,
+                                       mode=run_cfg.sampling, definition=definition)
         if result is None:
             payload[definition] = None
             payload[f"{definition}_note"] = (f"no temperature meets the {definition} "

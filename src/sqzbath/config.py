@@ -152,30 +152,25 @@ def build_run_config(resolved: dict, overrides: Optional[dict] = None):
         sampling = SamplingMode.parse(sec_ens["sampling"])
         temperature = sec_ens["temperature"]
 
-        bath_ohmic = None
-        bath_nhc = None
-        if model is ModelKind.OHMIC:
-            bath_ohmic = build_ohmic_bath(sec_bath["n_modes"], sec_bath["kondo"],
-                                          sec_bath["cutoff"])
-        elif model is ModelKind.NHC:
+        bath = None
+        if model is not ModelKind.ISOLATED:
+            bath = build_ohmic_bath(sec_bath["n_modes"], sec_bath["kondo"],
+                                    sec_bath["cutoff"])
+        if model is ModelKind.NHC:
             # the auto thermostat oscillator matches the static dressing of
             # the Ohmic reference defined by the [bath] section
-            reference = build_ohmic_bath(sec_bath["n_modes"], sec_bath["kondo"],
-                                         sec_bath["cutoff"])
             kwargs = dict(mass_eta1=sec_th["mass_eta1"],
                           mass_eta2=sec_th["mass_eta2"],
                           thermo_dof=sec_th["thermo_dof"])
             if sec_th["osc_freq"] != "auto":
                 kwargs["osc_freq"] = sec_th["osc_freq"]
-            bath_nhc = nhc_matched_to_ohmic(reference, temperature, **kwargs)
+            bath = nhc_matched_to_ohmic(bath, temperature, **kwargs)
             if sec_th["coupling"] != "auto":
-                bath_nhc = dataclasses.replace(bath_nhc,
-                                               coupling=sec_th["coupling"])
+                bath = dataclasses.replace(bath, coupling=sec_th["coupling"])
 
-        run = RunConfig(system=system, model=model, temperature=temperature,
+        run = RunConfig(system=system, temperature=temperature,
                         n_traj=sec_ens["n_traj"], seed=sec_ens["seed"],
-                        integrator=integrator, sampling=sampling,
-                        bath_ohmic=bath_ohmic, bath_nhc=bath_nhc,
+                        integrator=integrator, sampling=sampling, bath=bath,
                         workers=sec_ens["workers"],
                         chunk_size=sec_ens["chunk_size"])
     except ConfigError:

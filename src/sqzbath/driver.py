@@ -18,16 +18,16 @@ from typing import Optional
 
 import numpy as np
 
-from .baths import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase,
-                    nhc_extended_energy, ohmic_energy)
-from .integrate import IntegratorConfig, TrajectoryState, integrate
+from .baths import (NHCBathParams, OhmicBathParams, nhc_extended_energy,
+                    ohmic_energy)
+from .integrate import BathParams, IntegratorConfig, TrajectoryState, integrate
 from .oracle import (FundamentalSolution, fundamental_solution,
                      mode2_variance_exact, threshold_temperature)
 from .observables import (SqueezeReport, VarianceAccumulator, VarianceSeries,
                           squeeze_report)
 from .sampling import (SamplingMode, init_nhc_bath, sample_ohmic_bath,
                        sample_system, trajectory_rng)
-from .system import SystemParams, SystemPhase, system_energy, to_normal_modes
+from .system import SystemParams, system_energy, to_normal_modes
 
 SEED_STREAM_RULE = "philox(seed_sequence=(seed, trajectory_index))"
 
@@ -58,18 +58,19 @@ class EnsembleFailure(RuntimeError):
 
 FAILURE_TOLERANCE = 1e-3
 
+_BATH_MODELS = {type(None): ModelKind.ISOLATED, OhmicBathParams: ModelKind.OHMIC,
+                NHCBathParams: ModelKind.NHC}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     system: SystemParams
-    model: ModelKind
     temperature: float
     n_traj: int
     seed: int
     integrator: IntegratorConfig = IntegratorConfig()
     sampling: SamplingMode = SamplingMode.QUANTUM
-    bath_ohmic: Optional[OhmicBathParams] = None
-    bath_nhc: Optional[NHCBathParams] = None
+    bath: BathParams = None     # None for the isolated model
     workers: int = 1
     chunk_size: int = 500
     track_energy: bool = False
@@ -81,14 +82,16 @@ class RunConfig:
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
         if self.workers < 1 or self.chunk_size < 1:
             raise ValueError("workers and chunk_size must be >= 1")
-        if self.model is ModelKind.OHMIC and self.bath_ohmic is None:
-            raise ValueError("ohmic model requires bath_ohmic parameters")
-        if self.model is ModelKind.NHC:
-            if self.bath_nhc is None:
-                raise ValueError("nhc model requires bath_nhc parameters")
-            if self.bath_nhc.temperature != self.temperature:
-                raise ValueError("thermostat temperature must match the ensemble "
-                                 "temperature")
+        if type(self.bath) not in _BATH_MODELS:
+            raise ValueError(f"unknown bath type {type(self.bath).__name__}")
+        if self.model is ModelKind.NHC and self.bath.temperature != self.temperature:
+            raise ValueError("thermostat temperature must match the ensemble "
+                             "temperature")
+
+    @property
+    def model(self) -> ModelKind:
+        """The model, named by the type of its bath."""
+        return _BATH_MODELS[type(self.bath)]
 
     @property
     def obs_times(self) -> np.ndarray:
@@ -114,47 +117,40 @@ class EnsembleResult:
 
 
 def _sample_chunk(config: RunConfig, lo: int, hi: int) -> TrajectoryState:
-    """Draw initial conditions for trajectory indices [lo, hi) as one batch."""
-    n = hi - lo
-    q1 = np.empty(n)
-    q2 = np.empty(n)
-    p1 = np.empty(n)
-    p2 = np.empty(n)
-    bath = None
-    if config.model is ModelKind.OHMIC:
-        pos = np.empty((n, config.bath_ohmic.n_modes))
-        mom = np.empty((n, config.bath_ohmic.n_modes))
-    elif config.model is ModelKind.NHC:
-        osc = np.empty((n, 2))
+    """Draw initial conditions for trajectory indices [lo, hi) as one batch.
+
+    Row k is trajectory lo + k: the system draw, then the bath's draw from
+    the same stream, each field written into an array allocated from the
+    first trajectory's draw.
+    """
+    # looked up per call, so that wrappers installed on these names are used
+    sample_bath = {OhmicBathParams: sample_ohmic_bath,
+                   NHCBathParams: init_nhc_bath}.get(type(config.bath))
+    columns = None
     for row, idx in enumerate(range(lo, hi)):
         rng = trajectory_rng(config.seed, idx)
-        ph = sample_system(rng, config.system, config.temperature, config.sampling)
-        q1[row], q2[row], p1[row], p2[row] = ph.q1, ph.q2, ph.p1, ph.p2
-        if config.model is ModelKind.OHMIC:
-            bp = sample_ohmic_bath(rng, config.bath_ohmic, config.temperature,
-                                   config.sampling)
-            pos[row] = bp.pos
-            mom[row] = bp.mom
-        elif config.model is ModelKind.NHC:
-            bp = init_nhc_bath(rng, config.bath_nhc, config.temperature,
-                               config.sampling)
-            osc[row] = bp.osc_q, bp.osc_p
-    if config.model is ModelKind.OHMIC:
-        bath = OhmicBathPhase(pos=pos, mom=mom)
-    elif config.model is ModelKind.NHC:
-        bath = NHCBathPhase(osc_q=osc[:, 0], osc_p=osc[:, 1],
-                            eta1=np.zeros(n), eta2=np.zeros(n),
-                            p_eta1=np.zeros(n), p_eta2=np.ones(n))
-    return TrajectoryState(t=0.0, system=SystemPhase(q1, q2, p1, p2), bath=bath)
+        draws = [sample_system(rng, config.system, config.temperature, config.sampling)]
+        if sample_bath is not None:
+            draws.append(sample_bath(rng, config.bath, config.temperature,
+                                     config.sampling))
+        if columns is None:
+            columns = [{name: np.empty((hi - lo,) + np.shape(value))
+                        for name, value in vars(draw).items()} for draw in draws]
+        for column, draw in zip(columns, draws):
+            for name, value in vars(draw).items():
+                column[name][row] = value
+    phases = [type(draw)(**column) for draw, column in zip(draws, columns)]
+    return TrajectoryState(t=0.0, system=phases[0],
+                           bath=phases[1] if sample_bath is not None else None)
 
 
 def _chunk_energy(config: RunConfig, state: TrajectoryState):
     if config.model is ModelKind.OHMIC:
         return ohmic_energy(state.t, state.system, state.bath, config.system,
-                            config.bath_ohmic)
+                            config.bath)
     if config.model is ModelKind.NHC:
         return nhc_extended_energy(state.t, state.system, state.bath,
-                                   config.system, config.bath_nhc)
+                                   config.system, config.bath)
     return system_energy(state.t, state.system, config.system)
 
 
@@ -179,10 +175,7 @@ def _run_chunk(config: RunConfig, lo: int, hi: int):
         if energies is not None:
             energies[i] = _chunk_energy(config, st)
 
-    bath_params = {ModelKind.ISOLATED: None,
-                   ModelKind.OHMIC: config.bath_ohmic,
-                   ModelKind.NHC: config.bath_nhc}[config.model]
-    integrate(state, config.system, bath_params, config.integrator, observer,
+    integrate(state, config.system, config.bath, config.integrator, observer,
               strict=False)
 
     ok = np.isfinite(snaps).all(axis=(0, 2)) & state.is_finite()
@@ -276,13 +269,11 @@ class SweepResult:
 
 
 def _oracle_threshold_auto(sys: SystemParams, t_lo: float, t_hi: float,
-                           mode: SamplingMode, dt: float, n_steps: int,
-                           fundamental: FundamentalSolution):
+                           mode: SamplingMode, fundamental: FundamentalSolution):
     """Closed-form ``anywhere`` threshold as ``(dict, note)``; the dict is
     None when no temperature squeezes, and the note flags a threshold
     outside the sweep window [t_lo, t_hi]."""
-    result = threshold_temperature(sys, mode=mode, dt=dt, n_steps=n_steps,
-                                   fundamental=fundamental)
+    result = threshold_temperature(sys, mode=mode, fundamental=fundamental)
     if result is None:
         return None, "no squeezing even as T -> 0; threshold undefined"
     note = ""
@@ -305,15 +296,14 @@ def temperature_sweep(config: RunConfig, temperatures) -> SweepResult:
     if any(b <= a for a, b in zip(temps, temps[1:])):
         raise ValueError("temperatures must be strictly increasing")
 
-    cfg_int = config.integrator
-    fundamental = fundamental_solution(config.system, dt=cfg_int.dt,
-                                       n_steps=cfg_int.n_steps)
+    fundamental = fundamental_solution(config.system, dt=config.integrator.dt,
+                                       n_steps=config.integrator.n_steps)
     rows = []
     for i, temp in enumerate(temps):
         run_cfg = dataclasses.replace(
             config, temperature=temp, seed=temperature_seed(config.seed, i),
-            bath_nhc=(dataclasses.replace(config.bath_nhc, temperature=temp)
-                      if config.bath_nhc is not None else None))
+            bath=(dataclasses.replace(config.bath, temperature=temp)
+                  if config.model is ModelKind.NHC else config.bath))
         result = run_ensemble(run_cfg)
         diag = result.report["qt2"]
         _, oracle_var_q, _ = mode2_variance_exact(config.system, temp,
@@ -336,8 +326,7 @@ def temperature_sweep(config: RunConfig, temperatures) -> SweepResult:
                 defined = True
                 break
     oracle_thr, note = _oracle_threshold_auto(config.system, temps[0], temps[-1],
-                                              config.sampling, cfg_int.dt,
-                                              cfg_int.n_steps, fundamental)
+                                              config.sampling, fundamental)
     return SweepResult(rows=rows, mc_threshold=mc_threshold,
                        mc_threshold_defined=defined, oracle_threshold=oracle_thr,
                        oracle_threshold_note=note)

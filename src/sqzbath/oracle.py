@@ -43,6 +43,25 @@ class FundamentalSolution:
         return self.pos_a * self.vel_b - self.vel_a * self.pos_b
 
 
+def _propagate_unit_columns(state: TrajectoryState, sys: SystemParams,
+                            bath: Optional[OhmicBathParams],
+                            config: IntegratorConfig, modes: tuple):
+    """Integrate a batch of unit initial conditions with the trajectory
+    stepper. Returns the observation times and ``rows`` of shape
+    (n_obs, len(modes), batch): the named normal-mode coordinates at each
+    stride.
+    """
+    n_obs = config.n_steps // config.stride + 1
+    rows = np.empty((n_obs, len(modes), len(state.system.q1)))
+
+    def observer(step, st):
+        phase = to_normal_modes(st.system)
+        rows[step // config.stride] = [getattr(phase, name) for name in modes]
+
+    integrate(state, sys, bath, config, observer)
+    return np.arange(n_obs) * (config.stride * config.dt), rows
+
+
 def fundamental_solution(sys: SystemParams, dt: float = 0.01,
                          n_steps: int = 25000) -> FundamentalSolution:
     """Integrate the two fundamental solutions with the trajectory stepper.
@@ -57,35 +76,25 @@ def fundamental_solution(sys: SystemParams, dt: float = 0.01,
                         q2=np.array([-_SQRT_HALF, 0.0]),
                         p1=np.array([0.0, m * _SQRT_HALF]),
                         p2=np.array([0.0, -m * _SQRT_HALF]))
-    state = TrajectoryState(t=0.0, system=phase)
-    pos = np.empty((n_steps + 1, 2))
-    vel = np.empty((n_steps + 1, 2))
-
-    def observer(step, st):
-        modes = to_normal_modes(st.system)
-        pos[step] = modes.qt2
-        vel[step] = modes.pt2 / m
-
-    cfg = IntegratorConfig(dt=dt, n_steps=n_steps, stride=1)
-    integrate(state, sys, None, cfg, observer)
-    times = np.arange(n_steps + 1) * dt
+    times, rows = _propagate_unit_columns(
+        TrajectoryState(t=0.0, system=phase), sys, None,
+        IntegratorConfig(dt=dt, n_steps=n_steps, stride=1), ("qt2", "pt2"))
+    pos, vel = rows[:, 0], rows[:, 1]
+    vel /= m
     return FundamentalSolution(times=times, pos_a=pos[:, 0], vel_a=vel[:, 0],
                                pos_b=pos[:, 1], vel_b=vel[:, 1])
 
 
 def mode2_variance_exact(sys: SystemParams, temperature: float,
-                         mode: SamplingMode = SamplingMode.QUANTUM,
-                         dt: float = 0.01, n_steps: int = 25000,
-                         fundamental: Optional[FundamentalSolution] = None):
+                         mode: SamplingMode = SamplingMode.QUANTUM, *,
+                         fundamental: FundamentalSolution):
     """Exact (var_qt2, var_pt2) curves from the fundamental solutions.
 
-    Returns ``(times, var_q, var_p)``. The initial widths are thermal at the
-    relative-mode frequency at t=0, as the sampler draws them; the curves are
-    exact for all three models since the relative mode never couples to a
-    bath.
+    Returns ``(times, var_q, var_p)`` on the time grid of ``fundamental``.
+    The initial widths are thermal at the relative-mode frequency at t=0, as
+    the sampler draws them; the curves are exact for all three models since
+    the relative mode never couples to a bath.
     """
-    if fundamental is None:
-        fundamental = fundamental_solution(sys, dt=dt, n_steps=n_steps)
     _, w2 = normal_mode_freqs(0.0, sys)
     wid = thermal_widths(sys.mass, w2, temperature, mode)
     m = sys.mass
@@ -95,21 +104,18 @@ def mode2_variance_exact(sys: SystemParams, temperature: float,
 
 
 def isolated_variance_series(sys: SystemParams, temperature: float,
-                             mode: SamplingMode = SamplingMode.QUANTUM,
-                             config: Optional[IntegratorConfig] = None,
-                             fundamental: Optional[FundamentalSolution] = None):
+                             mode: SamplingMode = SamplingMode.QUANTUM, *,
+                             config: IntegratorConfig,
+                             fundamental: FundamentalSolution):
     """Exact isolated-model variance curves in the ensemble CSV layout.
 
     Mode 1 is an undriven thermal oscillator, so its position and momentum
-    variances are constant; mode 2 comes from the fundamental solutions.
-    Standard-error columns are zero (the curves are deterministic).
+    variances are constant; mode 2 comes from the fundamental solutions,
+    which must span ``config.n_steps`` steps. Standard-error columns are
+    zero (the curves are deterministic).
     """
     from .observables import VarianceSeries
 
-    if config is None:
-        config = IntegratorConfig()
-    if fundamental is None:
-        fundamental = fundamental_solution(sys, dt=config.dt, n_steps=config.n_steps)
     _, var_q2, var_p2 = mode2_variance_exact(sys, temperature, mode,
                                              fundamental=fundamental)
     w1, _ = normal_mode_freqs(0.0, sys)
@@ -156,12 +162,10 @@ def _sustained_level(shape: np.ndarray) -> float:
     return float(suffix_max[suffix_max < previous_min].min())
 
 
-def threshold_temperature(sys: SystemParams, *, threshold: float = 0.5,
+def threshold_temperature(sys: SystemParams, *, fundamental: FundamentalSolution,
+                          threshold: float = 0.5,
                           mode: SamplingMode = SamplingMode.QUANTUM,
-                          dt: float = 0.01, n_steps: int = 25000,
-                          definition: str = "anywhere",
-                          fundamental: Optional[FundamentalSolution] = None
-                          ) -> Optional[ThresholdResult]:
+                          definition: str = "anywhere") -> Optional[ThresholdResult]:
     """Temperature where position squeezing of the relative mode disappears.
 
     The initial momentum variance is m^2 w2^2 times the position variance in
@@ -175,8 +179,6 @@ def threshold_temperature(sys: SystemParams, *, threshold: float = 0.5,
     """
     if definition not in ("anywhere", "sustained"):
         raise ValueError(f"unknown threshold definition {definition!r}")
-    if fundamental is None:
-        fundamental = fundamental_solution(sys, dt=dt, n_steps=n_steps)
     # the shape is read off the oracle curve itself (at T = 1), so T* is
     # exact for that curve up to round-off
     _, w2 = normal_mode_freqs(0.0, sys)
@@ -254,21 +256,6 @@ def full_covariance_exact(sys: SystemParams, bath: OhmicBathParams,
         [wid_sys.var_p, wid_sys.var_p], wid_bath.var_p,
     ])
 
-    n_obs = config.n_steps // config.stride + 1
-    times = np.empty(n_obs)
-    variances = np.empty((n_obs, 4))
-    snapshot_index = [0]
-
-    def observer(step, st):
-        i = snapshot_index[0]
-        snapshot_index[0] += 1
-        times[i] = st.t
-        ph = st.system
-        rows = np.vstack([(ph.q1 + ph.q2) * _SQRT_HALF,
-                          (ph.q1 - ph.q2) * _SQRT_HALF,
-                          (ph.p1 + ph.p2) * _SQRT_HALF,
-                          (ph.p1 - ph.p2) * _SQRT_HALF])
-        variances[i] = rows ** 2 @ sigma0_sq
-
-    integrate(state, sys, bath, config, observer)
-    return CovarianceSeries(times=times, variances=variances, dim=dim)
+    times, rows = _propagate_unit_columns(state, sys, bath, config,
+                                          ("qt1", "qt2", "pt1", "pt2"))
+    return CovarianceSeries(times=times, variances=rows ** 2 @ sigma0_sq, dim=dim)

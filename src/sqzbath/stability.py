@@ -40,6 +40,9 @@ def mathieu_params(sys: SystemParams) -> MathieuParams:
                          q=sys.coupling_amp ** 2 / (2.0 * wd2))
 
 
+# every caller handles an overflowed cell: monodromy raises, the map and
+# grows_unbounded classify it as unstable
+@np.errstate(over="ignore", invalid="ignore")
 def _propagate_fundamental(a, q, t_final: float, steps: int):
     """Velocity-Verlet fundamental solutions over [0, t_final]; a, q may be arrays."""
     a = np.asarray(a, dtype=float)
@@ -72,6 +75,24 @@ def monodromy(params: MathieuParams, steps: int = 4096) -> np.ndarray:
     return m
 
 
+# A cell is unstable when |trace| exceeds 2 by more than TRACE_TOL, and
+# marginal when |trace| lies within MARGINAL_TOL of 2, where floating point
+# cannot decide it.
+TRACE_TOL = 1e-9
+MARGINAL_TOL = 1e-3
+
+
+def classify_trace(abs_trace):
+    """``(unstable, marginal)`` flags of monodromy |trace| values, elementwise.
+
+    A non-finite trace is unstable: the propagation overflowed, as in
+    :func:`grows_unbounded`.
+    """
+    abs_trace = np.asarray(abs_trace)
+    return (~np.isfinite(abs_trace) | (abs_trace > 2.0 + TRACE_TOL),
+            np.abs(abs_trace - 2.0) < MARGINAL_TOL)
+
+
 @dataclass
 class StabilityMap:
     """Instability classification over the (x, y) = ((w/wd)^2, (w0/wd)^2) plane."""
@@ -80,18 +101,16 @@ class StabilityMap:
     ys: np.ndarray          # cell centers, (ny,)
     abs_trace: np.ndarray   # (ny, nx)
     determinant: np.ndarray
-    unstable: np.ndarray    # |trace| > 2 + trace_tol
-    marginal: np.ndarray    # ||trace| - 2| < marginal_tol
+    unstable: np.ndarray    # see classify_trace
+    marginal: np.ndarray
 
 
 def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
-                  steps: int = 4096, trace_tol: float = 1e-9,
-                  marginal_tol: float = 1e-3) -> StabilityMap:
+                  steps: int = 4096) -> StabilityMap:
     """Classify every cell of a regular grid by its monodromy trace.
 
-    Cells are sampled at their centers; cells within ``marginal_tol`` of the
-    |trace| = 2 boundary are additionally flagged marginal since floating
-    point cannot decide them.
+    Cells are sampled at their centers and classified by
+    :func:`classify_trace`.
     """
     if x_range[1] <= x_range[0] or y_range[1] <= y_range[0]:
         raise ValueError("stability map window must have positive area")
@@ -109,9 +128,9 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
     ay, by, av, bv = _propagate_fundamental(a, q, np.pi, steps)
     tr = np.abs(ay + bv).reshape(ny, nx)
     det = (ay * bv - av * by).reshape(ny, nx)
+    unstable, marginal = classify_trace(tr)
     return StabilityMap(xs=xs, ys=ys, abs_trace=tr, determinant=det,
-                        unstable=tr > 2.0 + trace_tol,
-                        marginal=np.abs(tr - 2.0) < marginal_tol)
+                        unstable=unstable, marginal=marginal)
 
 
 def write_stability_csv(smap: StabilityMap, path, header_lines=()) -> None:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SamplingMode,
+from sqzbath import (IntegratorConfig, RunConfig, SamplingMode,
                      SystemParams, build_ohmic_bath, compare_variance_series,
                      full_covariance_exact, fundamental_solution, mathieu_params,
                      monodromy, nhc_from_ohmic, nhc_matched_to_ohmic, run_ensemble,
@@ -37,8 +37,8 @@ def check(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def desk_config(model, **kwargs):
-    base = dict(system=SystemParams(), model=model, temperature=1.0,
+def desk_config(**kwargs):
+    base = dict(system=SystemParams(), temperature=1.0,
                 n_traj=2000, seed=DESK_SEED, integrator=DESK_INTEGRATOR,
                 workers=WORKERS, chunk_size=1000)
     base.update(kwargs)
@@ -52,7 +52,7 @@ def ohmic_bath():
 
 @pytest.fixture(scope="module")
 def ohmic_run(ohmic_bath):
-    cfg = desk_config(ModelKind.OHMIC, bath_ohmic=ohmic_bath)
+    cfg = desk_config(bath=ohmic_bath)
     t0 = time.perf_counter()
     result = run_ensemble(cfg)
     print(f"\n[runtime] ohmic ensemble 2000x25000: {time.perf_counter() - t0:.0f}s")
@@ -61,7 +61,7 @@ def ohmic_run(ohmic_bath):
 
 @pytest.fixture(scope="module")
 def ohmic_run_hot(ohmic_bath):
-    cfg = desk_config(ModelKind.OHMIC, bath_ohmic=ohmic_bath, temperature=1.06,
+    cfg = desk_config(bath=ohmic_bath, temperature=1.06,
                       n_traj=1000)
     return run_ensemble(cfg)
 
@@ -69,7 +69,7 @@ def ohmic_run_hot(ohmic_bath):
 @pytest.fixture(scope="module")
 def nhc_run(ohmic_bath):
     bath = nhc_matched_to_ohmic(ohmic_bath, temperature=1.0)
-    cfg = desk_config(ModelKind.NHC, bath_nhc=bath)
+    cfg = desk_config(bath=bath)
     t0 = time.perf_counter()
     result = run_ensemble(cfg)
     print(f"\n[runtime] nhc ensemble 2000x25000: {time.perf_counter() - t0:.0f}s")
@@ -93,7 +93,7 @@ def paper_fundamental():
 class TestCriterion1EnergyConservation:
     def test_ensemble_mean_energy_drift(self):
         sys = SystemParams(frozen_coupling=True)
-        cfg = RunConfig(system=sys, model=ModelKind.ISOLATED, temperature=1.0,
+        cfg = RunConfig(system=sys, temperature=1.0,
                         n_traj=1000, seed=DESK_SEED,
                         integrator=IntegratorConfig(n_steps=25000, stride=100),
                         track_energy=True)
@@ -224,7 +224,7 @@ class TestCriterion6BathEquivalence:
     def test_record_n1_discretization_default(self, ohmic_run, ohmic_bath):
         # recorded for reference, not asserted: the N=1 discretization bath
         bath = nhc_from_ohmic(0.007, 3.0, 1.0)
-        cfg = desk_config(ModelKind.NHC, bath_nhc=bath, n_traj=1000)
+        cfg = desk_config(bath=bath, n_traj=1000)
         res = run_ensemble(cfg)
         coords, passed = compare_variance_series(ohmic_run.series, res.series)
         detail = ", ".join(f"{k}: {v.max_rel_dev:.3f}" for k, v in coords.items())

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from sqzbath.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from sqzbath import stability
+from sqzbath.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _parse_grid, main
 from sqzbath.config import (ConfigError, DEFAULTS, build_run_config, config_hash,
                             read_config_file)
 
@@ -95,8 +96,8 @@ class TestConfigLayer:
         resolved["thermostat"]["coupling"] = 0.3
         resolved["ensemble"]["n_traj"] = 8
         run, _, _ = build_run_config(resolved)
-        assert run.bath_nhc.osc_freq == 1.5
-        assert run.bath_nhc.coupling == 0.3
+        assert run.bath.osc_freq == 1.5
+        assert run.bath.coupling == 0.3
 
 
 class TestRunCommand:
@@ -174,6 +175,12 @@ class TestSweepCommand:
         cfg, _ = small_config
         assert main(["sweep", "--config", cfg, "--grid", "2:1:0.1"]) == EXIT_CONFIG
 
+    def test_grid_ends_at_stop(self):
+        # the grid holds every step up to stop, and none past it
+        assert _parse_grid("0.95:1.06:0.04") == pytest.approx([0.95, 0.99, 1.03])
+        assert _parse_grid("0.9:1.1:0.1") == pytest.approx([0.9, 1.0, 1.1])
+        assert len(_parse_grid("0.95:1.06:0.01")) == 12
+
 
 class TestStabilityCommand:
     def test_small_map(self, small_config):
@@ -188,6 +195,27 @@ class TestStabilityCommand:
         assert main(["stability", "--point", "6.173", "30.864"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "abs_trace=" in out and "unstable=0" in out
+
+    def test_point_overflow_exits_with_message(self, capsys):
+        assert main(["stability", "--point", "1.5e7", "1.5e7",
+                     "--steps", "256"]) == EXIT_CONFIG
+        assert "overflow" in capsys.readouterr().err
+
+    def test_point_and_map_share_one_classification(self, small_config, capsys,
+                                                    monkeypatch):
+        # widening the module's marginal band moves both paths alike
+        monkeypatch.setattr(stability, "MARGINAL_TOL", 0.5)
+        cfg, out = small_config
+        assert main(["stability", "--config", cfg, "--window", "0:8:0:8",
+                     "--resolution", "4", "--steps", "512"]) == EXIT_OK
+        lines = open(os.path.join(out, "demo_stability.csv")).read().splitlines()
+        cells = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert any(abs(float(c[2]) - 2) > 1e-3 and c[4] == "1" for c in cells)
+        capsys.readouterr()
+        for x, y, _, unstable, marginal in cells:
+            assert main(["stability", "--point", x, y, "--steps", "512"]) == EXIT_OK
+            assert (f"unstable={unstable} marginal={marginal}"
+                    in capsys.readouterr().out)
 
     def test_degenerate_window(self, capsys):
         assert main(["stability", "--window", "0:0:0:40"]) == EXIT_CONFIG

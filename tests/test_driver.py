@@ -6,12 +6,13 @@ import pytest
 
 from sqzbath import (EnsembleFailure, IntegratorConfig, ModelKind, RunConfig,
                      SamplingMode, SystemParams, bath_equivalence, build_ohmic_bath,
-                     nhc_from_ohmic, run_ensemble, temperature_sweep)
+                     init_nhc_bath, nhc_from_ohmic, run_ensemble, sample_ohmic_bath,
+                     sample_system, temperature_sweep, trajectory_rng)
 from sqzbath.driver import _run_chunk, _sample_chunk, temperature_seed
 
 
 def isolated_config(**kwargs):
-    base = dict(system=SystemParams(), model=ModelKind.ISOLATED, temperature=1.0,
+    base = dict(system=SystemParams(), temperature=1.0,
                 n_traj=64, seed=11,
                 integrator=IntegratorConfig(n_steps=1000, stride=50))
     base.update(kwargs)
@@ -19,20 +20,23 @@ def isolated_config(**kwargs):
 
 
 class TestRunConfigValidation:
-    def test_requires_bath_params(self):
-        with pytest.raises(ValueError, match="bath_ohmic"):
-            RunConfig(system=SystemParams(), model=ModelKind.OHMIC,
-                      temperature=1.0, n_traj=8, seed=1)
-
     def test_requires_matching_thermostat_temperature(self):
         nhc = nhc_from_ohmic(0.007, 3.0, temperature=2.0)
         with pytest.raises(ValueError, match="temperature"):
-            RunConfig(system=SystemParams(), model=ModelKind.NHC, temperature=1.0,
-                      n_traj=8, seed=1, bath_nhc=nhc)
+            RunConfig(system=SystemParams(), temperature=1.0,
+                      n_traj=8, seed=1, bath=nhc)
 
     def test_minimal_ensemble_size(self):
         with pytest.raises(ValueError):
             isolated_config(n_traj=1)
+
+    def test_model_follows_bath(self):
+        assert isolated_config().model is ModelKind.ISOLATED
+        assert (isolated_config(bath=build_ohmic_bath(4, 0.007, 3.0)).model
+                is ModelKind.OHMIC)
+        assert isolated_config(bath=nhc_from_ohmic(0.007, 3.0, 1.0)).model is ModelKind.NHC
+        with pytest.raises(ValueError, match="bath type"):
+            isolated_config(bath="ohmic")
 
     def test_model_parsing(self):
         assert ModelKind.parse("Ohmic") is ModelKind.OHMIC
@@ -63,6 +67,28 @@ class TestDeterminism:
         assert np.array_equal(small.system.q1, large.system.q1[:16])
         assert np.array_equal(small.system.p2, large.system.p2[:16])
 
+    @pytest.mark.parametrize("bath, sample_bath", [
+        (None, None),
+        (build_ohmic_bath(5, 0.007, 3.0), sample_ohmic_bath),
+        (nhc_from_ohmic(0.007, 3.0, 1.0), init_nhc_bath),
+    ], ids=["isolated", "ohmic", "nhc"])
+    def test_chunk_rows_are_per_trajectory_draws(self, bath, sample_bath):
+        # row k is trajectory lo + k: its system draw, then its bath draw
+        # (for NHC including the chain state) from the same stream
+        cfg = isolated_config(bath=bath)
+        state = _sample_chunk(cfg, 3, 9)
+        for row, idx in enumerate(range(3, 9)):
+            rng = trajectory_rng(cfg.seed, idx)
+            expected = [(state.system, sample_system(rng, cfg.system, cfg.temperature,
+                                                     cfg.sampling))]
+            if sample_bath is not None:
+                expected.append((state.bath, sample_bath(rng, bath, cfg.temperature,
+                                                         cfg.sampling)))
+            for batch, draw in expected:
+                for name, value in vars(draw).items():
+                    assert np.array_equal(getattr(batch, name)[row], value), name
+        assert (state.bath is None) == (bath is None)
+
     def test_temperature_seed_derivation_is_stable(self):
         assert temperature_seed(123, 0) == temperature_seed(123, 0)
         assert temperature_seed(123, 0) != temperature_seed(123, 1)
@@ -71,7 +97,7 @@ class TestDeterminism:
 class TestZeroCouplingEquivalence:
     def test_ohmic_with_zero_kondo_matches_isolated(self):
         bath = build_ohmic_bath(8, 0.0, 3.0)
-        cfg_o = isolated_config(model=ModelKind.OHMIC, bath_ohmic=bath)
+        cfg_o = isolated_config(bath=bath)
         cfg_i = isolated_config()
         res_o = run_ensemble(cfg_o)
         res_i = run_ensemble(cfg_i)
@@ -133,10 +159,8 @@ class TestBathEquivalence:
         bath = build_ohmic_bath(8, 0.007, 3.0)
         nhc = nhc_from_ohmic(0.007, 3.0, 1.0)
         icfg = IntegratorConfig(n_steps=500, stride=50)
-        cfg_o = isolated_config(model=ModelKind.OHMIC, bath_ohmic=bath,
-                                integrator=icfg, n_traj=128)
-        cfg_n = isolated_config(model=ModelKind.NHC, bath_nhc=nhc,
-                                integrator=icfg, n_traj=128)
+        cfg_o = isolated_config(bath=bath, integrator=icfg, n_traj=128)
+        cfg_n = isolated_config(bath=nhc, integrator=icfg, n_traj=128)
         cmp = bath_equivalence(cfg_o, cfg_n)
         # the relative mode never sees either bath: identical curves
         assert cmp.coords["qt2"].max_rel_dev < 1e-10
@@ -146,8 +170,8 @@ class TestBathEquivalence:
     def test_mismatched_configs_rejected(self):
         bath = build_ohmic_bath(8, 0.007, 3.0)
         nhc = nhc_from_ohmic(0.007, 3.0, 1.0)
-        cfg_o = isolated_config(model=ModelKind.OHMIC, bath_ohmic=bath)
-        cfg_n = isolated_config(model=ModelKind.NHC, bath_nhc=nhc, seed=99)
+        cfg_o = isolated_config(bath=bath)
+        cfg_n = isolated_config(bath=nhc, seed=99)
         with pytest.raises(ValueError, match="seed"):
             bath_equivalence(cfg_o, cfg_n)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SamplingMode,
+from sqzbath import (IntegratorConfig, RunConfig, SamplingMode,
                      SystemParams, build_ohmic_bath, full_covariance_exact,
                      fundamental_solution, isolated_variance_series,
                      mode2_variance_exact, run_ensemble, threshold_temperature,
@@ -71,8 +71,8 @@ class TestMode2Variance:
         # at w2(0), so the oracle must start from the same widths
         sys = SystemParams(frozen_coupling=True)
         icfg = IntegratorConfig(n_steps=200, stride=10)
-        res = run_ensemble(RunConfig(system=sys, model=ModelKind.ISOLATED,
-                                     temperature=1.0, n_traj=20000, seed=7,
+        res = run_ensemble(RunConfig(system=sys, temperature=1.0,
+                                     n_traj=20000, seed=7,
                                      integrator=icfg, chunk_size=5000))
         _, vq, vp = mode2_variance_exact(sys, 1.0, fundamental=fundamental_solution(
             sys, dt=icfg.dt, n_steps=icfg.n_steps))
@@ -105,9 +105,10 @@ class TestThreshold:
         result = threshold_temperature(SystemParams(), fundamental=paper_fundamental)
         assert result.temperature == pytest.approx(3.7369, rel=5e-3)
 
-    def test_step_refinement_consistency(self):
-        coarse = threshold_temperature(SystemParams(), dt=0.01, n_steps=25000)
-        fine = threshold_temperature(SystemParams(), dt=0.001, n_steps=250000)
+    def test_step_refinement_consistency(self, paper_fundamental):
+        coarse = threshold_temperature(SystemParams(), fundamental=paper_fundamental)
+        fine = threshold_temperature(SystemParams(), fundamental=fundamental_solution(
+            SystemParams(), dt=0.001, n_steps=250000))
         assert abs(coarse.temperature - fine.temperature) / fine.temperature < 2e-3
 
     def test_classical_quantum_relation(self, paper_fundamental):
@@ -146,7 +147,8 @@ class TestThreshold:
 
     def test_sustained_definition_accepted(self, paper_fundamental):
         with pytest.raises(ValueError):
-            threshold_temperature(SystemParams(), definition="typo")
+            threshold_temperature(SystemParams(), definition="typo",
+                                  fundamental=paper_fundamental)
 
 
 class TestFullCovariance:
@@ -193,7 +195,9 @@ class TestFullCovariance:
 class TestIsolatedSeries:
     def test_schema_and_constant_mode1(self):
         cfg = IntegratorConfig(n_steps=1000, stride=100)
-        s = isolated_variance_series(SystemParams(), 1.0, config=cfg)
+        s = isolated_variance_series(SystemParams(), 1.0, config=cfg,
+                                     fundamental=fundamental_solution(
+                                         SystemParams(), dt=cfg.dt, n_steps=cfg.n_steps))
         assert s.variances.shape == (11, 4)
         assert np.all(s.std_errors == 0.0)
         wid = thermal_widths(1.0, W1, 1.0, SamplingMode.QUANTUM)

@@ -1,5 +1,6 @@
 """Property tests over random masses and states: every force is -dH/dq, the
-energy is conserved with frozen coupling, the relative mode never feels a
+energy (for the NHC model, the extended energy) is conserved with frozen
+coupling, the relative mode never feels a
 bath, and the Ohmic step inside integrate() evaluates the bath force once per
 step ("first same as last") without changing a bit of the trajectory."""
 
@@ -45,8 +46,9 @@ def ohmic_bath(mass, kondo=0.05):
     return build_ohmic_bath(N_MODES, kondo, 3.0, mass=mass)
 
 
-def nhc_bath(mass):
-    return NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0, osc_mass=mass)
+def nhc_bath(mass, **chain):
+    return NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0, osc_mass=mass,
+                         **chain)
 
 
 def nhc_phase(osc_q, osc_p):
@@ -137,6 +139,19 @@ class TestEnergyConservationAnyMass:
                                                x[2 + N_MODES:2 + 2 * N_MODES].copy()))
         e0, drift = _energy_drift(
             state, sys, bath, lambda s: ohmic_energy(s.t, s.system, s.bath, sys, bath))
+        assert drift <= self.TOL * e0
+
+    @settings(max_examples=15, deadline=None)
+    @given(mass=masses, osc_mass=masses, mass_eta1=masses, mass_eta2=masses,
+           thermo_dof=st.integers(1, 3), x=coords(6))
+    def test_nhc_extended(self, mass, osc_mass, mass_eta1, mass_eta2, thermo_dof, x):
+        sys = SystemParams(mass=mass, frozen_coupling=True)
+        bath = nhc_bath(osc_mass, mass_eta1=mass_eta1, mass_eta2=mass_eta2,
+                        thermo_dof=thermo_dof)
+        state = TrajectoryState(0.0, SystemPhase(*x[:4]), nhc_phase(x[4], x[5]))
+        e0, drift = _energy_drift(
+            state, sys, bath,
+            lambda s: nhc_extended_energy(s.t, s.system, s.bath, sys, bath))
         assert drift <= self.TOL * e0
 
 

@@ -83,6 +83,11 @@ class TestStabilityMap:
         decided = np.abs(coarse.abs_trace - 2.0) > 1e-3
         assert np.array_equal(coarse.unstable[decided], fine.unstable[decided])
 
+    def test_non_finite_trace_is_unstable(self):
+        smap = stability_map((0.0, 2e7), (0.0, 2e7), resolution=2, steps=256)
+        assert not np.isfinite(smap.abs_trace).any()
+        assert smap.unstable.all() and not smap.marginal.any()
+
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
             stability_map((1.0, 1.0), (0.0, 40.0))
