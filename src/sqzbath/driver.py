@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -113,7 +112,6 @@ class EnsembleResult:
     n_traj: int
     n_failed: int
     energy: Optional[EnergySeries] = None
-    wall_time: float = 0.0
 
 
 def _sample_chunk(config: RunConfig, lo: int, hi: int) -> TrajectoryState:
@@ -199,7 +197,6 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     Aborts with :class:`EnsembleFailure` when more than 0.1% of trajectories
     go non-finite, which signals a stepping problem rather than noise.
     """
-    start = time.perf_counter()
     times = config.obs_times
     ranges = _chunk_ranges(config.n_traj, config.chunk_size)
     if config.workers > 1 and len(ranges) > 1:
@@ -226,8 +223,7 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     if energy_sum is not None:
         energy = EnergySeries(times=times, mean=energy_sum / (config.n_traj - n_failed))
     return EnsembleResult(series=series, report=squeeze_report(series),
-                          n_traj=config.n_traj, n_failed=n_failed, energy=energy,
-                          wall_time=time.perf_counter() - start)
+                          n_traj=config.n_traj, n_failed=n_failed, energy=energy)
 
 
 def temperature_seed(master_seed: int, index: int) -> int:

@@ -2,10 +2,14 @@
 
 The models are linear, so Gaussian initial states stay Gaussian and every
 variance follows from the fundamental solutions of the equations of motion.
-Both oracles drive the *same* stepper as the trajectory code (unit initial
+Both oracles take the trajectory code's velocity-Verlet step (unit initial
 conditions instead of thermal samples), which keeps discretization bias
 common-mode between oracle and Monte Carlo; a finer-step run of the oracle
-bounds that shared bias.
+bounds that shared bias. The full covariance drives :func:`integrate`
+itself; the relative mode runs the 2x2 loop of
+:func:`stability.kdk_fundamental`, which
+``tests/test_properties.py::TestFundamentalSolution`` checks against the
+relative mode of :func:`integrate`.
 
 The relative mode is exactly bath-decoupled (both baths couple to q1 + q2),
 so its two-dimensional fundamental solution is exact for all three models.
@@ -15,18 +19,17 @@ is validated against the Ohmic oracle instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .baths import OhmicBathParams, OhmicBathPhase
-from .integrate import IntegratorConfig, TrajectoryState, integrate
+from .integrate import IntegratorConfig, TrajectoryFailure, TrajectoryState, integrate
 from .sampling import SamplingMode, thermal_widths, width_temperature
-from .system import SystemParams, SystemPhase, normal_mode_freqs, to_normal_modes
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
+from .stability import kdk_fundamental
+from .system import (SystemParams, SystemPhase, coupling_freq_sq, normal_mode_freqs,
+                     to_normal_modes)
 
 
 @dataclass
@@ -43,46 +46,20 @@ class FundamentalSolution:
         return self.pos_a * self.vel_b - self.vel_a * self.pos_b
 
 
-def _propagate_unit_columns(state: TrajectoryState, sys: SystemParams,
-                            bath: Optional[OhmicBathParams],
-                            config: IntegratorConfig, modes: tuple):
-    """Integrate a batch of unit initial conditions with the trajectory
-    stepper. Returns the observation times and ``rows`` of shape
-    (n_obs, len(modes), batch): the named normal-mode coordinates at each
-    stride.
-    """
-    n_obs = config.n_steps // config.stride + 1
-    rows = np.empty((n_obs, len(modes), len(state.system.q1)))
-
-    def observer(step, st):
-        phase = to_normal_modes(st.system)
-        rows[step // config.stride] = [getattr(phase, name) for name in modes]
-
-    integrate(state, sys, bath, config, observer)
-    return np.arange(n_obs) * (config.stride * config.dt), rows
-
-
 def fundamental_solution(sys: SystemParams, dt: float = 0.01,
                          n_steps: int = 25000) -> FundamentalSolution:
-    """Integrate the two fundamental solutions with the trajectory stepper.
-
-    Implemented as a two-trajectory batch of the full system prepared in pure
-    relative-mode states, so the exact code path of the ensemble runs is
-    exercised.
-    """
-    m = sys.mass
-    # batch rows: (A, B); qt2 = 1 resp. 0, pt2 = 0 resp. m (unit velocity)
-    phase = SystemPhase(q1=np.array([_SQRT_HALF, 0.0]),
-                        q2=np.array([-_SQRT_HALF, 0.0]),
-                        p1=np.array([0.0, m * _SQRT_HALF]),
-                        p2=np.array([0.0, -m * _SQRT_HALF]))
-    times, rows = _propagate_unit_columns(
-        TrajectoryState(t=0.0, system=phase), sys, None,
-        IntegratorConfig(dt=dt, n_steps=n_steps, stride=1), ("qt2", "pt2"))
-    pos, vel = rows[:, 0], rows[:, 1]
-    vel /= m
-    return FundamentalSolution(times=times, pos_a=pos[:, 0], vel_a=vel[:, 0],
-                               pos_b=pos[:, 1], vel_b=vel[:, 1])
+    """Fundamental solutions of the relative mode,
+    y'' = -(w^2 + 2 w0^2 sin^2(wd t)) y, with the drive at each step midpoint
+    as the trajectory stepper evaluates it."""
+    k = sys.freq ** 2 + 2.0 * coupling_freq_sq((np.arange(n_steps) + 0.5) * dt, sys)
+    out = np.empty((4, n_steps + 1))
+    kdk_fundamental(k.tolist(), dt, out)
+    finite = np.isfinite(out).all(axis=0)
+    if not finite[-1]:
+        raise TrajectoryFailure(int(finite.argmin()))
+    pos_a, pos_b, vel_a, vel_b = out
+    return FundamentalSolution(times=np.arange(n_steps + 1) * dt, pos_a=pos_a,
+                               vel_a=vel_a, pos_b=pos_b, vel_b=vel_b)
 
 
 def mode2_variance_exact(sys: SystemParams, temperature: float,
@@ -256,6 +233,13 @@ def full_covariance_exact(sys: SystemParams, bath: OhmicBathParams,
         [wid_sys.var_p, wid_sys.var_p], wid_bath.var_p,
     ])
 
-    times, rows = _propagate_unit_columns(state, sys, bath, config,
-                                          ("qt1", "qt2", "pt1", "pt2"))
-    return CovarianceSeries(times=times, variances=rows ** 2 @ sigma0_sq, dim=dim)
+    n_obs = config.n_steps // config.stride + 1
+    rows = np.empty((n_obs, 4, dim))   # qt1, qt2, pt1, pt2 of every column
+
+    def observer(step, st):
+        modes = to_normal_modes(st.system)
+        rows[step // config.stride] = modes.qt1, modes.qt2, modes.pt1, modes.pt2
+
+    integrate(state, sys, bath, config, observer)
+    return CovarianceSeries(times=np.arange(n_obs) * (config.stride * config.dt),
+                            variances=rows ** 2 @ sigma0_sq, dim=dim)

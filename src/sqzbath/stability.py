@@ -2,9 +2,11 @@
 
 In drive-scaled time the relative mode obeys y'' + (a - 2q cos 2t) y = 0;
 one period is [0, pi]. The monodromy matrix is built from the two
-fundamental solutions integrated with the same symmetric second-order
-stepper as the trajectory code, and |trace| > 2 flags parametric
-instability.
+fundamental solutions of :func:`kdk_fundamental`, the package's one
+velocity-Verlet loop for the relative mode, and |trace| > 2 flags
+parametric instability. That this loop is the relative mode of the
+trajectory stepper is checked by
+``tests/test_properties.py::TestFundamentalSolution``.
 """
 
 from __future__ import annotations
@@ -41,34 +43,46 @@ def mathieu_params(sys: SystemParams) -> MathieuParams:
 
 
 # every caller handles an overflowed cell: monodromy raises, the map and
-# grows_unbounded classify it as unstable
+# grows_unbounded classify it as unstable, fundamental_solution raises
 @np.errstate(over="ignore", invalid="ignore")
-def _propagate_fundamental(a, q, t_final: float, steps: int):
-    """Velocity-Verlet fundamental solutions over [0, t_final]; a, q may be arrays."""
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    ay = np.ones_like(a)
-    av = np.zeros_like(a)
-    by = np.zeros_like(a)
-    bv = np.ones_like(a)
-    dt = t_final / steps
+def kdk_fundamental(ks, dt: float, out=None):
+    """Velocity-Verlet fundamental solutions of y'' = -k(t) y.
+
+    ``ks`` yields each step's coefficient at the step midpoint, as scalars or
+    as arrays over cells. Solution a starts at (y, y') = (1, 0) and b at
+    (0, 1); returns their final ``(ay, by, av, bv)``. When ``out`` is given,
+    of shape (4, n_steps + 1), column i receives the same four values after
+    i steps.
+    """
     half = 0.5 * dt
-    for i in range(steps):
-        k = a - 2.0 * q * np.cos(2.0 * (i * dt + half))
+    ay, by, av, bv = 1.0, 0.0, 0.0, 1.0
+    if out is not None:
+        out[:, 0] = ay, by, av, bv
+    for i, k in enumerate(ks, 1):
         av -= half * k * ay
         bv -= half * k * by
         ay += dt * av
         by += dt * bv
         av -= half * k * ay
         bv -= half * k * by
+        if out is not None:
+            out[:, i] = ay, by, av, bv
     return ay, by, av, bv
+
+
+def _mathieu_fundamental(a, q, t_final: float, steps: int):
+    """Fundamental solutions of y'' + (a - 2q cos 2t) y = 0 over [0, t_final]."""
+    dt = t_final / steps
+    half = 0.5 * dt
+    return kdk_fundamental((a - 2.0 * q * np.cos(2.0 * (i * dt + half))
+                            for i in range(steps)), dt)
 
 
 def monodromy(params: MathieuParams, steps: int = 4096) -> np.ndarray:
     """One-period propagator of the scaled relative-mode equation."""
     if steps < 256:
         raise ValueError(f"steps must be >= 256, got {steps}")
-    ay, by, av, bv = _propagate_fundamental(params.a, params.q, np.pi, steps)
+    ay, by, av, bv = _mathieu_fundamental(params.a, params.q, np.pi, steps)
     m = np.array([[ay, by], [av, bv]], dtype=float)
     if not np.isfinite(m).all():
         raise ValueError(f"monodromy overflow at a={params.a}, q={params.q}")
@@ -125,7 +139,7 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
     gx, gy = np.meshgrid(xs, ys)
     a = (gx + gy).ravel()
     q = (gy / 2.0).ravel()
-    ay, by, av, bv = _propagate_fundamental(a, q, np.pi, steps)
+    ay, by, av, bv = _mathieu_fundamental(a, q, np.pi, steps)
     tr = np.abs(ay + bv).reshape(ny, nx)
     det = (ay * bv - av * by).reshape(ny, nx)
     unstable, marginal = classify_trace(tr)
@@ -148,11 +162,12 @@ def write_stability_csv(smap: StabilityMap, path, header_lines=()) -> None:
 def grows_unbounded(params: MathieuParams, periods: int = 50,
                     growth_threshold: float = 1e6,
                     steps_per_period: int = 4096):
-    """Brute-force classification: does |y| exceed the threshold within
-    ``periods`` periods for either fundamental solution? Elementwise when
-    ``params`` holds arrays of cells."""
-    ay, by, av, bv = _propagate_fundamental(params.a, params.q,
-                                            periods * np.pi,
-                                            periods * steps_per_period)
+    """Brute-force classification: does any entry of the propagator after
+    ``periods`` periods (y or y' of either fundamental solution) exceed the
+    threshold in magnitude, or overflow? Elementwise when ``params`` holds
+    arrays of cells."""
+    ay, by, av, bv = _mathieu_fundamental(params.a, params.q,
+                                          periods * np.pi,
+                                          periods * steps_per_period)
     peak = np.max(np.abs([ay, by, av, bv]), axis=0)
     return ~np.isfinite(peak) | (peak > growth_threshold)

@@ -8,7 +8,7 @@ not reproduce; they fail deliberately and are documented in the README
 rather than weakened.
 """
 
-import dataclasses
+import itertools
 import json
 import math
 import os
@@ -19,12 +19,13 @@ import pytest
 
 from sqzbath import (IntegratorConfig, RunConfig, SamplingMode,
                      SystemParams, build_ohmic_bath, compare_variance_series,
-                     full_covariance_exact, fundamental_solution, mathieu_params,
+                     full_covariance_exact, fundamental_solution,
                      monodromy, nhc_from_ohmic, nhc_matched_to_ohmic, run_ensemble,
                      sample_system, threshold_temperature, thermal_widths,
                      to_normal_modes, to_physical_units, trajectory_rng)
 from sqzbath.cli import main
-from sqzbath.stability import MathieuParams, _propagate_fundamental, grows_unbounded, stability_map
+from sqzbath.stability import (MathieuParams, grows_unbounded, kdk_fundamental,
+                               stability_map)
 
 DESK_SEED = 271828
 WORKERS = min(2, os.cpu_count() or 1)
@@ -249,7 +250,8 @@ class TestCriterion7StabilityMap:
 
     def test_harmonic_column(self):
         a = np.linspace(0.05, 40.0, 400)
-        ay, by, av, bv = _propagate_fundamental(a, np.zeros_like(a), np.pi, 2 ** 19)
+        steps = 2 ** 19
+        ay, by, av, bv = kdk_fundamental(itertools.repeat(a, steps), np.pi / steps)
         err = float(np.abs((ay + bv) - 2 * np.cos(np.pi * np.sqrt(a))).max())
         check("criterion 7b (q=0 column matches 2cos(pi sqrt(a)))", err < 1e-8,
               f"max |trace error| = {err:.2e} over 400 points (tolerance 1e-8)")

@@ -6,8 +6,7 @@ import pytest
 
 from sqzbath import stability
 from sqzbath.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _parse_grid, main
-from sqzbath.config import (ConfigError, DEFAULTS, build_run_config, config_hash,
-                            read_config_file)
+from sqzbath.config import ConfigError, build_run_config, config_hash, read_config_file
 
 SMALL_INI = """
 [bath]

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from sqzbath import (EnsembleFailure, IntegratorConfig, ModelKind, RunConfig,
-                     SamplingMode, SystemParams, bath_equivalence, build_ohmic_bath,
+                     SystemParams, bath_equivalence, build_ohmic_bath,
                      init_nhc_bath, nhc_from_ohmic, run_ensemble, sample_ohmic_bath,
                      sample_system, temperature_sweep, trajectory_rng)
-from sqzbath.driver import _run_chunk, _sample_chunk, temperature_seed
+from sqzbath.driver import _sample_chunk, temperature_seed
 
 
 def isolated_config(**kwargs):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sqzbath import (IntegratorConfig, RunConfig, SamplingMode,
-                     SystemParams, build_ohmic_bath, full_covariance_exact,
+from sqzbath import (IntegratorConfig, RunConfig, SamplingMode, SystemParams,
+                     TrajectoryFailure, build_ohmic_bath, full_covariance_exact,
                      fundamental_solution, isolated_variance_series,
                      mode2_variance_exact, run_ensemble, threshold_temperature,
                      thermal_widths)
@@ -41,6 +41,13 @@ class TestFundamentalSolution:
                         t_eval=np.arange(0, 20.001, 0.01), method="DOP853")
         f = fundamental_solution(sys, dt=0.01, n_steps=2000)
         assert np.max(np.abs(f.pos_a - sol.y[0])) < 2e-3
+
+    def test_overflow_raises(self):
+        # a = 1.0, q = 0.5: inside the first instability tongue, growing by
+        # about e^5 per unit time, so the solutions overflow within the window
+        with pytest.raises(TrajectoryFailure, match="non-finite"):
+            fundamental_solution(SystemParams(coupling_amp=20.0, drive_freq=20.0),
+                                 dt=0.01, n_steps=25000)
 
 
 class TestMode2Variance:

@@ -1,8 +1,9 @@
 """Property tests over random masses and states: every force is -dH/dq, the
 energy (for the NHC model, the extended energy) is conserved with frozen
-coupling, the relative mode never feels a
-bath, and the Ohmic step inside integrate() evaluates the bath force once per
-step ("first same as last") without changing a bit of the trajectory."""
+coupling, the relative mode never feels a bath, the oracle's 2x2 relative-mode
+loop is the relative mode of integrate(), and the Ohmic step inside
+integrate() evaluates the bath force once per step ("first same as last")
+without changing a bit of the trajectory."""
 
 import importlib
 
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sqzbath import (IntegratorConfig, NHCBathParams, NHCBathPhase, OhmicBathPhase,
-                     SystemParams, SystemPhase, TrajectoryState, build_ohmic_bath,
+from sqzbath import (IntegratorConfig, NHCBathParams, NHCBathPhase, NormalModePhase,
+                     OhmicBathPhase, SystemParams, SystemPhase, TrajectoryState,
+                     build_ohmic_bath, from_normal_modes, fundamental_solution,
                      integrate, nhc_bath_forces, nhc_extended_energy, ohmic_energy,
                      ohmic_forces, step_hamiltonian, system_energy, system_force,
                      to_normal_modes)
@@ -178,6 +180,46 @@ class TestMode2BathIndependence:
         nhc = relative_mode(nhc_bath(osc_mass), nhc_phase(x[-2], x[-1]))
         np.testing.assert_allclose(ohmic, isolated, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(nhc, isolated, rtol=1e-9, atol=1e-10)
+
+
+class TestFundamentalSolution:
+    # fundamental_solution runs its own 2x2 kick-drift-kick loop; it must be
+    # the relative mode (qt2, pt2/m) of the trajectory stepper, started in
+    # pure relative-mode states, up to round-off
+    TOL = 1e-9
+
+    def assert_matches_integrate(self, sys, n_steps, dt=0.01):
+        m = sys.mass
+        zeros = np.zeros(2)
+        # batch rows (a, b): (y, y') = (1, 0) resp. (0, 1)
+        phase = from_normal_modes(NormalModePhase(qt1=zeros, qt2=np.array([1.0, 0.0]),
+                                                  pt1=zeros, pt2=np.array([0.0, m])))
+        rows = np.empty((n_steps + 1, 2, 2))
+
+        def observer(step, st):
+            modes = to_normal_modes(st.system)
+            rows[step] = modes.qt2, modes.pt2 / m
+
+        integrate(TrajectoryState(0.0, phase), sys, None,
+                  IntegratorConfig(dt=dt, n_steps=n_steps, stride=1), observer)
+        f = fundamental_solution(sys, dt=dt, n_steps=n_steps)
+        expected = rows.transpose(2, 1, 0).reshape(4, -1)   # y_a, y'_a, y_b, y'_b
+        got = np.array([f.pos_a, f.vel_a, f.pos_b, f.vel_b])
+        assert np.abs(got - expected).max() <= self.TOL * np.abs(expected).max()
+
+    @settings(max_examples=10, deadline=None)
+    @given(mass=st.floats(0.5, 2.0), spring_k=st.floats(0.8, 2.0),
+           coupling_amp=st.floats(0.0, 3.0), drive_freq=st.floats(0.2, 1.5),
+           frozen_coupling=st.booleans(), n_steps=st.integers(1, 5000))
+    def test_random_systems(self, mass, spring_k, coupling_amp, drive_freq,
+                            frozen_coupling, n_steps):
+        self.assert_matches_integrate(
+            SystemParams(mass=mass, spring_k=spring_k, coupling_amp=coupling_amp,
+                         drive_freq=drive_freq, frozen_coupling=frozen_coupling),
+            n_steps)
+
+    def test_paper_system(self):
+        self.assert_matches_integrate(SystemParams(), 25000)
 
 
 def _ohmic_state(x, batch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqzbath import (SamplingMode, SystemParams, build_ohmic_bath, init_nhc_bath,
+from sqzbath import (SamplingMode, build_ohmic_bath, init_nhc_bath,
                      nhc_from_ohmic, sample_ohmic_bath, sample_system,
                      thermal_widths, to_normal_modes, trajectory_rng)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqzbath import (NormalModePhase, SystemParams, SystemPhase, coupling_freq_sq,
+from sqzbath import (SystemParams, SystemPhase, coupling_freq_sq,
                      from_normal_modes, normal_mode_freqs, system_energy,
                      system_force, to_normal_modes, to_physical_units)
 
