@@ -19,7 +19,7 @@ from .oracle import (CovarianceSeries, FundamentalSolution,
                      ThresholdResult, full_covariance_exact, fundamental_solution,
                      isolated_variance_series, mode2_variance_exact,
                      threshold_temperature)
-from .sampling import (SamplingMode, ThermalWidths, init_nhc_bath,
+from .sampling import (SamplingMode, ThermalWidths, TrajectoryStreams, init_nhc_bath,
                        sample_ohmic_bath, sample_system, thermal_widths,
                        trajectory_rng, width_temperature)
 from .stability import (MathieuParams, StabilityMap, grows_unbounded,

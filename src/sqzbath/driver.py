@@ -77,6 +77,8 @@ class RunConfig:
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_traj < 2:
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
         if self.workers < 1 or self.chunk_size < 1:
@@ -118,28 +120,17 @@ def _sample_chunk(config: RunConfig, lo: int, hi: int) -> TrajectoryState:
     """Draw initial conditions for trajectory indices [lo, hi) as one batch.
 
     Row k is trajectory lo + k: the system draw, then the bath's draw from
-    the same stream, each field written into an array allocated from the
-    first trajectory's draw.
+    the same stream. Each sampler is called once, on the chunk's streams.
     """
     # looked up per call, so that wrappers installed on these names are used
     sample_bath = {OhmicBathParams: sample_ohmic_bath,
                    NHCBathParams: init_nhc_bath}.get(type(config.bath))
-    columns = None
-    for row, idx in enumerate(range(lo, hi)):
-        rng = trajectory_rng(config.seed, idx)
-        draws = [sample_system(rng, config.system, config.temperature, config.sampling)]
-        if sample_bath is not None:
-            draws.append(sample_bath(rng, config.bath, config.temperature,
-                                     config.sampling))
-        if columns is None:
-            columns = [{name: np.empty((hi - lo,) + np.shape(value))
-                        for name, value in vars(draw).items()} for draw in draws]
-        for column, draw in zip(columns, draws):
-            for name, value in vars(draw).items():
-                column[name][row] = value
-    phases = [type(draw)(**column) for draw, column in zip(draws, columns)]
-    return TrajectoryState(t=0.0, system=phases[0],
-                           bath=phases[1] if sample_bath is not None else None)
+    streams = trajectory_rng(config.seed, range(lo, hi))
+    system = sample_system(streams, config.system, config.temperature, config.sampling)
+    bath = None
+    if sample_bath is not None:
+        bath = sample_bath(streams, config.bath, config.temperature, config.sampling)
+    return TrajectoryState(t=0.0, system=system, bath=bath)
 
 
 def _chunk_energy(config: RunConfig, state: TrajectoryState):

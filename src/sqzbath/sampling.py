@@ -9,6 +9,13 @@ Reproducibility contract: trajectory ``i`` of a run with master seed ``s``
 draws from ``numpy.random.Generator(Philox(SeedSequence((s, i))))`` using
 ``standard_normal``; the draw order is fixed (system first, then bath) and
 documented on each sampler. Streams are independent of worker scheduling.
+
+A chunk of trajectories samples as one batch through :class:`TrajectoryStreams`
+and reproduces those generators bit for bit. Its Philox keys come from
+:func:`philox_keys`, a vectorized uint32 copy of numpy's ``SeedSequence``
+mixing. That copy covers entropy that fits the pool of four 32-bit words; it
+falls back to numpy's own ``SeedSequence`` when an index is >= 2**32 or the
+seed is >= 2**96. One Philox generator is then re-keyed for each row.
 """
 
 from __future__ import annotations
@@ -86,47 +93,177 @@ def width_temperature(mass: float, freq: float, var_q: float,
     return float(var_q * mass * freq ** 2)
 
 
-def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based, per-trajectory random stream (Philox)."""
+# numpy.random.SeedSequence's hash constants, in its uint32 arithmetic
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> list:
+    """Little-endian 32-bit words of a non-negative integer; [0] for 0."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def philox_keys(seed: int, indices) -> np.ndarray:
+    """Philox keys of trajectories ``indices``, shape (len(indices), 2).
+
+    Row r equals ``SeedSequence((seed, indices[r])).generate_state(2,
+    np.uint64)``, the key ``Philox(SeedSequence((seed, indices[r])))`` uses.
+    All rows are mixed at once while the entropy words (the seed's, then the
+    index's) fit the pool of four; otherwise, for an index >= 2**32 or a seed
+    >= 2**96, numpy's SeedSequence computes each row.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    idx = np.asarray(indices)
+    if idx.size and idx.min() < 0:
+        raise ValueError("trajectory indices must be non-negative")
+    seed_words = _uint32_words(seed)
+    if len(seed_words) >= _POOL_SIZE or (idx.size and idx.max() > _MASK32):
+        return np.array([np.random.SeedSequence((seed, int(i))).generate_state(2, np.uint64)
+                         for i in indices], dtype=np.uint64).reshape(-1, 2)
+
+    n = idx.size
+    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words]
+    entropy.append(idx.astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    # SeedSequence.mix_entropy: hash the entropy into the pool, padding with
+    # zeros, then mix every pool word into every other one
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> np.uint32(_XSHIFT))
+
+    # SeedSequence.generate_state(2, np.uint64): one uint32 word per pool
+    # word, read in pairs as two little-endian uint64
+    state = np.empty((n, _POOL_SIZE), dtype="<u4")
+    hash_const = _INIT_B
+    for i in range(_POOL_SIZE):
+        value = pool[i] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(_XSHIFT))
+    return state.view("<u8").astype(np.uint64)
+
+
+class TrajectoryStreams:
+    """The random streams of trajectories ``indices`` of one run, as rows.
+
+    Row r draws exactly what ``trajectory_rng(seed, indices[r])`` draws, and
+    each call continues every row's stream where the previous call left it.
+    One Philox generator serves all rows: it is re-keyed for each row, and a
+    row that has drawn before replays those draws to reach its position.
+    """
+
+    def __init__(self, seed: int, indices):
+        self.keys = philox_keys(seed, indices)
+        self._bitgen = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state     # a just-keyed Philox; key set per row
+        self._drawn = 0
+
+    def standard_normal(self, *shapes) -> list:
+        """One array of shape ``(rows,) + shape`` per entry of ``shapes``;
+        row r of each is filled in turn from row r's stream."""
+        outs = [np.empty((len(self.keys),) + tuple(shape)) for shape in shapes]
+        replay = np.empty(self._drawn)
+        for row, key in enumerate(self.keys):
+            self._fresh["state"]["key"] = key
+            self._bitgen.state = self._fresh
+            if replay.size:
+                self._gen.standard_normal(out=replay)
+            for out in outs:
+                self._gen.standard_normal(out=out[row])
+        self._drawn += sum(math.prod(shape) for shape in shapes)
+        return outs
+
+
+def trajectory_rng(seed: int, index):
+    """Counter-based random stream of trajectory ``index`` (Philox); for a
+    ``range`` of indices, their :class:`TrajectoryStreams`."""
+    if isinstance(index, range):
+        return TrajectoryStreams(seed, index)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
 
 
-def sample_system(rng: np.random.Generator, sys: SystemParams, temperature: float,
+def _standard_normals(rng, *shapes) -> list:
+    """Standard normals of each per-trajectory shape, drawn in order from a
+    trajectory's generator or, with a row axis in front, from a chunk's
+    :class:`TrajectoryStreams`."""
+    if isinstance(rng, TrajectoryStreams):
+        return rng.standard_normal(*shapes)
+    outs = [np.empty(shape) for shape in shapes]
+    for out in outs:
+        rng.standard_normal(out=out)
+    return outs
+
+
+def sample_system(rng, sys: SystemParams, temperature: float,
                   mode: SamplingMode) -> SystemPhase:
     """Draw (q1, q2, p1, p2) from the thermal state of the undriven system.
 
-    Draw order: four standard normals scaling (qt1, qt2, pt1, pt2); mode
-    frequencies are evaluated at t=0, where the drive vanishes.
+    ``rng`` is one trajectory's generator (scalar coordinates) or a chunk's
+    :class:`TrajectoryStreams` (one row per trajectory); the widths are
+    computed once per call. Draw order: four standard normals scaling
+    (qt1, qt2, pt1, pt2); mode frequencies are evaluated at t=0, where the
+    drive vanishes.
     """
     w1, w2 = normal_mode_freqs(0.0, sys)
     wid1 = thermal_widths(sys.mass, w1, temperature, mode)
     wid2 = thermal_widths(sys.mass, w2, temperature, mode)
-    z = rng.standard_normal(4)
-    modes = NormalModePhase(qt1=z[0] * wid1.sigma_q, qt2=z[1] * wid2.sigma_q,
-                            pt1=z[2] * wid1.sigma_p, pt2=z[3] * wid2.sigma_p)
+    z, = _standard_normals(rng, (4,))
+    modes = NormalModePhase(qt1=z[..., 0] * wid1.sigma_q, qt2=z[..., 1] * wid2.sigma_q,
+                            pt1=z[..., 2] * wid1.sigma_p, pt2=z[..., 3] * wid2.sigma_p)
     return from_normal_modes(modes)
 
 
-def sample_ohmic_bath(rng: np.random.Generator, bath: OhmicBathParams,
-                      temperature: float, mode: SamplingMode) -> OhmicBathPhase:
+def sample_ohmic_bath(rng, bath: OhmicBathParams, temperature: float,
+                      mode: SamplingMode) -> OhmicBathPhase:
     """Draw all bath oscillators independently from their thermal widths.
 
+    ``rng`` as for :func:`sample_system`; the draws are scaled in place.
     Draw order: 2N standard normals scaling (R_1..R_N, P_1..P_N).
     """
     wid = thermal_widths(bath.mass, bath.freqs, temperature, mode)
-    z = rng.standard_normal(2 * bath.n_modes)
-    return OhmicBathPhase(pos=z[:bath.n_modes] * wid.sigma_q,
-                          mom=z[bath.n_modes:] * wid.sigma_p)
+    pos, mom = _standard_normals(rng, (bath.n_modes,), (bath.n_modes,))
+    pos *= wid.sigma_q
+    mom *= wid.sigma_p
+    return OhmicBathPhase(pos=pos, mom=mom)
 
 
-def init_nhc_bath(rng: np.random.Generator, bath: NHCBathParams,
-                  temperature: float, mode: SamplingMode) -> NHCBathPhase:
+def init_nhc_bath(rng, bath: NHCBathParams, temperature: float,
+                  mode: SamplingMode) -> NHCBathPhase:
     """Thermal draw for the bath oscillator; chain variables start at
     (eta1, eta2, p_eta1, p_eta2) = (0, 0, 0, 1).
 
-    Draw order: two standard normals scaling (R1, P1).
+    ``rng`` as for :func:`sample_system`. Draw order: two standard normals
+    scaling (R1, P1).
     """
     wid = thermal_widths(bath.osc_mass, bath.osc_freq, temperature, mode)
-    z = rng.standard_normal(2)
-    return NHCBathPhase(osc_q=z[0] * wid.sigma_q, osc_p=z[1] * wid.sigma_p,
-                        eta1=0.0, eta2=0.0, p_eta1=0.0, p_eta2=1.0)
+    z, = _standard_normals(rng, (2,))
+    # [()] leaves a row array as it is and turns the one-trajectory 0-d case
+    # into a scalar
+    eta1, eta2, p_eta1, p_eta2 = (np.full(z.shape[:-1], value)[()]
+                                  for value in (0.0, 0.0, 0.0, 1.0))
+    return NHCBathPhase(osc_q=z[..., 0] * wid.sigma_q, osc_p=z[..., 1] * wid.sigma_p,
+                        eta1=eta1, eta2=eta2, p_eta1=p_eta1, p_eta2=p_eta2)

@@ -131,6 +131,12 @@ class TestRunCommand:
         assert not out.exists()
         assert "temperature" in capsys.readouterr().err
 
+    def test_negative_seed_exits_config_no_files(self, small_config, capsys):
+        cfg, out = small_config
+        assert main(["run", "--config", cfg, "--seed", "-1"]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_header_carries_config_hash(self, small_config):
         cfg, out = small_config
         main(["run", "--config", cfg])

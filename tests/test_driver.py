@@ -26,6 +26,11 @@ class TestRunConfigValidation:
             RunConfig(system=SystemParams(), temperature=1.0,
                       n_traj=8, seed=1, bath=nhc)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            isolated_config(seed=-1)
+        assert isolated_config(seed=0).seed == 0
+
     def test_minimal_ensemble_size(self):
         with pytest.raises(ValueError):
             isolated_config(n_traj=1)
@@ -56,10 +61,14 @@ class TestDeterminism:
         b = run_ensemble(isolated_config(chunk_size=17))
         assert np.allclose(a.series.variances, b.series.variances, rtol=1e-12)
 
-    def test_worker_invariance(self):
-        a = run_ensemble(isolated_config(chunk_size=16, workers=1))
-        b = run_ensemble(isolated_config(chunk_size=16, workers=2))
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(5, 0.007, 3.0),
+                                      nhc_from_ohmic(0.007, 3.0, 1.0)],
+                             ids=["isolated", "ohmic", "nhc"])
+    def test_worker_invariance(self, bath):
+        a = run_ensemble(isolated_config(chunk_size=16, workers=1, bath=bath))
+        b = run_ensemble(isolated_config(chunk_size=16, workers=2, bath=bath))
         assert np.array_equal(a.series.variances, b.series.variances)
+        assert np.array_equal(a.series.std_errors, b.series.std_errors)
 
     def test_prefix_stability_when_growing_ensemble(self):
         small = _sample_chunk(isolated_config(n_traj=16), 0, 16)
@@ -74,20 +83,26 @@ class TestDeterminism:
     ], ids=["isolated", "ohmic", "nhc"])
     def test_chunk_rows_are_per_trajectory_draws(self, bath, sample_bath):
         # row k is trajectory lo + k: its system draw, then its bath draw
-        # (for NHC including the chain state) from the same stream
-        cfg = isolated_config(bath=bath)
-        state = _sample_chunk(cfg, 3, 9)
-        for row, idx in enumerate(range(3, 9)):
-            rng = trajectory_rng(cfg.seed, idx)
-            expected = [(state.system, sample_system(rng, cfg.system, cfg.temperature,
-                                                     cfg.sampling))]
-            if sample_bath is not None:
-                expected.append((state.bath, sample_bath(rng, bath, cfg.temperature,
-                                                         cfg.sampling)))
-            for batch, draw in expected:
-                for name, value in vars(draw).items():
-                    assert np.array_equal(getattr(batch, name)[row], value), name
-        assert (state.bath is None) == (bath is None)
+        # (for NHC including the chain state) from the same stream. Seeds: a
+        # plain one; a 64-bit one, as temperature_seed gives every sweep
+        # point; one past the vectorized keys (>= 2**96); and indices across
+        # 2**32.
+        for seed, lo in [(11, 3), (temperature_seed(11, 0), 3), (2**96 + 5, 3),
+                         (11, 2**32 - 3)]:
+            cfg = isolated_config(bath=bath, seed=seed)
+            state = _sample_chunk(cfg, lo, lo + 6)
+            for row, idx in enumerate(range(lo, lo + 6)):
+                rng = trajectory_rng(cfg.seed, idx)
+                expected = [(state.system, sample_system(rng, cfg.system,
+                                                         cfg.temperature, cfg.sampling))]
+                if sample_bath is not None:
+                    expected.append((state.bath, sample_bath(rng, bath, cfg.temperature,
+                                                             cfg.sampling)))
+                for batch, draw in expected:
+                    for name, value in vars(draw).items():
+                        assert np.array_equal(getattr(batch, name)[row], value), \
+                            (seed, idx, name)
+            assert (state.bath is None) == (bath is None)
 
     def test_temperature_seed_derivation_is_stable(self):
         assert temperature_seed(123, 0) == temperature_seed(123, 0)

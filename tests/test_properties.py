@@ -3,7 +3,8 @@ energy (for the NHC model, the extended energy) is conserved with frozen
 coupling, the relative mode never feels a bath, the oracle's 2x2 relative-mode
 loop is the relative mode of integrate(), and the Ohmic step inside
 integrate() evaluates the bath force once per step ("first same as last")
-without changing a bit of the trajectory."""
+without changing a bit of the trajectory, and the chunk sampler's Philox keys
+are numpy's SeedSequence keys."""
 
 import importlib
 
@@ -19,6 +20,7 @@ from sqzbath import (IntegratorConfig, NHCBathParams, NHCBathPhase, NormalModePh
                      integrate, nhc_bath_forces, nhc_extended_energy, ohmic_energy,
                      ohmic_forces, step_hamiltonian, system_energy, system_force,
                      to_normal_modes)
+from sqzbath.sampling import philox_keys
 
 N_MODES = 4
 
@@ -270,3 +272,38 @@ class TestOhmicFirstSameAsLast:
         integrate(state, SystemParams(), ohmic_bath(1.0),
                   IntegratorConfig(n_steps=n_steps, stride=5))
         assert len(calls) == n_steps + 1
+
+
+class TestPhiloxKeys:
+    """``philox_keys`` is a vectorized copy of numpy's SeedSequence mixing,
+    with numpy itself as the fallback; either way each row must be numpy's
+    key. A numpy release that changed SeedSequence would fail here."""
+
+    seeds = (st.just(0) | st.integers(1, 2**32 - 1) | st.integers(2**32, 2**64 - 1)
+             | st.integers(2**64, 2**96 - 1) | st.integers(2**96, 2**128))
+    indices = (st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12)
+               | st.lists(st.integers(0, 2**40), min_size=1, max_size=12))
+
+    @staticmethod
+    def numpy_keys(seed, indices):
+        return np.array([np.random.SeedSequence((seed, i)).generate_state(2, np.uint64)
+                         for i in indices])
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=seeds, indices=indices)
+    def test_matches_seed_sequence(self, seed, indices):
+        keys = philox_keys(seed, indices)
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, self.numpy_keys(seed, indices))
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**96 + 1])
+    def test_chunk_ranges(self, seed):
+        for lo, hi in [(0, 500), (2**32 - 4, 2**32 + 4)]:
+            assert np.array_equal(philox_keys(seed, range(lo, hi)),
+                                  self.numpy_keys(seed, range(lo, hi)))
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            philox_keys(-1, range(4))
+        with pytest.raises(ValueError, match="indices"):
+            philox_keys(3, [2, -1])
