@@ -199,8 +199,11 @@ def cmd_stability(args) -> int:
         return EXIT_OK
     x_range, y_range = _parse_window(args.window)
     started = time.perf_counter()
-    smap = stability_map(x_range, y_range, resolution=args.resolution,
-                         steps=args.steps)
+    try:
+        smap = stability_map(x_range, y_range, resolution=args.resolution,
+                             steps=args.steps)
+    except ValueError as exc:
+        raise ConfigError(f"stability map: {exc}") from None
     _ensure_dir(out.directory)
     path = os.path.join(out.directory, f"{out.prefix}_stability.csv")
     write_stability_csv(smap, path, _csv_header(resolved, run_cfg.seed))

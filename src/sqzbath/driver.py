@@ -1,10 +1,15 @@
 """Monte Carlo ensemble orchestration: runs, temperature sweeps, and
 bath-model comparisons.
 
-Trajectories are processed in fixed-size chunks whose statistics merge
-associatively, so results are bit-reproducible for a given seed regardless
-of worker count or scheduling. Each trajectory samples from its own
-counter-based random stream keyed by (master seed, trajectory index).
+Each trajectory samples from its own counter-based random stream keyed by
+(master seed, trajectory index). ``chunk_size`` sets the statistics chunk:
+each chunk of trajectories is reduced to one partial accumulator, and the
+partials merge in chunk order. Runs of consecutive chunks are sampled and
+integrated together as one batch, whose width is set by a memory budget on
+its snapshot buffers. Every step, the sampling and the normal-mode map act
+on each row alone, so the batch width and the worker count never change an
+output bit. The Ohmic bath pull ``pos @ c`` is a matrix product, and its
+step slows as rows grow, so the Ohmic model integrates one chunk at a time.
 """
 
 from __future__ import annotations
@@ -144,7 +149,9 @@ def _chunk_energy(config: RunConfig, state: TrajectoryState):
 
 
 def _run_chunk(config: RunConfig, lo: int, hi: int):
-    """Integrate one chunk; returns (accumulator, energy_sums, n_failed)."""
+    """Sample and integrate trajectories [lo, hi) as one batch of whole
+    chunks; returns each chunk's (accumulator, energy_sums, n_failed), in
+    chunk order."""
     state = _sample_chunk(config, lo, hi)
     times = config.obs_times
     n_obs = len(times)
@@ -167,19 +174,44 @@ def _run_chunk(config: RunConfig, lo: int, hi: int):
     integrate(state, config.system, config.bath, config.integrator, observer,
               strict=False)
 
-    ok = np.isfinite(snaps).all(axis=(0, 2)) & state.is_finite()
-    n_failed = int(n - ok.sum())
-    acc = VarianceAccumulator(times)
-    acc.add_block(snaps[:, ok, :].swapaxes(0, 1))
-    energy_sums = None
-    if energies is not None:
-        energy_sums = energies[:, ok].sum(axis=1)
-    return acc, energy_sums, n_failed
+    finite = np.isfinite(snaps).all(axis=(0, 2)) & state.is_finite()
+    partials = []
+    for a, b in _chunk_ranges(n, config.chunk_size):
+        ok = finite[a:b]
+        acc = VarianceAccumulator(times)
+        acc.add_block(snaps[:, a:b][:, ok].swapaxes(0, 1))
+        energy_sums = None
+        if energies is not None:
+            energy_sums = energies[:, a:b][:, ok].sum(axis=1)
+        partials.append((acc, energy_sums, int(b - a - ok.sum())))
+    return partials
 
 
 def _chunk_ranges(n_traj: int, chunk_size: int):
     return [(lo, min(lo + chunk_size, n_traj))
             for lo in range(0, n_traj, chunk_size)]
+
+
+# Cap on one batch's snapshot and energy buffers, which hold
+# n_obs x rows x (32 + 8 * track_energy) bytes. It keeps a pool worker's
+# peak memory below the host process's.
+_BATCH_BYTES = 4 * 2**20
+
+
+def _batch_ranges(config: RunConfig):
+    """Consecutive runs of whole chunks, each integrated as one batch.
+
+    A batch holds as many chunks as the snapshot budget allows, but no more
+    than an even share of the chunks per worker. The Ohmic model keeps one
+    chunk per batch: its step is bound by memory and slows as rows grow.
+    """
+    n_chunks = -(-config.n_traj // config.chunk_size)
+    chunks_per_batch = 1
+    if config.model is not ModelKind.OHMIC:
+        row_bytes = len(config.obs_times) * (32 + 8 * config.track_energy)
+        chunks_per_batch = min(-(-n_chunks // config.workers),
+                               max(1, _BATCH_BYTES // row_bytes // config.chunk_size))
+    return _chunk_ranges(config.n_traj, chunks_per_batch * config.chunk_size)
 
 
 def run_ensemble(config: RunConfig) -> EnsembleResult:
@@ -189,18 +221,18 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     go non-finite, which signals a stepping problem rather than noise.
     """
     times = config.obs_times
-    ranges = _chunk_ranges(config.n_traj, config.chunk_size)
-    if config.workers > 1 and len(ranges) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            partials = list(pool.map(_run_chunk, *zip(*((config, lo, hi)
-                                                        for lo, hi in ranges))))
+    batches = _batch_ranges(config)
+    if config.workers > 1 and len(batches) > 1:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(batches))) as pool:
+            per_batch = list(pool.map(_run_chunk, *zip(*((config, lo, hi)
+                                                         for lo, hi in batches))))
     else:
-        partials = [_run_chunk(config, lo, hi) for lo, hi in ranges]
+        per_batch = [_run_chunk(config, lo, hi) for lo, hi in batches]
 
     acc = VarianceAccumulator(times)
     energy_sum = np.zeros(len(times)) if config.track_energy else None
     n_failed = 0
-    for part_acc, part_energy, part_failed in partials:
+    for part_acc, part_energy, part_failed in (p for ps in per_batch for p in ps):
         acc.merge(part_acc)
         n_failed += part_failed
         if energy_sum is not None and part_energy is not None:

@@ -78,10 +78,16 @@ def _mathieu_fundamental(a, q, t_final: float, steps: int):
                             for i in range(steps)), dt)
 
 
-def monodromy(params: MathieuParams, steps: int = 4096) -> np.ndarray:
-    """One-period propagator of the scaled relative-mode equation."""
+def _check_steps(steps: int) -> None:
+    """Steps per period of the monodromy and the map: fewer than 256
+    under-resolve the period."""
     if steps < 256:
         raise ValueError(f"steps must be >= 256, got {steps}")
+
+
+def monodromy(params: MathieuParams, steps: int = 4096) -> np.ndarray:
+    """One-period propagator of the scaled relative-mode equation."""
+    _check_steps(steps)
     ay, by, av, bv = _mathieu_fundamental(params.a, params.q, np.pi, steps)
     m = np.array([[ay, by], [av, bv]], dtype=float)
     if not np.isfinite(m).all():
@@ -128,6 +134,7 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
     """
     if x_range[1] <= x_range[0] or y_range[1] <= y_range[0]:
         raise ValueError("stability map window must have positive area")
+    _check_steps(steps)
     if isinstance(resolution, int):
         nx = ny = resolution
     else:

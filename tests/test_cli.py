@@ -222,6 +222,20 @@ class TestStabilityCommand:
             assert (f"unstable={unstable} marginal={marginal}"
                     in capsys.readouterr().out)
 
+    @pytest.mark.parametrize("args, message", [
+        (["--steps", "0"], "steps must be >= 256"),
+        (["--steps", "-5"], "steps must be >= 256"),
+        (["--steps", "3"], "steps must be >= 256"),
+        (["--resolution", "0"], "resolution must be >= 1"),
+    ])
+    def test_bad_map_arguments_exit_config_no_files(self, small_config, capsys,
+                                                    args, message):
+        cfg, out = small_config
+        assert main(["stability", "--config", cfg, "--resolution", "4"]
+                    + args) == EXIT_CONFIG
+        assert not os.path.exists(out)
+        assert message in capsys.readouterr().err
+
     def test_degenerate_window(self, capsys):
         assert main(["stability", "--window", "0:0:0:40"]) == EXIT_CONFIG
         assert "degenerate" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -8,7 +9,8 @@ from sqzbath import (EnsembleFailure, IntegratorConfig, ModelKind, RunConfig,
                      SystemParams, bath_equivalence, build_ohmic_bath,
                      init_nhc_bath, nhc_from_ohmic, run_ensemble, sample_ohmic_bath,
                      sample_system, temperature_sweep, trajectory_rng)
-from sqzbath.driver import _sample_chunk, temperature_seed
+from sqzbath import driver
+from sqzbath.driver import _batch_ranges, _sample_chunk, temperature_seed
 
 
 def isolated_config(**kwargs):
@@ -70,6 +72,26 @@ class TestDeterminism:
         assert np.array_equal(a.series.variances, b.series.variances)
         assert np.array_equal(a.series.std_errors, b.series.std_errors)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bath", [None, nhc_from_ohmic(0.007, 3.0, 1.0)],
+                             ids=["isolated", "nhc"])
+    def test_batch_width_invariance(self, monkeypatch, bath, workers):
+        # 10 chunks, the last one short; by default they integrate as
+        # batches of several chunks, with a zero budget as one chunk each
+        cfg = isolated_config(n_traj=150, chunk_size=16, workers=workers, bath=bath,
+                              track_energy=True,
+                              integrator=IntegratorConfig(n_steps=200, stride=50))
+        assert len(_batch_ranges(cfg)) <= 2
+        wide = run_ensemble(cfg)
+        monkeypatch.setattr(driver, "_BATCH_BYTES", 0)
+        assert len(_batch_ranges(cfg)) == 10
+        narrow = run_ensemble(cfg)
+        for name in ("variances", "std_errors", "means"):
+            assert np.array_equal(getattr(wide.series, name),
+                                  getattr(narrow.series, name)), name
+        assert wide.n_failed == narrow.n_failed
+        assert np.array_equal(wide.energy.mean, narrow.energy.mean)
+
     def test_prefix_stability_when_growing_ensemble(self):
         small = _sample_chunk(isolated_config(n_traj=16), 0, 16)
         large = _sample_chunk(isolated_config(n_traj=32), 0, 32)
@@ -107,6 +129,65 @@ class TestDeterminism:
     def test_temperature_seed_derivation_is_stable(self):
         assert temperature_seed(123, 0) == temperature_seed(123, 0)
         assert temperature_seed(123, 0) != temperature_seed(123, 1)
+
+
+class TestBatching:
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(5, 0.007, 3.0),
+                                      nhc_from_ohmic(0.007, 3.0, 1.0)],
+                             ids=["isolated", "ohmic", "nhc"])
+    def test_batches_are_whole_chunks_within_budget(self, bath):
+        for n_traj, chunk, workers, n_steps, track in itertools.product(
+                (2, 17, 500, 1001, 10000), (1, 7, 500, 4096), (1, 2, 3),
+                (0, 500, 25000), (False, True)):
+            cfg = isolated_config(n_traj=n_traj, chunk_size=chunk, workers=workers,
+                                  bath=bath, track_energy=track,
+                                  integrator=IntegratorConfig(n_steps=n_steps, stride=25))
+            batches = _batch_ranges(cfg)
+            assert batches[0][0] == 0 and batches[-1][1] == n_traj
+            assert all(a[1] == b[0] for a, b in zip(batches, batches[1:]))
+            assert all(lo < hi for lo, hi in batches)
+            assert all(lo % chunk == 0 for lo, _ in batches)
+            n_chunks = -(-n_traj // chunk)
+            row_bytes = len(cfg.obs_times) * (32 + 8 * track)
+            for lo, hi in batches:
+                if cfg.model is ModelKind.OHMIC:
+                    assert hi - lo == min(chunk, n_traj - lo)
+                elif hi - lo > chunk:
+                    assert (hi - lo) * row_bytes <= driver._BATCH_BYTES
+                    assert hi - lo <= -(-n_chunks // workers) * chunk
+
+    def test_benchmark_sweep_grouping(self):
+        # 10000 trajectories x 21 observations in chunks of 500 on 2 workers
+        cfg = isolated_config(n_traj=10000, chunk_size=500, workers=2,
+                              integrator=IntegratorConfig(n_steps=500, stride=25))
+        assert _batch_ranges(cfg) == [(0, 5000), (5000, 10000)]
+
+    @pytest.mark.parametrize("n_traj, chunk_size, n_batches",
+                             [(64, 32, 2), (96, 16, 6)])
+    def test_pool_bounded_by_batches(self, monkeypatch, n_traj, chunk_size, n_batches):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = isolated_config(n_traj=n_traj, chunk_size=chunk_size)
+        wide = dataclasses.replace(cfg, workers=64)
+        assert len(_batch_ranges(wide)) == n_batches
+        monkeypatch.setattr(driver, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_ensemble(wide)
+        serial = run_ensemble(cfg)
+        assert sizes == [n_batches]
+        assert np.array_equal(serial.series.variances, pooled.series.variances)
 
 
 class TestZeroCouplingEquivalence:

@@ -88,6 +88,14 @@ class TestStabilityMap:
         assert not np.isfinite(smap.abs_trace).any()
         assert smap.unstable.all() and not smap.marginal.any()
 
+    def test_minimum_steps_enforced(self):
+        # the same rule as monodromy's: fewer steps under-resolve the period
+        for steps in (-5, 0, 3, 255):
+            with pytest.raises(ValueError, match="steps must be >= 256"):
+                stability_map((0.0, 4.0), (0.0, 4.0), resolution=2, steps=steps)
+        assert stability_map((0.0, 4.0), (0.0, 4.0), resolution=2,
+                             steps=256).abs_trace.shape == (2, 2)
+
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
             stability_map((1.0, 1.0), (0.0, 40.0))
