@@ -25,6 +25,7 @@ from . import __version__
 from .config import ConfigError, build_run_config, config_hash, read_config_file
 from .driver import (EnsembleFailure, SEED_STREAM_RULE, bath_equivalence,
                      run_ensemble, temperature_sweep)
+from .integrate import TrajectoryFailure
 from .observables import write_variance_csv
 from .oracle import (fundamental_solution, isolated_variance_series,
                      mode2_variance_exact, threshold_temperature)
@@ -48,6 +49,8 @@ def _parse_grid(spec: str):
         values = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"bad grid spec {spec!r}; use start:stop[:step]") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad grid spec {spec!r}: values must be finite")
     if len(values) == 2:
         lo, hi = values
         if lo == hi:
@@ -71,6 +74,8 @@ def _parse_window(spec: str):
         x0, x1, y0, y1 = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"bad window spec {spec!r}") from None
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise ConfigError(f"bad window spec {spec!r}: values must be finite")
     if x1 <= x0 or y1 <= y0:
         raise ConfigError(f"degenerate stability window {spec!r} (zero area)")
     return (x0, x1), (y0, y1)
@@ -393,7 +398,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
-    except EnsembleFailure as exc:
+    except (EnsembleFailure, TrajectoryFailure) as exc:
         return _fail(str(exc), EXIT_TRAJECTORY)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)

@@ -13,6 +13,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,10 +85,12 @@ def _convert(section: str, key: str, raw: str):
             return value
         if isinstance(default, int):
             return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if default == "auto" and raw.strip().lower() != "auto":
-            return float(raw)
+        if isinstance(default, float) or (default == "auto"
+                                          and raw.strip().lower() != "auto"):
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw!r}")
+            return value
         return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None

@@ -99,12 +99,6 @@ class RunConfig:
         """The model, named by the type of its bath."""
         return _BATH_MODELS[type(self.bath)]
 
-    @property
-    def obs_times(self) -> np.ndarray:
-        cfg = self.integrator
-        n_obs = cfg.n_steps // cfg.stride + 1
-        return np.arange(n_obs) * (cfg.stride * cfg.dt)
-
 
 @dataclass
 class EnergySeries:
@@ -153,16 +147,14 @@ def _run_chunk(config: RunConfig, lo: int, hi: int):
     chunks; returns each chunk's (accumulator, energy_sums, n_failed), in
     chunk order."""
     state = _sample_chunk(config, lo, hi)
-    times = config.obs_times
-    n_obs = len(times)
+    times = config.integrator.obs_times
+    stride = config.integrator.stride
     n = hi - lo
-    snaps = np.empty((n_obs, n, 4))
-    energies = np.empty((n_obs, n)) if config.track_energy else None
-    cursor = [0]
+    snaps = np.empty((len(times), n, 4))
+    energies = np.empty((len(times), n)) if config.track_energy else None
 
     def observer(step, st):
-        i = cursor[0]
-        cursor[0] += 1
+        i = step // stride
         modes = to_normal_modes(st.system)
         snaps[i, :, 0] = modes.qt1
         snaps[i, :, 1] = modes.qt2
@@ -208,7 +200,7 @@ def _batch_ranges(config: RunConfig):
     n_chunks = -(-config.n_traj // config.chunk_size)
     chunks_per_batch = 1
     if config.model is not ModelKind.OHMIC:
-        row_bytes = len(config.obs_times) * (32 + 8 * config.track_energy)
+        row_bytes = len(config.integrator.obs_times) * (32 + 8 * config.track_energy)
         chunks_per_batch = min(-(-n_chunks // config.workers),
                                max(1, _BATCH_BYTES // row_bytes // config.chunk_size))
     return _chunk_ranges(config.n_traj, chunks_per_batch * config.chunk_size)
@@ -220,7 +212,7 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     Aborts with :class:`EnsembleFailure` when more than 0.1% of trajectories
     go non-finite, which signals a stepping problem rather than noise.
     """
-    times = config.obs_times
+    times = config.integrator.obs_times
     batches = _batch_ranges(config)
     if config.workers > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=min(config.workers, len(batches))) as pool:

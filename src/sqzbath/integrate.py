@@ -2,14 +2,14 @@
 
 The Hamiltonian part is a velocity-Verlet step whose explicit time
 dependence (the drive) is evaluated at the step midpoint, which keeps the
-map second-order accurate and time-reversible. The Ohmic bath force depends
-on positions only, so within one :func:`integrate` call it is evaluated once
-per step, after the drift, and serves both adjacent half-kicks ("first same
-as last"); the result is bit-identical to evaluating it at every half-kick.
-The Nose-Hoover chain wraps that step between two thermostat half-updates
-built from a Suzuki-Yoshida composition with a multiple-time-step inner
-loop; the drag on the bath oscillator momentum is applied as an exact
-exponential scaling.
+map second-order accurate and time-reversible. The conservative forces of
+both baths depend on positions only, so within one :func:`integrate` call
+the bath force is evaluated once per step, after the drift, and serves both
+adjacent half-kicks ("first same as last"); the result is bit-identical to
+evaluating it at every half-kick. The Nose-Hoover chain wraps that step
+between two thermostat half-updates built from a Suzuki-Yoshida composition
+with a multiple-time-step inner loop. They move only the bath oscillator
+momentum, by an exact exponential drag, and the chain variables.
 
 All steppers mutate the state in place and operate transparently on scalar
 or batched (leading-axis) phase coordinates.
@@ -46,6 +46,11 @@ class IntegratorConfig:
             raise ValueError(f"n_mts must be >= 1, got {self.n_mts}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
+
+    @property
+    def obs_times(self) -> np.ndarray:
+        """The observation grid k * (stride * dt), k = 0 .. n_steps // stride."""
+        return np.arange(self.n_steps // self.stride + 1) * (self.stride * self.dt)
 
 
 BathPhase = Union[OhmicBathPhase, NHCBathPhase, None]
@@ -92,90 +97,77 @@ def yoshida_weights(n_yoshida: int) -> np.ndarray:
     raise ValueError(f"unsupported Yoshida stage count {n_yoshida}; use 1, 3 or 5")
 
 
-def _kick(state: TrajectoryState, sys: SystemParams, bath: BathParams,
-          h: float, t_force: float) -> None:
-    """Momentum update p += h * F with all forces evaluated at t_force
-    (isolated and NHC models)."""
-    ph = state.system
-    f1, f2 = system_force(t_force, ph, sys)
-    if bath is None:
-        ph.p1 = ph.p1 + h * f1
-        ph.p2 = ph.p2 + h * f2
-        return
-    sys_kick, osc_force = nhc_bath_forces(ph, state.bath, bath)
-    ph.p1 = ph.p1 + h * (f1 + sys_kick)
-    ph.p2 = ph.p2 + h * (f2 + sys_kick)
-    state.bath.osc_p = state.bath.osc_p + h * osc_force
+class _Kick:
+    """The half-kick h*F. Its bath part, computed after one step's drift,
+    also serves the next step's first half-kick within one :func:`integrate`
+    call, whose observers must not modify the state."""
 
-
-def _drift(state: TrajectoryState, sys: SystemParams, bath: BathParams,
-           dt: float) -> None:
-    """Position update of the system and the NHC oscillator; the Ohmic step
-    drifts its bath itself."""
-    ph = state.system
-    ph.q1 = ph.q1 + dt * ph.p1 / sys.mass
-    ph.q2 = ph.q2 + dt * ph.p2 / sys.mass
-    if isinstance(bath, NHCBathParams):
-        state.bath.osc_q = state.bath.osc_q + dt * state.bath.osc_p / bath.osc_mass
-
-
-class _OhmicKick:
-    """The Ohmic bath half-kick h*F and its pull pos @ c on the system at
-    the current bath positions, held in preallocated buffers.
-
-    The bath force depends on positions only, so the value computed after
-    one step's drift also serves the first half-kick of the next step
-    ("first same as last"). One instance lives inside one
-    :func:`integrate` call, whose observers must not modify the state.
-    """
-
-    def __init__(self, bath: OhmicBathParams, shape):
+    def __init__(self, bath: BathParams, state: TrajectoryState):
         self.bath = bath
-        self.work = OhmicWorkspace(bath, shape)
-        self.h = None           # half-step of the cached h*F; None until computed
+        self.work = (OhmicWorkspace(bath, np.shape(state.bath.pos))
+                     if isinstance(bath, OhmicBathParams) else None)
+        self.h = None           # half-step of the cached kick; None until computed
         self.sys_kick = None
+        self.bath_kick = None
 
     def update(self, state: TrajectoryState, h: float) -> None:
-        self.sys_kick, force = ohmic_forces(state.system, state.bath, self.bath,
-                                            self.work)
-        np.multiply(force, h, out=force)
+        if self.work is not None:
+            self.sys_kick, force = ohmic_forces(state.system, state.bath, self.bath,
+                                                self.work)
+            self.bath_kick = np.multiply(force, h, out=force)
+        elif self.bath is not None:
+            self.sys_kick, force = nhc_bath_forces(state.system, state.bath, self.bath)
+            self.bath_kick = h * force
         self.h = h
 
     def apply(self, state: TrajectoryState, sys: SystemParams,
               t_force: float) -> None:
         ph = state.system
         f1, f2 = system_force(t_force, ph, sys)
+        if self.bath is None:
+            ph.p1 = ph.p1 + self.h * f1
+            ph.p2 = ph.p2 + self.h * f2
+            return
         ph.p1 = ph.p1 + self.h * (f1 + self.sys_kick)
         ph.p2 = ph.p2 + self.h * (f2 + self.sys_kick)
-        state.bath.mom += self.work.force
+        if self.work is not None:
+            state.bath.mom += self.bath_kick
+        else:
+            state.bath.osc_p = state.bath.osc_p + self.bath_kick
+
+
+def _drift(state: TrajectoryState, sys: SystemParams, kick: _Kick,
+           dt: float) -> None:
+    """Position update of the system and of the bath oscillators."""
+    ph = state.system
+    ph.q1 = ph.q1 + dt * ph.p1 / sys.mass
+    ph.q2 = ph.q2 + dt * ph.p2 / sys.mass
+    if kick.work is not None:
+        state.bath.pos += np.multiply(state.bath.mom, dt / kick.bath.mass,
+                                      out=kick.work.scratch)
+    elif kick.bath is not None:
+        state.bath.osc_q = state.bath.osc_q + dt * state.bath.osc_p / kick.bath.osc_mass
 
 
 def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
                      bath: BathParams, dt: float,
-                     ohmic: Optional[_OhmicKick] = None) -> TrajectoryState:
+                     kick: Optional[_Kick] = None) -> TrajectoryState:
     """One symmetric kick-drift-kick step; drive frozen at the midpoint time.
 
-    ``ohmic`` carries the Ohmic bath force left by the previous step of the
-    same :func:`integrate` call. Standalone calls omit it, and the force is
-    then evaluated at entry.
+    ``kick`` carries the bath force left by the previous step of the same
+    :func:`integrate` call. Standalone calls omit it, and the force is then
+    evaluated at entry.
     """
     t_mid = state.t + 0.5 * dt
-    if isinstance(bath, OhmicBathParams):
-        h = 0.5 * dt
-        if ohmic is None:
-            ohmic = _OhmicKick(bath, np.shape(state.bath.pos))
-        if ohmic.h != h:
-            ohmic.update(state, h)
-        ohmic.apply(state, sys, t_mid)
-        _drift(state, sys, bath, dt)
-        drift = np.multiply(state.bath.mom, dt / bath.mass, out=ohmic.work.scratch)
-        state.bath.pos += drift
-        ohmic.update(state, h)
-        ohmic.apply(state, sys, t_mid)
-    else:
-        _kick(state, sys, bath, 0.5 * dt, t_mid)
-        _drift(state, sys, bath, dt)
-        _kick(state, sys, bath, 0.5 * dt, t_mid)
+    h = 0.5 * dt
+    if kick is None:
+        kick = _Kick(bath, state)
+    if kick.h != h:
+        kick.update(state, h)
+    kick.apply(state, sys, t_mid)
+    _drift(state, sys, kick, dt)
+    kick.update(state, h)
+    kick.apply(state, sys, t_mid)
     state.t += dt
     return state
 
@@ -207,11 +199,16 @@ def _thermostat_half_step(ph: NHCBathPhase, bath: NHCBathParams, half_dt: float,
 
 
 def step_nhc(state: TrajectoryState, sys: SystemParams, bath: NHCBathParams,
-             dt: float, n_yoshida: int = 3, n_mts: int = 3) -> TrajectoryState:
-    """Thermostat half-step, Hamiltonian step, mirrored thermostat half-step."""
+             dt: float, n_yoshida: int = 3, n_mts: int = 3,
+             kick: Optional[_Kick] = None) -> TrajectoryState:
+    """Thermostat half-step, Hamiltonian step, mirrored thermostat half-step.
+
+    The thermostat moves only P1 and the chain, so ``kick`` stays valid
+    across it.
+    """
     weights = yoshida_weights(n_yoshida)
     _thermostat_half_step(state.bath, bath, 0.5 * dt, weights, n_mts)
-    step_hamiltonian(state, sys, bath, dt)
+    step_hamiltonian(state, sys, bath, dt, kick)
     _thermostat_half_step(state.bath, bath, 0.5 * dt, weights, n_mts)
     return state
 
@@ -231,13 +228,13 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
     if observer is not None:
         observer(0, state)
     nhc = isinstance(bath, NHCBathParams)
-    ohmic = (_OhmicKick(bath, np.shape(state.bath.pos))
-             if isinstance(bath, OhmicBathParams) else None)
+    kick = _Kick(bath, state)
     for i in range(1, config.n_steps + 1):
         if nhc:
-            step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts)
+            step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts,
+                     kick)
         else:
-            step_hamiltonian(state, sys, bath, config.dt, ohmic)
+            step_hamiltonian(state, sys, bath, config.dt, kick)
         if i % config.stride == 0 or i == config.n_steps:
             if strict and not np.all(state.is_finite()):
                 raise TrajectoryFailure(i)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .baths import OhmicBathParams, OhmicBathPhase
 from .integrate import IntegratorConfig, TrajectoryFailure, TrajectoryState, integrate
+from .observables import VarianceSeries
 from .sampling import SamplingMode, thermal_widths, width_temperature
 from .stability import kdk_fundamental
 from .system import (SystemParams, SystemPhase, coupling_freq_sq, normal_mode_freqs,
@@ -91,8 +92,6 @@ def isolated_variance_series(sys: SystemParams, temperature: float,
     which must span ``config.n_steps`` steps. Standard-error columns are
     zero (the curves are deterministic).
     """
-    from .observables import VarianceSeries
-
     _, var_q2, var_p2 = mode2_variance_exact(sys, temperature, mode,
                                              fundamental=fundamental)
     w1, _ = normal_mode_freqs(0.0, sys)
@@ -103,7 +102,7 @@ def isolated_variance_series(sys: SystemParams, temperature: float,
         np.full(n_obs, wid.var_q), var_q2[idx],
         np.full(n_obs, wid.var_p), var_p2[idx],
     ])
-    return VarianceSeries(times=fundamental.times[idx], variances=variances,
+    return VarianceSeries(times=config.obs_times, variances=variances,
                           std_errors=np.zeros_like(variances),
                           count=np.zeros(n_obs, dtype=np.int64))
 
@@ -178,7 +177,6 @@ class CovarianceSeries:
 
     times: np.ndarray
     variances: np.ndarray           # (n_times, 4): qt1, qt2, pt1, pt2
-    dim: int
 
 
 MAX_ORACLE_BATH_MODES = 512
@@ -233,13 +231,12 @@ def full_covariance_exact(sys: SystemParams, bath: OhmicBathParams,
         [wid_sys.var_p, wid_sys.var_p], wid_bath.var_p,
     ])
 
-    n_obs = config.n_steps // config.stride + 1
-    rows = np.empty((n_obs, 4, dim))   # qt1, qt2, pt1, pt2 of every column
+    times = config.obs_times
+    rows = np.empty((len(times), 4, dim))   # qt1, qt2, pt1, pt2 of every column
 
     def observer(step, st):
         modes = to_normal_modes(st.system)
         rows[step // config.stride] = modes.qt1, modes.qt2, modes.pt1, modes.pt2
 
     integrate(state, sys, bath, config, observer)
-    return CovarianceSeries(times=np.arange(n_obs) * (config.stride * config.dt),
-                            variances=rows ** 2 @ sigma0_sq, dim=dim)
+    return CovarianceSeries(times=times, variances=rows ** 2 @ sigma0_sq)

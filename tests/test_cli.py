@@ -1,11 +1,12 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sqzbath import stability
-from sqzbath.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _parse_grid, main
+from sqzbath.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRAJECTORY, _parse_grid, main
 from sqzbath.config import ConfigError, build_run_config, config_hash, read_config_file
 
 SMALL_INI = """
@@ -26,6 +27,26 @@ workers = 1
 dir = {out}
 prefix = demo
 """
+
+
+# this drive puts the relative mode inside an instability tongue: its
+# fundamental solutions overflow within the default window
+# (tests/test_oracle.py::test_overflow_raises)
+OVERFLOW_INI = """
+[system]
+coupling_amp = 20.0
+drive_freq = 20.0
+
+[output]
+dir = {out}
+"""
+
+
+def write_ini(tmp_path, text):
+    out = tmp_path / "results"
+    path = tmp_path / "case.ini"
+    path.write_text(text.format(out=out))
+    return str(path), out
 
 
 @pytest.fixture
@@ -70,6 +91,27 @@ class TestConfigLayer:
         with pytest.raises(ConfigError, match="n_traj"):
             read_config_file(str(path))
 
+    @pytest.mark.parametrize("section, key", [
+        ("ensemble", "temperature"), ("integrator", "dt"), ("system", "mass"),
+        ("thermostat", "osc_freq"), ("thermostat", "coupling"),
+    ])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_rejected(self, tmp_path, section, key, raw):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"{key}: not a finite number"):
+            read_config_file(str(path))
+
+    @pytest.mark.parametrize("section, key", [("ensemble", "temperature"),
+                                              ("integrator", "dt")])
+    def test_non_finite_run_exits_config_no_files(self, tmp_path, capsys,
+                                                  section, key):
+        text = SMALL_INI.replace(f"[{section}]\n", f"[{section}]\n{key} = nan\n")
+        cfg, out = write_ini(tmp_path, text)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "not a finite number" in capsys.readouterr().err
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             read_config_file("/nonexistent/file.ini")
@@ -106,19 +148,19 @@ class TestRunCommand:
         assert os.path.exists(os.path.join(out, "demo_variance.csv"))
         assert os.path.exists(os.path.join(out, "demo_squeeze.json"))
         assert os.path.exists(os.path.join(out, "demo_manifest.json"))
-        payload = json.loads(open(os.path.join(out, "demo_squeeze.json")).read())
+        payload = json.loads(Path(out, "demo_squeeze.json").read_text())
         assert payload["n_traj"] == 24
 
     def test_determinism_across_invocations(self, small_config):
         cfg, out = small_config
         assert main(["run", "--config", cfg, "--seed", "7"]) == EXIT_OK
-        first_csv = open(os.path.join(out, "demo_variance.csv"), "rb").read()
-        first_squeeze = open(os.path.join(out, "demo_squeeze.json"), "rb").read()
-        first_manifest = json.loads(open(os.path.join(out, "demo_manifest.json")).read())
+        first_csv = Path(out, "demo_variance.csv").read_bytes()
+        first_squeeze = Path(out, "demo_squeeze.json").read_bytes()
+        first_manifest = json.loads(Path(out, "demo_manifest.json").read_text())
         assert main(["run", "--config", cfg, "--seed", "7"]) == EXIT_OK
-        assert open(os.path.join(out, "demo_variance.csv"), "rb").read() == first_csv
-        assert open(os.path.join(out, "demo_squeeze.json"), "rb").read() == first_squeeze
-        second_manifest = json.loads(open(os.path.join(out, "demo_manifest.json")).read())
+        assert Path(out, "demo_variance.csv").read_bytes() == first_csv
+        assert Path(out, "demo_squeeze.json").read_bytes() == first_squeeze
+        second_manifest = json.loads(Path(out, "demo_manifest.json").read_text())
         first_manifest.pop("timing")
         second_manifest.pop("timing")
         assert first_manifest == second_manifest
@@ -140,7 +182,7 @@ class TestRunCommand:
     def test_header_carries_config_hash(self, small_config):
         cfg, out = small_config
         main(["run", "--config", cfg])
-        head = open(os.path.join(out, "demo_variance.csv")).read().splitlines()[:6]
+        head = Path(out, "demo_variance.csv").read_text().splitlines()[:6]
         assert any("config_hash" in line for line in head)
         assert any("seed: 7" in line for line in head)
 
@@ -149,7 +191,7 @@ class TestSweepCommand:
     def test_single_point_grid(self, small_config):
         cfg, out = small_config
         assert main(["sweep", "--config", cfg, "--grid", "1.0:1.0"]) == EXIT_OK
-        payload = json.loads(open(os.path.join(out, "demo_sweep.json")).read())
+        payload = json.loads(Path(out, "demo_sweep.json").read_text())
         assert len(payload["rows"]) == 1
         assert not payload["mc_threshold_defined"]
         assert os.path.exists(os.path.join(out, "demo_T1.0000_variance.csv"))
@@ -158,7 +200,7 @@ class TestSweepCommand:
         cfg, out = small_config
         assert main(["sweep", "--config", cfg, "--grid", "0.95:1.05:0.05",
                      "--oracle-only"]) == EXIT_OK
-        payload = json.loads(open(os.path.join(out, "demo_sweep.json")).read())
+        payload = json.loads(Path(out, "demo_sweep.json").read_text())
         assert payload["oracle_only"]
         assert len(payload["rows"]) == 3
 
@@ -168,17 +210,36 @@ class TestSweepCommand:
         cfg, out = small_config
         grid = ["--grid", "0.95:1.05:0.05"]
         assert main(["sweep", "--config", cfg] + grid) == EXIT_OK
-        full = json.loads(open(os.path.join(out, "demo_sweep.json")).read())
+        full = json.loads(Path(out, "demo_sweep.json").read_text())
         only_dir = str(tmp_path / "oracle_only")
         assert main(["sweep", "--config", cfg, "--oracle-only", "--out-dir", only_dir]
                     + grid) == EXIT_OK
-        only = json.loads(open(os.path.join(only_dir, "demo_sweep.json")).read())
+        only = json.loads(Path(only_dir, "demo_sweep.json").read_text())
         assert ([r["oracle_min_variance"] for r in full["rows"]]
                 == [r["oracle_min_variance"] for r in only["rows"]])
 
     def test_bad_grid(self, small_config, capsys):
         cfg, _ = small_config
         assert main(["sweep", "--config", cfg, "--grid", "2:1:0.1"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid", ["1:inf:0.1", "1:nan:0.1", "nan:1:0.1",
+                                      "1:2:inf", "inf:inf"])
+    def test_non_finite_grid(self, small_config, capsys, grid):
+        cfg, out = small_config
+        assert main(["sweep", "--config", cfg, "--oracle-only",
+                     "--grid", grid]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+        assert "values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["sweep", "--oracle-only", "--grid", "1:1"],
+                                      ["sweep", "--grid", "1:1"], ["oracle"]],
+                             ids=["sweep-oracle-only", "sweep", "oracle"])
+    def test_trajectory_failure_exits_trajectory(self, tmp_path, capsys, args):
+        cfg, out = write_ini(tmp_path, OVERFLOW_INI)
+        assert main(args + ["--config", cfg]) == EXIT_TRAJECTORY
+        assert list(out.glob("*")) == []
+        err = capsys.readouterr().err
+        assert err.startswith("sqzbath: error: non-finite") and "Traceback" not in err
 
     def test_grid_ends_at_stop(self):
         # the grid holds every step up to stop, and none past it
@@ -192,7 +253,7 @@ class TestStabilityCommand:
         cfg, out = small_config
         assert main(["stability", "--config", cfg, "--window", "0:8:0:8",
                      "--resolution", "10", "--steps", "512"]) == EXIT_OK
-        lines = open(os.path.join(out, "demo_stability.csv")).read().splitlines()
+        lines = Path(out, "demo_stability.csv").read_text().splitlines()
         data_lines = [l for l in lines if not l.startswith("#")]
         assert len(data_lines) == 1 + 100
 
@@ -213,7 +274,7 @@ class TestStabilityCommand:
         cfg, out = small_config
         assert main(["stability", "--config", cfg, "--window", "0:8:0:8",
                      "--resolution", "4", "--steps", "512"]) == EXIT_OK
-        lines = open(os.path.join(out, "demo_stability.csv")).read().splitlines()
+        lines = Path(out, "demo_stability.csv").read_text().splitlines()
         cells = [l.split(",") for l in lines if not l.startswith("#")][1:]
         assert any(abs(float(c[2]) - 2) > 1e-3 and c[4] == "1" for c in cells)
         capsys.readouterr()
@@ -236,6 +297,15 @@ class TestStabilityCommand:
         assert not os.path.exists(out)
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["nan:1:0:1", "0:inf:0:1", "0:1:-inf:1",
+                                        "0:1:0:nan"])
+    def test_non_finite_window(self, small_config, capsys, window):
+        cfg, out = small_config
+        assert main(["stability", "--config", cfg, "--window", window,
+                     "--resolution", "4", "--steps", "512"]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+        assert "values must be finite" in capsys.readouterr().err
+
     def test_degenerate_window(self, capsys):
         assert main(["stability", "--window", "0:0:0:40"]) == EXIT_CONFIG
         assert "degenerate" in capsys.readouterr().err
@@ -245,7 +315,7 @@ class TestCompareBathsCommand:
     def test_writes_agreement(self, small_config):
         cfg, out = small_config
         assert main(["compare-baths", "--config", cfg]) == EXIT_OK
-        payload = json.loads(open(os.path.join(out, "demo_bath_agreement.json")).read())
+        payload = json.loads(Path(out, "demo_bath_agreement.json").read_text())
         assert set(payload["coords"]) == {"qt1", "qt2", "pt1", "pt2"}
         assert payload["coords"]["qt2"]["max_rel_dev"] < 1e-9
 
@@ -265,12 +335,47 @@ class TestOracleCommand:
         from sqzbath import read_variance_csv
         series = read_variance_csv(csv)
         assert np.all(series.std_errors == 0.0)
-        payload = json.loads(open(os.path.join(out, "demo_threshold.json")).read())
+        payload = json.loads(Path(out, "demo_threshold.json").read_text())
         assert "anywhere" in payload and "sustained" in payload
         assert "bracket" not in payload
         assert set(payload["anywhere"]) == {"temperature", "definition",
                                             "tolerance", "min_variance"}
         assert payload["anywhere"]["tolerance"] > 0
+
+
+class TestObservationGrid:
+    GRID_INI = """
+[bath]
+model = isolated
+
+[integrator]
+dt = 0.003
+n_steps = 3000
+stride = 7
+
+[ensemble]
+n_traj = 8
+
+[output]
+dir = {out}
+prefix = grid
+"""
+
+    @staticmethod
+    def t_prime(path):
+        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        return [row.split(",", 1)[0] for row in rows[1:]]
+
+    def test_run_and_oracle_write_one_grid(self, tmp_path):
+        # k * (stride * dt) and (k * stride) * dt differ in the last bit
+        # for some k at this dt and stride
+        cfg, out = write_ini(tmp_path, self.GRID_INI)
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        assert main(["oracle", "--config", cfg]) == EXIT_OK
+        run = self.t_prime(out / "grid_variance.csv")
+        oracle = self.t_prime(out / "grid_oracle_variance.csv")
+        assert len(run) == 3000 // 7 + 1
+        assert run == oracle
 
 
 class TestPlotCommand:

@@ -148,7 +148,7 @@ class TestBatching:
             assert all(lo < hi for lo, hi in batches)
             assert all(lo % chunk == 0 for lo, _ in batches)
             n_chunks = -(-n_traj // chunk)
-            row_bytes = len(cfg.obs_times) * (32 + 8 * track)
+            row_bytes = len(cfg.integrator.obs_times) * (32 + 8 * track)
             for lo, hi in batches:
                 if cfg.model is ModelKind.OHMIC:
                     assert hi - lo == min(chunk, n_traj - lo)

@@ -1,8 +1,8 @@
 """Property tests over random masses and states: every force is -dH/dq, the
 energy (for the NHC model, the extended energy) is conserved with frozen
 coupling, the relative mode never feels a bath, the oracle's 2x2 relative-mode
-loop is the relative mode of integrate(), and the Ohmic step inside
-integrate() evaluates the bath force once per step ("first same as last")
+loop is the relative mode of integrate(), the Ohmic and NHC steps inside
+integrate() evaluate the bath force once per step ("first same as last")
 without changing a bit of the trajectory, and the chunk sampler's Philox keys
 are numpy's SeedSequence keys."""
 
@@ -18,8 +18,8 @@ from sqzbath import (IntegratorConfig, NHCBathParams, NHCBathPhase, NormalModePh
                      OhmicBathPhase, SystemParams, SystemPhase, TrajectoryState,
                      build_ohmic_bath, from_normal_modes, fundamental_solution,
                      integrate, nhc_bath_forces, nhc_extended_energy, ohmic_energy,
-                     ohmic_forces, step_hamiltonian, system_energy, system_force,
-                     to_normal_modes)
+                     ohmic_forces, step_hamiltonian, step_nhc, system_energy,
+                     system_force, to_normal_modes)
 from sqzbath.sampling import philox_keys
 
 N_MODES = 4
@@ -224,24 +224,36 @@ class TestFundamentalSolution:
         self.assert_matches_integrate(SystemParams(), 25000)
 
 
-def _ohmic_state(x, batch):
-    """Phase point from a flat vector; batch 0 gives scalar system coordinates
-    and (N,) bath arrays, otherwise every row is a scaled copy."""
+# bath, name of its force in sqzbath.integrate, standalone stepper
+FSAL_MODELS = {"ohmic": (ohmic_bath, "ohmic_forces", step_hamiltonian),
+               "nhc": (nhc_bath, "nhc_bath_forces", step_nhc)}
+
+
+def _bath_state(model, x, batch):
+    """Phase point from a flat vector; batch 0 gives scalar coordinates (and
+    (N,) Ohmic bath arrays), otherwise every row is a scaled copy."""
     rows = np.linspace(1.0, 0.5, max(batch, 1))[:, None] * x
     if batch == 0:
         rows = rows[0]
+    if model == "ohmic":
+        bath = OhmicBathPhase(rows[..., 4:4 + N_MODES].copy(),
+                              rows[..., 4 + N_MODES:].copy())
+    else:
+        bath = NHCBathPhase(*(rows[..., i].copy() for i in range(4, 10)))
     return TrajectoryState(0.0, SystemPhase(*(rows[..., i].copy() for i in range(4))),
-                           OhmicBathPhase(rows[..., 4:4 + N_MODES].copy(),
-                                          rows[..., 4 + N_MODES:].copy()))
+                           bath)
 
 
-def _ohmic_vector(state):
-    ph = state.system
-    return np.concatenate([np.stack([ph.q1, ph.q2, ph.p1, ph.p2], axis=-1),
-                           state.bath.pos, state.bath.mom], axis=-1)
+def _phase_vector(state):
+    return np.concatenate([np.ravel(v) for v in (*vars(state.system).values(),
+                                                 *vars(state.bath).values())])
 
 
 class TestOhmicFirstSameAsLast:
+    """Inside integrate() the bath force of both baths is evaluated once per
+    step; for the NHC model the held force also crosses the thermostat
+    half-steps, which move only P1 and the chain. Each test runs both baths."""
+
     @settings(max_examples=30, deadline=None)
     @given(mass=masses, bath_mass=masses, batch=st.integers(0, 5),
            n_steps=st.integers(1, 40), dt=st.sampled_from([0.01, 0.005, 0.02]),
@@ -249,29 +261,32 @@ class TestOhmicFirstSameAsLast:
     def test_integrate_matches_standalone_steps_bitwise(self, mass, bath_mass, batch,
                                                          n_steps, dt, x):
         sys = SystemParams(mass=mass)
-        bath = ohmic_bath(bath_mass)
-        fused = _ohmic_state(x, batch)
-        looped = _ohmic_state(x, batch)
-        integrate(fused, sys, bath, IntegratorConfig(dt=dt, n_steps=n_steps))
-        for _ in range(n_steps):
-            step_hamiltonian(looped, sys, bath, dt)
-        assert fused.t == looped.t
-        assert np.array_equal(_ohmic_vector(fused), _ohmic_vector(looped))
+        for model, (make_bath, _, step) in FSAL_MODELS.items():
+            bath = make_bath(bath_mass)
+            fused = _bath_state(model, x, batch)
+            looped = _bath_state(model, x, batch)
+            integrate(fused, sys, bath, IntegratorConfig(dt=dt, n_steps=n_steps))
+            for _ in range(n_steps):
+                step(looped, sys, bath, dt)
+            assert fused.t == looped.t
+            assert np.array_equal(_phase_vector(fused), _phase_vector(looped)), model
 
     @pytest.mark.parametrize("n_steps", [1, 7, 60])
     def test_one_force_evaluation_per_step(self, monkeypatch, n_steps):
         module = importlib.import_module("sqzbath.integrate")
-        calls = []
+        for model, (make_bath, force_name, _) in FSAL_MODELS.items():
+            force = getattr(module, force_name)
+            calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return ohmic_forces(*args, **kwargs)
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return force(*args, **kwargs)
 
-        monkeypatch.setattr(module, "ohmic_forces", counting)
-        state = _ohmic_state(np.linspace(-1.0, 1.0, 4 + 2 * N_MODES), 3)
-        integrate(state, SystemParams(), ohmic_bath(1.0),
-                  IntegratorConfig(n_steps=n_steps, stride=5))
-        assert len(calls) == n_steps + 1
+            monkeypatch.setattr(module, force_name, counting)
+            state = _bath_state(model, np.linspace(-1.0, 1.0, 4 + 2 * N_MODES), 3)
+            integrate(state, SystemParams(), make_bath(1.0),
+                      IntegratorConfig(n_steps=n_steps, stride=5))
+            assert len(calls) == n_steps + 1, model
 
 
 class TestPhiloxKeys:
