@@ -15,10 +15,9 @@ from .integrate import (IntegratorConfig, TrajectoryFailure, TrajectoryState,
                         integrate, step_hamiltonian, step_nhc, yoshida_weights)
 from .observables import (SqueezeReport, VarianceAccumulator, VarianceSeries,
                           read_variance_csv, squeeze_report, write_variance_csv)
-from .oracle import (CovarianceSeries, FundamentalSolution,
-                     ThresholdResult, full_covariance_exact, fundamental_solution,
+from .oracle import (FundamentalSolution, ThresholdResult, fundamental_solution,
                      isolated_variance_series, mode2_variance_exact,
-                     threshold_temperature)
+                     ohmic_mode1_variances, threshold_temperature)
 from .sampling import (SamplingMode, ThermalWidths, TrajectoryStreams, init_nhc_bath,
                        sample_ohmic_bath, sample_system, thermal_widths,
                        trajectory_rng, width_temperature)

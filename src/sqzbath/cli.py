@@ -23,12 +23,12 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, build_run_config, config_hash, read_config_file
-from .driver import (EnsembleFailure, SEED_STREAM_RULE, bath_equivalence,
+from .driver import (EnsembleFailure, ModelKind, SEED_STREAM_RULE, bath_equivalence,
                      run_ensemble, temperature_sweep)
 from .integrate import TrajectoryFailure
 from .observables import write_variance_csv
 from .oracle import (fundamental_solution, isolated_variance_series,
-                     mode2_variance_exact, threshold_temperature)
+                     mode2_variance_exact, ohmic_mode1_variances, threshold_temperature)
 from .stability import (MathieuParams, classify_trace, monodromy, stability_map,
                         write_stability_csv)
 
@@ -246,6 +246,15 @@ def cmd_oracle(args) -> int:
     series = isolated_variance_series(run_cfg.system, run_cfg.temperature,
                                       run_cfg.sampling, config=run_cfg.integrator,
                                       fundamental=fundamental)
+    # mode 2 is exact for every model; mode 1 depends on the bath
+    note = ""
+    if run_cfg.model is ModelKind.OHMIC:
+        series.variances[:, 0], series.variances[:, 2] = ohmic_mode1_variances(
+            run_cfg.system, run_cfg.bath, run_cfg.temperature, run_cfg.sampling,
+            config=run_cfg.integrator)
+    elif run_cfg.model is ModelKind.NHC:
+        series.variances[:, [0, 2]] = np.nan
+        note = "; var_q1, var_p1 written as nan (no exact mode-1 curve for nhc)"
     _ensure_dir(out.directory)
     csv_path = os.path.join(out.directory, f"{out.prefix}_oracle_variance.csv")
     write_variance_csv(series, csv_path, _csv_header(resolved, run_cfg.seed))
@@ -265,9 +274,10 @@ def cmd_oracle(args) -> int:
                     [os.path.basename(csv_path), os.path.basename(json_path)], started)
     summary = payload["anywhere"]
     if summary is not None:
-        print(f"oracle: threshold (anywhere) T = {summary['temperature']:.4f}")
+        print(f"oracle: threshold (anywhere) T = {summary['temperature']:.4f} "
+              f"({summary['temperature_K']:.1f} K){note}")
     else:
-        print("oracle: no squeezing at any temperature")
+        print(f"oracle: no squeezing at any temperature{note}")
     return EXIT_OK
 
 

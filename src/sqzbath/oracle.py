@@ -1,36 +1,40 @@
 """Deterministic Gaussian ground truth for the Monte Carlo pipeline.
 
 The models are linear, so Gaussian initial states stay Gaussian and every
-variance follows from the fundamental solutions of the equations of motion.
-Both oracles take the trajectory code's velocity-Verlet step (unit initial
-conditions instead of thermal samples), which keeps discretization bias
-common-mode between oracle and Monte Carlo; a finer-step run of the oracle
-bounds that shared bias. The full covariance drives :func:`integrate`
-itself; the relative mode runs the 2x2 loop of
-:func:`stability.kdk_fundamental`, which
-``tests/test_properties.py::TestFundamentalSolution`` checks against the
-relative mode of :func:`integrate`.
+variance follows from the propagator of the trajectory code's
+kick-drift-kick step (unit initial conditions instead of thermal samples),
+which keeps discretization bias common-mode between oracle and Monte Carlo;
+a finer-step run of the oracle bounds that shared bias.
 
-The relative mode is exactly bath-decoupled (both baths couple to q1 + q2),
-so its two-dimensional fundamental solution is exact for all three models.
-The thermostatted model has no Gaussian closure in the chain variables and
-is validated against the Ohmic oracle instead.
+Both baths couple to q1 + q2 only. The relative mode is therefore
+bath-decoupled, and its 2x2 fundamental solution, from the loop of
+:func:`stability.kdk_fundamental`, is exact for all three models
+(``tests/test_properties.py::TestFundamentalSolution`` checks it against the
+relative mode of :func:`integrate`). The centre-of-mass mode is undriven:
+isolated, its variances are the thermal constants; with the Ohmic bath it
+forms a time-invariant linear block whose step powers have a closed form
+(:func:`ohmic_mode1_variances`). The thermostatted model has no Gaussian
+closure in the chain variables, so only its mode 2 has an exact curve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .baths import OhmicBathParams, OhmicBathPhase
-from .integrate import IntegratorConfig, TrajectoryFailure, TrajectoryState, integrate
+from .baths import OhmicBathParams
+from .integrate import IntegratorConfig, TrajectoryFailure
 from .observables import VarianceSeries
 from .sampling import SamplingMode, thermal_widths, width_temperature
 from .stability import kdk_fundamental
-from .system import (SystemParams, SystemPhase, coupling_freq_sq, normal_mode_freqs,
-                     to_normal_modes)
+from .system import SystemParams, coupling_freq_sq, normal_mode_freqs, to_physical_units
+
+# not called here; bench/tracer.py wraps these two module globals by name
+from .integrate import integrate  # noqa: F401
+from .system import to_normal_modes  # noqa: F401
 
 
 @dataclass
@@ -118,10 +122,12 @@ class ThresholdResult:
     definition: str          # "anywhere" or "sustained"
     tolerance: float
     min_variance: float      # minimum of the variance curve at the threshold
+    temperature_K: float     # ``temperature`` in kelvin at the carrier frequency
 
     def to_dict(self) -> dict:
         return {"temperature": self.temperature, "definition": self.definition,
-                "tolerance": self.tolerance, "min_variance": self.min_variance}
+                "tolerance": self.tolerance, "min_variance": self.min_variance,
+                "temperature_K": self.temperature_K}
 
 
 def _sustained_level(shape: np.ndarray) -> float:
@@ -167,76 +173,60 @@ def threshold_temperature(sys: SystemParams, *, fundamental: FundamentalSolution
     _, var_q, _ = mode2_variance_exact(sys, t_star, mode, fundamental=fundamental)
     return ThresholdResult(temperature=t_star, definition=definition,
                            tolerance=THRESHOLD_TOLERANCE,
-                           min_variance=float(var_q.min()))
+                           min_variance=float(var_q.min()),
+                           temperature_K=to_physical_units(t_star, "temperature",
+                                                           sys.carrier_freq))
 
 
-@dataclass
-class CovarianceSeries:
-    """Exact normal-mode variances of the full linear model on the
-    observation grid."""
-
-    times: np.ndarray
-    variances: np.ndarray           # (n_times, 4): qt1, qt2, pt1, pt2
+_OBS_BLOCK = 64   # observations per block, to bound the temporaries
 
 
-MAX_ORACLE_BATH_MODES = 512
-
-
-def full_covariance_exact(sys: SystemParams, bath: OhmicBathParams,
+def ohmic_mode1_variances(sys: SystemParams, bath: OhmicBathParams,
                           temperature: float,
-                          mode: SamplingMode = SamplingMode.QUANTUM,
-                          config: Optional[IntegratorConfig] = None) -> CovarianceSeries:
-    """Propagate the full covariance of the Ohmic model exactly.
+                          mode: SamplingMode = SamplingMode.QUANTUM, *,
+                          config: IntegratorConfig):
+    """Exact (var_qt1, var_pt1) of the Ohmic model on ``config.obs_times``.
 
-    The one-step map is linear, so the propagator columns are obtained by
-    integrating unit initial conditions through the ordinary stepper (one
-    batch row per phase-space direction); variances follow by summing the
-    squared rows against the diagonal initial covariance. The initial
-    covariance is diagonal in the oscillator coordinates because both modes
-    share the undriven frequency at t=0.
+    The centre-of-mass mode and the bath form an undriven linear block
+    (qt1, R_1..R_N | pt1, P_1..P_N) with symmetric force matrix F (F00 =
+    -m w^2, F0j = sqrt(2) c_j, Fjj = -m_b W_j^2). With s = diag(mass)^(-1/2),
+    -s F s = U diag(lam) U^T splits it into independent modes whose
+    kick-drift-kick step is M = [[c, dt], [-lam dt (1 - lam dt^2/4), c]],
+    c = 1 - lam dt^2/2, so M^k = (sin(k th) M - sin((k-1) th) I) / sin(th)
+    with th = 2 arcsin(dt sqrt(lam) / 2). Complex arithmetic covers an
+    unstable block (lam < 0).
+    The variances sum the squared rows against the diagonal thermal
+    covariance the samplers draw from.
     """
-    if bath.n_modes > MAX_ORACLE_BATH_MODES:
-        raise ValueError(f"oracle capped at {MAX_ORACLE_BATH_MODES} bath modes, "
-                         f"got {bath.n_modes}")
-    if sys.frozen_coupling:
-        raise ValueError("covariance oracle requires the driven model: with a "
-                         "frozen coupling the t=0 covariance is not diagonal "
-                         "in oscillator coordinates")
-    if config is None:
-        config = IntegratorConfig()
-    n_bath = bath.n_modes
-    dim = 4 + 2 * n_bath
-
-    # unit columns, coordinate order (q1, q2, R_1..R_N, p1, p2, P_1..P_N)
-    q1 = np.zeros(dim)
-    q2 = np.zeros(dim)
-    p1 = np.zeros(dim)
-    p2 = np.zeros(dim)
-    pos = np.zeros((dim, n_bath))
-    mom = np.zeros((dim, n_bath))
-    q1[0] = 1.0
-    q2[1] = 1.0
-    pos[2:2 + n_bath] = np.eye(n_bath)
-    p1[2 + n_bath] = 1.0
-    p2[3 + n_bath] = 1.0
-    mom[4 + n_bath:] = np.eye(n_bath)
-    state = TrajectoryState(t=0.0, system=SystemPhase(q1, q2, p1, p2),
-                            bath=OhmicBathPhase(pos, mom))
-
+    dt = config.dt
     w1, _ = normal_mode_freqs(0.0, sys)
     wid_sys = thermal_widths(sys.mass, w1, temperature, mode)
     wid_bath = thermal_widths(bath.mass, bath.freqs, temperature, mode)
-    sigma0_sq = np.concatenate([
-        [wid_sys.var_q, wid_sys.var_q], wid_bath.var_q,
-        [wid_sys.var_p, wid_sys.var_p], wid_bath.var_p,
-    ])
-
-    times = config.obs_times
-    rows = np.empty((len(times), 4, dim))   # qt1, qt2, pt1, pt2 of every column
-
-    def observer(step, st):
-        modes = to_normal_modes(st.system)
-        rows[step // config.stride] = modes.qt1, modes.qt2, modes.pt1, modes.pt2
-
-    integrate(state, sys, bath, config, observer)
-    return CovarianceSeries(times=times, variances=rows ** 2 @ sigma0_sq)
+    var_q = np.append(wid_sys.var_q, wid_bath.var_q)
+    var_p = np.append(wid_sys.var_p, np.broadcast_to(wid_bath.var_p, bath.n_modes))
+    masses = np.append(sys.mass, np.full(bath.n_modes, bath.mass))
+    s = masses ** -0.5
+    force = np.diag(-masses * np.append(w1, bath.freqs) ** 2)
+    force[0, 1:] = force[1:, 0] = math.sqrt(2.0) * bath.couplings
+    lam, u = np.linalg.eigh(-(s[:, None] * force * s))
+    theta = 2.0 * np.arcsin(0.5 * dt * np.sqrt(lam.astype(complex)))
+    sin_th = np.sin(theta)
+    cos_th = 1.0 - 0.5 * lam * dt ** 2
+    kick = -lam * dt * (1.0 - 0.25 * lam * dt ** 2)
+    # row 0 of U diag(.) U^T, rescaled to (qt1, pt1) from the unweighted (q, p)
+    u0, ratio, prod = u[0], s[0] / s, s[0] * s
+    steps = np.arange(0, config.n_steps + 1, config.stride)
+    var_q1, var_p1 = np.empty((2, len(steps)))
+    with np.errstate(over="ignore", invalid="ignore"):   # a blow-up raises below
+        for lo in range(0, len(steps), _OBS_BLOCK):
+            k = steps[lo:lo + _OBS_BLOCK, None]
+            sin_k = (np.sin(k * theta) / sin_th).real
+            diag = sin_k * cos_th - (np.sin((k - 1) * theta) / sin_th).real
+            a, b, c = ((u0 * d) @ u.T for d in (diag, sin_k * dt, sin_k * kick))
+            block = slice(lo, lo + _OBS_BLOCK)
+            var_q1[block] = (a * ratio) ** 2 @ var_q + (b * prod) ** 2 @ var_p
+            var_p1[block] = (c / prod) ** 2 @ var_q + (a / ratio) ** 2 @ var_p
+    finite = np.isfinite(var_q1) & np.isfinite(var_p1)
+    if not finite.all():
+        raise TrajectoryFailure(int(steps[finite.argmin()]))
+    return var_q1, var_p1

@@ -19,8 +19,9 @@ import pytest
 
 from sqzbath import (IntegratorConfig, RunConfig, SamplingMode,
                      SystemParams, build_ohmic_bath, compare_variance_series,
-                     full_covariance_exact, fundamental_solution,
-                     monodromy, nhc_from_ohmic, nhc_matched_to_ohmic, run_ensemble,
+                     fundamental_solution, mode2_variance_exact,
+                     monodromy, nhc_from_ohmic, nhc_matched_to_ohmic,
+                     ohmic_mode1_variances, run_ensemble,
                      sample_system, threshold_temperature, thermal_widths,
                      to_normal_modes, to_physical_units, trajectory_rng)
 from sqzbath.cli import main
@@ -78,12 +79,15 @@ def nhc_run(ohmic_bath):
 
 
 @pytest.fixture(scope="module")
-def oracle_covariance(ohmic_bath):
+def oracle_covariance(ohmic_bath, paper_fundamental):
+    """Exact (var_qt1, var_qt2) of the Ohmic model on the observation grid."""
     t0 = time.perf_counter()
-    cov = full_covariance_exact(SystemParams(), ohmic_bath, 1.0,
-                                config=DESK_INTEGRATOR)
-    print(f"\n[runtime] exact covariance (404 columns): {time.perf_counter() - t0:.0f}s")
-    return cov
+    var_q1, _ = ohmic_mode1_variances(SystemParams(), ohmic_bath, 1.0,
+                                      config=DESK_INTEGRATOR)
+    _, var_q2, _ = mode2_variance_exact(SystemParams(), 1.0,
+                                        fundamental=paper_fundamental)
+    print(f"\n[runtime] exact covariance: {time.perf_counter() - t0:.2f}s")
+    return np.column_stack([var_q1, var_q2[::DESK_INTEGRATOR.stride]])
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +186,7 @@ class TestCriterion5OracleEquivalence:
         idx = np.unique(np.linspace(0, len(series.times) - 1, 50).astype(int))
         worst = 0.0
         for k in (0, 1):   # qt1, qt2
-            dev = np.abs(series.variances[idx, k] - oracle_covariance.variances[idx, k])
+            dev = np.abs(series.variances[idx, k] - oracle_covariance[idx, k])
             z = dev / series.std_errors[idx, k]
             worst = max(worst, float(z.max()))
         check("criterion 5a (MC vs exact covariance, 50 times)", worst <= 3.0,
@@ -199,7 +203,6 @@ class TestCriterion5OracleEquivalence:
               f"min product {product.min():.4f} (floor with statistical slack)")
 
     def test_mode2_matches_reduced_oracle(self, ohmic_run, paper_fundamental):
-        from sqzbath import mode2_variance_exact
         series = ohmic_run.series
         _, var_q, var_p = mode2_variance_exact(SystemParams(), 1.0,
                                                fundamental=paper_fundamental)

@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqzbath import stability
+from sqzbath import (ohmic_mode1_variances, read_variance_csv, stability,
+                     to_physical_units)
 from sqzbath.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRAJECTORY, _parse_grid, main
 from sqzbath.config import ConfigError, build_run_config, config_hash, read_config_file
 
@@ -332,15 +335,67 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg]) == EXIT_OK
         csv = os.path.join(out, "demo_oracle_variance.csv")
         assert os.path.exists(csv)
-        from sqzbath import read_variance_csv
         series = read_variance_csv(csv)
         assert np.all(series.std_errors == 0.0)
         payload = json.loads(Path(out, "demo_threshold.json").read_text())
         assert "anywhere" in payload and "sustained" in payload
         assert "bracket" not in payload
-        assert set(payload["anywhere"]) == {"temperature", "definition",
-                                            "tolerance", "min_variance"}
+        assert set(payload["anywhere"]) == {"temperature", "definition", "tolerance",
+                                            "min_variance", "temperature_K"}
         assert payload["anywhere"]["tolerance"] > 0
+
+    @staticmethod
+    def oracle_csv(tmp_path, model, capsys):
+        tmp_path.mkdir(exist_ok=True)
+        cfg, out = write_ini(tmp_path, SMALL_INI.replace("ohmic", model))
+        assert main(["oracle", "--config", cfg]) == EXIT_OK
+        return cfg, read_variance_csv(out / "demo_oracle_variance.csv"), capsys.readouterr().out
+
+    def test_ohmic_mode1_columns(self, tmp_path, capsys):
+        cfg, series, _ = self.oracle_csv(tmp_path, "ohmic", capsys)
+        run_cfg, _, _ = build_run_config(read_config_file(cfg))
+        var_q1, var_p1 = ohmic_mode1_variances(run_cfg.system, run_cfg.bath,
+                                               run_cfg.temperature, run_cfg.sampling,
+                                               config=run_cfg.integrator)
+        # the CSV's repr round-trips every float
+        assert series.column("qt1").tobytes() == var_q1.tobytes()
+        assert series.column("pt1").tobytes() == var_p1.tobytes()
+        assert series.column("qt1").max() > 1.001 * series.column("qt1")[0]
+
+    def test_nhc_mode1_columns_are_nan(self, tmp_path, capsys):
+        _, nhc, line = self.oracle_csv(tmp_path / "nhc", "nhc", capsys)
+        _, isolated, _ = self.oracle_csv(tmp_path / "isolated", "isolated", capsys)
+        assert np.isnan(nhc.column("qt1")).all() and np.isnan(nhc.column("pt1")).all()
+        assert np.array_equal(nhc.column("qt2"), isolated.column("qt2"))
+        assert np.array_equal(nhc.column("pt2"), isolated.column("pt2"))
+        assert "var_q1, var_p1 written as nan" in line
+        threshold = [json.loads(Path(tmp_path, m, "results", "demo_threshold.json")
+                                .read_text()) for m in ("nhc", "isolated")]
+        for payload in threshold:
+            payload.pop("config_hash")
+        assert threshold[0] == threshold[1]
+
+    def test_threshold_in_kelvin_on_console(self, small_config, capsys):
+        cfg, out = small_config
+        assert main(["oracle", "--config", cfg]) == EXIT_OK
+        anywhere = json.loads(Path(out, "demo_threshold.json").read_text())["anywhere"]
+        assert anywhere["temperature_K"] == to_physical_units(
+            anywhere["temperature"], "temperature", 3.93e13)
+        assert f"({anywhere['temperature_K']:.1f} K)" in capsys.readouterr().out
+
+    def test_ohmic_csv_byte_identical_across_processes(self, small_config):
+        # one BLAS thread count in both: eigh and matrix products may round
+        # differently under another thread count
+        cfg, out = small_config
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        payloads = []
+        for _ in range(2):
+            subprocess.run([sys.executable, "-m", "sqzbath.cli", "oracle", "--config", cfg],
+                           env=env, check=True, capture_output=True, timeout=120)
+            payloads.append(Path(out, "demo_oracle_variance.csv").read_bytes())
+        assert payloads[0] == payloads[1]
 
 
 class TestObservationGrid:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sqzbath import (IntegratorConfig, RunConfig, SamplingMode, SystemParams,
-                     TrajectoryFailure, build_ohmic_bath, full_covariance_exact,
-                     fundamental_solution, isolated_variance_series,
-                     mode2_variance_exact, run_ensemble, threshold_temperature,
-                     thermal_widths)
+from sqzbath import (IntegratorConfig, NormalModePhase, OhmicBathPhase, RunConfig,
+                     SamplingMode, SystemParams, TrajectoryFailure, TrajectoryState,
+                     build_ohmic_bath, from_normal_modes, fundamental_solution, integrate,
+                     isolated_variance_series, mode2_variance_exact, normal_mode_freqs,
+                     ohmic_mode1_variances, run_ensemble, threshold_temperature,
+                     thermal_widths, to_normal_modes)
 
 W1 = math.sqrt(1.25)
 
@@ -152,51 +153,101 @@ class TestThreshold:
             assert threshold_temperature(sys, definition=definition,
                                          fundamental=f) is None
 
+    def test_temperature_in_kelvin(self, paper_fundamental):
+        # 3.93e13 rad/s is hbar w / k_B = 300.2 K per dimensionless unit
+        result = threshold_temperature(SystemParams(), fundamental=paper_fundamental)
+        assert result.temperature == pytest.approx(3.7403, abs=5e-5)
+        assert result.temperature_K == pytest.approx(1122.8, abs=0.05)
+        assert result.to_dict()["temperature_K"] == result.temperature_K
+
     def test_sustained_definition_accepted(self, paper_fundamental):
         with pytest.raises(ValueError):
             threshold_temperature(SystemParams(), definition="typo",
                                   fundamental=paper_fundamental)
 
 
+def unit_column_variances(sys, bath, temperature, mode, config):
+    """(n_obs, 4) variances of (qt1, qt2, pt1, pt2) in the Ohmic model, from
+    one :func:`integrate` batch row per normal-mode phase-space direction,
+    (qt1, qt2, R_1..R_N, pt1, pt2, P_1..P_N), squared against the diagonal
+    thermal covariance the samplers draw from."""
+    n = bath.n_modes
+    eye = np.eye(4 + 2 * n)
+    system = from_normal_modes(NormalModePhase(eye[0], eye[1], eye[2 + n], eye[3 + n]))
+    state = TrajectoryState(0.0, system, OhmicBathPhase(eye[:, 2:2 + n].copy(),
+                                                        eye[:, 4 + n:].copy()))
+    w1, w2 = normal_mode_freqs(0.0, sys)
+    mode1 = thermal_widths(sys.mass, w1, temperature, mode)
+    mode2 = thermal_widths(sys.mass, w2, temperature, mode)
+    wid = thermal_widths(bath.mass, bath.freqs, temperature, mode)
+    sigma0_sq = np.concatenate([[mode1.var_q, mode2.var_q], wid.var_q,
+                                [mode1.var_p, mode2.var_p],
+                                np.broadcast_to(wid.var_p, n)])
+    rows = []
+
+    def observer(step, st):
+        modes = to_normal_modes(st.system)
+        rows.append([modes.qt1, modes.qt2, modes.pt1, modes.pt2])
+
+    integrate(state, sys, bath, config, observer)
+    return np.array(rows) ** 2 @ sigma0_sq
+
+
 class TestFullCovariance:
+    """Mode 1 from ohmic_mode1_variances and mode 2 from mode2_variance_exact
+    against the Ohmic model's full propagator."""
+
     ICFG = IntegratorConfig(n_steps=2000, stride=50)
 
     def test_uncoupled_bath_reduces_to_isolated_curves(self):
-        sys = SystemParams()
-        bath = build_ohmic_bath(8, 0.0, 3.0)
-        cov = full_covariance_exact(sys, bath, 1.0, config=self.ICFG)
-        f = fundamental_solution(sys, dt=0.01, n_steps=2000)
-        _, vq, vp = mode2_variance_exact(sys, 1.0, fundamental=f)
-        idx = np.arange(0, 2001, 50)
-        assert np.max(np.abs(cov.variances[:, 1] - vq[idx])) < 1e-9
-        assert np.max(np.abs(cov.variances[:, 3] - vp[idx])) < 1e-9
         # mode 1 follows the same stepper at the undriven frequency
+        bath = build_ohmic_bath(8, 0.0, 3.0)
+        vq1, vp1 = ohmic_mode1_variances(SystemParams(), bath, 1.0, config=self.ICFG)
         sys0 = SystemParams(coupling_amp=0.0)
         f1 = fundamental_solution(sys0, dt=0.01, n_steps=2000)
-        _, vq1, vp1 = mode2_variance_exact(sys0, 1.0, fundamental=f1)
-        assert np.max(np.abs(cov.variances[:, 0] - vq1[idx])) < 1e-9
-        assert np.max(np.abs(cov.variances[:, 2] - vp1[idx])) < 1e-9
+        _, vq, vp = mode2_variance_exact(sys0, 1.0, fundamental=f1)
+        idx = np.arange(0, 2001, 50)
+        assert np.max(np.abs(vq1 - vq[idx])) < 1e-9
+        assert np.max(np.abs(vp1 - vp[idx])) < 1e-9
 
     def test_mode2_block_is_bath_independent(self):
         sys = SystemParams()
         bath = build_ohmic_bath(16, 0.007, 3.0)
-        cov = full_covariance_exact(sys, bath, 1.0, config=self.ICFG)
+        ref = unit_column_variances(sys, bath, 1.0, SamplingMode.QUANTUM, self.ICFG)
         f = fundamental_solution(sys, dt=0.01, n_steps=2000)
         _, vq, vp = mode2_variance_exact(sys, 1.0, fundamental=f)
         idx = np.arange(0, 2001, 50)
-        assert np.max(np.abs(cov.variances[:, 1] - vq[idx])) < 1e-9
-        assert np.max(np.abs(cov.variances[:, 3] - vp[idx])) < 1e-9
+        assert np.max(np.abs(ref[:, 1] - vq[idx])) < 1e-9
+        assert np.max(np.abs(ref[:, 3] - vp[idx])) < 1e-9
 
-    def test_dimension_cap(self):
-        bath = build_ohmic_bath(600, 0.007, 3.0)
-        with pytest.raises(ValueError, match="capped"):
-            full_covariance_exact(SystemParams(), bath, 1.0, config=self.ICFG)
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    @pytest.mark.parametrize("masses,kondo", [((1.0, 1.0), 0.007), ((2.0, 0.5), 0.007),
+                                              ((1.0, 1.0), 0.3)],
+                             ids=["unit-mass", "mass-2-0.5", "unstable-kondo-0.3"])
+    def test_matches_unit_column_reference(self, mode, masses, kondo):
+        # kondo = 0.3 renormalizes the centre-of-mass stiffness below zero:
+        # the block's lowest eigenvalue is negative and the curves grow
+        sys = SystemParams(mass=masses[0])
+        bath = build_ohmic_bath(8, kondo, 3.0, mass=masses[1])
+        vq1, vp1 = ohmic_mode1_variances(sys, bath, 1.3, mode, config=self.ICFG)
+        ref = unit_column_variances(sys, bath, 1.3, mode, self.ICFG)
+        assert np.max(np.abs(vq1 / ref[:, 0] - 1)) <= 1e-11
+        assert np.max(np.abs(vp1 / ref[:, 2] - 1)) <= 1e-11
 
-    def test_frozen_coupling_rejected(self):
-        bath = build_ohmic_bath(4, 0.007, 3.0)
-        with pytest.raises(ValueError, match="frozen"):
-            full_covariance_exact(SystemParams(frozen_coupling=True), bath, 1.0,
-                                  config=self.ICFG)
+    def test_frozen_coupling_equals_driven(self):
+        # the drive enters mode 2 only
+        bath = build_ohmic_bath(8, 0.007, 3.0)
+        driven = ohmic_mode1_variances(SystemParams(), bath, 1.0, config=self.ICFG)
+        frozen = ohmic_mode1_variances(SystemParams(frozen_coupling=True), bath, 1.0,
+                                       config=self.ICFG)
+        for a, b in zip(driven, frozen):
+            assert a.tobytes() == b.tobytes()
+
+    def test_overflow_raises(self):
+        bath = build_ohmic_bath(8, 300.0, 3.0)
+        with pytest.raises(TrajectoryFailure, match="non-finite"):
+            ohmic_mode1_variances(SystemParams(), bath, 1.0,
+                                  config=IntegratorConfig(n_steps=20000, stride=50))
 
 
 class TestIsolatedSeries:
