@@ -9,10 +9,15 @@ adjacent half-kicks ("first same as last"); the result is bit-identical to
 evaluating it at every half-kick. The Nose-Hoover chain wraps that step
 between two thermostat half-updates built from a Suzuki-Yoshida composition
 with a multiple-time-step inner loop. They move only the bath oscillator
-momentum, by an exact exponential drag, and the chain variables.
+momentum, by an exact exponential drag, and the chain variables. The
+thermostat copies these into arrays it owns, once per :func:`integrate`
+call, and updates them in place; its divisions by unit masses are skipped,
+which is exact, so the bits are those of the textbook substep.
 
 All steppers mutate the state in place and operate transparently on scalar
-or batched (leading-axis) phase coordinates.
+or batched (leading-axis) phase coordinates. They rebind the state's fields
+and never write into arrays the caller passed in, except the Ohmic bath
+arrays, which the Ohmic step updates in place.
 """
 
 from __future__ import annotations
@@ -172,44 +177,118 @@ def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
     return state
 
 
-def _thermostat_substep(ph: NHCBathPhase, bath: NHCBathParams, delta: float) -> None:
-    """One reversible chain update of size delta, symmetric about the drag."""
-    kt = bath.temperature
-    g = bath.thermo_dof
+class _Thermostat:
+    """The chain half-step: n_mts passes of the Suzuki-Yoshida substeps,
+    each a reversible chain update symmetric about the drag on P1.
 
-    ph.p_eta2 = ph.p_eta2 + 0.5 * delta * (ph.p_eta1 ** 2 / bath.mass_eta1 - kt)
-    scale1 = np.exp(-0.25 * delta * ph.p_eta2 / bath.mass_eta2)
-    g1 = ph.osc_p ** 2 / bath.osc_mass - g * kt
-    ph.p_eta1 = (ph.p_eta1 * scale1 + 0.5 * delta * g1) * scale1
+    It copies P1 and the chain into arrays it owns, (p_eta1, p_eta2) and
+    (eta1, eta2) as (2, rows) stacks, binds the state's fields to views of
+    them and updates them in place, so arrays the caller holds are never
+    written. A substep leaves p_eta1^2/Q1 - T and P1^2/m1 - gT as the next
+    one's opening values, and one stacked product gives both eta increments
+    and, negated, the drag exponent. A division by a unit mass is skipped,
+    which is exact. The arithmetic is that of the textbook substep, bit for
+    bit.
+    """
 
-    ph.osc_p = ph.osc_p * np.exp(-delta * ph.p_eta1 / bath.mass_eta1)
-    ph.eta1 = ph.eta1 + delta * ph.p_eta1 / bath.mass_eta1
-    ph.eta2 = ph.eta2 + delta * ph.p_eta2 / bath.mass_eta2
+    def __init__(self, bath: NHCBathParams, state: TrajectoryState, dt: float,
+                 n_yoshida: int, n_mts: int):
+        ph = state.bath
+        fields = (ph.osc_p, ph.p_eta1, ph.p_eta2, ph.eta1, ph.eta2)
+        shape = np.broadcast_shapes(*(np.shape(v) for v in fields))
+        self.p = np.empty(shape)
+        self.p_eta = np.empty((2,) + shape)
+        self.eta = np.empty((2,) + shape)
+        self.p_eta1, self.p_eta2 = self.p_eta[0, ...], self.p_eta[1, ...]
+        views = (self.p, self.p_eta1, self.p_eta2, self.eta[0, ...], self.eta[1, ...])
+        for dst, src in zip(views, fields):
+            dst[...] = src
+        ph.osc_p, ph.p_eta1, ph.p_eta2, ph.eta1, ph.eta2 = views
+        # x = p_eta1^2/Q1 - T, G = P1^2/m1 - gT, U = delta * p_eta / Q
+        self.x, self.g, self.scale, self.tmp = (np.empty(shape) for _ in range(4))
+        self.u = np.empty((2,) + shape)
+        self.u1 = self.u[0, ...]
 
-    g1 = ph.osc_p ** 2 / bath.osc_mass - g * kt
-    ph.p_eta1 = (ph.p_eta1 * scale1 + 0.5 * delta * g1) * scale1
-    ph.p_eta2 = ph.p_eta2 + 0.5 * delta * (ph.p_eta1 ** 2 / bath.mass_eta1 - kt)
+        # constants as 0-d arrays, which numpy takes faster than floats
+        const = np.asarray
+        self.kt = const(bath.temperature)
+        self.gkt = const(bath.thermo_dof * bath.temperature)
+        self.m1 = None if bath.osc_mass == 1.0 else const(bath.osc_mass)
+        self.q1 = None if bath.mass_eta1 == 1.0 else const(bath.mass_eta1)
+        self.q2 = None if bath.mass_eta2 == 1.0 else const(bath.mass_eta2)
+        self.q = (None if self.q1 is None and self.q2 is None else
+                  np.reshape([bath.mass_eta1, bath.mass_eta2], (2,) + (1,) * len(shape)))
+        half_dt = 0.5 * dt
+        self.deltas = [(const(d), const(0.5 * d), const(-0.25 * d))
+                       for d in (w * half_dt / n_mts
+                                 for w in yoshida_weights(n_yoshida).tolist())] * n_mts
+
+    def half_step(self, ph: NHCBathPhase) -> None:
+        p, p_eta, eta = self.p, self.p_eta, self.eta
+        p_eta1, p_eta2 = self.p_eta1, self.p_eta2
+        x, g, scale, tmp, u, u1 = self.x, self.g, self.scale, self.tmp, self.u, self.u1
+        kt, gkt, m1, q1, q2, q = self.kt, self.gkt, self.m1, self.q1, self.q2, self.q
+        multiply, add, exp = np.multiply, np.add, np.exp
+        # the Hamiltonian step rebinds P1; the chain fields stay our views
+        if ph.osc_p is not p:
+            p[...] = ph.osc_p
+            ph.osc_p = p
+        _square_over(p_eta1, q1, kt, x)
+        _square_over(p, m1, gkt, g)
+        for delta, half_delta, quarter_neg in self.deltas:
+            multiply(x, half_delta, tmp)
+            add(p_eta2, tmp, p_eta2)
+            multiply(p_eta2, quarter_neg, scale)
+            if q2 is not None:
+                np.divide(scale, q2, scale)
+            exp(scale, scale)
+            multiply(p_eta1, scale, p_eta1)
+            multiply(g, half_delta, tmp)
+            add(p_eta1, tmp, p_eta1)
+            multiply(p_eta1, scale, p_eta1)
+
+            multiply(p_eta, delta, u)
+            if q is not None:
+                np.divide(u, q, u)
+            add(eta, u, eta)
+            np.negative(u1, tmp)
+            exp(tmp, tmp)
+            multiply(p, tmp, p)
+
+            _square_over(p, m1, gkt, g)
+            multiply(p_eta1, scale, p_eta1)
+            multiply(g, half_delta, tmp)
+            add(p_eta1, tmp, p_eta1)
+            multiply(p_eta1, scale, p_eta1)
+            _square_over(p_eta1, q1, kt, x)
+            multiply(x, half_delta, tmp)
+            add(p_eta2, tmp, p_eta2)
 
 
-def _thermostat_half_step(ph: NHCBathPhase, bath: NHCBathParams, half_dt: float,
-                          weights: np.ndarray, n_mts: int) -> None:
-    for _ in range(n_mts):
-        for w in weights:
-            _thermostat_substep(ph, bath, w * half_dt / n_mts)
+def _square_over(v, mass, shift, out) -> None:
+    """out <- v^2 / mass - shift; a mass of None is 1."""
+    np.square(v, out)
+    if mass is not None:
+        np.divide(out, mass, out)
+    np.subtract(out, shift, out)
 
 
 def step_nhc(state: TrajectoryState, sys: SystemParams, bath: NHCBathParams,
              dt: float, n_yoshida: int = 3, n_mts: int = 3,
-             kick: Optional[_Kick] = None) -> TrajectoryState:
+             kick: Optional[_Kick] = None,
+             thermostat: Optional[_Thermostat] = None) -> TrajectoryState:
     """Thermostat half-step, Hamiltonian step, mirrored thermostat half-step.
 
     The thermostat moves only P1 and the chain, so ``kick`` stays valid
-    across it.
+    across it. ``thermostat`` is the chain state of the enclosing
+    :func:`integrate` call, built for this ``dt``, ``n_yoshida`` and
+    ``n_mts``; standalone calls omit it and build their own.
     """
-    weights = yoshida_weights(n_yoshida)
-    _thermostat_half_step(state.bath, bath, 0.5 * dt, weights, n_mts)
+    if thermostat is None:
+        thermostat = _Thermostat(bath, state, dt, n_yoshida, n_mts)
+    thermostat.half_step(state.bath)
     step_hamiltonian(state, sys, bath, dt, kick)
-    _thermostat_half_step(state.bath, bath, 0.5 * dt, weights, n_mts)
+    thermostat.half_step(state.bath)
     return state
 
 
@@ -223,16 +302,18 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
 
     With ``strict`` a non-finite state at an observation point raises
     :class:`TrajectoryFailure`; batched ensemble runs disable it and handle
-    per-trajectory masking themselves.
+    per-trajectory masking themselves. Observers must not modify the state,
+    and must copy what they keep: the NHC chain fields are updated in place.
     """
     if observer is not None:
         observer(0, state)
-    nhc = isinstance(bath, NHCBathParams)
     kick = _Kick(bath, state)
+    thermostat = (_Thermostat(bath, state, config.dt, config.n_yoshida, config.n_mts)
+                  if isinstance(bath, NHCBathParams) else None)
     for i in range(1, config.n_steps + 1):
-        if nhc:
+        if thermostat is not None:
             step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts,
-                     kick)
+                     kick, thermostat)
         else:
             step_hamiltonian(state, sys, bath, config.dt, kick)
         if i % config.stride == 0 or i == config.n_steps:

@@ -59,12 +59,13 @@ def kdk_fundamental(ks, dt: float, out=None):
     if out is not None:
         out[:, 0] = ay, by, av, bv
     for i, k in enumerate(ks, 1):
-        av -= half * k * ay
-        bv -= half * k * by
+        hk = half * k
+        av -= hk * ay
+        bv -= hk * by
         ay += dt * av
         by += dt * bv
-        av -= half * k * ay
-        bv -= half * k * by
+        av -= hk * ay
+        bv -= hk * by
         if out is not None:
             out[:, i] = ay, by, av, bv
     return ay, by, av, bv
@@ -74,7 +75,8 @@ def _mathieu_fundamental(a, q, t_final: float, steps: int):
     """Fundamental solutions of y'' + (a - 2q cos 2t) y = 0 over [0, t_final]."""
     dt = t_final / steps
     half = 0.5 * dt
-    return kdk_fundamental((a - 2.0 * q * np.cos(2.0 * (i * dt + half))
+    q2 = 2.0 * q
+    return kdk_fundamental((a - q2 * np.cos(2.0 * (i * dt + half))
                             for i in range(steps)), dt)
 
 
@@ -155,15 +157,18 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
 
 
 def write_stability_csv(smap: StabilityMap, path, header_lines=()) -> None:
+    """One row per cell, y-major; floats as ``repr`` so they read back exactly."""
+    parts = [f"# {line}\n" for line in header_lines]
+    parts.append("x,y,abs_trace,unstable,marginal\n")
+    xs = [repr(x) for x in smap.xs.tolist()]
+    for y, traces, unstable, marginal in zip(smap.ys.tolist(), smap.abs_trace.tolist(),
+                                             smap.unstable.tolist(),
+                                             smap.marginal.tolist()):
+        y = repr(y)
+        parts.extend(f"{x},{y},{tr!r},{int(u)},{int(m)}\n"
+                     for x, tr, u, m in zip(xs, traces, unstable, marginal))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x,y,abs_trace,unstable,marginal\n")
-        for iy, y in enumerate(smap.ys):
-            for ix, x in enumerate(smap.xs):
-                fh.write(f"{float(x)!r},{float(y)!r},"
-                         f"{float(smap.abs_trace[iy, ix])!r},"
-                         f"{int(smap.unstable[iy, ix])},{int(smap.marginal[iy, ix])}\n")
+        fh.write("".join(parts))
 
 
 def grows_unbounded(params: MathieuParams, periods: int = 50,

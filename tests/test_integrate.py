@@ -232,6 +232,34 @@ class TestStepNHC:
         assert abs(st.bath.osc_p - ref.bath.osc_p) < 1e-9
         assert abs(st.bath.p_eta1 - ref.bath.p_eta1) < 1e-9
 
+    def test_caller_arrays_kept_and_shared_chain_array(self):
+        # the thermostat updates arrays it owns: arrays the caller still holds
+        # keep their values, and a state whose eta1 and eta2 are one array
+        # integrates bit for bit like one with two separate arrays
+        nhc = nhc_from_ohmic(0.007, 3.0, 1.0)
+        x = np.random.default_rng(3).standard_normal((7, 6))
+
+        def make(shared):
+            eta2 = x[6].copy()
+            eta1 = eta2 if shared else x[6].copy()
+            return TrajectoryState(0.0, SystemPhase(*(v.copy() for v in x[:4])),
+                                   NHCBathPhase(x[4].copy(), x[5].copy(), eta1, eta2,
+                                                np.zeros(6), np.ones(6)))
+
+        shared, separate = make(True), make(False)
+        assert shared.bath.eta1 is shared.bath.eta2
+        held = [*vars(shared.system).values(), *vars(shared.bath).values()]
+        before = [v.copy() for v in held]
+        config = IntegratorConfig(n_steps=60, stride=20)
+        integrate(shared, SystemParams(), nhc, config)
+        integrate(separate, SystemParams(), nhc, config)
+        for value, old in zip(held, before):
+            assert np.array_equal(value, old)
+        for part in ("system", "bath"):
+            for field, value in vars(getattr(shared, part)).items():
+                assert np.array_equal(value, getattr(getattr(separate, part), field))
+        assert not np.array_equal(shared.bath.eta1, shared.bath.eta2)
+
     def test_canonical_sampling_of_oscillator_momentum(self):
         # driving off, ensemble + time average of P1^2 approaches T_ext
         sys = SystemParams(coupling_amp=0.0)

@@ -3,8 +3,9 @@ energy (for the NHC model, the extended energy) is conserved with frozen
 coupling, the relative mode never feels a bath, the oracle's 2x2 relative-mode
 loop is the relative mode of integrate(), the Ohmic and NHC steps inside
 integrate() evaluate the bath force once per step ("first same as last")
-without changing a bit of the trajectory, and the chunk sampler's Philox keys
-are numpy's SeedSequence keys."""
+without changing a bit of the trajectory, the in-place NHC thermostat gives
+the bits of the textbook substep, and the chunk sampler's Philox keys are
+numpy's SeedSequence keys."""
 
 import importlib
 
@@ -19,7 +20,7 @@ from sqzbath import (IntegratorConfig, NHCBathParams, NHCBathPhase, NormalModePh
                      build_ohmic_bath, from_normal_modes, fundamental_solution,
                      integrate, nhc_bath_forces, nhc_extended_energy, ohmic_energy,
                      ohmic_forces, step_hamiltonian, step_nhc, system_energy,
-                     system_force, to_normal_modes)
+                     system_force, to_normal_modes, yoshida_weights)
 from sqzbath.sampling import philox_keys
 
 N_MODES = 4
@@ -287,6 +288,110 @@ class TestOhmicFirstSameAsLast:
             integrate(state, SystemParams(), make_bath(1.0),
                       IntegratorConfig(n_steps=n_steps, stride=5))
             assert len(calls) == n_steps + 1, model
+
+
+def reference_substep(ph, bath, delta):
+    """The thermostat substep as first written: every term recomputed into
+    fresh arrays. The in-place thermostat must give its bits."""
+    kt = bath.temperature
+    g = bath.thermo_dof
+
+    ph.p_eta2 = ph.p_eta2 + 0.5 * delta * (ph.p_eta1 ** 2 / bath.mass_eta1 - kt)
+    scale1 = np.exp(-0.25 * delta * ph.p_eta2 / bath.mass_eta2)
+    g1 = ph.osc_p ** 2 / bath.osc_mass - g * kt
+    ph.p_eta1 = (ph.p_eta1 * scale1 + 0.5 * delta * g1) * scale1
+
+    ph.osc_p = ph.osc_p * np.exp(-delta * ph.p_eta1 / bath.mass_eta1)
+    ph.eta1 = ph.eta1 + delta * ph.p_eta1 / bath.mass_eta1
+    ph.eta2 = ph.eta2 + delta * ph.p_eta2 / bath.mass_eta2
+
+    g1 = ph.osc_p ** 2 / bath.osc_mass - g * kt
+    ph.p_eta1 = (ph.p_eta1 * scale1 + 0.5 * delta * g1) * scale1
+    ph.p_eta2 = ph.p_eta2 + 0.5 * delta * (ph.p_eta1 ** 2 / bath.mass_eta1 - kt)
+
+
+def reference_half_step(ph, bath, dt, n_yoshida, n_mts):
+    for _ in range(n_mts):
+        for w in yoshida_weights(n_yoshida):
+            reference_substep(ph, bath, w * (0.5 * dt) / n_mts)
+
+
+def reference_step_nhc(state, sys, bath, dt, n_yoshida, n_mts):
+    reference_half_step(state.bath, bath, dt, n_yoshida, n_mts)
+    step_hamiltonian(state, sys, bath, dt)
+    reference_half_step(state.bath, bath, dt, n_yoshida, n_mts)
+
+
+def _nhc_states(x, batch, inf_field):
+    """(state, reference state) from a flat vector. Batch 0 gives scalar
+    coordinates, whose reference holds them as one-row arrays: numpy squares
+    a Python or numpy scalar by pow(), which misses x*x in about 0.1% of
+    cases, while the thermostat squares a scalar state as it squares a row.
+    Otherwise rows are scaled copies and the last one starts at inf in
+    field ``inf_field``."""
+    rows = np.linspace(1.0, 0.5, max(batch, 1))[:, None] * x
+    if batch:
+        rows[-1, inf_field] = np.inf
+    fields = [rows[..., i] for i in range(10)]
+    scalar = [float(v[0]) for v in fields] if batch == 0 else None
+
+    def build(values):
+        return TrajectoryState(0.0, SystemPhase(*values[:4]), NHCBathPhase(*values[4:]))
+
+    ref = build([v.copy() for v in fields])
+    return (build(scalar) if scalar else build([v.copy() for v in fields])), ref
+
+
+def _assert_same_fields(state, ref):
+    assert state.t == ref.t
+    for name in ("system", "bath"):
+        for field, value in vars(getattr(state, name)).items():
+            expected = getattr(getattr(ref, name), field)
+            assert np.array_equal(np.ravel(value), np.ravel(expected),
+                                  equal_nan=True), (name, field)
+
+
+chain_masses = st.just(1.0) | st.floats(0.3, 3.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestThermostatReference:
+    """step_nhc and integrate() against the textbook substep, bit for bit,
+    at unit and non-unit masses, for every composition the config accepts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q1=chain_masses, q2=chain_masses, m1=chain_masses,
+           thermo_dof=st.integers(1, 3), n_yoshida=st.sampled_from([1, 3, 5]),
+           n_mts=st.integers(1, 4), dt=st.sampled_from([0.01, -0.02, 0.005]),
+           batch=st.integers(0, 4), inf_field=st.integers(0, 9),
+           n_steps=st.integers(1, 4), x=coords(10))
+    def test_step_nhc(self, q1, q2, m1, thermo_dof, n_yoshida, n_mts, dt, batch,
+                      inf_field, n_steps, x):
+        bath = NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.3, osc_mass=m1,
+                             mass_eta1=q1, mass_eta2=q2, thermo_dof=thermo_dof)
+        state, ref = _nhc_states(x, batch, inf_field)
+        for _ in range(n_steps):
+            step_nhc(state, SystemParams(), bath, dt, n_yoshida, n_mts)
+            reference_step_nhc(ref, SystemParams(), bath, dt, n_yoshida, n_mts)
+        _assert_same_fields(state, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q1=chain_masses, q2=chain_masses, m1=chain_masses,
+           thermo_dof=st.integers(1, 3), n_yoshida=st.sampled_from([1, 3, 5]),
+           n_mts=st.integers(1, 4), dt=st.sampled_from([0.01, 0.02, 0.005]),
+           batch=st.integers(0, 4), inf_field=st.integers(0, 9),
+           n_steps=st.integers(1, 30), x=coords(10))
+    def test_integrate(self, q1, q2, m1, thermo_dof, n_yoshida, n_mts, dt, batch,
+                       inf_field, n_steps, x):
+        bath = NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.3, osc_mass=m1,
+                             mass_eta1=q1, mass_eta2=q2, thermo_dof=thermo_dof)
+        state, ref = _nhc_states(x, batch, inf_field)
+        integrate(state, SystemParams(), bath,
+                  IntegratorConfig(dt=dt, n_steps=n_steps, n_yoshida=n_yoshida,
+                                   n_mts=n_mts, stride=7), strict=False)
+        for _ in range(n_steps):
+            reference_step_nhc(ref, SystemParams(), bath, dt, n_yoshida, n_mts)
+        _assert_same_fields(state, ref)
 
 
 class TestPhiloxKeys:

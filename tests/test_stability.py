@@ -3,8 +3,55 @@ import math
 import numpy as np
 import pytest
 
-from sqzbath import (MathieuParams, SystemParams, grows_unbounded, mathieu_params,
-                     monodromy, stability_map, write_stability_csv)
+from sqzbath import (MathieuParams, SystemParams, TrajectoryFailure, fundamental_solution,
+                     grows_unbounded, mathieu_params, monodromy, stability_map,
+                     write_stability_csv)
+from sqzbath.stability import kdk_fundamental
+from sqzbath.system import coupling_freq_sq
+
+# holds overflowed cells, both inf and nan traces, and one marginal cell
+OVERFLOW_WINDOW = dict(x_range=(0.0, 2e5), y_range=(0.0, 3.0), resolution=(41, 3),
+                       steps=256)
+
+
+def reference_kdk(ks, dt, out=None):
+    """The velocity-Verlet loop as first written, with half * k formed at
+    each of the four half-kicks; kdk_fundamental must match it bit for bit."""
+    half = 0.5 * dt
+    ay, by, av, bv = 1.0, 0.0, 0.0, 1.0
+    if out is not None:
+        out[:, 0] = ay, by, av, bv
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, k in enumerate(ks, 1):
+            av -= half * k * ay
+            bv -= half * k * by
+            ay += dt * av
+            by += dt * bv
+            av -= half * k * ay
+            bv -= half * k * by
+            if out is not None:
+                out[:, i] = ay, by, av, bv
+    return ay, by, av, bv
+
+
+def reference_mathieu(a, q, steps, t_final=np.pi):
+    dt = t_final / steps
+    half = 0.5 * dt
+    return reference_kdk((a - 2.0 * q * np.cos(2.0 * (i * dt + half))
+                          for i in range(steps)), dt)
+
+
+def reference_write_csv(smap, path, header_lines=()):
+    """The cell-by-cell writer the stability CSV must still match byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write("x,y,abs_trace,unstable,marginal\n")
+        for iy, y in enumerate(smap.ys):
+            for ix, x in enumerate(smap.xs):
+                fh.write(f"{float(x)!r},{float(y)!r},"
+                         f"{float(smap.abs_trace[iy, ix])!r},"
+                         f"{int(smap.unstable[iy, ix])},{int(smap.marginal[iy, ix])}\n")
 
 
 class TestMathieuParams:
@@ -137,3 +184,62 @@ class TestStabilityMap:
         # plain numbers, so numpy.genfromtxt and float() read every cell
         cells = [float(cell) for line in lines[2:] for cell in line.split(",")]
         assert len(cells) == 5 * 25
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_csv_bytes_match_reference_writer(self, tmp_path):
+        smap = stability_map(**OVERFLOW_WINDOW)
+        assert np.isinf(smap.abs_trace).any() and np.isnan(smap.abs_trace).any()
+        assert smap.marginal.any()
+        header = ["sqzbath stability map", "window x=0:2e5, y=0:3"]
+        write_stability_csv(smap, tmp_path / "new.csv", header)
+        reference_write_csv(smap, tmp_path / "ref.csv", header)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestReferenceLoop:
+    """Every user of kdk_fundamental gives the reference loop's bits,
+    including the nan and inf entries of overflowed cells."""
+
+    @pytest.mark.parametrize("window", [
+        OVERFLOW_WINDOW,
+        dict(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=(9, 7), steps=512),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_map_matches_reference(self, window):
+        smap = stability_map(**window)
+        gx, gy = np.meshgrid(smap.xs, smap.ys)
+        ay, by, av, bv = reference_mathieu((gx + gy).ravel(), (gy / 2.0).ravel(),
+                                           window["steps"])
+        shape = smap.abs_trace.shape
+        trace = np.abs(ay + bv).reshape(shape)
+        det = (ay * bv - av * by).reshape(shape)
+        assert np.array_equal(smap.abs_trace, trace, equal_nan=True)
+        assert np.array_equal(smap.determinant, det, equal_nan=True)
+
+    @pytest.mark.parametrize("a, q", [(37.037037, 15.432099), (1.0, 0.4), (7.3, 0.0)])
+    def test_monodromy_matches_reference(self, a, q):
+        m = monodromy(MathieuParams(a=a, q=q), steps=1024)
+        ay, by, av, bv = reference_mathieu(a, q, 1024)
+        assert np.array_equal(m, [[ay, by], [av, bv]])
+
+    def test_fundamental_solution_matches_reference(self, paper_system):
+        f = fundamental_solution(paper_system, dt=0.01, n_steps=3000)
+        k = paper_system.freq ** 2 + 2.0 * coupling_freq_sq(
+            (np.arange(3000) + 0.5) * 0.01, paper_system)
+        out = np.empty((4, 3001))
+        reference_kdk(k.tolist(), 0.01, out)
+        assert np.array_equal(np.array([f.pos_a, f.pos_b, f.vel_a, f.vel_b]), out)
+
+    def test_overflowed_columns_match_reference(self):
+        sys = SystemParams(coupling_amp=20.0, drive_freq=20.0)
+        k = (sys.freq ** 2 + 2.0 * coupling_freq_sq((np.arange(20000) + 0.5) * 0.01,
+                                                     sys)).tolist()
+        new, ref = np.empty((4, 20001)), np.empty((4, 20001))
+        kdk_fundamental(k, 0.01, new)
+        reference_kdk(k, 0.01, ref)
+        assert np.isinf(ref).any() and np.isnan(ref).any()
+        assert np.array_equal(new, ref, equal_nan=True)
+        first_bad = int(np.isfinite(ref).all(axis=0).argmin())
+        with pytest.raises(TrajectoryFailure) as err:
+            fundamental_solution(sys, dt=0.01, n_steps=20000)
+        assert err.value.step == first_bad
