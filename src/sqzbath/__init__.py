@@ -8,9 +8,9 @@ from .baths import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase
                     build_ohmic_bath, nhc_bath_forces, nhc_extended_energy,
                     nhc_from_ohmic, nhc_matched_to_ohmic, ohmic_energy,
                     ohmic_forces)
-from .driver import (BathComparison, EnsembleFailure, EnsembleResult, ModelKind,
-                     RunConfig, SweepResult, bath_equivalence,
-                     compare_variance_series, run_ensemble, temperature_sweep)
+from .driver import (BathComparison, EnsembleResult, ModelKind, RunConfig,
+                     SweepResult, bath_equivalence, compare_variance_series,
+                     run_ensemble, temperature_sweep)
 from .integrate import (IntegratorConfig, TrajectoryFailure, TrajectoryState,
                         integrate, step_hamiltonian, step_nhc, yoshida_weights)
 from .observables import (SqueezeReport, VarianceAccumulator, VarianceSeries,

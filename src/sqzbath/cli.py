@@ -5,8 +5,9 @@ output file embeds the resolved configuration (hash + seed) so a run is
 reproducible from its own outputs; the manifest isolates wall-clock data
 under a single "timing" key so everything else is byte-deterministic.
 
-Exit codes: 0 success, 2 configuration error, 3 trajectory-failure abort,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 trajectory-failure abort (a
+Monte Carlo trajectory goes non-finite, or an oracle's relative mode
+overflows), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, build_run_config, config_hash, read_config_file
-from .driver import (EnsembleFailure, ModelKind, SEED_STREAM_RULE, bath_equivalence,
-                     run_ensemble, temperature_sweep)
+from .driver import (ModelKind, SEED_STREAM_RULE, bath_equivalence, run_ensemble,
+                     temperature_sweep)
 from .integrate import TrajectoryFailure
 from .observables import write_variance_csv
 from .oracle import (fundamental_solution, isolated_variance_series,
@@ -51,6 +52,8 @@ def _parse_grid(spec: str):
         raise ConfigError(f"bad grid spec {spec!r}; use start:stop[:step]") from None
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"bad grid spec {spec!r}: values must be finite")
+    if values[0] <= 0:
+        raise ConfigError(f"bad grid spec {spec!r}: temperatures must be positive")
     if len(values) == 2:
         lo, hi = values
         if lo == hi:
@@ -155,8 +158,7 @@ def cmd_sweep(args) -> int:
     run_cfg, out, resolved = _load(args)
     temps = _parse_grid(args.grid)
     started = time.perf_counter()
-    _ensure_dir(out.directory)
-    outputs = []
+    sweep = None
     if args.oracle_only:
         fundamental = fundamental_solution(run_cfg.system, dt=run_cfg.integrator.dt,
                                            n_steps=run_cfg.integrator.n_steps)
@@ -165,19 +167,16 @@ def cmd_sweep(args) -> int:
             _, var_q, _ = mode2_variance_exact(run_cfg.system, temp, run_cfg.sampling,
                                                fundamental=fundamental)
             rows.append({"temperature": temp, "oracle_min_variance": float(var_q.min())})
-        payload = {"rows": rows, "oracle_only": True,
-                   "config_hash": config_hash(resolved), "seed": run_cfg.seed}
-        path = os.path.join(out.directory, f"{out.prefix}_sweep.json")
-        _write_json(payload, path)
-        outputs.append(os.path.basename(path))
+        payload = {"rows": rows}
     else:
         sweep = temperature_sweep(run_cfg, temps)
         payload = sweep.to_dict()
-        payload.update({"oracle_only": False, "config_hash": config_hash(resolved),
-                        "seed": run_cfg.seed})
-        path = os.path.join(out.directory, f"{out.prefix}_sweep.json")
-        _write_json(payload, path)
-        outputs.append(os.path.basename(path))
+    payload.update({"oracle_only": args.oracle_only, "config_hash": config_hash(resolved),
+                    "seed": run_cfg.seed})
+    _ensure_dir(out.directory)
+    outputs = [f"{out.prefix}_sweep.json"]
+    _write_json(payload, os.path.join(out.directory, outputs[0]))
+    if sweep is not None:
         header = _csv_header(resolved, run_cfg.seed)
         for row in sweep.rows:
             name = f"{out.prefix}_T{row.temperature:.4f}_variance.csv"
@@ -408,7 +407,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
-    except (EnsembleFailure, TrajectoryFailure) as exc:
+    except TrajectoryFailure as exc:
         return _fail(str(exc), EXIT_TRAJECTORY)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)

@@ -10,6 +10,10 @@ its snapshot buffers. Every step, the sampling and the normal-mode map act
 on each row alone, so the batch width and the worker count never change an
 output bit. The Ohmic bath pull ``pos @ c`` is a matrix product, and its
 step slows as rows grow, so the Ohmic model integrates one chunk at a time.
+
+The driver owns the failure policy: the first observation, or final state,
+of a batch that holds a non-finite coordinate aborts the run with
+:class:`~sqzbath.integrate.TrajectoryFailure`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import numpy as np
 
 from .baths import (NHCBathParams, OhmicBathParams, nhc_extended_energy,
                     ohmic_energy)
-from .integrate import BathParams, IntegratorConfig, TrajectoryState, integrate
+from .integrate import (BathParams, IntegratorConfig, TrajectoryFailure,
+                        TrajectoryState, integrate)
 from .oracle import (FundamentalSolution, fundamental_solution,
                      mode2_variance_exact, threshold_temperature)
 from .observables import (SqueezeReport, VarianceAccumulator, VarianceSeries,
@@ -49,18 +54,6 @@ class ModelKind(enum.Enum):
             raise ValueError(f"unknown model {name!r}; expected one of "
                              f"{[m.value for m in cls]}") from None
 
-
-class EnsembleFailure(RuntimeError):
-    """More than the tolerated fraction of trajectories went non-finite."""
-
-    def __init__(self, n_failed: int, n_total: int):
-        super().__init__(f"{n_failed} of {n_total} trajectories produced "
-                         f"non-finite coordinates (tolerance 0.1%)")
-        self.n_failed = n_failed
-        self.n_total = n_total
-
-
-FAILURE_TOLERANCE = 1e-3
 
 _BATH_MODELS = {type(None): ModelKind.ISOLATED, OhmicBathParams: ModelKind.OHMIC,
                 NHCBathParams: ModelKind.NHC}
@@ -111,7 +104,7 @@ class EnsembleResult:
     series: VarianceSeries
     report: SqueezeReport
     n_traj: int
-    n_failed: int
+    n_failed: int   # always 0: a non-finite trajectory aborts the run
     energy: Optional[EnergySeries] = None
 
 
@@ -144,38 +137,42 @@ def _chunk_energy(config: RunConfig, state: TrajectoryState):
 
 def _run_chunk(config: RunConfig, lo: int, hi: int):
     """Sample and integrate trajectories [lo, hi) as one batch of whole
-    chunks; returns each chunk's (accumulator, energy_sums, n_failed), in
-    chunk order."""
+    chunks; returns each chunk's (accumulator, energy_sums), in chunk order.
+
+    Raises :class:`TrajectoryFailure` at the first observation, or at the
+    final state, that holds a non-finite coordinate.
+    """
     state = _sample_chunk(config, lo, hi)
     times = config.integrator.obs_times
     stride = config.integrator.stride
     n = hi - lo
     snaps = np.empty((len(times), n, 4))
-    energies = np.empty((len(times), n)) if config.track_energy else None
+    # rows first, so that a chunk's energy sum runs over rows in order
+    energies = np.empty((n, len(times))) if config.track_energy else None
 
     def observer(step, st):
         i = step // stride
         modes = to_normal_modes(st.system)
-        snaps[i, :, 0] = modes.qt1
-        snaps[i, :, 1] = modes.qt2
-        snaps[i, :, 2] = modes.pt1
-        snaps[i, :, 3] = modes.pt2
+        snap = snaps[i]
+        snap[:, 0] = modes.qt1
+        snap[:, 1] = modes.qt2
+        snap[:, 2] = modes.pt1
+        snap[:, 3] = modes.pt2
+        if not np.isfinite(snap).all():
+            raise TrajectoryFailure(step)
         if energies is not None:
-            energies[i] = _chunk_energy(config, st)
+            energies[:, i] = _chunk_energy(config, st)
 
-    integrate(state, config.system, config.bath, config.integrator, observer,
-              strict=False)
+    integrate(state, config.system, config.bath, config.integrator, observer)
+    if not np.all(state.is_finite()):
+        raise TrajectoryFailure(config.integrator.n_steps)
 
-    finite = np.isfinite(snaps).all(axis=(0, 2)) & state.is_finite()
     partials = []
     for a, b in _chunk_ranges(n, config.chunk_size):
-        ok = finite[a:b]
         acc = VarianceAccumulator(times)
-        acc.add_block(snaps[:, a:b][:, ok].swapaxes(0, 1))
-        energy_sums = None
-        if energies is not None:
-            energy_sums = energies[:, a:b][:, ok].sum(axis=1)
-        partials.append((acc, energy_sums, int(b - a - ok.sum())))
+        acc.add_block(snaps[:, a:b].swapaxes(0, 1))
+        energy_sums = energies[a:b].sum(axis=0) if energies is not None else None
+        partials.append((acc, energy_sums))
     return partials
 
 
@@ -209,8 +206,9 @@ def _batch_ranges(config: RunConfig):
 def run_ensemble(config: RunConfig) -> EnsembleResult:
     """Sample, integrate and reduce a full trajectory ensemble.
 
-    Aborts with :class:`EnsembleFailure` when more than 0.1% of trajectories
-    go non-finite, which signals a stepping problem rather than noise.
+    The models are linear, so a trajectory that goes non-finite signals a
+    stepping problem, not noise: the run aborts with
+    :class:`TrajectoryFailure`, and ``n_failed`` of a result is always 0.
     """
     times = config.integrator.obs_times
     batches = _batch_ranges(config)
@@ -223,22 +221,17 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
 
     acc = VarianceAccumulator(times)
     energy_sum = np.zeros(len(times)) if config.track_energy else None
-    n_failed = 0
-    for part_acc, part_energy, part_failed in (p for ps in per_batch for p in ps):
+    for part_acc, part_energy in (p for ps in per_batch for p in ps):
         acc.merge(part_acc)
-        n_failed += part_failed
-        if energy_sum is not None and part_energy is not None:
+        if energy_sum is not None:
             energy_sum += part_energy
-
-    if n_failed > FAILURE_TOLERANCE * config.n_traj:
-        raise EnsembleFailure(n_failed, config.n_traj)
 
     series = acc.series()
     energy = None
     if energy_sum is not None:
-        energy = EnergySeries(times=times, mean=energy_sum / (config.n_traj - n_failed))
+        energy = EnergySeries(times=times, mean=energy_sum / config.n_traj)
     return EnsembleResult(series=series, report=squeeze_report(series),
-                          n_traj=config.n_traj, n_failed=n_failed, energy=energy)
+                          n_traj=config.n_traj, n_failed=0, energy=energy)
 
 
 def temperature_seed(master_seed: int, index: int) -> int:

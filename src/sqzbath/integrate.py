@@ -82,11 +82,18 @@ class TrajectoryState:
 
 
 class TrajectoryFailure(RuntimeError):
-    """Raised when a trajectory produces non-finite coordinates."""
+    """Raised when a trajectory produces non-finite coordinates.
+
+    ``args`` is ``(step,)``, so the exception pickles, and crosses a process
+    pool, with its message intact.
+    """
 
     def __init__(self, step: int):
-        super().__init__(f"non-finite phase-space coordinates at step {step}")
+        super().__init__(step)
         self.step = step
+
+    def __str__(self) -> str:
+        return f"non-finite phase-space coordinates at step {self.step}"
 
 
 def yoshida_weights(n_yoshida: int) -> np.ndarray:
@@ -296,14 +303,14 @@ Observer = Callable[[int, TrajectoryState], None]
 
 
 def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
-              config: IntegratorConfig, observer: Optional[Observer] = None,
-              strict: bool = True) -> TrajectoryState:
+              config: IntegratorConfig,
+              observer: Optional[Observer] = None) -> TrajectoryState:
     """Propagate n_steps steps, calling the observer at step 0 and every stride.
 
-    With ``strict`` a non-finite state at an observation point raises
-    :class:`TrajectoryFailure`; batched ensemble runs disable it and handle
-    per-trajectory masking themselves. Observers must not modify the state,
-    and must copy what they keep: the NHC chain fields are updated in place.
+    Non-finite coordinates propagate; checking them is the caller's policy,
+    and an exception the observer raises stops the integration. Observers
+    must not modify the state, and must copy what they keep: the NHC chain
+    fields are updated in place.
     """
     if observer is not None:
         observer(0, state)
@@ -316,9 +323,6 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
                      kick, thermostat)
         else:
             step_hamiltonian(state, sys, bath, config.dt, kick)
-        if i % config.stride == 0 or i == config.n_steps:
-            if strict and not np.all(state.is_finite()):
-                raise TrajectoryFailure(i)
-            if observer is not None and i % config.stride == 0:
-                observer(i, state)
+        if observer is not None and i % config.stride == 0:
+            observer(i, state)
     return state

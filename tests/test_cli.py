@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -39,6 +40,25 @@ OVERFLOW_INI = """
 [system]
 coupling_amp = 20.0
 drive_freq = 20.0
+
+[output]
+dir = {out}
+"""
+
+# an isolated run whose step is far too large: by the last step one of 1000
+# trajectories overflows to inf, and the other rows' variances overflow too
+BLOWUP_INI = """
+[bath]
+model = isolated
+
+[integrator]
+dt = 0.6
+n_steps = 2905
+stride = 5
+
+[ensemble]
+n_traj = 1000
+seed = 1
 
 [output]
 dir = {out}
@@ -182,6 +202,36 @@ class TestRunCommand:
         assert not os.path.exists(out)
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_trajectory_exits_trajectory_no_files(self, tmp_path, capsys):
+        cfg, out = write_ini(tmp_path, BLOWUP_INI)
+        assert main(["run", "--config", cfg]) == EXIT_TRAJECTORY
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "sqzbath: error: non-finite phase-space coordinates at step 2905\n"
+
+    # SHA-256 of the run outputs of SMALL_INI with each model, written to a
+    # relative directory so that the digests do not depend on tmp_path. A
+    # change to any output byte, or to the numerics under it, changes them.
+    GOLDEN = {
+        "isolated": ("c24529bbad54fa332be46ff48f87fbfcca44d143e6b24b9d21dc56bb7652d550",
+                     "17344feffe608d2442f25b91c07acfd9d0f9af9be1379df20a260a9ebb5aacc6"),
+        "ohmic": ("9f00711b2e3417f9fcf65a4e811ba285e840400cf1e1819e68ec6085809c02a4",
+                  "fdf73d30fd69ebc34a9890da9cc1f6ed2bab422a48beee919d965658440d77ce"),
+        "nhc": ("24989b9fb990199ed83080c678b2b863f9d4e3855a06ef21a9d8718591ba5878",
+                "d2921279401ccd1459c666cb7c300091b60c9b422cf978325af24f6297eb2f26"),
+    }
+
+    @pytest.mark.parametrize("model", sorted(GOLDEN))
+    def test_golden_outputs(self, tmp_path, monkeypatch, model):
+        monkeypatch.chdir(tmp_path)
+        Path("small.ini").write_text(
+            SMALL_INI.replace("model = ohmic", f"model = {model}").format(out="results"))
+        assert main(["run", "--config", "small.ini"]) == EXIT_OK
+        digests = tuple(hashlib.sha256(Path("results", name).read_bytes()).hexdigest()
+                        for name in ("demo_variance.csv", "demo_squeeze.json"))
+        assert digests == self.GOLDEN[model]
+
     def test_header_carries_config_hash(self, small_config):
         cfg, out = small_config
         main(["run", "--config", cfg])
@@ -234,13 +284,23 @@ class TestSweepCommand:
         assert not os.path.exists(out)
         assert "values must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("oracle_only", [["--oracle-only"], []],
+                             ids=["oracle-only", "full"])
+    @pytest.mark.parametrize("grid", ["0:0.2:0.1", "-0.1:0.1:0.1", "0:0"])
+    def test_non_positive_grid(self, small_config, capsys, grid, oracle_only):
+        cfg, out = small_config
+        assert main(["sweep", "--config", cfg, f"--grid={grid}"]
+                    + oracle_only) == EXIT_CONFIG
+        assert not os.path.exists(out)
+        assert "temperatures must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [["sweep", "--oracle-only", "--grid", "1:1"],
                                       ["sweep", "--grid", "1:1"], ["oracle"]],
                              ids=["sweep-oracle-only", "sweep", "oracle"])
     def test_trajectory_failure_exits_trajectory(self, tmp_path, capsys, args):
         cfg, out = write_ini(tmp_path, OVERFLOW_INI)
         assert main(args + ["--config", cfg]) == EXIT_TRAJECTORY
-        assert list(out.glob("*")) == []
+        assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("sqzbath: error: non-finite") and "Traceback" not in err
 

@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from sqzbath import (EnsembleFailure, IntegratorConfig, ModelKind, RunConfig,
-                     SystemParams, bath_equivalence, build_ohmic_bath,
+from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SystemParams,
+                     TrajectoryFailure, bath_equivalence, build_ohmic_bath,
                      init_nhc_bath, nhc_from_ohmic, run_ensemble, sample_ohmic_bath,
                      sample_system, temperature_sweep, trajectory_rng)
 from sqzbath import driver
@@ -201,13 +201,55 @@ class TestZeroCouplingEquivalence:
 
 
 class TestFailurePolicy:
+    """Any non-finite trajectory aborts the run with TrajectoryFailure."""
+
+    unstable = IntegratorConfig(dt=2.0, n_steps=600, stride=100)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_step_aborts(self):
-        # a deliberately oversized time step blows the trajectories up
-        cfg = isolated_config(integrator=IntegratorConfig(dt=2.0, n_steps=600,
-                                                          stride=100))
-        with pytest.raises(EnsembleFailure):
+        # a deliberately oversized time step blows the trajectories up; the
+        # run stops at the first non-finite observation, not at the end
+        with pytest.raises(TrajectoryFailure) as err:
+            run_ensemble(isolated_config(integrator=self.unstable))
+        assert err.value.step % self.unstable.stride == 0
+        assert err.value.step < self.unstable.n_steps
+
+    @staticmethod
+    def start_one_row_at_inf(monkeypatch, field):
+        """Sample as usual, then set row 3 of ``field(state)`` to inf."""
+        def sample(config, lo, hi):
+            state = _sample_chunk(config, lo, hi)
+            field(state)[3] = np.inf
+            return state
+
+        monkeypatch.setattr(driver, "_sample_chunk", sample)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_raises_with_step_index(self, monkeypatch):
+        # one infinite row among finite ones: the observation at step 0 fails
+        self.start_one_row_at_inf(monkeypatch, lambda state: state.system.q1)
+        with pytest.raises(TrajectoryFailure) as err:
+            run_ensemble(isolated_config())
+        assert err.value.step == 0
+
+    def test_non_finite_final_state_aborts(self, monkeypatch):
+        # the chain position eta1 never feeds back into the system, so only the
+        # final-state check sees it
+        self.start_one_row_at_inf(monkeypatch, lambda state: state.bath.eta1)
+        icfg = IntegratorConfig(n_steps=95, stride=20)
+        with pytest.raises(TrajectoryFailure) as err:
+            run_ensemble(isolated_config(bath=nhc_from_ohmic(0.007, 3.0, 1.0),
+                                         integrator=icfg))
+        assert err.value.step == icfg.n_steps
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_abort_crosses_the_pool(self):
+        cfg = isolated_config(integrator=self.unstable, workers=2, chunk_size=16)
+        assert len(_batch_ranges(cfg)) > 1
+        with pytest.raises(TrajectoryFailure) as err:
             run_ensemble(cfg)
+        assert str(err.value) == f"non-finite phase-space coordinates at step {err.value.step}"
+        assert err.value.step < self.unstable.n_steps
 
 
 class TestEnergyTracking:

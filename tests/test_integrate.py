@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -312,10 +313,9 @@ class TestIntegrate:
 
         assert run() == run()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failure_raises_with_step_index(self):
-        st = TrajectoryState(0.0, SystemPhase(np.inf, 0.0, 0.0, 0.0))
-        with pytest.raises(TrajectoryFailure) as err:
-            integrate(st, free_oscillator(), None,
-                      IntegratorConfig(n_steps=50, stride=10))
-        assert err.value.step == 10
+
+def test_trajectory_failure_pickles():
+    # a failure raised in a pool worker reaches the caller through pickle
+    err = pickle.loads(pickle.dumps(TrajectoryFailure(100)))
+    assert err.step == 100
+    assert str(err) == "non-finite phase-space coordinates at step 100"

@@ -388,7 +388,7 @@ class TestThermostatReference:
         state, ref = _nhc_states(x, batch, inf_field)
         integrate(state, SystemParams(), bath,
                   IntegratorConfig(dt=dt, n_steps=n_steps, n_yoshida=n_yoshida,
-                                   n_mts=n_mts, stride=7), strict=False)
+                                   n_mts=n_mts, stride=7))
         for _ in range(n_steps):
             reference_step_nhc(ref, SystemParams(), bath, dt, n_yoshida, n_mts)
         _assert_same_fields(state, ref)
