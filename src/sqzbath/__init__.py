@@ -18,7 +18,7 @@ from .observables import (SqueezeReport, VarianceAccumulator, VarianceSeries,
 from .oracle import (FundamentalSolution, ThresholdResult, fundamental_solution,
                      isolated_variance_series, mode2_variance_exact,
                      ohmic_mode1_variances, threshold_temperature)
-from .sampling import (SamplingMode, ThermalWidths, TrajectoryStreams, init_nhc_bath,
+from .sampling import (SamplingMode, ThermalWidths, init_nhc_bath,
                        sample_ohmic_bath, sample_system, thermal_widths,
                        trajectory_rng, width_temperature)
 from .stability import (MathieuParams, StabilityMap, grows_unbounded,

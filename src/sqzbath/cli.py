@@ -6,8 +6,8 @@ reproducible from its own outputs; the manifest isolates wall-clock data
 under a single "timing" key so everything else is byte-deterministic.
 
 Exit codes: 0 success, 2 configuration error, 3 trajectory-failure abort (a
-Monte Carlo trajectory goes non-finite, or an oracle's relative mode
-overflows), 4 I/O error.
+Monte Carlo trajectory or its ensemble's moments go non-finite, or an
+oracle's relative mode overflows), 4 I/O error.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ step slows as rows grow, so the Ohmic model integrates one chunk at a time.
 
 The driver owns the failure policy: the first observation, or final state,
 of a batch that holds a non-finite coordinate aborts the run with
-:class:`~sqzbath.integrate.TrajectoryFailure`.
+:class:`~sqzbath.integrate.TrajectoryFailure`, and so does the first
+observation whose merged mean, m2 or energy sum is non-finite.
 """
 
 from __future__ import annotations
@@ -111,17 +112,22 @@ class EnsembleResult:
 def _sample_chunk(config: RunConfig, lo: int, hi: int) -> TrajectoryState:
     """Draw initial conditions for trajectory indices [lo, hi) as one batch.
 
-    Row k is trajectory lo + k: the system draw, then the bath's draw from
-    the same stream. Each sampler is called once, on the chunk's streams.
+    Row k is trajectory lo + k. One ``trajectory_rng`` call draws each row's
+    standard normals, the system's (4,) then the bath's, and each sampler
+    scales its share.
     """
     # looked up per call, so that wrappers installed on these names are used
-    sample_bath = {OhmicBathParams: sample_ohmic_bath,
-                   NHCBathParams: init_nhc_bath}.get(type(config.bath))
-    streams = trajectory_rng(config.seed, range(lo, hi))
-    system = sample_system(streams, config.system, config.temperature, config.sampling)
+    params = config.bath
+    sample_bath, bath_shapes = None, ()
+    if isinstance(params, OhmicBathParams):
+        sample_bath, bath_shapes = sample_ohmic_bath, ((params.n_modes,), (params.n_modes,))
+    elif isinstance(params, NHCBathParams):
+        sample_bath, bath_shapes = init_nhc_bath, ((2,),)
+    z, *bath_z = trajectory_rng(config.seed, range(lo, hi), (4,), *bath_shapes)
+    system = sample_system(z, config.system, config.temperature, config.sampling)
     bath = None
     if sample_bath is not None:
-        bath = sample_bath(streams, config.bath, config.temperature, config.sampling)
+        bath = sample_bath(*bath_z, params, config.temperature, config.sampling)
     return TrajectoryState(t=0.0, system=system, bath=bath)
 
 
@@ -209,6 +215,8 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     The models are linear, so a trajectory that goes non-finite signals a
     stepping problem, not noise: the run aborts with
     :class:`TrajectoryFailure`, and ``n_failed`` of a result is always 0.
+    Finite coordinates whose merged moments overflow abort it too, at the
+    step of the first such observation.
     """
     times = config.integrator.obs_times
     batches = _batch_ranges(config)
@@ -225,6 +233,14 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
         acc.merge(part_acc)
         if energy_sum is not None:
             energy_sum += part_energy
+
+    # finite coordinates can still overflow their squares or sums
+    bad = ~(np.isfinite(acc.mean) & np.isfinite(acc.m2)).all(axis=1)
+    if energy_sum is not None:
+        bad |= ~np.isfinite(energy_sum)
+    if bad.any():
+        raise TrajectoryFailure(int(bad.argmax()) * config.integrator.stride,
+                                "ensemble moments")
 
     series = acc.series()
     energy = None

@@ -82,18 +82,20 @@ class TrajectoryState:
 
 
 class TrajectoryFailure(RuntimeError):
-    """Raised when a trajectory produces non-finite coordinates.
+    """Raised when a trajectory produces non-finite coordinates, or when an
+    ensemble's moments of finite coordinates overflow.
 
-    ``args`` is ``(step,)``, so the exception pickles, and crosses a process
-    pool, with its message intact.
+    ``args`` is ``(step, what)``, so the exception pickles, and crosses a
+    process pool, with its message intact.
     """
 
-    def __init__(self, step: int):
-        super().__init__(step)
+    def __init__(self, step: int, what: str = "phase-space coordinates"):
+        super().__init__(step, what)
         self.step = step
+        self.what = what
 
     def __str__(self) -> str:
-        return f"non-finite phase-space coordinates at step {self.step}"
+        return f"non-finite {self.what} at step {self.step}"
 
 
 def yoshida_weights(n_yoshida: int) -> np.ndarray:

@@ -7,15 +7,18 @@ factorizes, and is mapped back to the oscillator coordinates.
 
 Reproducibility contract: trajectory ``i`` of a run with master seed ``s``
 draws from ``numpy.random.Generator(Philox(SeedSequence((s, i))))`` using
-``standard_normal``; the draw order is fixed (system first, then bath) and
-documented on each sampler. Streams are independent of worker scheduling.
+``standard_normal``, in a fixed order: four normals for the system's
+(qt1, qt2, pt1, pt2), then the bath's (R_1..R_N, P_1..P_N) for the Ohmic
+bath or (R1, P1) for the NHC oscillator. Streams are independent of worker
+scheduling.
 
-A chunk of trajectories samples as one batch through :class:`TrajectoryStreams`
-and reproduces those generators bit for bit. Its Philox keys come from
-:func:`philox_keys`, a vectorized uint32 copy of numpy's ``SeedSequence``
-mixing. That copy covers entropy that fits the pool of four 32-bit words; it
-falls back to numpy's own ``SeedSequence`` when an index is >= 2**32 or the
-seed is >= 2**96. One Philox generator is then re-keyed for each row.
+Sampling is two passes. :func:`trajectory_rng` draws a chunk's standard
+normals, one row per trajectory, bit for bit as those generators would;
+the samplers only scale them by the thermal widths. The Philox keys come
+from :func:`philox_keys`, a vectorized uint32 copy of numpy's
+``SeedSequence`` mixing. That copy covers entropy that fits the pool of four
+32-bit words; it falls back to numpy's own ``SeedSequence`` when an index is
+>= 2**32 or the seed is >= 2**96.
 """
 
 from __future__ import annotations
@@ -166,104 +169,66 @@ def philox_keys(seed: int, indices) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-class TrajectoryStreams:
-    """The random streams of trajectories ``indices`` of one run, as rows.
+def trajectory_rng(seed: int, indices, *shapes) -> list:
+    """Standard normals of trajectories ``indices``: one array of shape
+    ``(len(indices),) + shape`` per entry of ``shapes``.
 
-    Row r draws exactly what ``trajectory_rng(seed, indices[r])`` draws, and
-    each call continues every row's stream where the previous call left it.
-    One Philox generator serves all rows: it is re-keyed for each row, and a
-    row that has drawn before replays those draws to reach its position.
+    Row r holds the first draws of trajectory ``indices[r]``'s stream,
+    ``Generator(Philox(SeedSequence((seed, indices[r]))))``, filling the
+    arrays in argument order. One Philox generator serves all rows: it is
+    re-keyed for each row.
     """
-
-    def __init__(self, seed: int, indices):
-        self.keys = philox_keys(seed, indices)
-        self._bitgen = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bitgen)
-        self._fresh = self._bitgen.state     # a just-keyed Philox; key set per row
-        self._drawn = 0
-
-    def standard_normal(self, *shapes) -> list:
-        """One array of shape ``(rows,) + shape`` per entry of ``shapes``;
-        row r of each is filled in turn from row r's stream."""
-        outs = [np.empty((len(self.keys),) + tuple(shape)) for shape in shapes]
-        replay = np.empty(self._drawn)
-        for row, key in enumerate(self.keys):
-            self._fresh["state"]["key"] = key
-            self._bitgen.state = self._fresh
-            if replay.size:
-                self._gen.standard_normal(out=replay)
-            for out in outs:
-                self._gen.standard_normal(out=out[row])
-        self._drawn += sum(math.prod(shape) for shape in shapes)
-        return outs
-
-
-def trajectory_rng(seed: int, index):
-    """Counter-based random stream of trajectory ``index`` (Philox); for a
-    ``range`` of indices, their :class:`TrajectoryStreams`."""
-    if isinstance(index, range):
-        return TrajectoryStreams(seed, index)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-
-
-def _standard_normals(rng, *shapes) -> list:
-    """Standard normals of each per-trajectory shape, drawn in order from a
-    trajectory's generator or, with a row axis in front, from a chunk's
-    :class:`TrajectoryStreams`."""
-    if isinstance(rng, TrajectoryStreams):
-        return rng.standard_normal(*shapes)
-    outs = [np.empty(shape) for shape in shapes]
-    for out in outs:
-        rng.standard_normal(out=out)
+    keys = philox_keys(seed, indices)
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state        # a just-keyed Philox; the key is set per row
+    outs = [np.empty((len(keys),) + tuple(shape)) for shape in shapes]
+    for row, key in enumerate(keys):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        for out in outs:
+            gen.standard_normal(out=out[row])
     return outs
 
 
-def sample_system(rng, sys: SystemParams, temperature: float,
+def sample_system(z, sys: SystemParams, temperature: float,
                   mode: SamplingMode) -> SystemPhase:
-    """Draw (q1, q2, p1, p2) from the thermal state of the undriven system.
+    """Thermal (q1, q2, p1, p2) of the undriven system from standard normals.
 
-    ``rng`` is one trajectory's generator (scalar coordinates) or a chunk's
-    :class:`TrajectoryStreams` (one row per trajectory); the widths are
-    computed once per call. Draw order: four standard normals scaling
-    (qt1, qt2, pt1, pt2); mode frequencies are evaluated at t=0, where the
-    drive vanishes.
+    ``z`` has shape (rows, 4): its columns scale (qt1, qt2, pt1, pt2). The
+    mode frequencies are evaluated at t=0, where the drive vanishes.
     """
     w1, w2 = normal_mode_freqs(0.0, sys)
     wid1 = thermal_widths(sys.mass, w1, temperature, mode)
     wid2 = thermal_widths(sys.mass, w2, temperature, mode)
-    z, = _standard_normals(rng, (4,))
     modes = NormalModePhase(qt1=z[..., 0] * wid1.sigma_q, qt2=z[..., 1] * wid2.sigma_q,
                             pt1=z[..., 2] * wid1.sigma_p, pt2=z[..., 3] * wid2.sigma_p)
     return from_normal_modes(modes)
 
 
-def sample_ohmic_bath(rng, bath: OhmicBathParams, temperature: float,
+def sample_ohmic_bath(pos, mom, bath: OhmicBathParams, temperature: float,
                       mode: SamplingMode) -> OhmicBathPhase:
-    """Draw all bath oscillators independently from their thermal widths.
+    """Thermal bath oscillators from standard normals, each drawn
+    independently at its own width.
 
-    ``rng`` as for :func:`sample_system`; the draws are scaled in place.
-    Draw order: 2N standard normals scaling (R_1..R_N, P_1..P_N).
+    ``pos`` and ``mom`` have shape (rows, N) and scale (R_1..R_N) and
+    (P_1..P_N); they are scaled in place and become the phase's arrays.
     """
     wid = thermal_widths(bath.mass, bath.freqs, temperature, mode)
-    pos, mom = _standard_normals(rng, (bath.n_modes,), (bath.n_modes,))
     pos *= wid.sigma_q
     mom *= wid.sigma_p
     return OhmicBathPhase(pos=pos, mom=mom)
 
 
-def init_nhc_bath(rng, bath: NHCBathParams, temperature: float,
+def init_nhc_bath(z, bath: NHCBathParams, temperature: float,
                   mode: SamplingMode) -> NHCBathPhase:
-    """Thermal draw for the bath oscillator; chain variables start at
-    (eta1, eta2, p_eta1, p_eta2) = (0, 0, 0, 1).
+    """Thermal bath oscillator from standard normals; the chain variables
+    start at (eta1, eta2, p_eta1, p_eta2) = (0, 0, 0, 1).
 
-    ``rng`` as for :func:`sample_system`. Draw order: two standard normals
-    scaling (R1, P1).
+    ``z`` has shape (rows, 2): its columns scale (R1, P1).
     """
     wid = thermal_widths(bath.osc_mass, bath.osc_freq, temperature, mode)
-    z, = _standard_normals(rng, (2,))
-    # [()] leaves a row array as it is and turns the one-trajectory 0-d case
-    # into a scalar
-    eta1, eta2, p_eta1, p_eta2 = (np.full(z.shape[:-1], value)[()]
+    eta1, eta2, p_eta1, p_eta2 = (np.full(z.shape[:-1], value)
                                   for value in (0.0, 0.0, 0.0, 1.0))
     return NHCBathPhase(osc_q=z[..., 0] * wid.sigma_q, osc_p=z[..., 1] * wid.sigma_p,
                         eta1=eta1, eta2=eta2, p_eta1=p_eta1, p_eta2=p_eta2)

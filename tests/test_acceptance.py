@@ -116,12 +116,9 @@ class TestCriterion2SamplerMoments:
     def test_quantum_widths(self):
         sys = SystemParams()
         n = 10000
-        qt2 = np.empty(n)
-        pt2 = np.empty(n)
-        for i in range(n):
-            modes = to_normal_modes(sample_system(trajectory_rng(2025, i), sys, 1.0,
-                                                  SamplingMode.QUANTUM))
-            qt2[i], pt2[i] = modes.qt2, modes.pt2
+        z, = trajectory_rng(2025, range(n), (4,))
+        modes = to_normal_modes(sample_system(z, sys, 1.0, SamplingMode.QUANTUM))
+        qt2, pt2 = modes.qt2, modes.pt2
         wid = thermal_widths(1.0, sys.freq, 1.0, SamplingMode.QUANTUM)
         ok = True
         details = []

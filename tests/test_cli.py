@@ -210,6 +210,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "sqzbath: error: non-finite phase-space coordinates at step 2905\n"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_moments_exit_trajectory_no_files(self, tmp_path, capsys):
+        # 105 steps fewer, every trajectory stays finite, but from step 1450
+        # on the ensemble's squared deviations overflow
+        cfg, out = write_ini(tmp_path, BLOWUP_INI.replace("n_steps = 2905",
+                                                          "n_steps = 2800"))
+        assert main(["run", "--config", cfg]) == EXIT_TRAJECTORY
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "sqzbath: error: non-finite ensemble moments at step 1450\n"
+
     # SHA-256 of the run outputs of SMALL_INI with each model, written to a
     # relative directory so that the digests do not depend on tmp_path. A
     # change to any output byte, or to the numerics under it, changes them.
@@ -270,6 +281,25 @@ class TestSweepCommand:
         only = json.loads(Path(only_dir, "demo_sweep.json").read_text())
         assert ([r["oracle_min_variance"] for r in full["rows"]]
                 == [r["oracle_min_variance"] for r in only["rows"]])
+
+    # SHA-256 of the sweep outputs of SMALL_INI on two workers, two chunks
+    # per temperature, written to a relative directory. A change to any
+    # output byte, or to the numerics under it, changes them.
+    GOLDEN = {"demo_sweep.json":
+              "5ed04ff4556151eee1e2ab751fde4282cc3b05ee402556963627294c737ab4e4",
+              "demo_T0.9500_variance.csv":
+              "51ad9975642bf7a686ff97bad8891bb27089337fdb1e2e80002771ac34bbfa50",
+              "demo_T1.0500_variance.csv":
+              "53daf250b19a7c28c7d158f4abe4990339ffeeebc70445cd8aeffc24bc4c1bb5"}
+
+    def test_golden_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("small.ini").write_text(SMALL_INI.replace(
+            "workers = 1", "workers = 2\nchunk_size = 12").format(out="results"))
+        assert main(["sweep", "--config", "small.ini", "--grid", "0.95:1.05:0.1"]) == EXIT_OK
+        digests = {name: hashlib.sha256(Path("results", name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN}
+        assert digests == self.GOLDEN
 
     def test_bad_grid(self, small_config, capsys):
         cfg, _ = small_config

@@ -8,9 +8,11 @@ import pytest
 from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SystemParams,
                      TrajectoryFailure, bath_equivalence, build_ohmic_bath,
                      init_nhc_bath, nhc_from_ohmic, run_ensemble, sample_ohmic_bath,
-                     sample_system, temperature_sweep, trajectory_rng)
+                     sample_system, temperature_sweep)
 from sqzbath import driver
 from sqzbath.driver import _batch_ranges, _sample_chunk, temperature_seed
+
+from conftest import contract_normals
 
 
 def isolated_config(**kwargs):
@@ -98,32 +100,30 @@ class TestDeterminism:
         assert np.array_equal(small.system.q1, large.system.q1[:16])
         assert np.array_equal(small.system.p2, large.system.p2[:16])
 
-    @pytest.mark.parametrize("bath, sample_bath", [
-        (None, None),
-        (build_ohmic_bath(5, 0.007, 3.0), sample_ohmic_bath),
-        (nhc_from_ohmic(0.007, 3.0, 1.0), init_nhc_bath),
+    @pytest.mark.parametrize("bath, sample_bath, bath_shapes", [
+        (None, None, ()),
+        (build_ohmic_bath(5, 0.007, 3.0), sample_ohmic_bath, ((5,), (5,))),
+        (nhc_from_ohmic(0.007, 3.0, 1.0), init_nhc_bath, ((2,),)),
     ], ids=["isolated", "ohmic", "nhc"])
-    def test_chunk_rows_are_per_trajectory_draws(self, bath, sample_bath):
+    def test_chunk_rows_are_per_trajectory_draws(self, bath, sample_bath, bath_shapes):
         # row k is trajectory lo + k: its system draw, then its bath draw
-        # (for NHC including the chain state) from the same stream. Seeds: a
-        # plain one; a 64-bit one, as temperature_seed gives every sweep
-        # point; one past the vectorized keys (>= 2**96); and indices across
-        # 2**32.
+        # (for NHC including the chain state), scaled from the normals of the
+        # contract generator. Seeds: a plain one; a 64-bit one, as
+        # temperature_seed gives every sweep point; one past the vectorized
+        # keys (>= 2**96); and indices across 2**32.
         for seed, lo in [(11, 3), (temperature_seed(11, 0), 3), (2**96 + 5, 3),
                          (11, 2**32 - 3)]:
             cfg = isolated_config(bath=bath, seed=seed)
             state = _sample_chunk(cfg, lo, lo + 6)
-            for row, idx in enumerate(range(lo, lo + 6)):
-                rng = trajectory_rng(cfg.seed, idx)
-                expected = [(state.system, sample_system(rng, cfg.system,
-                                                         cfg.temperature, cfg.sampling))]
-                if sample_bath is not None:
-                    expected.append((state.bath, sample_bath(rng, bath, cfg.temperature,
-                                                             cfg.sampling)))
-                for batch, draw in expected:
-                    for name, value in vars(draw).items():
-                        assert np.array_equal(getattr(batch, name)[row], value), \
-                            (seed, idx, name)
+            z, *bath_z = contract_normals(seed, range(lo, lo + 6), (4,), *bath_shapes)
+            expected = [(state.system, sample_system(z, cfg.system, cfg.temperature,
+                                                     cfg.sampling))]
+            if sample_bath is not None:
+                expected.append((state.bath, sample_bath(*bath_z, bath, cfg.temperature,
+                                                         cfg.sampling)))
+            for batch, draw in expected:
+                for name, value in vars(draw).items():
+                    assert np.array_equal(getattr(batch, name), value), (seed, name)
             assert (state.bath is None) == (bath is None)
 
     def test_temperature_seed_derivation_is_stable(self):
@@ -241,6 +241,23 @@ class TestFailurePolicy:
             run_ensemble(isolated_config(bath=nhc_from_ohmic(0.007, 3.0, 1.0),
                                          integrator=icfg))
         assert err.value.step == icfg.n_steps
+
+    def test_non_finite_energy_sum_aborts(self, monkeypatch):
+        # finite coordinates whose energies overflow from the third
+        # observation on: the merged energy sum names that step
+        cfg = isolated_config(track_energy=True)
+        limit = 1.5 * cfg.integrator.stride * cfg.integrator.dt
+        chunk_energy = driver._chunk_energy
+
+        def energy(config, state):
+            e = chunk_energy(config, state)
+            return e * np.inf if state.t > limit else e
+
+        monkeypatch.setattr(driver, "_chunk_energy", energy)
+        with pytest.raises(TrajectoryFailure) as err:
+            run_ensemble(cfg)
+        assert err.value.step == 2 * cfg.integrator.stride
+        assert str(err.value) == f"non-finite ensemble moments at step {err.value.step}"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_crosses_the_pool(self):

@@ -83,11 +83,8 @@ class TestStepHamiltonian:
         # drive frozen at full amplitude: conservative Hamiltonian
         sys = SystemParams(frozen_coupling=True)
         n = 256
-        phases = [sample_system(trajectory_rng(17, i), sys, 1.0, SamplingMode.QUANTUM)
-                  for i in range(n)]
-        st = TrajectoryState(0.0, SystemPhase(
-            np.array([p.q1 for p in phases]), np.array([p.q2 for p in phases]),
-            np.array([p.p1 for p in phases]), np.array([p.p2 for p in phases])))
+        z, = trajectory_rng(17, range(n), (4,))
+        st = TrajectoryState(0.0, sample_system(z, sys, 1.0, SamplingMode.QUANTUM))
         e0 = system_energy(0.0, st.system, sys).mean()
         worst = 0.0
         for i in range(25000):
@@ -158,9 +155,9 @@ class TestModeTwoBathIndependence:
     def test_ohmic_bath_leaves_relative_mode_untouched(self):
         sys = SystemParams()
         bath = build_ohmic_bath(8, 0.3, 3.0)
-        rng = trajectory_rng(21, 0)
-        ph = sample_system(rng, sys, 1.0, SamplingMode.QUANTUM)
-        bph = sample_ohmic_bath(rng, bath, 1.0, SamplingMode.QUANTUM)
+        z, pos, mom = trajectory_rng(21, range(1), (4,), (8,), (8,))
+        ph = sample_system(z, sys, 1.0, SamplingMode.QUANTUM)
+        bph = sample_ohmic_bath(pos, mom, bath, 1.0, SamplingMode.QUANTUM)
         st_bath = TrajectoryState(0.0, ph.copy(), bph)
         st_free = TrajectoryState(0.0, ph.copy())
         worst = 0.0
@@ -177,9 +174,9 @@ class TestModeTwoBathIndependence:
 class TestStepNHC:
     def make_state(self, nhc, seed=31, sys=None, temperature=1.0):
         sys = sys or SystemParams()
-        rng = trajectory_rng(seed, 0)
-        ph = sample_system(rng, sys, temperature, SamplingMode.QUANTUM)
-        bph = init_nhc_bath(rng, nhc, temperature, SamplingMode.QUANTUM)
+        z, osc = trajectory_rng(seed, range(1), (4,), (2,))
+        ph = sample_system(z, sys, temperature, SamplingMode.QUANTUM)
+        bph = init_nhc_bath(osc, nhc, temperature, SamplingMode.QUANTUM)
         return TrajectoryState(0.0, ph, bph)
 
     def test_decoupled_equilibrium_stays_near_fixed_point(self):
@@ -266,17 +263,9 @@ class TestStepNHC:
         sys = SystemParams(coupling_amp=0.0)
         nhc = nhc_from_ohmic(0.007, 3.0, 1.0)
         n, steps = 128, 30000
-        # build one batched state from per-trajectory streams
-        q = np.empty((4, n))
-        osc = np.empty((2, n))
-        for i in range(n):
-            rng = trajectory_rng(406, i)
-            ph = sample_system(rng, sys, 1.0, SamplingMode.QUANTUM)
-            q[:, i] = ph.q1, ph.q2, ph.p1, ph.p2
-            b = init_nhc_bath(rng, nhc, 1.0, SamplingMode.QUANTUM)
-            osc[:, i] = b.osc_q, b.osc_p
-        st = TrajectoryState(0.0, SystemPhase(*q), NHCBathPhase(
-            osc[0], osc[1], np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n)))
+        z, osc = trajectory_rng(406, range(n), (4,), (2,))
+        st = TrajectoryState(0.0, sample_system(z, sys, 1.0, SamplingMode.QUANTUM),
+                             init_nhc_bath(osc, nhc, 1.0, SamplingMode.QUANTUM))
         acc, cnt = 0.0, 0
         for i in range(steps):
             step_nhc(st, sys, nhc, 0.01, n_yoshida=3, n_mts=1)
@@ -319,3 +308,5 @@ def test_trajectory_failure_pickles():
     err = pickle.loads(pickle.dumps(TrajectoryFailure(100)))
     assert err.step == 100
     assert str(err) == "non-finite phase-space coordinates at step 100"
+    err = pickle.loads(pickle.dumps(TrajectoryFailure(5, "ensemble moments")))
+    assert str(err) == "non-finite ensemble moments at step 5"

@@ -4,8 +4,8 @@ coupling, the relative mode never feels a bath, the oracle's 2x2 relative-mode
 loop is the relative mode of integrate(), the Ohmic and NHC steps inside
 integrate() evaluate the bath force once per step ("first same as last")
 without changing a bit of the trajectory, the in-place NHC thermostat gives
-the bits of the textbook substep, and the chunk sampler's Philox keys are
-numpy's SeedSequence keys."""
+the bits of the textbook substep, the chunk sampler's Philox keys are numpy's
+SeedSequence keys, and its rows are the per-trajectory generators' draws."""
 
 import importlib
 
@@ -21,7 +21,9 @@ from sqzbath import (IntegratorConfig, NHCBathParams, NHCBathPhase, NormalModePh
                      integrate, nhc_bath_forces, nhc_extended_energy, ohmic_energy,
                      ohmic_forces, step_hamiltonian, step_nhc, system_energy,
                      system_force, to_normal_modes, yoshida_weights)
-from sqzbath.sampling import philox_keys
+from sqzbath.sampling import philox_keys, trajectory_rng
+
+from conftest import contract_normals
 
 N_MODES = 4
 
@@ -427,3 +429,24 @@ class TestPhiloxKeys:
             philox_keys(-1, range(4))
         with pytest.raises(ValueError, match="indices"):
             philox_keys(3, [2, -1])
+
+
+class TestTrajectoryRng:
+    """Each row of a chunk's normals is its trajectory's contract generator,
+    drawn in argument order, whether the keys are mixed in numpy or come from
+    the SeedSequence fallback."""
+
+    starts = (st.integers(0, 2**20) | st.integers(2**32 - 8, 2**32 - 1)
+              | st.integers(2**32, 2**40))
+    shapes = st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
+                      | st.integers(1, 200).map(lambda n: (n,)), min_size=1, max_size=3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=TestPhiloxKeys.seeds, lo=starts, n=st.integers(1, 10), shapes=shapes)
+    def test_rows_are_contract_draws(self, seed, lo, n, shapes):
+        rows = trajectory_rng(seed, range(lo, lo + n), *shapes)
+        expected = contract_normals(seed, range(lo, lo + n), *shapes)
+        assert len(rows) == len(expected)
+        for got, want in zip(rows, expected):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)

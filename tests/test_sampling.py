@@ -65,12 +65,9 @@ class TestThermalWidths:
 
 
 def draw_system_modes(sys, n, temperature=1.0, mode=SamplingMode.QUANTUM, seed=77):
-    cols = np.empty((n, 4))
-    for i in range(n):
-        ph = sample_system(trajectory_rng(seed, i), sys, temperature, mode)
-        m = to_normal_modes(ph)
-        cols[i] = m.qt1, m.qt2, m.pt1, m.pt2
-    return cols
+    z, = trajectory_rng(seed, range(n), (4,))
+    m = to_normal_modes(sample_system(z, sys, temperature, mode))
+    return np.column_stack((m.qt1, m.qt2, m.pt1, m.pt2))
 
 
 class TestSampleSystem:
@@ -104,75 +101,78 @@ class TestSampleSystem:
         assert np.all(np.abs(off_diag) < 3.0 / math.sqrt(self.N))
 
 
+def draw_ohmic_bath(bath, n, temperature, mode, seed):
+    pos, mom = trajectory_rng(seed, range(n), (bath.n_modes,), (bath.n_modes,))
+    return sample_ohmic_bath(pos, mom, bath, temperature, mode)
+
+
+def draw_nhc_bath(bath, n, temperature, mode, seed):
+    z, = trajectory_rng(seed, range(n), (2,))
+    return init_nhc_bath(z, bath, temperature, mode)
+
+
 class TestSampleBath:
     def test_position_width_at_cutoff(self):
         bath = build_ohmic_bath(4, 0.007, 3.0)
         target = 1.0 / (2 * 3.0 * math.tanh(1.5))
         assert target == pytest.approx(0.1841318, rel=1e-6)
         n = 10000
-        draws = np.array([sample_ohmic_bath(trajectory_rng(5, i), bath, 1.0,
-                                            SamplingMode.QUANTUM).pos[-1]
-                          for i in range(n)])
+        draws = draw_ohmic_bath(bath, n, 1.0, SamplingMode.QUANTUM, seed=5).pos[:, -1]
         assert abs(draws.var() - target) < 3 * variance_se(target, n)
 
     def test_classical_momentum_width_frequency_independent(self):
         bath = build_ohmic_bath(16, 0.007, 3.0)
         n = 4000
-        mom = np.array([sample_ohmic_bath(trajectory_rng(6, i), bath, 1.0,
-                                          SamplingMode.CLASSICAL).mom
-                        for i in range(n)])
+        mom = draw_ohmic_bath(bath, n, 1.0, SamplingMode.CLASSICAL, seed=6).mom
         for j in (0, 7, 15):
             assert abs(mom[:, j].var() - 1.0) < 3 * variance_se(1.0, n)
 
     def test_minimum_uncertainty_at_zero_temperature(self):
         bath = build_ohmic_bath(4, 0.007, 3.0)
-        n = 20000
-        pos = np.empty((n, 4))
-        mom = np.empty((n, 4))
-        for i in range(n):
-            ph = sample_ohmic_bath(trajectory_rng(7, i), bath, 1e-7,
-                                   SamplingMode.QUANTUM)
-            pos[i], mom[i] = ph.pos, ph.mom
-        product = pos.var(axis=0) * mom.var(axis=0)
+        ph = draw_ohmic_bath(bath, 20000, 1e-7, SamplingMode.QUANTUM, seed=7)
+        product = ph.pos.var(axis=0) * ph.mom.var(axis=0)
         assert np.all(np.abs(product - 0.25) < 0.02)
+
+    def test_scales_the_normals_in_place(self):
+        bath = build_ohmic_bath(4, 0.007, 3.0)
+        pos, mom = np.ones((3, 4)), np.ones((3, 4))
+        ph = sample_ohmic_bath(pos, mom, bath, 1.0, SamplingMode.QUANTUM)
+        wid = thermal_widths(bath.mass, bath.freqs, 1.0, SamplingMode.QUANTUM)
+        assert ph.pos is pos and ph.mom is mom
+        assert np.array_equal(pos, np.broadcast_to(wid.sigma_q, (3, 4)))
+        assert np.array_equal(mom, np.broadcast_to(wid.sigma_p, (3, 4)))
 
 
 class TestInitNHC:
     def test_deterministic_chain_start(self):
         nhc = nhc_from_ohmic(0.007, 3.0, 1.0)
-        ph = init_nhc_bath(trajectory_rng(1, 0), nhc, 1.0, SamplingMode.QUANTUM)
-        assert (ph.eta1, ph.eta2, ph.p_eta1, ph.p_eta2) == (0.0, 0.0, 0.0, 1.0)
+        ph = draw_nhc_bath(nhc, 3, 1.0, SamplingMode.QUANTUM, seed=1)
+        for name, value in (("eta1", 0.0), ("eta2", 0.0), ("p_eta1", 0.0),
+                            ("p_eta2", 1.0)):
+            field = getattr(ph, name)
+            assert field.shape == (3,) and np.all(field == value), name
 
     def test_oscillator_momentum_variance(self):
         nhc = nhc_from_ohmic(0.007, 3.0, 1.0)
         target = 3.0 / (2 * math.tanh(1.5))
         assert target == pytest.approx(1.657186, rel=1e-6)
         n = 10000
-        draws = np.array([init_nhc_bath(trajectory_rng(8, i), nhc, 1.0,
-                                        SamplingMode.QUANTUM).osc_p
-                          for i in range(n)])
+        draws = draw_nhc_bath(nhc, n, 1.0, SamplingMode.QUANTUM, seed=8).osc_p
         assert abs(draws.var() - target) < 3 * variance_se(target, n)
 
     def test_classical_momentum_variance(self):
         nhc = nhc_from_ohmic(0.007, 3.0, 1.0)
         n = 10000
-        draws = np.array([init_nhc_bath(trajectory_rng(9, i), nhc, 1.0,
-                                        SamplingMode.CLASSICAL).osc_p
-                          for i in range(n)])
+        draws = draw_nhc_bath(nhc, n, 1.0, SamplingMode.CLASSICAL, seed=9).osc_p
         assert abs(draws.var() - 1.0) < 3 * variance_se(1.0, n)
 
 
 class TestReproducibility:
-    def test_identical_seeds_identical_draws(self, paper_system):
-        a = sample_system(trajectory_rng(123, 4), paper_system, 1.0,
-                          SamplingMode.QUANTUM)
-        b = sample_system(trajectory_rng(123, 4), paper_system, 1.0,
-                          SamplingMode.QUANTUM)
-        assert (a.q1, a.q2, a.p1, a.p2) == (b.q1, b.q2, b.p1, b.p2)
+    def test_identical_seeds_identical_draws(self):
+        a, = trajectory_rng(123, [4, 9], (4,))
+        b, = trajectory_rng(123, [4, 9], (4,))
+        assert np.array_equal(a, b)
 
-    def test_streams_differ_across_indices(self, paper_system):
-        a = sample_system(trajectory_rng(123, 0), paper_system, 1.0,
-                          SamplingMode.QUANTUM)
-        b = sample_system(trajectory_rng(123, 1), paper_system, 1.0,
-                          SamplingMode.QUANTUM)
-        assert a.q1 != b.q1
+    def test_streams_differ_across_indices(self):
+        z, = trajectory_rng(123, range(2), (4,))
+        assert not np.any(z[0] == z[1])
