@@ -141,6 +141,9 @@ def _chunk_energy(config: RunConfig, state: TrajectoryState):
     return system_energy(state.t, state.system, config.system)
 
 
+# an overflow is caught by the finiteness checks, which abort the run with one
+# error line; numpy's warnings on the way there would only precede it
+@np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(config: RunConfig, lo: int, hi: int):
     """Sample and integrate trajectories [lo, hi) as one batch of whole
     chunks; returns each chunk's (accumulator, energy_sums), in chunk order.
@@ -229,10 +232,11 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
 
     acc = VarianceAccumulator(times)
     energy_sum = np.zeros(len(times)) if config.track_energy else None
-    for part_acc, part_energy in (p for ps in per_batch for p in ps):
-        acc.merge(part_acc)
-        if energy_sum is not None:
-            energy_sum += part_energy
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        for part_acc, part_energy in (p for ps in per_batch for p in ps):
+            acc.merge(part_acc)
+            if energy_sum is not None:
+                energy_sum += part_energy
 
     # finite coordinates can still overflow their squares or sums
     bad = ~(np.isfinite(acc.mean) & np.isfinite(acc.m2)).all(axis=1)

@@ -2,9 +2,10 @@
 
 Everything here works in the dimensionless variables (hbar = omega_c = 1);
 conversion to SI units is a presentation-layer concern handled by
-:func:`to_physical_units`. All functions accept either scalars or numpy
-arrays for the phase-space coordinates, so the same code path serves a
-single trajectory and a batched ensemble.
+:func:`to_physical_units`, which takes hbar and k_B at their exact 2019 SI
+values. All functions accept either scalars or numpy arrays for the
+phase-space coordinates, so the same code path serves a single trajectory
+and a batched ensemble.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar as _HBAR_SI
-from scipy.constants import k as _KB_SI
+
+# the 2019 SI defining constants: exact by definition, so no CODATA release
+# can move them (they equal scipy.constants.hbar and .k bit for bit)
+_HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)   # J s
+_KB_SI = 1.380649e-23                         # J/K
 
 
 @dataclass(frozen=True)

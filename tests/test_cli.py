@@ -65,6 +65,14 @@ dir = {out}
 """
 
 
+def cli_env():
+    """The environment of a ``python -m sqzbath.cli`` child: this checkout's
+    ``src`` first on its path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+
+
 def write_ini(tmp_path, text):
     out = tmp_path / "results"
     path = tmp_path / "case.ini"
@@ -202,7 +210,7 @@ class TestRunCommand:
         assert not os.path.exists(out)
         assert "seed must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_trajectory_exits_trajectory_no_files(self, tmp_path, capsys):
         cfg, out = write_ini(tmp_path, BLOWUP_INI)
         assert main(["run", "--config", cfg]) == EXIT_TRAJECTORY
@@ -210,7 +218,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "sqzbath: error: non-finite phase-space coordinates at step 2905\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_moments_exit_trajectory_no_files(self, tmp_path, capsys):
         # 105 steps fewer, every trajectory stays finite, but from step 1450
         # on the ensemble's squared deviations overflow
@@ -220,6 +228,21 @@ class TestRunCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err == "sqzbath: error: non-finite ensemble moments at step 1450\n"
+
+    @pytest.mark.parametrize("n_steps, message", [
+        (2905, "non-finite phase-space coordinates at step 2905"),
+        (2800, "non-finite ensemble moments at step 1450"),
+    ], ids=["coordinates", "moments"])
+    def test_aborted_run_prints_one_line(self, tmp_path, n_steps, message):
+        # numpy's warnings reach a child's stderr, where capsys cannot see
+        # them: an aborted run prints its error line and nothing else
+        cfg, out = write_ini(tmp_path, BLOWUP_INI.replace("n_steps = 2905",
+                                                          f"n_steps = {n_steps}"))
+        proc = subprocess.run([sys.executable, "-m", "sqzbath.cli", "run", "--config", cfg],
+                              env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_TRAJECTORY
+        assert not out.exists()
+        assert proc.stderr == f"sqzbath: error: {message}\n"
 
     # SHA-256 of the run outputs of SMALL_INI with each model, written to a
     # relative directory so that the digests do not depend on tmp_path. A
@@ -477,15 +500,50 @@ class TestOracleCommand:
         # one BLAS thread count in both: eigh and matrix products may round
         # differently under another thread count
         cfg, out = small_config
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).resolve().parents[1] / "src"),
-             os.environ.get("PYTHONPATH", "")]))
         payloads = []
         for _ in range(2):
             subprocess.run([sys.executable, "-m", "sqzbath.cli", "oracle", "--config", cfg],
-                           env=env, check=True, capture_output=True, timeout=120)
+                           env=cli_env(), check=True, capture_output=True, timeout=120)
             payloads.append(Path(out, "demo_oracle_variance.csv").read_bytes())
         assert payloads[0] == payloads[1]
+
+    # SHA-256 of the oracle outputs of SMALL_INI with each model, written to
+    # a relative directory: (threshold JSON, oracle CSV, console line). They
+    # guard the kelvin values byte for byte. The Ohmic CSV is left out: its
+    # last bits follow the BLAS thread count.
+    GOLDEN = {
+        "isolated": ("30e6dbe80f193d1dc69625efdf1f221de527abea07e4cc1c91b02d5a34e24092",
+                     "3552233c5066fae041b968f7e9d876467ab62cffaf6627493424eca4b7af93a8",
+                     "28f5dddc61f280f824da8b9574d5c4734f587af15a15d030ed2f3aaac127fcf1"),
+        "ohmic": ("a229ddbd9cfa1126742174698b2c0c4c7052ed6084281e5ee0b20b921bd0e6a8",
+                  None,
+                  "28f5dddc61f280f824da8b9574d5c4734f587af15a15d030ed2f3aaac127fcf1"),
+        "nhc": ("1055119cbd34e4cb730a8e6a7c36edf1ffdaae32fe1dae6317057e5fe7b8a860",
+                "c7eda527217f80f28e3ea1822109ed5ba86f0363c4a13f9eff634a79983ebdee",
+                "f3121d65fdc417b6ac7ae0e0f5bcf01da770a23d0d56fecc9d276ff089736221"),
+    }
+
+    @pytest.mark.parametrize("model", sorted(GOLDEN))
+    def test_golden_outputs(self, tmp_path, monkeypatch, capsys, model):
+        monkeypatch.chdir(tmp_path)
+        Path("small.ini").write_text(
+            SMALL_INI.replace("model = ohmic", f"model = {model}").format(out="results"))
+        assert main(["oracle", "--config", "small.ini"]) == EXIT_OK
+        json_digest, csv_digest, line_digest = self.GOLDEN[model]
+        sha = lambda data: hashlib.sha256(data).hexdigest()
+        assert sha(Path("results", "demo_threshold.json").read_bytes()) == json_digest
+        if csv_digest is not None:
+            assert sha(Path("results", "demo_oracle_variance.csv").read_bytes()) == csv_digest
+        assert sha(capsys.readouterr().out.encode()) == line_digest
+
+
+class TestDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        probe = ("import sys, sqzbath.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert proc.stdout == "[]\n"
 
 
 class TestObservationGrid:

@@ -6,6 +6,7 @@ import pytest
 from sqzbath import (SystemParams, SystemPhase, coupling_freq_sq,
                      from_normal_modes, normal_mode_freqs, system_energy,
                      system_force, to_normal_modes, to_physical_units)
+from sqzbath.system import _HBAR_SI, _KB_SI
 
 
 class TestParams:
@@ -143,6 +144,14 @@ class TestUnits:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown unit kind"):
             to_physical_units(1.0, "mass", 1e13)
+
+    def test_si_constants_are_exact(self):
+        # the 2019 SI defining values; equal to scipy's bit for bit, so every
+        # kelvin value matches one computed with scipy.constants
+        from scipy import constants
+        assert _HBAR_SI == 6.62607015e-34 / (2.0 * math.pi)
+        assert _KB_SI == 1.380649e-23
+        assert (_HBAR_SI, _KB_SI) == (constants.hbar, constants.k)
 
     def test_carrier_must_be_positive(self):
         with pytest.raises(ValueError):
