@@ -8,13 +8,18 @@ partials merge in chunk order. Runs of consecutive chunks are sampled and
 integrated together as one batch, whose width is set by a memory budget on
 its snapshot buffers. Every step, the sampling and the normal-mode map act
 on each row alone, so the batch width and the worker count never change an
-output bit. The Ohmic bath pull ``pos @ c`` is a matrix product, and its
-step slows as rows grow, so the Ohmic model integrates one chunk at a time.
+output bit. An Ohmic batch is one chunk, integrated in consecutive row
+blocks whose four (rows, N) bath arrays fit a 1 MiB budget, so that each
+step's elementwise passes run from one core's L2 cache. The bath pull
+``pos @ c`` is a BLAS product, which gives a row the same bits in a block as
+in the whole batch only on aligned blocks, so blocks start at multiples of
+32 rows.
 
 The driver owns the failure policy: the first observation, or final state,
 of a batch that holds a non-finite coordinate aborts the run with
-:class:`~sqzbath.integrate.TrajectoryFailure`, and so does the first
-observation whose merged mean, m2 or energy sum is non-finite.
+:class:`~sqzbath.integrate.TrajectoryFailure` (the earliest over a batch's
+blocks), and so does the first observation whose merged mean, m2 or energy
+sum is non-finite.
 """
 
 from __future__ import annotations
@@ -148,16 +153,51 @@ def _run_chunk(config: RunConfig, lo: int, hi: int):
     """Sample and integrate trajectories [lo, hi) as one batch of whole
     chunks; returns each chunk's (accumulator, energy_sums), in chunk order.
 
-    Raises :class:`TrajectoryFailure` at the first observation, or at the
-    final state, that holds a non-finite coordinate.
+    The batch is integrated in consecutive row blocks (see
+    :func:`_block_rows`), each a view of the sampled arrays. Raises
+    :class:`TrajectoryFailure` at the first observation, or at the final
+    state, that holds a non-finite coordinate: once a block fails, the
+    blocks after it only run up to that step, and the earliest failure
+    over all blocks is raised.
     """
     state = _sample_chunk(config, lo, hi)
     times = config.integrator.obs_times
-    stride = config.integrator.stride
     n = hi - lo
     snaps = np.empty((len(times), n, 4))
     # rows first, so that a chunk's energy sum runs over rows in order
     energies = np.empty((n, len(times))) if config.track_energy else None
+
+    failure = None
+    for a, b in _chunk_ranges(n, _block_rows(config, n)):
+        integrator = config.integrator
+        if failure is not None:
+            integrator = dataclasses.replace(integrator, n_steps=failure.step)
+        block = TrajectoryState(t=state.t, system=_rows(state.system, a, b),
+                                bath=_rows(state.bath, a, b))
+        try:
+            _integrate_block(config, integrator, block, snaps[:, a:b],
+                             energies[a:b] if energies is not None else None)
+        except TrajectoryFailure as err:    # at or before the step of `failure`
+            failure = err
+    if failure is not None:
+        raise failure
+
+    partials = []
+    for a, b in _chunk_ranges(n, config.chunk_size):
+        acc = VarianceAccumulator(times)
+        acc.add_block(snaps[:, a:b].swapaxes(0, 1))
+        energy_sums = energies[a:b].sum(axis=0) if energies is not None else None
+        partials.append((acc, energy_sums))
+    return partials
+
+
+def _integrate_block(config: RunConfig, integrator: IntegratorConfig,
+                     state: TrajectoryState, snaps: np.ndarray,
+                     energies: Optional[np.ndarray]) -> None:
+    """Integrate one block of rows, writing its normal modes into ``snaps``
+    (observations x rows x 4) and its energies into ``energies`` (rows x
+    observations)."""
+    stride = integrator.stride
 
     def observer(step, st):
         i = step // stride
@@ -172,17 +212,43 @@ def _run_chunk(config: RunConfig, lo: int, hi: int):
         if energies is not None:
             energies[:, i] = _chunk_energy(config, st)
 
-    integrate(state, config.system, config.bath, config.integrator, observer)
+    integrate(state, config.system, config.bath, integrator, observer)
     if not np.all(state.is_finite()):
-        raise TrajectoryFailure(config.integrator.n_steps)
+        raise TrajectoryFailure(integrator.n_steps)
 
-    partials = []
-    for a, b in _chunk_ranges(n, config.chunk_size):
-        acc = VarianceAccumulator(times)
-        acc.add_block(snaps[:, a:b].swapaxes(0, 1))
-        energy_sums = energies[a:b].sum(axis=0) if energies is not None else None
-        partials.append((acc, energy_sums))
-    return partials
+
+def _rows(phase, a: int, b: int):
+    """Rows [a, b) of a batched phase (or None), as views."""
+    if phase is None:
+        return None
+    return dataclasses.replace(phase, **{k: v[a:b] for k, v in vars(phase).items()})
+
+
+# Cap on one Ohmic block's four (rows, N) float64 bath arrays (positions,
+# momenta, force and scratch), so that a block's step stays in one core's L2
+# cache instead of streaming each elementwise pass from L3.
+_BLOCK_BYTES = 2**20
+# Ohmic blocks start at multiples of this many rows. The BLAS product
+# pos @ c gives a row the bits it has in the whole batch only when the blocks
+# are aligned: OpenBLAS 0.3.31 reproduces a 500-row product with blocks of
+# any multiple of 4 rows, and not with blocks of 1, 2, 3, 5, 50, 125 or 250
+# rows. 32 rather than 4 leaves a margin for BLAS builds whose kernels take
+# more rows at a time.
+_BLOCK_ALIGN = 32
+
+
+def _block_rows(config: RunConfig, n: int) -> int:
+    """Rows per integration block of an n-row batch.
+
+    The Ohmic model takes the largest multiple of ``_BLOCK_ALIGN`` rows
+    whose bath arrays fit ``_BLOCK_BYTES`` (160 rows at N = 200), and at
+    least ``_BLOCK_ALIGN``. The other models' per-row arrays are small, and
+    they integrate the whole batch at once, which makes fewer numpy calls.
+    """
+    if config.model is not ModelKind.OHMIC:
+        return n
+    rows = _BLOCK_BYTES // (4 * 8 * config.bath.n_modes)
+    return max(_BLOCK_ALIGN, rows - rows % _BLOCK_ALIGN)
 
 
 def _chunk_ranges(n_traj: int, chunk_size: int):
@@ -201,7 +267,8 @@ def _batch_ranges(config: RunConfig):
 
     A batch holds as many chunks as the snapshot budget allows, but no more
     than an even share of the chunks per worker. The Ohmic model keeps one
-    chunk per batch: its step is bound by memory and slows as rows grow.
+    chunk per batch: its sampled (rows, N) bath arrays lie outside that
+    budget. :func:`_run_chunk` integrates them in cache-sized row blocks.
     """
     n_chunks = -(-config.n_traj // config.chunk_size)
     chunks_per_batch = 1

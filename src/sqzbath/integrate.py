@@ -14,10 +14,17 @@ thermostat copies these into arrays it owns, once per :func:`integrate`
 call, and updates them in place; its divisions by unit masses are skipped,
 which is exact, so the bits are those of the textbook substep.
 
+The stepper owns the system phase as the thermostat owns the chain: it
+copies (q1, q2) and (p1, p2) into stacked (2, rows) arrays once per
+:func:`integrate` call, binds the state's fields to their rows and updates
+them in place. Each half-kick's system force goes into a preallocated
+buffer (``system_force(..., out=)``), and the drift divides by the mass only
+when it is not 1; the arithmetic is that of the textbook step, bit for bit.
+
 All steppers mutate the state in place and operate transparently on scalar
-or batched (leading-axis) phase coordinates. They rebind the state's fields
-and never write into arrays the caller passed in, except the Ohmic bath
-arrays, which the Ohmic step updates in place.
+or batched (leading-axis) phase coordinates. They never write into arrays
+the caller passed in, except the Ohmic bath arrays, which the Ohmic step
+updates in place.
 """
 
 from __future__ import annotations
@@ -112,11 +119,28 @@ def yoshida_weights(n_yoshida: int) -> np.ndarray:
 
 
 class _Kick:
-    """The half-kick h*F. Its bath part, computed after one step's drift,
-    also serves the next step's first half-kick within one :func:`integrate`
-    call, whose observers must not modify the state."""
+    """The half-kick h*F, and the system phase it moves.
+
+    It copies (q1, q2) and (p1, p2) into (2, rows) stacks it owns, once,
+    binds the state's fields to their rows and updates them in place, so
+    arrays the caller holds are never written. The system force of each
+    half-kick goes into a preallocated (2, rows) buffer. The bath part,
+    computed after one step's drift, also serves the next step's first
+    half-kick within one :func:`integrate` call, whose observers must not
+    modify the state.
+    """
 
     def __init__(self, bath: BathParams, state: TrajectoryState):
+        ph = state.system
+        shape = np.broadcast_shapes(*(np.shape(v) for v in (ph.q1, ph.q2, ph.p1, ph.p2)))
+        self.q = np.empty((2,) + shape)
+        self.p = np.empty((2,) + shape)
+        views = (self.q[0, ...], self.q[1, ...], self.p[0, ...], self.p[1, ...])
+        for dst, src in zip(views, (ph.q1, ph.q2, ph.p1, ph.p2)):
+            dst[...] = src
+        ph.q1, ph.q2, ph.p1, ph.p2 = views
+        self.force = np.empty((2,) + shape)     # h*F of the system momenta
+        self.dq = np.empty((2,) + shape)        # the drift's position change
         self.bath = bath
         self.work = (OhmicWorkspace(bath, np.shape(state.bath.pos))
                      if isinstance(bath, OhmicBathParams) else None)
@@ -136,26 +160,24 @@ class _Kick:
 
     def apply(self, state: TrajectoryState, sys: SystemParams,
               t_force: float) -> None:
-        ph = state.system
-        f1, f2 = system_force(t_force, ph, sys)
-        if self.bath is None:
-            ph.p1 = ph.p1 + self.h * f1
-            ph.p2 = ph.p2 + self.h * f2
-            return
-        ph.p1 = ph.p1 + self.h * (f1 + self.sys_kick)
-        ph.p2 = ph.p2 + self.h * (f2 + self.sys_kick)
+        force = system_force(t_force, state.system, sys, out=self.force)
+        if self.bath is not None:
+            force += self.sys_kick
+        force *= self.h
+        self.p += force
         if self.work is not None:
             state.bath.mom += self.bath_kick
-        else:
+        elif self.bath is not None:
             state.bath.osc_p = state.bath.osc_p + self.bath_kick
 
 
 def _drift(state: TrajectoryState, sys: SystemParams, kick: _Kick,
            dt: float) -> None:
     """Position update of the system and of the bath oscillators."""
-    ph = state.system
-    ph.q1 = ph.q1 + dt * ph.p1 / sys.mass
-    ph.q2 = ph.q2 + dt * ph.p2 / sys.mass
+    dq = np.multiply(kick.p, dt, out=kick.dq)
+    if sys.mass != 1.0:
+        dq /= sys.mass
+    kick.q += dq
     if kick.work is not None:
         state.bath.pos += np.multiply(state.bath.mom, dt / kick.bath.mass,
                                       out=kick.work.scratch)
@@ -168,9 +190,10 @@ def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
                      kick: Optional[_Kick] = None) -> TrajectoryState:
     """One symmetric kick-drift-kick step; drive frozen at the midpoint time.
 
-    ``kick`` carries the bath force left by the previous step of the same
-    :func:`integrate` call. Standalone calls omit it, and the force is then
-    evaluated at entry.
+    ``kick`` holds the system phase arrays of the enclosing :func:`integrate`
+    call and the bath force left by its previous step. Standalone calls omit
+    it: a new one copies the system phase, and the force is evaluated at
+    entry.
     """
     t_mid = state.t + 0.5 * dt
     h = 0.5 * dt
@@ -311,8 +334,8 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
 
     Non-finite coordinates propagate; checking them is the caller's policy,
     and an exception the observer raises stops the integration. Observers
-    must not modify the state, and must copy what they keep: the NHC chain
-    fields are updated in place.
+    must not modify the state, and must copy what they keep: the system
+    phase and the NHC chain fields are updated in place.
     """
     if observer is not None:
         observer(0, state)

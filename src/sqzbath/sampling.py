@@ -176,12 +176,15 @@ def trajectory_rng(seed: int, indices, *shapes) -> list:
     Row r holds the first draws of trajectory ``indices[r]``'s stream,
     ``Generator(Philox(SeedSequence((seed, indices[r]))))``, filling the
     arrays in argument order. One Philox generator serves all rows: it is
-    re-keyed for each row.
+    re-keyed for each row from one state dict of Python ints, which the
+    state setter reads faster than numpy arrays.
     """
-    keys = philox_keys(seed, indices)
+    keys = philox_keys(seed, indices).tolist()
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state        # a just-keyed Philox; the key is set per row
+    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
     outs = [np.empty((len(keys),) + tuple(shape)) for shape in shapes]
     for row, key in enumerate(keys):
         fresh["state"]["key"] = key

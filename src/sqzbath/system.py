@@ -100,15 +100,28 @@ def coupling_freq_sq(t, sys: SystemParams):
     return w * w
 
 
-def system_force(t, phase: SystemPhase, sys: SystemParams):
+def system_force(t, phase: SystemPhase, sys: SystemParams, out=None):
     """Forces (dp1/dt, dp2/dt) = -dH/dq from the system Hamiltonian, bath
-    terms excluded."""
+    terms excluded.
+
+    Returns ``(f1, f2)``; with ``out``, an array of shape (2,) + the phase's
+    shape, writes f1 and f2 into its rows, with the same bits, and returns
+    ``out``.
+    """
     k_own = sys.mass * sys.freq ** 2
     k_rel = sys.mass * coupling_freq_sq(t, sys)
     rel = phase.q2 - phase.q1
-    f1 = -k_own * phase.q1 + k_rel * rel
-    f2 = -k_own * phase.q2 - k_rel * rel
-    return f1, f2
+    if out is None:
+        f1 = -k_own * phase.q1 + k_rel * rel
+        f2 = -k_own * phase.q2 - k_rel * rel
+        return f1, f2
+    f1, f2 = out[0, ...], out[1, ...]
+    np.multiply(phase.q1, -k_own, out=f1)
+    np.multiply(phase.q2, -k_own, out=f2)
+    rel *= k_rel
+    np.add(f1, rel, out=f1)
+    np.subtract(f2, rel, out=f2)
+    return out
 
 
 def system_energy(t, phase: SystemPhase, sys: SystemParams):

@@ -10,6 +10,7 @@ from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SystemParams,
                      init_nhc_bath, nhc_from_ohmic, run_ensemble, sample_ohmic_bath,
                      sample_system, temperature_sweep)
 from sqzbath import driver
+from sqzbath.cli import EXIT_TRAJECTORY, main
 from sqzbath.driver import _batch_ranges, _sample_chunk, temperature_seed
 
 from conftest import contract_normals
@@ -75,18 +76,25 @@ class TestDeterminism:
         assert np.array_equal(a.series.std_errors, b.series.std_errors)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("bath", [None, nhc_from_ohmic(0.007, 3.0, 1.0)],
-                             ids=["isolated", "nhc"])
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.05, 3.0),
+                                      nhc_from_ohmic(0.007, 3.0, 1.0)],
+                             ids=["isolated", "ohmic", "nhc"])
     def test_batch_width_invariance(self, monkeypatch, bath, workers):
-        # 10 chunks, the last one short; by default they integrate as
-        # batches of several chunks, with a zero budget as one chunk each
-        cfg = isolated_config(n_traj=150, chunk_size=16, workers=workers, bath=bath,
+        # chunks of 100, 100 and 50 rows. By default they integrate as
+        # batches of several chunks, with zero budgets as one chunk each. An
+        # Ohmic batch is always one chunk: by default one block, with a zero
+        # block budget 32-row blocks, the last one short.
+        cfg = isolated_config(n_traj=250, chunk_size=100, workers=workers, bath=bath,
                               track_energy=True,
                               integrator=IntegratorConfig(n_steps=200, stride=50))
-        assert len(_batch_ranges(cfg)) <= 2
+        ohmic = cfg.model is ModelKind.OHMIC
+        assert len(_batch_ranges(cfg)) == (3 if ohmic else workers)
+        assert driver._block_rows(cfg, 100) >= 100
         wide = run_ensemble(cfg)
         monkeypatch.setattr(driver, "_BATCH_BYTES", 0)
-        assert len(_batch_ranges(cfg)) == 10
+        monkeypatch.setattr(driver, "_BLOCK_BYTES", 0)
+        assert len(_batch_ranges(cfg)) == 3
+        assert driver._block_rows(cfg, 100) == (32 if ohmic else 100)
         narrow = run_ensemble(cfg)
         for name in ("variances", "std_errors", "means"):
             assert np.array_equal(getattr(wide.series, name),
@@ -241,6 +249,51 @@ class TestFailurePolicy:
             run_ensemble(isolated_config(bath=nhc_from_ohmic(0.007, 3.0, 1.0),
                                          integrator=icfg))
         assert err.value.step == icfg.n_steps
+
+    def test_earliest_failure_over_ohmic_blocks(self, monkeypatch, tmp_path, capsys):
+        # one 100-row Ohmic chunk. Row 5 (block 0 of the 32-row blocks)
+        # starts at the edge of overflow and goes non-finite when its momenta
+        # peak; row 70 (block 2) has an infinite bath position, which reaches
+        # the system in the first step. In blocks as in one, the run stops at
+        # row 70's observation and writes nothing.
+        def perturb(rows):
+            def sample(config, lo, hi):
+                state = _sample_chunk(config, lo, hi)
+                if 5 in rows:
+                    state.system.q1[5] = state.system.q2[5] = 0.85e308
+                if 70 in rows:
+                    state.bath.pos[70, 0] = np.inf
+                return state
+            monkeypatch.setattr(driver, "_sample_chunk", sample)
+
+        budgets = {1: driver._BLOCK_BYTES, 4: 0}
+
+        def failure_step(blocks, rows):
+            monkeypatch.setattr(driver, "_BLOCK_BYTES", budgets[blocks])
+            assert -(-100 // driver._block_rows(cfg, 100)) == blocks
+            perturb(rows)
+            with pytest.raises(TrajectoryFailure) as err:
+                run_ensemble(cfg)
+            return err.value.step
+
+        icfg = IntegratorConfig(n_steps=400, stride=50)
+        cfg = isolated_config(n_traj=100, chunk_size=100, integrator=icfg,
+                              bath=build_ohmic_bath(20, 0.007, 3.0))
+        late, early = failure_step(1, {5}), failure_step(1, {70})
+        assert early == icfg.stride < late < icfg.n_steps
+        assert failure_step(4, {5}) == late
+        assert failure_step(4, {5, 70}) == failure_step(1, {5, 70}) == early
+
+        out = tmp_path / "results"
+        ini = tmp_path / "case.ini"
+        ini.write_text("[bath]\nmodel = ohmic\nn_modes = 20\n"
+                       "[integrator]\nn_steps = 400\nstride = 50\n"
+                       "[ensemble]\nn_traj = 100\nchunk_size = 100\n"
+                       f"[output]\ndir = {out}\n")
+        assert main(["run", "--config", str(ini)]) == EXIT_TRAJECTORY
+        assert not out.exists()
+        assert capsys.readouterr().err == ("sqzbath: error: non-finite phase-space "
+                                           f"coordinates at step {early}\n")
 
     def test_non_finite_energy_sum_aborts(self, monkeypatch):
         # finite coordinates whose energies overflow from the third

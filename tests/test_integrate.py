@@ -9,7 +9,8 @@ from sqzbath import (IntegratorConfig, NHCBathParams, SamplingMode, SystemParams
                      SystemPhase, TrajectoryFailure, TrajectoryState,
                      build_ohmic_bath, init_nhc_bath, integrate, nhc_extended_energy,
                      nhc_from_ohmic, sample_ohmic_bath, sample_system,
-                     step_hamiltonian, step_nhc, system_energy, to_normal_modes,
+                     step_hamiltonian, step_nhc, system_energy, system_force,
+                     to_normal_modes,
                      trajectory_rng, yoshida_weights)
 from sqzbath.baths import NHCBathPhase
 
@@ -301,6 +302,49 @@ class TestIntegrate:
             return out
 
         assert run() == run()
+
+
+    @pytest.mark.parametrize("model", ["isolated", "ohmic", "nhc"])
+    def test_caller_system_arrays_never_written(self, model):
+        # the stepper copies the system phase into arrays it owns
+        z, pos, mom, osc = trajectory_rng(8, range(5), (4,), (6,), (6,), (2,))
+        params = {"isolated": None, "ohmic": build_ohmic_bath(6, 0.05, 3.0),
+                  "nhc": nhc_from_ohmic(0.05, 3.0, 1.0)}[model]
+        bath = None
+        if model == "ohmic":
+            bath = sample_ohmic_bath(pos, mom, params, 1.0, SamplingMode.QUANTUM)
+        elif model == "nhc":
+            bath = init_nhc_bath(osc, params, 1.0, SamplingMode.QUANTUM)
+        system = sample_system(z, SystemParams(), 1.0, SamplingMode.QUANTUM)
+        state = TrajectoryState(0.0, system, bath)
+        held = [system.q1, system.q2, system.p1, system.p2]
+        before = [v.copy() for v in held]
+        integrate(state, SystemParams(), params, IntegratorConfig(n_steps=40, stride=10))
+        for value, old in zip(held, before):
+            assert np.array_equal(value, old)
+        assert not np.array_equal(state.system.q1, before[0])
+
+    @pytest.mark.parametrize("mass", [1.0, 0.7])
+    def test_textbook_step_bits(self, mass):
+        # the in-place system step gives the bits of the plain kick-drift-kick
+        # formulas, division by the mass included
+        sys = SystemParams(mass=mass, spring_k=1.25 * mass)
+        z, = trajectory_rng(9, range(7), (4,))
+        start = sample_system(z, sys, 1.0, SamplingMode.QUANTUM)
+        q1, q2, p1, p2 = start.q1.copy(), start.q2.copy(), start.p1.copy(), start.p2.copy()
+        dt, h, t = 0.02, 0.01, 0.0
+        for _ in range(30):
+            t_mid = t + 0.5 * dt
+            f1, f2 = system_force(t_mid, SystemPhase(q1, q2, p1, p2), sys)
+            p1, p2 = p1 + h * f1, p2 + h * f2
+            q1, q2 = q1 + dt * p1 / mass, q2 + dt * p2 / mass
+            f1, f2 = system_force(t_mid, SystemPhase(q1, q2, p1, p2), sys)
+            p1, p2 = p1 + h * f1, p2 + h * f2
+            t += dt
+        state = TrajectoryState(0.0, start)
+        integrate(state, sys, None, IntegratorConfig(dt=dt, n_steps=30, stride=30))
+        for got, want in zip(vars(state.system).values(), (q1, q2, p1, p2)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_trajectory_failure_pickles():

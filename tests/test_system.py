@@ -66,6 +66,24 @@ class TestForce:
         assert f2 == pytest.approx(13.75, rel=1e-12)
 
 
+    @pytest.mark.parametrize("mass", [1.0, 1.7])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("rows", [None, 9], ids=["scalar", "batched"])
+    def test_out_gives_the_tuple_bits(self, rng, mass, frozen, rows):
+        sys = SystemParams(mass=mass, frozen_coupling=frozen)
+        q1, q2, p1, p2 = rng.standard_normal((4,) + ((rows,) if rows else ()))
+        phase = SystemPhase(q1, q2, p1, p2)
+        if rows is None:
+            phase = SystemPhase(*(float(v) for v in (q1, q2, p1, p2)))
+        for t in (0.0, 0.37, 2.9):
+            f1, f2 = system_force(t, phase, sys)
+            out = np.full((2,) + np.shape(f1), np.nan)
+            assert system_force(t, phase, sys, out=out) is out
+            assert out[0].tobytes() == np.float64(f1).tobytes()
+            assert out[1].tobytes() == np.float64(f2).tobytes()
+        assert np.array_equal(phase.q1, q1) and np.array_equal(phase.q2, q2)
+
+
 class TestEnergy:
     def test_zero_phase(self, paper_system):
         assert system_energy(0.7, SystemPhase(0.0, 0.0, 0.0, 0.0), paper_system) == 0.0
