@@ -19,6 +19,7 @@ import math
 import os
 import sys as _sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -139,7 +140,7 @@ def cmd_run(args) -> int:
     csv_path = os.path.join(out.directory, f"{out.prefix}_variance.csv")
     squeeze_path = os.path.join(out.directory, f"{out.prefix}_squeeze.json")
     write_variance_csv(result.series, csv_path, _csv_header(resolved, run_cfg.seed))
-    _write_json({"squeeze": result.report.to_dict(),
+    _write_json({"squeeze": asdict(result.report),
                  "n_traj": result.n_traj, "n_failed": result.n_failed,
                  "config_hash": config_hash(resolved), "seed": run_cfg.seed},
                 squeeze_path)
@@ -226,7 +227,7 @@ def cmd_compare_baths(args) -> int:
     comparison = bath_equivalence(cfg_ohmic, cfg_nhc)
     _ensure_dir(out.directory)
     path = os.path.join(out.directory, f"{out.prefix}_bath_agreement.json")
-    payload = comparison.to_dict()
+    payload = asdict(comparison)
     payload.update({"config_hash": config_hash(resolved), "seed": cfg_ohmic.seed})
     _write_json(payload, path)
     _write_manifest(out.directory, out.prefix, resolved, cfg_ohmic.seed,
@@ -266,7 +267,7 @@ def cmd_oracle(args) -> int:
             payload[f"{definition}_note"] = (f"no temperature meets the {definition} "
                                              f"squeezing definition")
         else:
-            payload[definition] = result.to_dict()
+            payload[definition] = asdict(result)
     json_path = os.path.join(out.directory, f"{out.prefix}_threshold.json")
     _write_json(payload, json_path)
     _write_manifest(out.directory, out.prefix, resolved, run_cfg.seed,

@@ -16,10 +16,11 @@ in the whole batch only on aligned blocks, so blocks start at multiples of
 32 rows.
 
 The driver owns the failure policy: the first observation, or final state,
-of a batch that holds a non-finite coordinate aborts the run with
-:class:`~sqzbath.integrate.TrajectoryFailure` (the earliest over a batch's
-blocks), and so does the first observation whose merged mean, m2 or energy
-sum is non-finite.
+that holds a non-finite coordinate aborts the run with
+:class:`~sqzbath.integrate.TrajectoryFailure` (the earliest over all blocks
+and batches, so the same step for any worker count and batch width), and so
+does the first observation whose merged mean, m2 or energy sum is
+non-finite.
 """
 
 from __future__ import annotations
@@ -156,9 +157,8 @@ def _run_chunk(config: RunConfig, lo: int, hi: int):
     The batch is integrated in consecutive row blocks (see
     :func:`_block_rows`), each a view of the sampled arrays. Raises
     :class:`TrajectoryFailure` at the first observation, or at the final
-    state, that holds a non-finite coordinate: once a block fails, the
-    blocks after it only run up to that step, and the earliest failure
-    over all blocks is raised.
+    state, that holds a non-finite coordinate, the earliest over all blocks
+    (see :func:`_up_to`).
     """
     state = _sample_chunk(config, lo, hi)
     times = config.integrator.obs_times
@@ -169,13 +169,10 @@ def _run_chunk(config: RunConfig, lo: int, hi: int):
 
     failure = None
     for a, b in _chunk_ranges(n, _block_rows(config, n)):
-        integrator = config.integrator
-        if failure is not None:
-            integrator = dataclasses.replace(integrator, n_steps=failure.step)
         block = TrajectoryState(t=state.t, system=_rows(state.system, a, b),
                                 bath=_rows(state.bath, a, b))
         try:
-            _integrate_block(config, integrator, block, snaps[:, a:b],
+            _integrate_block(_up_to(config, failure), block, snaps[:, a:b],
                              energies[a:b] if energies is not None else None)
         except TrajectoryFailure as err:    # at or before the step of `failure`
             failure = err
@@ -191,12 +188,12 @@ def _run_chunk(config: RunConfig, lo: int, hi: int):
     return partials
 
 
-def _integrate_block(config: RunConfig, integrator: IntegratorConfig,
-                     state: TrajectoryState, snaps: np.ndarray,
+def _integrate_block(config: RunConfig, state: TrajectoryState, snaps: np.ndarray,
                      energies: Optional[np.ndarray]) -> None:
     """Integrate one block of rows, writing its normal modes into ``snaps``
     (observations x rows x 4) and its energies into ``energies`` (rows x
     observations)."""
+    integrator = config.integrator
     stride = integrator.stride
 
     def observer(step, st):
@@ -215,6 +212,25 @@ def _integrate_block(config: RunConfig, integrator: IntegratorConfig,
     integrate(state, config.system, config.bath, integrator, observer)
     if not np.all(state.is_finite()):
         raise TrajectoryFailure(integrator.n_steps)
+
+
+def _up_to(config: RunConfig, failure: Optional[TrajectoryFailure]) -> RunConfig:
+    """``config``, cut at the step of ``failure`` when there is one: blocks and
+    batches after a failed one run only that far, so the earliest failure
+    over all of them is raised whatever their number."""
+    if failure is None:
+        return config
+    return dataclasses.replace(config, integrator=dataclasses.replace(
+        config.integrator, n_steps=failure.step))
+
+
+def _try_chunk(config: RunConfig, lo: int, hi: int):
+    """:func:`_run_chunk`'s partials, or the :class:`TrajectoryFailure` it
+    raises, returned so that a pool hands back every batch's outcome."""
+    try:
+        return _run_chunk(config, lo, hi)
+    except TrajectoryFailure as err:
+        return err
 
 
 def _rows(phase, a: int, b: int):
@@ -292,10 +308,17 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     batches = _batch_ranges(config)
     if config.workers > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=min(config.workers, len(batches))) as pool:
-            per_batch = list(pool.map(_run_chunk, *zip(*((config, lo, hi)
+            per_batch = list(pool.map(_try_chunk, *zip(*((config, lo, hi)
                                                          for lo, hi in batches))))
     else:
-        per_batch = [_run_chunk(config, lo, hi) for lo, hi in batches]
+        per_batch, failure = [], None
+        for lo, hi in batches:
+            per_batch.append(_try_chunk(_up_to(config, failure), lo, hi))
+            if isinstance(per_batch[-1], TrajectoryFailure):
+                failure = per_batch[-1]     # at or before the step of the last one
+    failures = [p for p in per_batch if isinstance(p, TrajectoryFailure)]
+    if failures:
+        raise min(failures, key=lambda err: err.step)
 
     acc = VarianceAccumulator(times)
     energy_sum = np.zeros(len(times)) if config.track_energy else None
@@ -371,7 +394,7 @@ def _oracle_threshold_auto(sys: SystemParams, t_lo: float, t_hi: float,
     if not (t_lo <= result.temperature <= t_hi):
         note = (f"threshold {result.temperature:.4f} lies outside the requested "
                 f"window [{t_lo}, {t_hi}]")
-    return result.to_dict(), note
+    return dataclasses.asdict(result), note
 
 
 def temperature_sweep(config: RunConfig, temperatures) -> SweepResult:
@@ -429,9 +452,6 @@ class CoordAgreement:
     time_of_max: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class BathComparison:
@@ -439,11 +459,6 @@ class BathComparison:
     passed: bool
     n_traj: int
     rel_tolerance: float
-
-    def to_dict(self) -> dict:
-        return {"coords": {k: v.to_dict() for k, v in self.coords.items()},
-                "passed": self.passed, "n_traj": self.n_traj,
-                "rel_tolerance": self.rel_tolerance}
 
 
 def compare_variance_series(series_ref: VarianceSeries, series_other: VarianceSeries,

@@ -9,22 +9,21 @@ adjacent half-kicks ("first same as last"); the result is bit-identical to
 evaluating it at every half-kick. The Nose-Hoover chain wraps that step
 between two thermostat half-updates built from a Suzuki-Yoshida composition
 with a multiple-time-step inner loop. They move only the bath oscillator
-momentum, by an exact exponential drag, and the chain variables. The
-thermostat copies these into arrays it owns, once per :func:`integrate`
-call, and updates them in place; its divisions by unit masses are skipped,
-which is exact, so the bits are those of the textbook substep.
+momentum, by an exact exponential drag, and the chain variables; their
+divisions by unit masses are skipped, which is exact, so the bits are those
+of the textbook substep.
 
-The stepper owns the system phase as the thermostat owns the chain: it
-copies (q1, q2) and (p1, p2) into stacked (2, rows) arrays once per
-:func:`integrate` call, binds the state's fields to their rows and updates
-them in place. Each half-kick's system force goes into a preallocated
-buffer (``system_force(..., out=)``), and the drift divides by the mass only
-when it is not 1; the arithmetic is that of the textbook step, bit for bit.
-
-All steppers mutate the state in place and operate transparently on scalar
-or batched (leading-axis) phase coordinates. They never write into arrays
-the caller passed in, except the Ohmic bath arrays, which the Ohmic step
-updates in place.
+The stepper owns every array it moves except the Ohmic bath arrays: once per
+:func:`integrate` call (or standalone step) it copies the system phase, the
+NHC oscillator and the NHC chain into stacked (2, rows) arrays, binds the
+state's fields to their rows and updates them in place, so it never writes
+into arrays the caller passed in. The Ohmic step updates the caller's bath
+arrays in place; copying them would add a (rows, N) array pair to every
+block. Each half-kick's system force goes into a preallocated buffer
+(``system_force(..., out=)``), and the drift divides by the mass only when it
+is not 1; the arithmetic is that of the textbook step, bit for bit. All
+steppers operate transparently on scalar or batched (leading-axis) phase
+coordinates.
 """
 
 from __future__ import annotations
@@ -118,71 +117,78 @@ def yoshida_weights(n_yoshida: int) -> np.ndarray:
     raise ValueError(f"unsupported Yoshida stage count {n_yoshida}; use 1, 3 or 5")
 
 
-class _Kick:
-    """The half-kick h*F, and the system phase it moves.
+def _own(phase, names, shape) -> np.ndarray:
+    """Copy the fields ``names`` of ``phase`` into the rows of one new
+    (len(names),) + shape array, bind the fields to those rows and return it.
+    """
+    stack = np.empty((len(names),) + shape)
+    for i, name in enumerate(names):
+        stack[i, ...] = getattr(phase, name)
+        setattr(phase, name, stack[i, ...])
+    return stack
 
-    It copies (q1, q2) and (p1, p2) into (2, rows) stacks it owns, once,
-    binds the state's fields to their rows and updates them in place, so
-    arrays the caller holds are never written. The system force of each
-    half-kick goes into a preallocated (2, rows) buffer. The bath part,
-    computed after one step's drift, also serves the next step's first
-    half-kick within one :func:`integrate` call, whose observers must not
-    modify the state.
+
+class _Kick:
+    """The half-kick h*F of one ``dt``, and the drift, on the arrays they move.
+
+    It owns the system phase as (q1, q2) and (p1, p2) stacks and, for the NHC
+    model, the bath oscillator as an (osc_q, osc_p) stack, and updates them in
+    place; the Ohmic bath arrays are the caller's. The system force of each
+    half-kick goes into a preallocated buffer. The bath force is evaluated at
+    construction and after each drift, and serves the next half-kick, also
+    across the thermostat half-steps, which move no position; observers of
+    an :func:`integrate` call must not modify the state.
     """
 
-    def __init__(self, bath: BathParams, state: TrajectoryState):
+    def __init__(self, bath: BathParams, state: TrajectoryState, dt: float):
         ph = state.system
-        shape = np.broadcast_shapes(*(np.shape(v) for v in (ph.q1, ph.q2, ph.p1, ph.p2)))
-        self.q = np.empty((2,) + shape)
-        self.p = np.empty((2,) + shape)
-        views = (self.q[0, ...], self.q[1, ...], self.p[0, ...], self.p[1, ...])
-        for dst, src in zip(views, (ph.q1, ph.q2, ph.p1, ph.p2)):
-            dst[...] = src
-        ph.q1, ph.q2, ph.p1, ph.p2 = views
+        shape = np.broadcast_shapes(*(np.shape(v) for v in vars(ph).values()))
+        self.q = _own(ph, ("q1", "q2"), shape)
+        self.p = _own(ph, ("p1", "p2"), shape)
         self.force = np.empty((2,) + shape)     # h*F of the system momenta
         self.dq = np.empty((2,) + shape)        # the drift's position change
         self.bath = bath
-        self.work = (OhmicWorkspace(bath, np.shape(state.bath.pos))
-                     if isinstance(bath, OhmicBathParams) else None)
-        self.h = None           # half-step of the cached kick; None until computed
-        self.sys_kick = None
-        self.bath_kick = None
+        self.dt = dt
+        self.h = 0.5 * dt
+        self.work = None
+        if isinstance(bath, OhmicBathParams):
+            self.work = OhmicWorkspace(bath, np.shape(state.bath.pos))
+            self.bath_q, self.bath_p = state.bath.pos, state.bath.mom
+        elif bath is not None:
+            _own(state.bath, ("osc_q", "osc_p"), shape)
+            self.bath_q, self.bath_p = state.bath.osc_q, state.bath.osc_p
+        self.update(state)
 
-    def update(self, state: TrajectoryState, h: float) -> None:
+    def update(self, state: TrajectoryState) -> None:
+        """Evaluate the bath force at the current positions."""
         if self.work is not None:
             self.sys_kick, force = ohmic_forces(state.system, state.bath, self.bath,
                                                 self.work)
-            self.bath_kick = np.multiply(force, h, out=force)
+            self.bath_kick = np.multiply(force, self.h, out=force)
         elif self.bath is not None:
             self.sys_kick, force = nhc_bath_forces(state.system, state.bath, self.bath)
-            self.bath_kick = h * force
-        self.h = h
+            self.bath_kick = self.h * force
 
     def apply(self, state: TrajectoryState, sys: SystemParams,
               t_force: float) -> None:
         force = system_force(t_force, state.system, sys, out=self.force)
         if self.bath is not None:
             force += self.sys_kick
+            self.bath_p += self.bath_kick
         force *= self.h
         self.p += force
+
+    def drift(self, sys: SystemParams) -> None:
+        """Position update of the system and of the bath oscillators."""
+        dq = np.multiply(self.p, self.dt, out=self.dq)
+        if sys.mass != 1.0:
+            dq /= sys.mass
+        self.q += dq
         if self.work is not None:
-            state.bath.mom += self.bath_kick
+            self.bath_q += np.multiply(self.bath_p, self.dt / self.bath.mass,
+                                       out=self.work.scratch)
         elif self.bath is not None:
-            state.bath.osc_p = state.bath.osc_p + self.bath_kick
-
-
-def _drift(state: TrajectoryState, sys: SystemParams, kick: _Kick,
-           dt: float) -> None:
-    """Position update of the system and of the bath oscillators."""
-    dq = np.multiply(kick.p, dt, out=kick.dq)
-    if sys.mass != 1.0:
-        dq /= sys.mass
-    kick.q += dq
-    if kick.work is not None:
-        state.bath.pos += np.multiply(state.bath.mom, dt / kick.bath.mass,
-                                      out=kick.work.scratch)
-    elif kick.bath is not None:
-        state.bath.osc_q = state.bath.osc_q + dt * state.bath.osc_p / kick.bath.osc_mass
+            self.bath_q += self.dt * self.bath_p / self.bath.osc_mass
 
 
 def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
@@ -190,20 +196,16 @@ def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
                      kick: Optional[_Kick] = None) -> TrajectoryState:
     """One symmetric kick-drift-kick step; drive frozen at the midpoint time.
 
-    ``kick`` holds the system phase arrays of the enclosing :func:`integrate`
-    call and the bath force left by its previous step. Standalone calls omit
-    it: a new one copies the system phase, and the force is evaluated at
-    entry.
+    ``kick`` is the stepper of the enclosing :func:`integrate` call, built for
+    this ``dt`` on this state. Standalone calls omit it and build their own,
+    which copies the phase arrays it moves and evaluates the bath force.
     """
-    t_mid = state.t + 0.5 * dt
-    h = 0.5 * dt
     if kick is None:
-        kick = _Kick(bath, state)
-    if kick.h != h:
-        kick.update(state, h)
+        kick = _Kick(bath, state, dt)
+    t_mid = state.t + 0.5 * dt
     kick.apply(state, sys, t_mid)
-    _drift(state, sys, kick, dt)
-    kick.update(state, h)
+    kick.drift(sys)
+    kick.update(state)
     kick.apply(state, sys, t_mid)
     state.t += dt
     return state
@@ -213,29 +215,23 @@ class _Thermostat:
     """The chain half-step: n_mts passes of the Suzuki-Yoshida substeps,
     each a reversible chain update symmetric about the drag on P1.
 
-    It copies P1 and the chain into arrays it owns, (p_eta1, p_eta2) and
-    (eta1, eta2) as (2, rows) stacks, binds the state's fields to views of
-    them and updates them in place, so arrays the caller holds are never
-    written. A substep leaves p_eta1^2/Q1 - T and P1^2/m1 - gT as the next
-    one's opening values, and one stacked product gives both eta increments
-    and, negated, the drag exponent. A division by a unit mass is skipped,
-    which is exact. The arithmetic is that of the textbook substep, bit for
-    bit.
+    It drags P1 in the array of the stepper ``kick``, which must be built
+    first, and owns the chain as (p_eta1, p_eta2) and (eta1, eta2) stacks,
+    updated in place. A substep leaves p_eta1^2/Q1 - T and P1^2/m1 - gT as
+    the next one's opening values, and one stacked product gives both eta
+    increments and, negated, the drag exponent. A division by a unit mass is
+    skipped, which is exact. The arithmetic is that of the textbook substep,
+    bit for bit.
     """
 
-    def __init__(self, bath: NHCBathParams, state: TrajectoryState, dt: float,
+    def __init__(self, bath: NHCBathParams, state: TrajectoryState, kick: _Kick,
                  n_yoshida: int, n_mts: int):
         ph = state.bath
-        fields = (ph.osc_p, ph.p_eta1, ph.p_eta2, ph.eta1, ph.eta2)
-        shape = np.broadcast_shapes(*(np.shape(v) for v in fields))
-        self.p = np.empty(shape)
-        self.p_eta = np.empty((2,) + shape)
-        self.eta = np.empty((2,) + shape)
-        self.p_eta1, self.p_eta2 = self.p_eta[0, ...], self.p_eta[1, ...]
-        views = (self.p, self.p_eta1, self.p_eta2, self.eta[0, ...], self.eta[1, ...])
-        for dst, src in zip(views, fields):
-            dst[...] = src
-        ph.osc_p, ph.p_eta1, ph.p_eta2, ph.eta1, ph.eta2 = views
+        self.p = kick.bath_p
+        shape = np.shape(self.p)
+        self.p_eta = _own(ph, ("p_eta1", "p_eta2"), shape)
+        self.eta = _own(ph, ("eta1", "eta2"), shape)
+        self.p_eta1, self.p_eta2 = ph.p_eta1, ph.p_eta2
         # x = p_eta1^2/Q1 - T, G = P1^2/m1 - gT, U = delta * p_eta / Q
         self.x, self.g, self.scale, self.tmp = (np.empty(shape) for _ in range(4))
         self.u = np.empty((2,) + shape)
@@ -250,21 +246,17 @@ class _Thermostat:
         self.q2 = None if bath.mass_eta2 == 1.0 else const(bath.mass_eta2)
         self.q = (None if self.q1 is None and self.q2 is None else
                   np.reshape([bath.mass_eta1, bath.mass_eta2], (2,) + (1,) * len(shape)))
-        half_dt = 0.5 * dt
+        half_dt = 0.5 * kick.dt
         self.deltas = [(const(d), const(0.5 * d), const(-0.25 * d))
                        for d in (w * half_dt / n_mts
                                  for w in yoshida_weights(n_yoshida).tolist())] * n_mts
 
-    def half_step(self, ph: NHCBathPhase) -> None:
+    def half_step(self) -> None:
         p, p_eta, eta = self.p, self.p_eta, self.eta
         p_eta1, p_eta2 = self.p_eta1, self.p_eta2
         x, g, scale, tmp, u, u1 = self.x, self.g, self.scale, self.tmp, self.u, self.u1
         kt, gkt, m1, q1, q2, q = self.kt, self.gkt, self.m1, self.q1, self.q2, self.q
         multiply, add, exp = np.multiply, np.add, np.exp
-        # the Hamiltonian step rebinds P1; the chain fields stay our views
-        if ph.osc_p is not p:
-            p[...] = ph.osc_p
-            ph.osc_p = p
         _square_over(p_eta1, q1, kt, x)
         _square_over(p, m1, gkt, g)
         for delta, half_delta, quarter_neg in self.deltas:
@@ -311,16 +303,19 @@ def step_nhc(state: TrajectoryState, sys: SystemParams, bath: NHCBathParams,
              thermostat: Optional[_Thermostat] = None) -> TrajectoryState:
     """Thermostat half-step, Hamiltonian step, mirrored thermostat half-step.
 
-    The thermostat moves only P1 and the chain, so ``kick`` stays valid
-    across it. ``thermostat`` is the chain state of the enclosing
-    :func:`integrate` call, built for this ``dt``, ``n_yoshida`` and
-    ``n_mts``; standalone calls omit it and build their own.
+    The thermostat moves only P1 and the chain, so the bath force ``kick``
+    holds stays valid across it. ``kick`` and ``thermostat`` are the stepper
+    and the chain state of the enclosing :func:`integrate` call, built for
+    this ``dt``, ``n_yoshida`` and ``n_mts``; standalone calls omit them and
+    build their own.
     """
+    if kick is None:
+        kick = _Kick(bath, state, dt)
     if thermostat is None:
-        thermostat = _Thermostat(bath, state, dt, n_yoshida, n_mts)
-    thermostat.half_step(state.bath)
+        thermostat = _Thermostat(bath, state, kick, n_yoshida, n_mts)
+    thermostat.half_step()
     step_hamiltonian(state, sys, bath, dt, kick)
-    thermostat.half_step(state.bath)
+    thermostat.half_step()
     return state
 
 
@@ -334,14 +329,14 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
 
     Non-finite coordinates propagate; checking them is the caller's policy,
     and an exception the observer raises stops the integration. Observers
-    must not modify the state, and must copy what they keep: the system
-    phase and the NHC chain fields are updated in place.
+    must not modify the state, and must copy what they keep: from step 0 on,
+    the state's fields are the stepper's arrays, updated in place.
     """
+    kick = _Kick(bath, state, config.dt)
+    thermostat = (_Thermostat(bath, state, kick, config.n_yoshida, config.n_mts)
+                  if isinstance(bath, NHCBathParams) else None)
     if observer is not None:
         observer(0, state)
-    kick = _Kick(bath, state)
-    thermostat = (_Thermostat(bath, state, config.dt, config.n_yoshida, config.n_mts)
-                  if isinstance(bath, NHCBathParams) else None)
     for i in range(1, config.n_steps + 1):
         if thermostat is not None:
             step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts,

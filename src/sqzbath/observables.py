@@ -129,23 +129,11 @@ class CoordinateSqueeze:
     se_at_min: float
     significant: bool   # threshold - min_variance > 2 * se_at_min
 
-    def to_dict(self) -> dict:
-        return {"first_crossing": self.first_crossing,
-                "min_variance": self.min_variance,
-                "time_of_min": self.time_of_min,
-                "fraction_below": self.fraction_below,
-                "se_at_min": self.se_at_min,
-                "significant": self.significant}
-
 
 @dataclass
 class SqueezeReport:
     threshold: float
     coords: dict
-
-    def to_dict(self) -> dict:
-        return {"threshold": self.threshold,
-                "coords": {k: v.to_dict() for k, v in self.coords.items()}}
 
     def __getitem__(self, name: str) -> CoordinateSqueeze:
         return self.coords[name]

@@ -124,11 +124,6 @@ class ThresholdResult:
     min_variance: float      # minimum of the variance curve at the threshold
     temperature_K: float     # ``temperature`` in kelvin at the carrier frequency
 
-    def to_dict(self) -> dict:
-        return {"temperature": self.temperature, "definition": self.definition,
-                "tolerance": self.tolerance, "min_variance": self.min_variance,
-                "temperature_K": self.temperature_K}
-
 
 def _sustained_level(shape: np.ndarray) -> float:
     """Infimum of the levels u at which ``shape``, once below u, stays below u.

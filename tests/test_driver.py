@@ -295,6 +295,46 @@ class TestFailurePolicy:
         assert capsys.readouterr().err == ("sqzbath: error: non-finite phase-space "
                                            f"coordinates at step {early}\n")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers, batch_bytes, n_batches",
+                             [(1, None, 1), (2, None, 2), (1, 0, 2), (2, 0, 2)])
+    def test_earliest_failure_over_batches(self, monkeypatch, tmp_path, capsys,
+                                           workers, batch_bytes, n_batches):
+        # two 100-row chunks. Row 5 starts at the edge of overflow and goes
+        # non-finite later; row 150 starts at inf. However the chunks are
+        # batched, serially or in a pool, the run stops at step 0 and writes
+        # nothing.
+        def sample(config, lo, hi):
+            state = _sample_chunk(config, lo, hi)
+            for row, value in ((5, 0.85e308), (150, np.inf)):
+                if lo <= row < hi:
+                    state.system.q1[row - lo] = state.system.q2[row - lo] = value
+            return state
+
+        monkeypatch.setattr(driver, "_sample_chunk", sample)
+        if batch_bytes is not None:
+            monkeypatch.setattr(driver, "_BATCH_BYTES", batch_bytes)
+        cfg = isolated_config(n_traj=200, chunk_size=100, seed=5, workers=workers,
+                              integrator=IntegratorConfig(n_steps=400, stride=50))
+        assert len(_batch_ranges(cfg)) == n_batches
+        with pytest.raises(TrajectoryFailure) as err:
+            run_ensemble(dataclasses.replace(cfg, n_traj=100))
+        assert err.value.step > 0
+        with pytest.raises(TrajectoryFailure) as err:
+            run_ensemble(cfg)
+        assert err.value.step == 0
+
+        out = tmp_path / "results"
+        ini = tmp_path / "case.ini"
+        ini.write_text("[bath]\nmodel = isolated\n"
+                       "[integrator]\nn_steps = 400\nstride = 50\n"
+                       f"[ensemble]\nn_traj = 200\nchunk_size = 100\nseed = 5\n"
+                       f"workers = {workers}\n[output]\ndir = {out}\n")
+        assert main(["run", "--config", str(ini)]) == EXIT_TRAJECTORY
+        assert not out.exists()
+        assert capsys.readouterr().err == ("sqzbath: error: non-finite phase-space "
+                                           "coordinates at step 0\n")
+
     def test_non_finite_energy_sum_aborts(self, monkeypatch):
         # finite coordinates whose energies overflow from the third
         # observation on: the merged energy sum names that step

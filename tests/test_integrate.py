@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -306,23 +307,48 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("model", ["isolated", "ohmic", "nhc"])
     def test_caller_system_arrays_never_written(self, model):
-        # the stepper copies the system phase into arrays it owns
+        # every stepper copies the arrays it moves, the Ohmic bath arrays
+        # excepted, into arrays it owns, scalar coordinates (held as 0-d
+        # arrays) as batched ones; an integrate observer sees those same
+        # arrays at every observation
         z, pos, mom, osc = trajectory_rng(8, range(5), (4,), (6,), (6,), (2,))
         params = {"isolated": None, "ohmic": build_ohmic_bath(6, 0.05, 3.0),
                   "nhc": nhc_from_ohmic(0.05, 3.0, 1.0)}[model]
-        bath = None
-        if model == "ohmic":
-            bath = sample_ohmic_bath(pos, mom, params, 1.0, SamplingMode.QUANTUM)
-        elif model == "nhc":
-            bath = init_nhc_bath(osc, params, 1.0, SamplingMode.QUANTUM)
-        system = sample_system(z, SystemParams(), 1.0, SamplingMode.QUANTUM)
-        state = TrajectoryState(0.0, system, bath)
-        held = [system.q1, system.q2, system.p1, system.p2]
-        before = [v.copy() for v in held]
-        integrate(state, SystemParams(), params, IntegratorConfig(n_steps=40, stride=10))
-        for value, old in zip(held, before):
-            assert np.array_equal(value, old)
-        assert not np.array_equal(state.system.q1, before[0])
+        steppers = [integrate, step_hamiltonian] + ([step_nhc] if model == "nhc" else [])
+        config = IntegratorConfig(n_steps=40, stride=10)
+        for stepper, batch in itertools.product(steppers, (0, 5)):
+            system = sample_system(z, SystemParams(), 1.0, SamplingMode.QUANTUM)
+            bath = None
+            if model == "ohmic":
+                bath = sample_ohmic_bath(pos, mom, params, 1.0, SamplingMode.QUANTUM)
+            elif model == "nhc":
+                bath = init_nhc_bath(osc, params, 1.0, SamplingMode.QUANTUM)
+            if batch == 0:
+                system = SystemPhase(*(np.array(v[0]) for v in vars(system).values()))
+                if bath is not None:
+                    bath = dataclasses.replace(
+                        bath, **{k: np.array(v[0]) for k, v in vars(bath).items()})
+            state = TrajectoryState(0.0, system, bath)
+            held = [*vars(system).values(), *(vars(bath).values() if model == "nhc" else ())]
+            before = [v.copy() for v in held]
+            seen = []
+            if stepper is integrate:
+                integrate(state, SystemParams(), params, config, observer=lambda i, s: (
+                    seen.append([*vars(s.system).values(),
+                                 *(vars(s.bath).values() if s.bath is not None else ())])))
+                assert len(seen) == 5
+            else:
+                for _ in range(config.n_steps):
+                    stepper(state, SystemParams(), params, config.dt)
+            for value, old in zip(held, before):
+                assert np.array_equal(value, old), (stepper.__name__, batch)
+            for value, old in zip(vars(state.system).values(), before):
+                assert not np.array_equal(value, old), (stepper.__name__, batch)
+            if model == "nhc":
+                assert not np.array_equal(state.bath.osc_q, before[4])
+                assert not np.array_equal(state.bath.osc_p, before[5])
+            for fields in seen:
+                assert all(a is b for a, b in zip(fields, seen[0])), batch
 
     @pytest.mark.parametrize("mass", [1.0, 0.7])
     def test_textbook_step_bits(self, mass):

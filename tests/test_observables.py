@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestSqueezeReport:
 
     def test_json_round_trip(self):
         rep = squeeze_report(make_series(np.array([0.9, 0.4, 0.6])))
-        payload = json.loads(json.dumps(rep.to_dict()))
+        payload = json.loads(json.dumps(asdict(rep)))
         assert payload["threshold"] == 0.5
         assert payload["coords"]["qt2"]["min_variance"] == pytest.approx(0.4)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ class TestThreshold:
         result = threshold_temperature(SystemParams(), fundamental=paper_fundamental)
         assert result.temperature == pytest.approx(3.7403, abs=5e-5)
         assert result.temperature_K == pytest.approx(1122.8, abs=0.05)
-        assert result.to_dict()["temperature_K"] == result.temperature_K
+        assert asdict(result)["temperature_K"] == result.temperature_K
 
     def test_sustained_definition_accepted(self, paper_fundamental):
         with pytest.raises(ValueError):
