@@ -78,13 +78,16 @@ class OhmicBathPhase:
 class OhmicWorkspace:
     """Preallocated arrays for :func:`ohmic_forces` on one bath shape.
 
-    ``stiffness`` caches m_j Omega_j^2. ``force`` receives the bath force and
-    ``scratch`` the harmonic term; both have the shape of the bath positions,
-    (N,) or (batch, N), and are free for other use between calls.
+    Every array has the shape of the bath positions, (N,) or (batch, N), so
+    that each of the force's elementwise passes runs as one flat loop rather
+    than one inner loop per row. ``stiffness`` holds m_j Omega_j^2 tiled to
+    that shape, built once. ``force`` receives the bath force and ``scratch``
+    the harmonic term; both are free for other use between calls.
     """
 
     def __init__(self, bath: OhmicBathParams, shape):
-        self.stiffness = bath.mass * bath.freqs ** 2
+        self.stiffness = np.empty(shape)
+        self.stiffness[...] = bath.mass * bath.freqs ** 2
         self.force = np.empty(shape)
         self.scratch = np.empty(shape)
 
@@ -97,12 +100,19 @@ def ohmic_forces(phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
     and dp2/dt, the latter is dP_j/dt = -m_j Omega_j^2 R_j + c_j (q1 + q2).
     ``bath_force`` is ``work.force``, overwritten by the next call with the
     same workspace; without ``work`` a fresh one is allocated.
+
+    The coupling term c_j (q1 + q2) is formed by ``einsum``, which runs it
+    as one loop where a broadcast multiply runs one per row. einsum sums
+    each product into a zeroed output, so a product that is exactly -0.0
+    (q1 + q2 = -0.0, or c_j = 0 at kondo = 0) comes out as +0.0; every
+    other value has the bits of the product. The sign of a zero reaches no
+    output, all of which are second moments, counts or energy sums.
     """
     if work is None:
         work = OhmicWorkspace(bath, np.shape(phase_bath.pos))
     sys_kick = phase_bath.pos @ bath.couplings
-    qsum = np.asarray(phase_sys.q1 + phase_sys.q2)
-    np.multiply(qsum[..., None], bath.couplings, out=work.force)
+    np.einsum("...,j->...j", phase_sys.q1 + phase_sys.q2, bath.couplings,
+              out=work.force)
     np.multiply(work.stiffness, phase_bath.pos, out=work.scratch)
     np.subtract(work.force, work.scratch, out=work.force)
     return sys_kick, work.force

@@ -9,11 +9,12 @@ integrated together as one batch, whose width is set by a memory budget on
 its snapshot buffers. Every step, the sampling and the normal-mode map act
 on each row alone, so the batch width and the worker count never change an
 output bit. An Ohmic batch is one chunk, integrated in consecutive row
-blocks whose four (rows, N) bath arrays fit a 1 MiB budget, so that each
+blocks whose five (rows, N) bath arrays fit a 1.5 MiB budget, so that each
 step's elementwise passes run from one core's L2 cache. The bath pull
 ``pos @ c`` is a BLAS product, which gives a row the same bits in a block as
 in the whole batch only on aligned blocks, so blocks start at multiples of
-32 rows.
+32 rows. A temperature sweep, and a bath comparison, run their ensembles one
+after another on one process pool (see :func:`_pool`).
 
 The driver owns the failure policy: the first observation, or final state,
 that holds a non-finite coordinate aborts the run with
@@ -25,6 +26,7 @@ non-finite.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 from concurrent.futures import ProcessPoolExecutor
@@ -240,10 +242,14 @@ def _rows(phase, a: int, b: int):
     return dataclasses.replace(phase, **{k: v[a:b] for k, v in vars(phase).items()})
 
 
-# Cap on one Ohmic block's four (rows, N) float64 bath arrays (positions,
-# momenta, force and scratch), so that a block's step stays in one core's L2
-# cache instead of streaming each elementwise pass from L3.
-_BLOCK_BYTES = 2**20
+# Cap on one Ohmic block's five (rows, N) float64 bath arrays (positions,
+# momenta, and the workspace's tiled stiffness, force and scratch), so that
+# a block's step stays in one core's L2 cache instead of streaming each
+# elementwise pass from L3. Three quarters of a 2 MiB L2 gives 192 rows at
+# N = 200. On a 2-vCPU Xeon with 2 MiB of L2 per core, 192-row blocks ran
+# the 500-row ohmic-run chunk about 4% faster than 160-row ones, and 128
+# rows no faster than 160.
+_BLOCK_BYTES = 3 * 2**19
 # Ohmic blocks start at multiples of this many rows. The BLAS product
 # pos @ c gives a row the bits it has in the whole batch only when the blocks
 # are aligned: OpenBLAS 0.3.31 reproduces a 500-row product with blocks of
@@ -257,13 +263,13 @@ def _block_rows(config: RunConfig, n: int) -> int:
     """Rows per integration block of an n-row batch.
 
     The Ohmic model takes the largest multiple of ``_BLOCK_ALIGN`` rows
-    whose bath arrays fit ``_BLOCK_BYTES`` (160 rows at N = 200), and at
+    whose bath arrays fit ``_BLOCK_BYTES`` (192 rows at N = 200), and at
     least ``_BLOCK_ALIGN``. The other models' per-row arrays are small, and
     they integrate the whole batch at once, which makes fewer numpy calls.
     """
     if config.model is not ModelKind.OHMIC:
         return n
-    rows = _BLOCK_BYTES // (4 * 8 * config.bath.n_modes)
+    rows = _BLOCK_BYTES // (5 * 8 * config.bath.n_modes)
     return max(_BLOCK_ALIGN, rows - rows % _BLOCK_ALIGN)
 
 
@@ -295,7 +301,19 @@ def _batch_ranges(config: RunConfig):
     return _chunk_ranges(config.n_traj, chunks_per_batch * config.chunk_size)
 
 
-def run_ensemble(config: RunConfig) -> EnsembleResult:
+def _pool(*configs):
+    """One process pool for the runs of ``configs``, made one after another,
+    sized by the widest: a run maps its batches on a pool when it has more
+    than one worker and more than one batch, and keeps min(workers, batches)
+    processes busy. Use it in ``with`` form; it opens as None when no run
+    needs a pool."""
+    width = max(min(c.workers, len(_batch_ranges(c))) for c in configs)
+    if width < 2:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(max_workers=width)
+
+
+def run_ensemble(config: RunConfig, *, pool=None) -> EnsembleResult:
     """Sample, integrate and reduce a full trajectory ensemble.
 
     The models are linear, so a trajectory that goes non-finite signals a
@@ -303,11 +321,15 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     :class:`TrajectoryFailure`, and ``n_failed`` of a result is always 0.
     Finite coordinates whose merged moments overflow abort it too, at the
     step of the first such observation.
+
+    A run with more than one worker and more than one batch maps its batches
+    on ``pool``, an open pool from :func:`_pool` shared by a sequence of runs,
+    or on a pool of its own when ``pool`` is None.
     """
     times = config.integrator.obs_times
     batches = _batch_ranges(config)
     if config.workers > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(batches))) as pool:
+        with _pool(config) if pool is None else contextlib.nullcontext(pool) as pool:
             per_batch = list(pool.map(_try_chunk, *zip(*((config, lo, hi)
                                                          for lo, hi in batches))))
     else:
@@ -412,13 +434,17 @@ def temperature_sweep(config: RunConfig, temperatures) -> SweepResult:
 
     fundamental = fundamental_solution(config.system, dt=config.integrator.dt,
                                        n_steps=config.integrator.n_steps)
+    run_cfgs = [dataclasses.replace(
+        config, temperature=temp, seed=temperature_seed(config.seed, i),
+        bath=(dataclasses.replace(config.bath, temperature=temp)
+              if config.model is ModelKind.NHC else config.bath))
+        for i, temp in enumerate(temps)]
+    # the points run in order on one pool, so a failing point raises before
+    # later points start
+    with _pool(*run_cfgs) as pool:
+        results = [run_ensemble(run_cfg, pool=pool) for run_cfg in run_cfgs]
     rows = []
-    for i, temp in enumerate(temps):
-        run_cfg = dataclasses.replace(
-            config, temperature=temp, seed=temperature_seed(config.seed, i),
-            bath=(dataclasses.replace(config.bath, temperature=temp)
-                  if config.model is ModelKind.NHC else config.bath))
-        result = run_ensemble(run_cfg)
+    for temp, result in zip(temps, results):
         diag = result.report["qt2"]
         _, oracle_var_q, _ = mode2_variance_exact(config.system, temp,
                                                   config.sampling,
@@ -496,8 +522,9 @@ def bath_equivalence(config_ohmic: RunConfig, config_nhc: RunConfig,
         if getattr(config_ohmic, attr) != getattr(config_nhc, attr):
             raise ValueError(f"configs must share {attr} for a fair comparison")
 
-    res_o = run_ensemble(config_ohmic)
-    res_n = run_ensemble(config_nhc)
+    with _pool(config_ohmic, config_nhc) as pool:
+        res_o = run_ensemble(config_ohmic, pool=pool)
+        res_n = run_ensemble(config_nhc, pool=pool)
     coords, all_ok = compare_variance_series(res_o.series, res_n.series, rel_tolerance)
     return BathComparison(coords=coords, passed=all_ok, n_traj=config_ohmic.n_traj,
                           rel_tolerance=rel_tolerance)

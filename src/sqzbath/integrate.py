@@ -217,11 +217,14 @@ class _Thermostat:
 
     It drags P1 in the array of the stepper ``kick``, which must be built
     first, and owns the chain as (p_eta1, p_eta2) and (eta1, eta2) stacks,
-    updated in place. A substep leaves p_eta1^2/Q1 - T and P1^2/m1 - gT as
-    the next one's opening values, and one stacked product gives both eta
-    increments and, negated, the drag exponent. A division by a unit mass is
-    skipped, which is exact. The arithmetic is that of the textbook substep,
-    bit for bit.
+    updated in place. x = p_eta1^2/Q1 - T and G = P1^2/m1 - gT are the rows
+    of one stack, so one product gives both opening half-increments of a
+    substep. A substep leaves x and G as the next one's opening values, and
+    only the thermostat moves p_eta1, so x is formed once, here, and each
+    half-step refreshes only G. The stacked eta increments are formed with
+    -delta, so that their first row is the drag exponent. A division by a
+    unit mass is skipped, which is exact. The arithmetic is that of the
+    textbook substep, bit for bit.
     """
 
     def __init__(self, bath: NHCBathParams, state: TrajectoryState, kick: _Kick,
@@ -232,10 +235,13 @@ class _Thermostat:
         self.p_eta = _own(ph, ("p_eta1", "p_eta2"), shape)
         self.eta = _own(ph, ("eta1", "eta2"), shape)
         self.p_eta1, self.p_eta2 = ph.p_eta1, ph.p_eta2
-        # x = p_eta1^2/Q1 - T, G = P1^2/m1 - gT, U = delta * p_eta / Q
-        self.x, self.g, self.scale, self.tmp = (np.empty(shape) for _ in range(4))
-        self.u = np.empty((2,) + shape)
+        # rows as [i, ...] views: on a scalar state, stack[i] would be a copy
+        # xg = (x, G); half = delta/2 * (x, G); U = -delta * p_eta / Q
+        self.xg, self.half, self.u = (np.empty((2,) + shape) for _ in range(3))
+        self.x, self.g = self.xg[0, ...], self.xg[1, ...]
+        self.half_x, self.half_g = self.half[0, ...], self.half[1, ...]
         self.u1 = self.u[0, ...]
+        self.scale, self.tmp = np.empty(shape), np.empty(shape)
 
         # constants as 0-d arrays, which numpy takes faster than floats
         const = np.asarray
@@ -247,36 +253,36 @@ class _Thermostat:
         self.q = (None if self.q1 is None and self.q2 is None else
                   np.reshape([bath.mass_eta1, bath.mass_eta2], (2,) + (1,) * len(shape)))
         half_dt = 0.5 * kick.dt
-        self.deltas = [(const(d), const(0.5 * d), const(-0.25 * d))
+        self.deltas = [(const(-d), const(0.5 * d), const(-0.25 * d))
                        for d in (w * half_dt / n_mts
                                  for w in yoshida_weights(n_yoshida).tolist())] * n_mts
+        _square_over(self.p_eta1, self.q1, self.kt, self.x)
 
     def half_step(self) -> None:
         p, p_eta, eta = self.p, self.p_eta, self.eta
         p_eta1, p_eta2 = self.p_eta1, self.p_eta2
-        x, g, scale, tmp, u, u1 = self.x, self.g, self.scale, self.tmp, self.u, self.u1
+        xg, x, g, half, half_x, half_g = (self.xg, self.x, self.g, self.half,
+                                          self.half_x, self.half_g)
+        scale, tmp, u, u1 = self.scale, self.tmp, self.u, self.u1
         kt, gkt, m1, q1, q2, q = self.kt, self.gkt, self.m1, self.q1, self.q2, self.q
-        multiply, add, exp = np.multiply, np.add, np.exp
-        _square_over(p_eta1, q1, kt, x)
+        multiply, add, subtract, exp = np.multiply, np.add, np.subtract, np.exp
         _square_over(p, m1, gkt, g)
-        for delta, half_delta, quarter_neg in self.deltas:
-            multiply(x, half_delta, tmp)
-            add(p_eta2, tmp, p_eta2)
+        for neg_delta, half_delta, quarter_neg in self.deltas:
+            multiply(xg, half_delta, half)
+            add(p_eta2, half_x, p_eta2)
             multiply(p_eta2, quarter_neg, scale)
             if q2 is not None:
                 np.divide(scale, q2, scale)
             exp(scale, scale)
             multiply(p_eta1, scale, p_eta1)
-            multiply(g, half_delta, tmp)
-            add(p_eta1, tmp, p_eta1)
+            add(p_eta1, half_g, p_eta1)
             multiply(p_eta1, scale, p_eta1)
 
-            multiply(p_eta, delta, u)
+            multiply(p_eta, neg_delta, u)
             if q is not None:
                 np.divide(u, q, u)
-            add(eta, u, eta)
-            np.negative(u1, tmp)
-            exp(tmp, tmp)
+            subtract(eta, u, eta)
+            exp(u1, tmp)
             multiply(p, tmp, p)
 
             _square_over(p, m1, gkt, g)

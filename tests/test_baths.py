@@ -6,6 +6,7 @@ import pytest
 from sqzbath import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase,
                      SystemPhase, build_ohmic_bath, nhc_bath_forces,
                      nhc_from_ohmic, ohmic_forces)
+from sqzbath.baths import OhmicWorkspace
 
 
 class TestBuildOhmic:
@@ -88,6 +89,34 @@ class TestOhmicForces:
         _, bath_force = ohmic_forces(SystemPhase(1.0, -1.0, 0.0, 0.0),
                                      OhmicBathPhase(pos, np.zeros(8)), bath)
         assert np.allclose(bath_force, -bath.freqs ** 2 * pos, rtol=0, atol=1e-15)
+
+
+    @pytest.mark.parametrize("mass", [1.0, 0.7])
+    @pytest.mark.parametrize("kondo", [0.0, 0.3])
+    @pytest.mark.parametrize("shape", [(200,), (1, 200), (20, 200), (160, 200),
+                                       (500, 200)])
+    def test_matches_textbook_formula(self, rng, shape, kondo, mass):
+        bath = build_ohmic_bath(200, kondo, 3.0, mass)
+        q1 = rng.standard_normal(shape[:-1])
+        q2 = rng.standard_normal(shape[:-1])
+        pos = rng.standard_normal(shape)
+        pos[..., ::7] = 0.0
+        if shape[:-1]:
+            # q1 + q2 = +0.0 and -0.0, whose products with c_j are zeros
+            q2[::3] = -q1[::3]
+            q1[1::3] = q2[1::3] = -0.0
+        expected = (bath.couplings * (q1 + q2)[..., None]
+                    - bath.mass * bath.freqs ** 2 * pos)
+        phase = SystemPhase(q1, q2, np.zeros(shape[:-1]), np.zeros(shape[:-1]))
+        for work in (None, OhmicWorkspace(bath, shape)):
+            sys_kick, force = ohmic_forces(phase, OhmicBathPhase(pos, pos.copy()),
+                                           bath, work)
+            assert np.array_equal(sys_kick, pos @ bath.couplings)
+            assert np.array_equal(force, expected)
+            # the documented exception: an exact -0.0 product comes out +0.0
+            flipped = np.signbit(force) != np.signbit(expected)
+            assert np.all(force[flipped] == 0.0)
+            assert not np.signbit(force[flipped]).any()
 
 
 class TestNHCParams:

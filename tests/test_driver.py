@@ -172,30 +172,89 @@ class TestBatching:
 
     @pytest.mark.parametrize("n_traj, chunk_size, n_batches",
                              [(64, 32, 2), (96, 16, 6)])
-    def test_pool_bounded_by_batches(self, monkeypatch, n_traj, chunk_size, n_batches):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_pool_bounded_by_batches(self, pool_sizes, n_traj, chunk_size, n_batches):
         cfg = isolated_config(n_traj=n_traj, chunk_size=chunk_size)
         wide = dataclasses.replace(cfg, workers=64)
         assert len(_batch_ranges(wide)) == n_batches
-        monkeypatch.setattr(driver, "ProcessPoolExecutor", RecordingPool)
         pooled = run_ensemble(wide)
         serial = run_ensemble(cfg)
-        assert sizes == [n_batches]
+        assert pool_sizes == [n_batches]
         assert np.array_equal(serial.series.variances, pooled.series.variances)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the driver's process pool by an in-process one; returns the
+    max_workers of every pool started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(driver, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestSharedPool:
+    """A sweep, and a bath comparison, start one pool for all their runs."""
+
+    temps = [0.9, 1.0, 1.1]
+
+    def test_one_pool_per_sweep(self, pool_sizes):
+        cfg = isolated_config(n_traj=64, chunk_size=32,
+                              integrator=IntegratorConfig(n_steps=500, stride=50))
+        pooled = temperature_sweep(dataclasses.replace(cfg, workers=2), self.temps)
+        assert pool_sizes == [2]
+        serial = temperature_sweep(cfg, self.temps)
+        assert pool_sizes == [2]
+        assert [r.to_dict() for r in pooled.rows] == [r.to_dict() for r in serial.rows]
+        for a, b in zip(pooled.rows, serial.rows):
+            assert np.array_equal(a.series.variances, b.series.variances)
+            assert np.array_equal(a.series.std_errors, b.series.std_errors)
+
+    def test_one_pool_per_bath_comparison(self, pool_sizes):
+        icfg = IntegratorConfig(n_steps=200, stride=50)
+        cfg_o = isolated_config(bath=build_ohmic_bath(8, 0.007, 3.0), integrator=icfg,
+                                n_traj=96, chunk_size=16, workers=4)
+        cfg_n = isolated_config(bath=nhc_from_ohmic(0.007, 3.0, 1.0), integrator=icfg,
+                                n_traj=96, chunk_size=32, workers=2)
+        # sized by the wider run: Ohmic keeps one chunk per batch
+        assert len(_batch_ranges(cfg_o)) == 6 and len(_batch_ranges(cfg_n)) == 2
+        pooled = bath_equivalence(cfg_o, cfg_n)
+        assert pool_sizes == [4]
+        serial = bath_equivalence(dataclasses.replace(cfg_o, workers=1),
+                                  dataclasses.replace(cfg_n, workers=1))
+        assert pool_sizes == [4]
+        assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_point_stops_the_sweep(self, monkeypatch, pool_sizes):
+        sampled = []
+
+        def sample(config, lo, hi):
+            sampled.append(config.temperature)
+            state = _sample_chunk(config, lo, hi)
+            if config.temperature == 1.0:
+                state.system.q1[3] = np.inf
+            return state
+
+        monkeypatch.setattr(driver, "_sample_chunk", sample)
+        cfg = isolated_config(n_traj=64, chunk_size=32, workers=2,
+                              integrator=IntegratorConfig(n_steps=500, stride=50))
+        with pytest.raises(TrajectoryFailure):
+            temperature_sweep(cfg, self.temps)
+        assert pool_sizes == [2]
+        assert sampled == [0.9, 0.9, 1.0, 1.0]
 
 
 class TestZeroCouplingEquivalence:
