@@ -5,16 +5,31 @@ Each trajectory samples from its own counter-based random stream keyed by
 (master seed, trajectory index). ``chunk_size`` sets the statistics chunk:
 each chunk of trajectories is reduced to one partial accumulator, and the
 partials merge in chunk order. Runs of consecutive chunks are sampled and
-integrated together as one batch, whose width is set by a memory budget on
-its snapshot buffers. Every step, the sampling and the normal-mode map act
-on each row alone, so the batch width and the worker count never change an
-output bit. An Ohmic batch is one chunk, integrated in consecutive row
-blocks whose five (rows, N) bath arrays fit a 1.5 MiB budget, so that each
-step's elementwise passes run from one core's L2 cache. The bath pull
-``pos @ c`` is a BLAS product, which gives a row the same bits in a block as
-in the whole batch only on aligned blocks, so blocks start at multiples of
-32 rows. A temperature sweep, and a bath comparison, run their ensembles one
-after another on one process pool (see :func:`_pool`).
+reduced together as one batch, whose width is set by a memory budget on its
+snapshot buffers. A temperature sweep, and a bath comparison, run their
+ensembles one after another on one process pool (see :func:`_pool`).
+
+The isolated and Ohmic models are linear, so a run of either, without
+energy tracking, steps no trajectory of its own: :func:`_response` steps
+four unit probes once, and each chunk's snapshots are its initial
+coordinates contracted with the probes' records (see :func:`_propagate`).
+The centre-of-mass + bath block is undriven and its step is symplectic and
+time-reversible, so the probes' columns of the k-step map give the rows
+that (qt1, pt1) need; the driven relative mode is bath-free and takes its
+2x2 map from two more probes. The contraction acts on each row alone, so
+the batch width and the worker count never change an output bit.
+
+Every other batch is integrated by the stepper: those of the NHC model and
+of energy-tracking runs, a batch whose sampled state or propagated snapshots
+hold a value that is non-finite or at least 2**511 in magnitude (whose
+square overflows), and the batches that run after a failure. Every
+failure is therefore the stepper's. The sampling and the normal-mode map
+act on each row alone there too. An Ohmic batch is one chunk, integrated in
+consecutive row blocks whose five (rows, N) bath arrays fit a 1.5 MiB
+budget, so that each step's elementwise passes run from one core's L2
+cache. The bath pull ``pos @ c`` is a BLAS product, which gives a row the
+same bits in a block as in the whole batch only on aligned blocks, so blocks
+start at multiples of 32 rows.
 
 The driver owns the failure policy: the first observation, or final state,
 that holds a non-finite coordinate aborts the run with
@@ -29,14 +44,15 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .baths import (NHCBathParams, OhmicBathParams, nhc_extended_energy,
-                    ohmic_energy)
+from .baths import (NHCBathParams, OhmicBathParams, OhmicBathPhase,
+                    nhc_extended_energy, ohmic_energy)
 from .integrate import (BathParams, IntegratorConfig, TrajectoryFailure,
                         TrajectoryState, integrate)
 from .oracle import (FundamentalSolution, fundamental_solution,
@@ -45,7 +61,7 @@ from .observables import (SqueezeReport, VarianceAccumulator, VarianceSeries,
                           squeeze_report)
 from .sampling import (SamplingMode, init_nhc_bath, sample_ohmic_bath,
                        sample_system, trajectory_rng)
-from .system import SystemParams, system_energy, to_normal_modes
+from .system import SystemParams, SystemPhase, system_energy, to_normal_modes
 
 SEED_STREAM_RULE = "philox(seed_sequence=(seed, trajectory_index))"
 
@@ -152,22 +168,48 @@ def _chunk_energy(config: RunConfig, state: TrajectoryState):
 # an overflow is caught by the finiteness checks, which abort the run with one
 # error line; numpy's warnings on the way there would only precede it
 @np.errstate(over="ignore", invalid="ignore")
-def _run_chunk(config: RunConfig, lo: int, hi: int):
-    """Sample and integrate trajectories [lo, hi) as one batch of whole
-    chunks; returns each chunk's (accumulator, energy_sums), in chunk order.
+def _run_chunk(config: RunConfig, lo: int, hi: int,
+               response: Optional[_Response] = None):
+    """Sample trajectories [lo, hi) as one batch of whole chunks and take
+    their snapshots; returns each chunk's (accumulator, energy_sums), in
+    chunk order.
 
-    The batch is integrated in consecutive row blocks (see
-    :func:`_block_rows`), each a view of the sampled arrays. Raises
-    :class:`TrajectoryFailure` at the first observation, or at the final
-    state, that holds a non-finite coordinate, the earliest over all blocks
-    (see :func:`_up_to`).
+    With a ``response`` the snapshots are propagated (:func:`_propagate`);
+    without one, or when the propagation declines the batch, the batch is
+    integrated (:func:`_step_batch`), which raises
+    :class:`TrajectoryFailure` at the first non-finite observation or final
+    state.
     """
     state = _sample_chunk(config, lo, hi)
-    times = config.integrator.obs_times
-    n = hi - lo
-    snaps = np.empty((len(times), n, 4))
+    snaps, energies = None, None
+    if response is not None:
+        snaps = _propagate(config, response, state)
+    if snaps is None:
+        snaps, energies = _step_batch(config, state)
+
+    partials = []
+    for a, b in _chunk_ranges(hi - lo, config.chunk_size):
+        acc = VarianceAccumulator(config.integrator.obs_times)
+        acc.add_block(snaps[:, a:b].swapaxes(0, 1))
+        energy_sums = energies[a:b].sum(axis=0) if energies is not None else None
+        partials.append((acc, energy_sums))
+    return partials
+
+
+def _step_batch(config: RunConfig, state: TrajectoryState):
+    """Integrate a sampled batch in consecutive row blocks (see
+    :func:`_block_rows`), each a view of the sampled arrays; returns its
+    snapshots (observations x rows x 4) and, with ``track_energy``, its
+    energies (rows x observations).
+
+    Raises :class:`TrajectoryFailure` at the first observation, or at the
+    final state, that holds a non-finite coordinate, the earliest over all
+    blocks (see :func:`_up_to`).
+    """
+    n_obs, n = len(config.integrator.obs_times), len(state.system.q1)
+    snaps = np.empty((n_obs, n, 4))
     # rows first, so that a chunk's energy sum runs over rows in order
-    energies = np.empty((n, len(times))) if config.track_energy else None
+    energies = np.empty((n, n_obs)) if config.track_energy else None
 
     failure = None
     for a, b in _chunk_ranges(n, _block_rows(config, n)):
@@ -180,14 +222,7 @@ def _run_chunk(config: RunConfig, lo: int, hi: int):
             failure = err
     if failure is not None:
         raise failure
-
-    partials = []
-    for a, b in _chunk_ranges(n, config.chunk_size):
-        acc = VarianceAccumulator(times)
-        acc.add_block(snaps[:, a:b].swapaxes(0, 1))
-        energy_sums = energies[a:b].sum(axis=0) if energies is not None else None
-        partials.append((acc, energy_sums))
-    return partials
+    return snaps, energies
 
 
 def _integrate_block(config: RunConfig, state: TrajectoryState, snaps: np.ndarray,
@@ -216,6 +251,132 @@ def _integrate_block(config: RunConfig, state: TrajectoryState, snaps: np.ndarra
         raise TrajectoryFailure(integrator.n_steps)
 
 
+@dataclass
+class _Response:
+    """The stepper's response to four unit probes, started with the bath at
+    rest, read at each observation and, when it is off the stride grid, at
+    ``n_steps`` (one record each, in step order).
+
+    ``mode1[i, p]`` holds (qt1, pt1) of probe p = A (pt1 = 1), B (qt1 = 1)
+    at record i; ``bath_pos[i, p]`` and ``bath_mom[i, p]`` hold its bath
+    (R_1..R_N) and (P_1..P_N), None for the isolated model. ``mode2[i, p]``
+    holds (qt2, pt2) of probe p = C (qt2 = 1), D (pt2 = 1).
+    """
+
+    mode1: np.ndarray                   # (records, 2, 2)
+    mode2: np.ndarray                   # (records, 2, 2)
+    bath_pos: Optional[np.ndarray]      # (records, 2, N)
+    bath_mom: Optional[np.ndarray]
+
+
+# The probes' system coordinate: to_normal_modes maps sqrt(0.5), not
+# 1/sqrt(2), to exactly 1, so every probe starts at an exact unit vector.
+_UNIT = math.sqrt(0.5)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # a blow-up is declined later
+def _response(config: RunConfig) -> Optional[_Response]:
+    """The probes' records for the run ``config``, integrated in one
+    4-row :func:`integrate` call: rows A (pt1 = 1), B (qt1 = 1), C (qt2 = 1)
+    and D (pt2 = 1). None when the run's batches are stepped: for the NHC
+    model, whose chain is not linear, and with ``track_energy``.
+    """
+    if config.model is ModelKind.NHC or config.track_energy:
+        return None
+    integrator = config.integrator
+    n_obs = len(integrator.obs_times)
+    n_rec = n_obs + (integrator.n_steps % integrator.stride != 0)
+    u = _UNIT
+    system = SystemPhase(q1=np.array([0.0, u, u, 0.0]), q2=np.array([0.0, u, -u, 0.0]),
+                         p1=np.array([u, 0.0, 0.0, u]), p2=np.array([u, 0.0, 0.0, -u]))
+    mode1, mode2 = np.empty((2, n_rec, 2, 2))
+    bath = bath_pos = bath_mom = None
+    if config.model is ModelKind.OHMIC:
+        bath = OhmicBathPhase(pos=np.zeros((4, config.bath.n_modes)),
+                              mom=np.zeros((4, config.bath.n_modes)))
+        bath_pos, bath_mom = np.empty((2, n_rec, 2, config.bath.n_modes))
+
+    def record(i, st):
+        modes = to_normal_modes(st.system)
+        mode1[i, :, 0], mode1[i, :, 1] = modes.qt1[:2], modes.pt1[:2]
+        mode2[i, :, 0], mode2[i, :, 1] = modes.qt2[2:], modes.pt2[2:]
+        if bath is not None:
+            bath_pos[i], bath_mom[i] = st.bath.pos[:2], st.bath.mom[:2]
+
+    final = integrate(TrajectoryState(t=0.0, system=system, bath=bath), config.system,
+                      config.bath, integrator,
+                      lambda step, st: record(step // integrator.stride, st))
+    if n_rec > n_obs:
+        record(n_obs, final)
+    return _Response(mode1=mode1, mode2=mode2, bath_pos=bath_pos, bath_mom=bath_mom)
+
+
+# Magnitude from which a propagated batch is stepped instead: the square of
+# a larger value can overflow, and only the stepper decides where a failure
+# happens.
+_HUGE = 2.0 ** 511
+
+
+def _bounded(*arrays) -> bool:
+    """Whether every value is finite and below ``_HUGE`` in magnitude."""
+    return all(bool((np.abs(a) < _HUGE).all()) for a in arrays)
+
+
+def _propagate(config: RunConfig, response: _Response,
+               state: TrajectoryState) -> Optional[np.ndarray]:
+    """Snapshots (observations x rows x 4) of a sampled batch, each chunk's
+    propagated on its own (:func:`_contract`); None when the sampled state,
+    or a propagated snapshot or final state, is not :func:`_bounded`, so
+    that the batch is stepped instead."""
+    sampled = list(vars(state.system).values())
+    if state.bath is not None:
+        sampled += vars(state.bath).values()
+    if not _bounded(*sampled):
+        return None
+    modes = to_normal_modes(state.system)
+    n = len(modes.qt1)
+    records = np.empty((len(response.mode1), n, 4))
+    for a, b in _chunk_ranges(n, config.chunk_size):
+        _contract(response, _rows(modes, a, b), _rows(state.bath, a, b),
+                  records[:, a:b])
+    if not _bounded(records):
+        return None
+    return records[:len(config.integrator.obs_times)]
+
+
+def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase],
+              out: np.ndarray) -> None:
+    """Write (qt1, qt2, pt1, pt2) at every record of the rows whose initial
+    normal modes are ``modes`` and bath is ``bath`` into ``out`` (records x
+    rows x 4).
+
+    With probes A-D as in :class:`_Response`, qt1(k) = A.pt1(k) qt1(0) +
+    A.qt1(k) pt1(0) + sum_j A.P_j(k) R_j(0) + sum_j A.R_j(k) P_j(0), and
+    pt1(k) is the same sum over probe B: the step map M of the undriven
+    (qt1, R | pt1, P) block is symplectic and time-reversible, so the q and p
+    rows of M^k are its p and q columns transposed. Mode 2 is the 2x2 map of
+    probes C and D. Every product acts on each row alone: the sums over j
+    run in ``einsum``'s own loop, where a BLAS product would change a row's
+    bits with the number of rows. Each coordinate is formed as a (records,
+    rows) array and then copied into its column of ``out``: broadcasting
+    into the column directly runs one 2-element inner loop per row.
+    """
+    outer = np.multiply.outer
+    for p, col in ((0, 0), (1, 2)):     # qt1 from probe A, pt1 from B
+        coord = outer(response.mode1[:, p, 1], modes.qt1)
+        coord += outer(response.mode1[:, p, 0], modes.pt1)
+        if bath is not None:
+            coord += np.einsum("ij,rj->ir", response.bath_mom[:, p], bath.pos,
+                               optimize=False)
+            coord += np.einsum("ij,rj->ir", response.bath_pos[:, p], bath.mom,
+                               optimize=False)
+        out[..., col] = coord
+    for c, col in ((0, 1), (1, 3)):     # qt2 and pt2, the map of probes C, D
+        coord = outer(response.mode2[:, 0, c], modes.qt2)
+        coord += outer(response.mode2[:, 1, c], modes.pt2)
+        out[..., col] = coord
+
+
 def _up_to(config: RunConfig, failure: Optional[TrajectoryFailure]) -> RunConfig:
     """``config``, cut at the step of ``failure`` when there is one: blocks and
     batches after a failed one run only that far, so the earliest failure
@@ -226,11 +387,12 @@ def _up_to(config: RunConfig, failure: Optional[TrajectoryFailure]) -> RunConfig
         config.integrator, n_steps=failure.step))
 
 
-def _try_chunk(config: RunConfig, lo: int, hi: int):
+def _try_chunk(config: RunConfig, lo: int, hi: int,
+               response: Optional[_Response] = None):
     """:func:`_run_chunk`'s partials, or the :class:`TrajectoryFailure` it
     raises, returned so that a pool hands back every batch's outcome."""
     try:
-        return _run_chunk(config, lo, hi)
+        return _run_chunk(config, lo, hi, response)
     except TrajectoryFailure as err:
         return err
 
@@ -290,7 +452,7 @@ def _batch_ranges(config: RunConfig):
     A batch holds as many chunks as the snapshot budget allows, but no more
     than an even share of the chunks per worker. The Ohmic model keeps one
     chunk per batch: its sampled (rows, N) bath arrays lie outside that
-    budget. :func:`_run_chunk` integrates them in cache-sized row blocks.
+    budget. :func:`_step_batch` integrates them in cache-sized row blocks.
     """
     n_chunks = -(-config.n_traj // config.chunk_size)
     chunks_per_batch = 1
@@ -324,18 +486,22 @@ def run_ensemble(config: RunConfig, *, pool=None) -> EnsembleResult:
 
     A run with more than one worker and more than one batch maps its batches
     on ``pool``, an open pool from :func:`_pool` shared by a sequence of runs,
-    or on a pool of its own when ``pool`` is None.
+    or on a pool of its own when ``pool`` is None. The probes of
+    :func:`_response` are integrated here, once per call, and handed to
+    every batch; batches that run after a failure are stepped.
     """
     times = config.integrator.obs_times
     batches = _batch_ranges(config)
+    response = _response(config)
     if config.workers > 1 and len(batches) > 1:
         with _pool(config) if pool is None else contextlib.nullcontext(pool) as pool:
-            per_batch = list(pool.map(_try_chunk, *zip(*((config, lo, hi)
+            per_batch = list(pool.map(_try_chunk, *zip(*((config, lo, hi, response)
                                                          for lo, hi in batches))))
     else:
         per_batch, failure = [], None
         for lo, hi in batches:
-            per_batch.append(_try_chunk(_up_to(config, failure), lo, hi))
+            per_batch.append(_try_chunk(_up_to(config, failure), lo, hi,
+                                        response if failure is None else None))
             if isinstance(per_batch[-1], TrajectoryFailure):
                 failure = per_batch[-1]     # at or before the step of the last one
     failures = [p for p in per_batch if isinstance(p, TrajectoryFailure)]

@@ -11,6 +11,7 @@ trajectory stepper is checked by
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,15 @@ def kdk_fundamental(ks, dt: float, out=None):
     as arrays over cells. Solution a starts at (y, y') = (1, 0) and b at
     (0, 1); returns their final ``(ay, by, av, bv)``. When ``out`` is given,
     of shape (4, n_steps + 1), column i receives the same four values after
-    i steps.
+    i steps (scalar coefficients only). Arrays over cells run on stacked
+    (ay, by) and (av, bv) buffers, updated in place with the same bits.
     """
+    ks = iter(ks)
+    first = next(ks, None)
+    if first is not None:
+        ks = itertools.chain([first], ks)
+        if np.ndim(first) > 0:
+            return _kdk_cells(ks, np.shape(first), dt)
     half = 0.5 * dt
     ay, by, av, bv = 1.0, 0.0, 0.0, 1.0
     if out is not None:
@@ -71,13 +79,41 @@ def kdk_fundamental(ks, dt: float, out=None):
     return ay, by, av, bv
 
 
+def _kdk_cells(ks, shape, dt: float):
+    """The loop of :func:`kdk_fundamental` on arrays of ``shape`` cells."""
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    y = np.zeros((2,) + shape)      # (ay, by)
+    v = np.zeros((2,) + shape)      # (av, bv)
+    y[0] = v[1] = 1.0
+    hk, scratch = np.empty(shape), np.empty((2,) + shape)
+    half = 0.5 * dt
+    for k in ks:
+        multiply(k, half, out=hk)
+        multiply(y, hk, out=scratch)
+        subtract(v, scratch, out=v)
+        multiply(v, dt, out=scratch)
+        add(y, scratch, out=y)
+        multiply(y, hk, out=scratch)
+        subtract(v, scratch, out=v)
+    return y[0], y[1], v[0], v[1]
+
+
 def _mathieu_fundamental(a, q, t_final: float, steps: int):
     """Fundamental solutions of y'' + (a - 2q cos 2t) y = 0 over [0, t_final]."""
     dt = t_final / steps
     half = 0.5 * dt
     q2 = 2.0 * q
-    return kdk_fundamental((a - q2 * np.cos(2.0 * (i * dt + half))
-                            for i in range(steps)), dt)
+    drive = (np.cos(2.0 * (i * dt + half)) for i in range(steps))
+    if np.ndim(a) == 0 and np.ndim(q2) == 0:
+        return kdk_fundamental((a - q2 * c for c in drive), dt)
+    k = np.empty(np.broadcast_shapes(np.shape(a), np.shape(q2)))
+
+    def ks():       # each step's coefficients, in one reused buffer
+        for c in drive:
+            np.multiply(q2, c, out=k)
+            np.subtract(a, k, out=k)
+            yield k
+    return kdk_fundamental(ks(), dt)
 
 
 def _check_steps(steps: int) -> None:

@@ -248,10 +248,10 @@ class TestRunCommand:
     # relative directory so that the digests do not depend on tmp_path. A
     # change to any output byte, or to the numerics under it, changes them.
     GOLDEN = {
-        "isolated": ("c24529bbad54fa332be46ff48f87fbfcca44d143e6b24b9d21dc56bb7652d550",
-                     "17344feffe608d2442f25b91c07acfd9d0f9af9be1379df20a260a9ebb5aacc6"),
-        "ohmic": ("9f00711b2e3417f9fcf65a4e811ba285e840400cf1e1819e68ec6085809c02a4",
-                  "fdf73d30fd69ebc34a9890da9cc1f6ed2bab422a48beee919d965658440d77ce"),
+        "isolated": ("2a8580134808846e2faa620f3360f4da8544abf9b15fd0f7c047abf27235c1c1",
+                     "5261b10580c0372eb3dae9e40a2947e83b47076444b521f7c8cad39a5aac91b3"),
+        "ohmic": ("bf112ef3ab25963f9871af5b85d1419a20336d1b3006728c26cd54fd24f1c57a",
+                  "1af8f846c0b0488acde1909cc44a843781fba5aaef92de03e99e0bda63c99686"),
         "nhc": ("24989b9fb990199ed83080c678b2b863f9d4e3855a06ef21a9d8718591ba5878",
                 "d2921279401ccd1459c666cb7c300091b60c9b422cf978325af24f6297eb2f26"),
     }
@@ -309,11 +309,11 @@ class TestSweepCommand:
     # per temperature, written to a relative directory. A change to any
     # output byte, or to the numerics under it, changes them.
     GOLDEN = {"demo_sweep.json":
-              "5ed04ff4556151eee1e2ab751fde4282cc3b05ee402556963627294c737ab4e4",
+              "e18927c83ea56d87b3c60fc6c03953edc76a83cf4d8db3be185bf76a63e563b6",
               "demo_T0.9500_variance.csv":
-              "51ad9975642bf7a686ff97bad8891bb27089337fdb1e2e80002771ac34bbfa50",
+              "b3bc3e6092cb944815de87ffd36fc4548f364c76395a3ea223116e19d6fb986e",
               "demo_T1.0500_variance.csv":
-              "53daf250b19a7c28c7d158f4abe4990339ffeeebc70445cd8aeffc24bc4c1bb5"}
+              "fe564896c8e4f65260d624b211dde193cf8f99c57629469336471f09b098d1b0"}
 
     def test_golden_outputs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -5,13 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SystemParams,
-                     TrajectoryFailure, bath_equivalence, build_ohmic_bath,
-                     init_nhc_bath, nhc_from_ohmic, run_ensemble, sample_ohmic_bath,
-                     sample_system, temperature_sweep)
+from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SamplingMode,
+                     SystemParams, TrajectoryFailure, bath_equivalence,
+                     build_ohmic_bath, init_nhc_bath, nhc_from_ohmic,
+                     ohmic_mode1_variances, run_ensemble, sample_ohmic_bath,
+                     sample_system, temperature_sweep, thermal_widths)
 from sqzbath import driver
 from sqzbath.cli import EXIT_TRAJECTORY, main
-from sqzbath.driver import _batch_ranges, _sample_chunk, temperature_seed
+from sqzbath.driver import (_batch_ranges, _propagate, _response, _sample_chunk,
+                           _step_batch, temperature_seed)
+from sqzbath.system import normal_mode_freqs
 
 from conftest import contract_normals
 
@@ -419,6 +422,138 @@ class TestFailurePolicy:
             run_ensemble(cfg)
         assert str(err.value) == f"non-finite phase-space coordinates at step {err.value.step}"
         assert err.value.step < self.unstable.n_steps
+
+
+class TestPropagation:
+    """Isolated and Ohmic runs propagate their snapshots from four stepped
+    unit probes instead of stepping every trajectory."""
+
+    @pytest.mark.parametrize("bath, system, sampling, n_steps", [
+        (None, SystemParams(), SamplingMode.QUANTUM, 1000),
+        (build_ohmic_bath(20, 0.0, 3.0), SystemParams(), SamplingMode.QUANTUM, 1000),
+        (build_ohmic_bath(20, 0.007, 3.0), SystemParams(), SamplingMode.QUANTUM, 1000),
+        (build_ohmic_bath(20, 0.3, 3.0), SystemParams(), SamplingMode.CLASSICAL, 1000),
+        (build_ohmic_bath(20, 0.007, 3.0, mass=0.7), SystemParams(mass=1.7),
+         SamplingMode.QUANTUM, 1000),
+        (build_ohmic_bath(20, 0.007, 3.0, mass=0.7), SystemParams(mass=1.7),
+         SamplingMode.CLASSICAL, 1037),
+        (None, SystemParams(mass=1.7), SamplingMode.CLASSICAL, 1037),
+    ], ids=["isolated", "kondo0", "kondo0.007", "kondo0.3-classical", "masses",
+            "masses-classical-offgrid", "isolated-mass-offgrid"])
+    def test_propagated_equals_stepped(self, bath, system, sampling, n_steps):
+        # the same samples, stepped and propagated, per trajectory; step 0
+        # is the sampled state itself, bit for bit
+        cfg = isolated_config(bath=bath, system=system, sampling=sampling, chunk_size=23,
+                              integrator=IntegratorConfig(n_steps=n_steps, stride=50))
+        state = _sample_chunk(cfg, 0, cfg.n_traj)
+        propagated = _propagate(cfg, _response(cfg), state)
+        stepped, _ = _step_batch(cfg, state)
+        assert propagated.shape == stepped.shape
+        assert np.array_equal(propagated[0], stepped[0])
+        rms = np.sqrt((stepped ** 2).mean(axis=1, keepdims=True))
+        assert (np.abs(propagated - stepped) / rms).max(axis=(0, 1)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kondo", [0.0, 0.007, 0.3])
+    def test_probes_reproduce_ohmic_oracle(self, kondo):
+        # var(qt1) and var(pt1) as the probe coefficients squared against the
+        # sampled thermal widths: the oracle's closed form, without Monte
+        # Carlo noise
+        bath = build_ohmic_bath(200, kondo, 3.0, mass=0.7)
+        system = SystemParams(mass=1.7)
+        cfg = isolated_config(bath=bath, system=system,
+                              integrator=IntegratorConfig(n_steps=5000, stride=25))
+        resp = _response(cfg)
+        w1, _ = normal_mode_freqs(0.0, system)
+        sys_w = thermal_widths(system.mass, w1, cfg.temperature, cfg.sampling)
+        bath_w = thermal_widths(bath.mass, bath.freqs, cfg.temperature, cfg.sampling)
+        # probe A gives qt1's coefficients, probe B pt1's: (qt1, pt1) of the
+        # probe weigh the initial (pt1, qt1), its (R, P) the initial (P, R)
+        variances = (resp.mode1[:, :, 1] ** 2 * sys_w.var_q
+                     + resp.mode1[:, :, 0] ** 2 * sys_w.var_p
+                     + resp.bath_mom ** 2 @ bath_w.var_q
+                     + resp.bath_pos ** 2 @ np.broadcast_to(bath_w.var_p, bath.n_modes))
+        var_q1, var_p1 = ohmic_mode1_variances(system, bath, cfg.temperature, cfg.sampling,
+                                               config=cfg.integrator)
+        assert np.allclose(variances[:, 0], var_q1, rtol=1e-10, atol=0)
+        assert np.allclose(variances[:, 1], var_p1, rtol=1e-10, atol=0)
+
+    @staticmethod
+    def integrate_rows(monkeypatch):
+        """Record the number of rows of every driver.integrate call."""
+        rows, integrate = [], driver.integrate
+
+        def recording(state, *args, **kwargs):
+            rows.append(np.size(state.system.q1))
+            return integrate(state, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "integrate", recording)
+        return rows
+
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.007, 3.0),
+                                      nhc_from_ohmic(0.007, 3.0, 1.0)],
+                             ids=["isolated", "ohmic", "nhc"])
+    def test_healthy_run_integrates_only_the_probes(self, monkeypatch, bath):
+        rows = self.integrate_rows(monkeypatch)
+        cfg = isolated_config(bath=bath, chunk_size=16)
+        run_ensemble(cfg)
+        if cfg.model is ModelKind.NHC:
+            assert sum(rows) == cfg.n_traj     # stepped, batch by batch
+        else:
+            assert rows == [4]
+        rows.clear()
+        run_ensemble(dataclasses.replace(cfg, track_energy=True))
+        assert sum(rows) == cfg.n_traj
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.007, 3.0)],
+                             ids=["isolated", "ohmic"])
+    def test_near_overflow_batch_is_stepped(self, monkeypatch, bath):
+        # row 21 starts at the edge of overflow: its chunk's batch is stepped
+        # and fails where the stepper fails (step 150, as when every batch
+        # was stepped); the batches before it are propagated
+        rows = self.integrate_rows(monkeypatch)
+
+        def sample(config, lo, hi):
+            state = _sample_chunk(config, lo, hi)
+            if lo <= 21 < hi:
+                state.system.q1[21 - lo] = state.system.q2[21 - lo] = 0.85e308
+            return state
+
+        monkeypatch.setattr(driver, "_sample_chunk", sample)
+        monkeypatch.setattr(driver, "_BATCH_BYTES", 0)
+        cfg = isolated_config(bath=bath, chunk_size=16)
+        with pytest.raises(TrajectoryFailure) as err:
+            run_ensemble(cfg)
+        assert err.value.step == 150
+        # the probes, chunk [16, 32) stepped, then the later chunks stepped
+        # up to the failure
+        assert rows[:2] == [4, 16] and sum(rows[2:]) == 32
+        rows.clear()
+        monkeypatch.setattr(driver, "_response", lambda config: None)
+        with pytest.raises(TrajectoryFailure) as stepped:
+            run_ensemble(cfg)
+        assert stepped.value.step == err.value.step
+        assert str(stepped.value) == str(err.value)
+
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.05, 3.0)],
+                             ids=["isolated", "ohmic"])
+    def test_chunk_rows_do_not_depend_on_the_batch(self, monkeypatch, bath):
+        # a chunk propagated alone has the bits it has inside a wider batch
+        cfg = isolated_config(n_traj=250, chunk_size=100, bath=bath,
+                              integrator=IntegratorConfig(n_steps=200, stride=50))
+        resp = _response(cfg)
+        wide = _propagate(cfg, resp, _sample_chunk(cfg, 0, 250))
+        for lo, hi in ((0, 100), (100, 200), (200, 250)):
+            alone = _propagate(cfg, resp, _sample_chunk(cfg, lo, hi))
+            assert np.array_equal(alone, wide[:, lo:hi])
+
+        results = []
+        for workers, batch_bytes in itertools.product((1, 2), (driver._BATCH_BYTES, 0)):
+            monkeypatch.setattr(driver, "_BATCH_BYTES", batch_bytes)
+            results.append(run_ensemble(dataclasses.replace(cfg, workers=workers)).series)
+        for other in results[1:]:
+            for name in ("variances", "std_errors", "means"):
+                assert np.array_equal(getattr(results[0], name), getattr(other, name))
 
 
 class TestEnergyTracking:
