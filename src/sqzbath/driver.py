@@ -17,7 +17,9 @@ The centre-of-mass + bath block is undriven and its step is symplectic and
 time-reversible, so the probes' columns of the k-step map give the rows
 that (qt1, pt1) need; the driven relative mode is bath-free and takes its
 2x2 map from two more probes. The contraction acts on each row alone, so
-the batch width and the worker count never change an output bit.
+the batch width and the worker count never change an output bit. The
+probes do not depend on the temperature or the seed, so a temperature
+sweep integrates them once for all its points.
 
 Every other batch is integrated by the stepper: those of the NHC model and
 of energy-tracking runs, a batch whose sampled state or propagated snapshots
@@ -475,7 +477,8 @@ def _pool(*configs):
     return ProcessPoolExecutor(max_workers=width)
 
 
-def run_ensemble(config: RunConfig, *, pool=None) -> EnsembleResult:
+def run_ensemble(config: RunConfig, *, pool=None,
+                 response: Optional[_Response] = None) -> EnsembleResult:
     """Sample, integrate and reduce a full trajectory ensemble.
 
     The models are linear, so a trajectory that goes non-finite signals a
@@ -487,12 +490,16 @@ def run_ensemble(config: RunConfig, *, pool=None) -> EnsembleResult:
     A run with more than one worker and more than one batch maps its batches
     on ``pool``, an open pool from :func:`_pool` shared by a sequence of runs,
     or on a pool of its own when ``pool`` is None. The probes of
-    :func:`_response` are integrated here, once per call, and handed to
-    every batch; batches that run after a failure are stepped.
+    :func:`_response` are handed to every batch; batches that run after a
+    failure are stepped. They are integrated here unless ``response`` holds
+    them already: the probes depend on the system, the bath and the
+    integrator, not on the temperature or the seed, so a sweep shares one
+    set across its points.
     """
     times = config.integrator.obs_times
     batches = _batch_ranges(config)
-    response = _response(config)
+    if response is None:
+        response = _response(config)
     if config.workers > 1 and len(batches) > 1:
         with _pool(config) if pool is None else contextlib.nullcontext(pool) as pool:
             per_batch = list(pool.map(_try_chunk, *zip(*((config, lo, hi, response)
@@ -606,9 +613,12 @@ def temperature_sweep(config: RunConfig, temperatures) -> SweepResult:
               if config.model is ModelKind.NHC else config.bath))
         for i, temp in enumerate(temps)]
     # the points run in order on one pool, so a failing point raises before
-    # later points start
+    # later points start; they differ only in temperature and seed, so they
+    # share one set of probes
+    response = _response(run_cfgs[0])
     with _pool(*run_cfgs) as pool:
-        results = [run_ensemble(run_cfg, pool=pool) for run_cfg in run_cfgs]
+        results = [run_ensemble(run_cfg, pool=pool, response=response)
+                   for run_cfg in run_cfgs]
     rows = []
     for temp, result in zip(temps, results):
         diag = result.report["qt2"]

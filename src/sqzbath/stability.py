@@ -7,6 +7,15 @@ velocity-Verlet loop for the relative mode, and |trace| > 2 flags
 parametric instability. That this loop is the relative mode of the
 trajectory stepper is checked by
 ``tests/test_properties.py::TestFundamentalSolution``.
+
+The monodromy and the map step only the first half period: the drive's
+time-reversal symmetry gives the one-period map in closed form from the
+states after N // 2 and (N + 1) // 2 of the period's N steps (see
+:func:`_floquet`). The identity is exact, but its product rounds otherwise
+than the second half period's steps: against the full-period loop, the
+100 x 100, 4096-step map's traces differ by at most 1.4e-14 max(1, |trace|)
+and no cell's classification differs. :func:`grows_unbounded` still steps
+every period, as the independent check.
 """
 
 from __future__ import annotations
@@ -43,6 +52,9 @@ def mathieu_params(sys: SystemParams) -> MathieuParams:
                          q=sys.coupling_amp ** 2 / (2.0 * wd2))
 
 
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)     # (ay, by, av, bv) at t = 0
+
+
 # every caller handles an overflowed cell: monodromy raises, the map and
 # grows_unbounded classify it as unstable, fundamental_solution raises
 @np.errstate(over="ignore", invalid="ignore")
@@ -56,14 +68,20 @@ def kdk_fundamental(ks, dt: float, out=None):
     i steps (scalar coefficients only). Arrays over cells run on stacked
     (ay, by) and (av, bv) buffers, updated in place with the same bits.
     """
+    return _kdk(ks, dt, _IDENTITY, out)
+
+
+def _kdk(ks, dt: float, start, out=None):
+    """The loop of :func:`kdk_fundamental`, continued from ``start`` =
+    (ay, by, av, bv): the same bits as one loop over all the steps."""
     ks = iter(ks)
     first = next(ks, None)
     if first is not None:
         ks = itertools.chain([first], ks)
         if np.ndim(first) > 0:
-            return _kdk_cells(ks, np.shape(first), dt)
+            return _kdk_cells(ks, np.shape(first), dt, start)
     half = 0.5 * dt
-    ay, by, av, bv = 1.0, 0.0, 0.0, 1.0
+    ay, by, av, bv = start
     if out is not None:
         out[:, 0] = ay, by, av, bv
     for i, k in enumerate(ks, 1):
@@ -79,12 +97,12 @@ def kdk_fundamental(ks, dt: float, out=None):
     return ay, by, av, bv
 
 
-def _kdk_cells(ks, shape, dt: float):
+def _kdk_cells(ks, shape, dt: float, start):
     """The loop of :func:`kdk_fundamental` on arrays of ``shape`` cells."""
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    y = np.zeros((2,) + shape)      # (ay, by)
-    v = np.zeros((2,) + shape)      # (av, bv)
-    y[0] = v[1] = 1.0
+    y = np.empty((2,) + shape)      # (ay, by)
+    v = np.empty((2,) + shape)      # (av, bv)
+    y[0], y[1], v[0], v[1] = start
     hk, scratch = np.empty(shape), np.empty((2,) + shape)
     half = 0.5 * dt
     for k in ks:
@@ -98,22 +116,43 @@ def _kdk_cells(ks, shape, dt: float):
     return y[0], y[1], v[0], v[1]
 
 
-def _mathieu_fundamental(a, q, t_final: float, steps: int):
-    """Fundamental solutions of y'' + (a - 2q cos 2t) y = 0 over [0, t_final]."""
-    dt = t_final / steps
+def _mathieu_ks(a, q, dt: float, steps: int):
+    """Coefficients a - 2q cos 2t of y'' + (a - 2q cos 2t) y = 0 at the
+    midpoints of ``steps`` steps of ``dt`` from t = 0; arrays over cells
+    arrive in one reused buffer."""
     half = 0.5 * dt
     q2 = 2.0 * q
     drive = (np.cos(2.0 * (i * dt + half)) for i in range(steps))
     if np.ndim(a) == 0 and np.ndim(q2) == 0:
-        return kdk_fundamental((a - q2 * c for c in drive), dt)
+        return (a - q2 * c for c in drive)
     k = np.empty(np.broadcast_shapes(np.shape(a), np.shape(q2)))
 
-    def ks():       # each step's coefficients, in one reused buffer
+    def ks():
         for c in drive:
             np.multiply(q2, c, out=k)
             np.subtract(a, k, out=k)
             yield k
-    return kdk_fundamental(ks(), dt)
+    return ks()
+
+
+@np.errstate(over="ignore", invalid="ignore")   # an overflowed cell is unstable
+def _floquet(a, q, steps: int):
+    """One period's monodromy ``(m00, m01, m10, m11)`` of ``steps`` loop
+    steps, and its determinant, from the first half period alone.
+
+    Each step uses one coefficient for both half-kicks, so its map P_j is its
+    own time reverse, S P_j^-1 S = P_j with S = diag(1, -1); cos 2t is even
+    with period pi, so P_(N-1-j) = P_j. Hence M = S adj(H) S G exactly, with
+    H the state after N // 2 steps and G after (N + 1) // 2, one step more
+    when N is odd; the determinant is det(H) det(G).
+    """
+    dt = np.pi / steps
+    ks = _mathieu_ks(a, q, dt, (steps + 1) // 2)
+    ay, by, av, bv = h = _kdk(itertools.islice(ks, steps // 2), dt, _IDENTITY)
+    gay, gby, gav, gbv = _kdk(ks, dt, h)
+    m = (bv * gay + by * gav, bv * gby + by * gbv,
+         av * gay + ay * gav, av * gby + ay * gbv)
+    return m, (ay * bv - av * by) * (gay * gbv - gav * gby)
 
 
 def _check_steps(steps: int) -> None:
@@ -126,8 +165,8 @@ def _check_steps(steps: int) -> None:
 def monodromy(params: MathieuParams, steps: int = 4096) -> np.ndarray:
     """One-period propagator of the scaled relative-mode equation."""
     _check_steps(steps)
-    ay, by, av, bv = _mathieu_fundamental(params.a, params.q, np.pi, steps)
-    m = np.array([[ay, by], [av, bv]], dtype=float)
+    (m00, m01, m10, m11), _ = _floquet(params.a, params.q, steps)
+    m = np.array([[m00, m01], [m10, m11]], dtype=float)
     if not np.isfinite(m).all():
         raise ValueError(f"monodromy overflow at a={params.a}, q={params.q}")
     return m
@@ -184,9 +223,9 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
     gx, gy = np.meshgrid(xs, ys)
     a = (gx + gy).ravel()
     q = (gy / 2.0).ravel()
-    ay, by, av, bv = _mathieu_fundamental(a, q, np.pi, steps)
-    tr = np.abs(ay + bv).reshape(ny, nx)
-    det = (ay * bv - av * by).reshape(ny, nx)
+    (m00, _, _, m11), det = _floquet(a, q, steps)
+    tr = np.abs(m00 + m11).reshape(ny, nx)
+    det = det.reshape(ny, nx)
     unstable, marginal = classify_trace(tr)
     return StabilityMap(xs=xs, ys=ys, abs_trace=tr, determinant=det,
                         unstable=unstable, marginal=marginal)
@@ -214,8 +253,8 @@ def grows_unbounded(params: MathieuParams, periods: int = 50,
     ``periods`` periods (y or y' of either fundamental solution) exceed the
     threshold in magnitude, or overflow? Elementwise when ``params`` holds
     arrays of cells."""
-    ay, by, av, bv = _mathieu_fundamental(params.a, params.q,
-                                          periods * np.pi,
-                                          periods * steps_per_period)
+    steps = periods * steps_per_period
+    dt = periods * np.pi / steps
+    ay, by, av, bv = kdk_fundamental(_mathieu_ks(params.a, params.q, dt, steps), dt)
     peak = np.max(np.abs([ay, by, av, bv]), axis=0)
     return ~np.isfinite(peak) | (peak > growth_threshold)

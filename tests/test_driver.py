@@ -595,6 +595,24 @@ class TestSweep:
         # short window: threshold exists but may sit outside the grid
         assert (sweep.oracle_threshold is not None) or sweep.oracle_threshold_note
 
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.007, 3.0)],
+                             ids=["isolated", "ohmic"])
+    def test_points_share_one_probe_integration(self, monkeypatch, bath):
+        # the probes do not depend on temperature or seed: one 4-row
+        # integrate call serves every point
+        rows = []
+        integrate = driver.integrate
+
+        def counted(state, *args):
+            rows.append(state.system.q1.shape)
+            return integrate(state, *args)
+        monkeypatch.setattr(driver, "integrate", counted)
+        cfg = dataclasses.replace(self.make_cfg(), bath=bath)
+        assert cfg.workers == 1
+        sweep = temperature_sweep(cfg, [0.9, 1.0, 1.1])
+        assert len(sweep.rows) == 3
+        assert rows == [(4,)]
+
 
 class TestBathEquivalence:
     def test_mode2_identical_and_everything_compares(self):

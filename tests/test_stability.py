@@ -6,11 +6,12 @@ import pytest
 from sqzbath import (MathieuParams, SystemParams, TrajectoryFailure, fundamental_solution,
                      grows_unbounded, mathieu_params, monodromy, stability_map,
                      write_stability_csv)
-from sqzbath.stability import kdk_fundamental
+from sqzbath.stability import classify_trace, kdk_fundamental
 from sqzbath.system import coupling_freq_sq
 
-# holds overflowed cells, both inf and nan traces, and one marginal cell
-OVERFLOW_WINDOW = dict(x_range=(0.0, 2e5), y_range=(0.0, 3.0), resolution=(41, 3),
+# holds overflowed cells, both inf and nan traces, and one marginal cell; the
+# half-period state overflows to nan traces only from x = 1.7e6 on
+OVERFLOW_WINDOW = dict(x_range=(0.0, 2e6), y_range=(0.0, 3.0), resolution=(410, 3),
                        steps=256)
 
 
@@ -39,6 +40,26 @@ def reference_mathieu(a, q, steps, t_final=np.pi):
     half = 0.5 * dt
     return reference_kdk((a - 2.0 * q * np.cos(2.0 * (i * dt + half))
                           for i in range(steps)), dt)
+
+
+def reference_half_period(a, q, steps):
+    """One period's monodromy ((m00, m01), (m10, m11)) and its determinant
+    from the reference loop over the first half period. Each step's map P_j
+    is its own time reverse under S = diag(1, -1), and P_(N-1-j) = P_j, so
+    M = S adj(H) S G with H the state after steps // 2 steps and G after
+    (steps + 1) // 2; S adj(H) S = [[bv, by], [av, ay]] for H = (ay, by, av, bv)."""
+    dt = np.pi / steps
+    half = 0.5 * dt
+
+    def ks(n):
+        return (a - 2.0 * q * np.cos(2.0 * (i * dt + half)) for i in range(n))
+    ay, by, av, bv = reference_kdk(ks(steps // 2), dt)
+    gay, gby, gav, gbv = reference_kdk(ks((steps + 1) // 2), dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = ((bv * gay + by * gav, bv * gby + by * gbv),
+             (av * gay + ay * gav, av * gby + ay * gbv))
+        det = (ay * bv - av * by) * (gay * gbv - gav * gby)
+    return m, det
 
 
 def reference_write_csv(smap, path, header_lines=()):
@@ -196,6 +217,39 @@ class TestStabilityMap:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+class TestHalfPeriodIdentity:
+    """The half-period monodromy against the full-period reference loop: the
+    identity is exact, so only round-off separates the two."""
+
+    @staticmethod
+    def assert_agree(trace, flags, ref):
+        """|trace| within 1e-12 relative of ``ref``, and the same flags."""
+        assert np.all(np.abs(trace - ref) <= 1e-12 * np.maximum(1.0, ref))
+        for got, want in zip(flags, classify_trace(ref)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("resolution, steps", [(24, 256), (24, 257), (24, 4097),
+                                                   (100, 4096)])  # the benchmark's grid
+    def test_map_matches_full_period(self, resolution, steps):
+        smap = stability_map((0.0, 40.0), (0.0, 40.0), resolution=resolution, steps=steps)
+        gx, gy = np.meshgrid(smap.xs, smap.ys)
+        ay, by, av, bv = reference_mathieu((gx + gy).ravel(), (gy / 2.0).ravel(), steps)
+        self.assert_agree(smap.abs_trace.ravel(),
+                          (smap.unstable.ravel(), smap.marginal.ravel()), np.abs(ay + bv))
+        assert np.isfinite(smap.determinant).all()
+        assert np.abs(smap.determinant - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("steps", [256, 257, 4097])
+    @pytest.mark.parametrize("a, q", [(37.037037, 15.432099), (1.0, 0.4), (7.3, 0.0),
+                                      (20.0, 10.0)])
+    def test_monodromy_matches_full_period(self, a, q, steps):
+        m = monodromy(MathieuParams(a=a, q=q), steps=steps)
+        trace = abs(m[0, 0] + m[1, 1])
+        ay, by, av, bv = reference_mathieu(a, q, steps)
+        self.assert_agree(trace, classify_trace(trace), abs(ay + bv))
+        assert abs(np.linalg.det(m) - 1.0) < 1e-12
+
+
 class TestReferenceLoop:
     """Every user of kdk_fundamental gives the reference loop's bits,
     including the nan and inf entries of overflowed cells."""
@@ -203,24 +257,24 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("window", [
         OVERFLOW_WINDOW,
         dict(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=(9, 7), steps=512),
+        dict(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=(9, 7), steps=257),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_map_matches_reference(self, window):
         smap = stability_map(**window)
         gx, gy = np.meshgrid(smap.xs, smap.ys)
-        ay, by, av, bv = reference_mathieu((gx + gy).ravel(), (gy / 2.0).ravel(),
-                                           window["steps"])
+        ((m00, _), (_, m11)), det = reference_half_period(
+            (gx + gy).ravel(), (gy / 2.0).ravel(), window["steps"])
         shape = smap.abs_trace.shape
-        trace = np.abs(ay + bv).reshape(shape)
-        det = (ay * bv - av * by).reshape(shape)
-        assert np.array_equal(smap.abs_trace, trace, equal_nan=True)
-        assert np.array_equal(smap.determinant, det, equal_nan=True)
+        assert np.array_equal(smap.abs_trace, np.abs(m00 + m11).reshape(shape),
+                              equal_nan=True)
+        assert np.array_equal(smap.determinant, det.reshape(shape), equal_nan=True)
 
     @pytest.mark.parametrize("a, q", [(37.037037, 15.432099), (1.0, 0.4), (7.3, 0.0)])
     def test_monodromy_matches_reference(self, a, q):
-        m = monodromy(MathieuParams(a=a, q=q), steps=1024)
-        ay, by, av, bv = reference_mathieu(a, q, 1024)
-        assert np.array_equal(m, [[ay, by], [av, bv]])
+        for steps in (1024, 257):   # G = H, and G one step past H
+            m = monodromy(MathieuParams(a=a, q=q), steps=steps)
+            assert np.array_equal(m, reference_half_period(a, q, steps)[0])
 
     def test_fundamental_solution_matches_reference(self, paper_system):
         f = fundamental_solution(paper_system, dt=0.01, n_steps=3000)
