@@ -5,14 +5,17 @@ Each trajectory samples from its own counter-based random stream keyed by
 (master seed, trajectory index). ``chunk_size`` sets the statistics chunk:
 each chunk of trajectories is reduced to one partial accumulator, and the
 partials merge in chunk order. Runs of consecutive chunks are sampled and
-reduced together as one batch, whose width is set by a memory budget on its
-snapshot buffers. A temperature sweep, and a bath comparison, run their
-ensembles one after another on one process pool (see :func:`_pool`).
+reduced together as one batch, whose width is set by a memory budget on the
+snapshot buffers it needs if it is stepped. A temperature sweep, and a bath
+comparison, run their ensembles one after another on one process pool (see
+:func:`_pool`).
 
 The isolated and Ohmic models are linear, so a run of either, without
 energy tracking, steps no trajectory of its own: :func:`_response` steps
-four unit probes once, and each chunk's snapshots are its initial
-coordinates contracted with the probes' records (see :func:`_propagate`).
+four unit probes once, and each chunk's coordinates are its initial
+coordinates contracted with the probes' records, one (rows, records) array
+per coordinate, reduced straight to the chunk's moments; a propagated batch
+holds no snapshot buffer (see :func:`_propagate`).
 The centre-of-mass + bath block is undriven and its step is symplectic and
 time-reversible, so the probes' columns of the k-step map give the rows
 that (qt1, pt1) need; the driven relative mode is bath-free and takes its
@@ -22,9 +25,9 @@ probes do not depend on the temperature or the seed, so a temperature
 sweep integrates them once for all its points.
 
 Every other batch is integrated by the stepper: those of the NHC model and
-of energy-tracking runs, a batch whose sampled state or propagated snapshots
-hold a value that is non-finite or at least 2**511 in magnitude (whose
-square overflows), and the batches that run after a failure. Every
+of energy-tracking runs, a batch whose sampled state or propagated
+coordinates hold a value that is non-finite or at least 2**511 in magnitude
+(whose square overflows), and the batches that run after a failure. Every
 failure is therefore the stepper's. The sampling and the normal-mode map
 act on each row alone there too. An Ohmic batch is one chunk, integrated in
 consecutive row blocks whose five (rows, N) bath arrays fit a 1.5 MiB
@@ -172,22 +175,22 @@ def _chunk_energy(config: RunConfig, state: TrajectoryState):
 @np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(config: RunConfig, lo: int, hi: int,
                response: Optional[_Response] = None):
-    """Sample trajectories [lo, hi) as one batch of whole chunks and take
-    their snapshots; returns each chunk's (accumulator, energy_sums), in
-    chunk order.
+    """Sample trajectories [lo, hi) as one batch of whole chunks and reduce
+    each chunk's observations; returns each chunk's (accumulator,
+    energy_sums), in chunk order.
 
-    With a ``response`` the snapshots are propagated (:func:`_propagate`);
+    With a ``response`` the chunks are propagated (:func:`_propagate`);
     without one, or when the propagation declines the batch, the batch is
     integrated (:func:`_step_batch`), which raises
     :class:`TrajectoryFailure` at the first non-finite observation or final
     state.
     """
     state = _sample_chunk(config, lo, hi)
-    snaps, energies = None, None
     if response is not None:
-        snaps = _propagate(config, response, state)
-    if snaps is None:
-        snaps, energies = _step_batch(config, state)
+        partials = _propagate(config, response, state)
+        if partials is not None:
+            return [(acc, None) for acc in partials]
+    snaps, energies = _step_batch(config, state)
 
     partials = []
     for a, b in _chunk_ranges(hi - lo, config.chunk_size):
@@ -325,32 +328,33 @@ def _bounded(*arrays) -> bool:
 
 
 def _propagate(config: RunConfig, response: _Response,
-               state: TrajectoryState) -> Optional[np.ndarray]:
-    """Snapshots (observations x rows x 4) of a sampled batch, each chunk's
-    propagated on its own (:func:`_contract`); None when the sampled state,
-    or a propagated snapshot or final state, is not :func:`_bounded`, so
-    that the batch is stepped instead."""
+               state: TrajectoryState) -> Optional[list]:
+    """Each chunk's accumulator, in chunk order, for a sampled batch whose
+    chunks are propagated one at a time (:func:`_contract`) and reduced
+    straight from the propagated coordinates; None when the sampled state,
+    or a propagated coordinate at any record, the final one included, is
+    not :func:`_bounded`, so that the batch is stepped instead."""
     sampled = list(vars(state.system).values())
     if state.bath is not None:
         sampled += vars(state.bath).values()
     if not _bounded(*sampled):
         return None
     modes = to_normal_modes(state.system)
-    n = len(modes.qt1)
-    records = np.empty((len(response.mode1), n, 4))
-    for a, b in _chunk_ranges(n, config.chunk_size):
-        _contract(response, _rows(modes, a, b), _rows(state.bath, a, b),
-                  records[:, a:b])
-    if not _bounded(records):
-        return None
-    return records[:len(config.integrator.obs_times)]
+    times = config.integrator.obs_times
+    partials = []
+    for a, b in _chunk_ranges(len(modes.qt1), config.chunk_size):
+        coords = _contract(response, _rows(modes, a, b), _rows(state.bath, a, b))
+        if not _bounded(*coords):
+            return None
+        acc = VarianceAccumulator(times)
+        acc.add_coordinates([coord[:, :len(times)] for coord in coords])
+        partials.append(acc)
+    return partials
 
 
-def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase],
-              out: np.ndarray) -> None:
-    """Write (qt1, qt2, pt1, pt2) at every record of the rows whose initial
-    normal modes are ``modes`` and bath is ``bath`` into ``out`` (records x
-    rows x 4).
+def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase]):
+    """(qt1, qt2, pt1, pt2) at every record of the rows whose initial normal
+    modes are ``modes`` and bath is ``bath``, each a (rows, records) array.
 
     With probes A-D as in :class:`_Response`, qt1(k) = A.pt1(k) qt1(0) +
     A.qt1(k) pt1(0) + sum_j A.P_j(k) R_j(0) + sum_j A.R_j(k) P_j(0), and
@@ -359,24 +363,22 @@ def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase],
     rows of M^k are its p and q columns transposed. Mode 2 is the 2x2 map of
     probes C and D. Every product acts on each row alone: the sums over j
     run in ``einsum``'s own loop, where a BLAS product would change a row's
-    bits with the number of rows. Each coordinate is formed as a (records,
-    rows) array and then copied into its column of ``out``: broadcasting
-    into the column directly runs one 2-element inner loop per row.
+    bits with the number of rows.
     """
     outer = np.multiply.outer
-    for p, col in ((0, 0), (1, 2)):     # qt1 from probe A, pt1 from B
-        coord = outer(response.mode1[:, p, 1], modes.qt1)
-        coord += outer(response.mode1[:, p, 0], modes.pt1)
+    mode1 = []
+    for p in (0, 1):                    # qt1 from probe A, pt1 from B
+        coord = outer(modes.qt1, response.mode1[:, p, 1])
+        coord += outer(modes.pt1, response.mode1[:, p, 0])
         if bath is not None:
-            coord += np.einsum("ij,rj->ir", response.bath_mom[:, p], bath.pos,
+            coord += np.einsum("rj,ij->ri", bath.pos, response.bath_mom[:, p],
                                optimize=False)
-            coord += np.einsum("ij,rj->ir", response.bath_pos[:, p], bath.mom,
+            coord += np.einsum("rj,ij->ri", bath.mom, response.bath_pos[:, p],
                                optimize=False)
-        out[..., col] = coord
-    for c, col in ((0, 1), (1, 3)):     # qt2 and pt2, the map of probes C, D
-        coord = outer(response.mode2[:, 0, c], modes.qt2)
-        coord += outer(response.mode2[:, 1, c], modes.pt2)
-        out[..., col] = coord
+        mode1.append(coord)
+    qt2, pt2 = (outer(modes.qt2, response.mode2[:, 0, c])     # the map of C, D
+                + outer(modes.pt2, response.mode2[:, 1, c]) for c in (0, 1))
+    return mode1[0], qt2, mode1[1], pt2
 
 
 def _up_to(config: RunConfig, failure: Optional[TrajectoryFailure]) -> RunConfig:
@@ -442,9 +444,10 @@ def _chunk_ranges(n_traj: int, chunk_size: int):
             for lo in range(0, n_traj, chunk_size)]
 
 
-# Cap on one batch's snapshot and energy buffers, which hold
+# Cap on the snapshot and energy buffers of one stepped batch, which hold
 # n_obs x rows x (32 + 8 * track_energy) bytes. It keeps a pool worker's
-# peak memory below the host process's.
+# peak memory below the host process's. A propagated batch holds no snapshot
+# buffer, so the cap bounds only what it needs if it falls back to stepping.
 _BATCH_BYTES = 4 * 2**20
 
 

@@ -38,6 +38,22 @@ class VarianceAccumulator:
         self._merge_moments(np.full(len(self.times), n, dtype=np.int64),
                             block_mean, block_m2)
 
+    def add_coordinates(self, coords) -> None:
+        """Merge a whole block given as one (n_traj, n_times) array per
+        coordinate, in (qt1, qt2, pt1, pt2) order: the bits of
+        :meth:`add_block` on the same values stacked as (n_traj, n_times, 4),
+        without the stacked copy. Each coordinate is reduced over
+        trajectories in order."""
+        n = coords[0].shape[0]
+        if n == 0:
+            return
+        block_mean, block_m2 = np.empty((2, len(self.times), 4))
+        for k, values in enumerate(coords):
+            block_mean[:, k] = mean = values.mean(axis=0)
+            block_m2[:, k] = ((values - mean) ** 2).sum(axis=0)
+        self._merge_moments(np.full(len(self.times), n, dtype=np.int64),
+                            block_mean, block_m2)
+
     def merge(self, other: "VarianceAccumulator") -> "VarianceAccumulator":
         """Associative combination of two partial accumulators (Chan update)."""
         if not np.array_equal(self.times, other.times):

@@ -2,25 +2,29 @@
 
 In drive-scaled time the relative mode obeys y'' + (a - 2q cos 2t) y = 0;
 one period is [0, pi]. The monodromy matrix is built from the two
-fundamental solutions of :func:`kdk_fundamental`, the package's one
-velocity-Verlet loop for the relative mode, and |trace| > 2 flags
-parametric instability. That this loop is the relative mode of the
-trajectory stepper is checked by
-``tests/test_properties.py::TestFundamentalSolution``.
+fundamental solutions of the relative mode's velocity-Verlet loop, and
+|trace| > 2 flags parametric instability. :func:`kdk_fundamental` runs
+that loop step by step; that it is the relative mode of the trajectory
+stepper is checked by ``tests/test_properties.py::TestFundamentalSolution``.
 
 The monodromy and the map step only the first half period: the drive's
 time-reversal symmetry gives the one-period map in closed form from the
 states after N // 2 and (N + 1) // 2 of the period's N steps (see
-:func:`_floquet`). The identity is exact, but its product rounds otherwise
-than the second half period's steps: against the full-period loop, the
-100 x 100, 4096-step map's traces differ by at most 1.4e-14 max(1, |trace|)
-and no cell's classification differs. :func:`grows_unbounded` still steps
-every period, as the independent check.
+:func:`_floquet`). That half period runs in leapfrog form
+(:func:`_leapfrog`): the two half-kicks that meet between steps are merged
+into one, so the map's arrays of cells take 8 passes per step instead of
+15. Both rearrangements are exact in exact arithmetic, but they round
+otherwise than the full-period loop: against it, the 100 x 100, 4096-step
+map's traces differ by at most 1.9e-14 max(1, |trace|), |det - 1| stays
+below 2.1e-14, and no cell's classification differs.
+:func:`grows_unbounded` and :func:`~sqzbath.oracle.fundamental_solution`
+still run :func:`kdk_fundamental` over every step.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +56,6 @@ def mathieu_params(sys: SystemParams) -> MathieuParams:
                          q=sys.coupling_amp ** 2 / (2.0 * wd2))
 
 
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)     # (ay, by, av, bv) at t = 0
-
-
 # every caller handles an overflowed cell: monodromy raises, the map and
 # grows_unbounded classify it as unstable, fundamental_solution raises
 @np.errstate(over="ignore", invalid="ignore")
@@ -68,23 +69,16 @@ def kdk_fundamental(ks, dt: float, out=None):
     i steps (scalar coefficients only). Arrays over cells run on stacked
     (ay, by) and (av, bv) buffers, updated in place with the same bits.
     """
-    return _kdk(ks, dt, _IDENTITY, out)
-
-
-def _kdk(ks, dt: float, start, out=None):
-    """The loop of :func:`kdk_fundamental`, continued from ``start`` =
-    (ay, by, av, bv): the same bits as one loop over all the steps."""
     ks = iter(ks)
     first = next(ks, None)
     if first is not None:
         ks = itertools.chain([first], ks)
         if np.ndim(first) > 0:
-            return _kdk_cells(ks, np.shape(first), dt, start)
+            return _kdk_cells(ks, np.shape(first), dt)
     half = 0.5 * dt
-    ay, by, av, bv = start
-    if out is not None:
-        out[:, 0] = ay, by, av, bv
-    for i, k in enumerate(ks, 1):
+    ay, by, av, bv = 1.0, 0.0, 0.0, 1.0
+    ays, bys, avs, bvs = track = [ay], [by], [av], [bv]
+    for k in ks:
         hk = half * k
         av -= hk * ay
         bv -= hk * by
@@ -93,16 +87,21 @@ def _kdk(ks, dt: float, start, out=None):
         av -= hk * ay
         bv -= hk * by
         if out is not None:
-            out[:, i] = ay, by, av, bv
+            ays.append(ay)
+            bys.append(by)
+            avs.append(av)
+            bvs.append(bv)
+    if out is not None:
+        out[:] = track
     return ay, by, av, bv
 
 
-def _kdk_cells(ks, shape, dt: float, start):
+def _kdk_cells(ks, shape, dt: float):
     """The loop of :func:`kdk_fundamental` on arrays of ``shape`` cells."""
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    y = np.empty((2,) + shape)      # (ay, by)
-    v = np.empty((2,) + shape)      # (av, bv)
-    y[0], y[1], v[0], v[1] = start
+    y = np.zeros((2,) + shape)      # (ay, by)
+    v = np.zeros((2,) + shape)      # (av, bv)
+    y[0] = v[1] = 1.0
     hk, scratch = np.empty(shape), np.empty((2,) + shape)
     half = 0.5 * dt
     for k in ks:
@@ -135,6 +134,57 @@ def _mathieu_ks(a, q, dt: float, steps: int):
     return ks()
 
 
+def _leapfrog(a1, q2, c, dt: float):
+    """The kick-drift-kick loop of :func:`kdk_fundamental` over the steps
+    whose midpoint cosines are ``c``, in leapfrog form: with w = dt y', step
+    j kicks w by -(a1 - q2 c_j) y before and after its drift y += w, and the
+    kicks that meet between two steps are merged into one, with coefficient
+    2 a1 - q2 (c_j + c_(j+1)). Returns ``(ay, by, wa, wb)`` after the last
+    step's closing kick, for scalar ``a1`` and ``q2``."""
+    a1, q2 = float(a1), float(q2)   # Python floats step faster than numpy's
+    ay, by, wa, wb = 1.0, 0.0, 0.0, dt
+    a2 = 2.0 * a1
+    k = a1 - q2 * float(c[0])
+    wa -= k * ay
+    wb -= k * by
+    ay += wa
+    by += wb
+    for s in (c[:-1] + c[1:]).tolist():
+        k = a2 - q2 * s
+        wa -= k * ay
+        wb -= k * by
+        ay += wa
+        by += wb
+    k = a1 - q2 * float(c[-1])
+    return ay, by, wa - k * ay, wb - k * by
+
+
+def _leapfrog_cells(a1, q2, c, dt: float):
+    """:func:`_leapfrog` on arrays over cells, with stacked (ay, by) and
+    (wa, wb) buffers updated in place: 8 passes over the cells per step."""
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    shape = np.broadcast_shapes(np.shape(a1), np.shape(q2))
+    y = np.zeros((2,) + shape)      # (ay, by)
+    w = np.zeros((2,) + shape)      # (wa, wb)
+    y[0], w[1] = 1.0, dt
+    a2 = 2.0 * a1
+    k, scratch = np.empty(shape), np.empty((2,) + shape)
+
+    def kick(a, s):                 # w -= (a - q2 s) y
+        multiply(q2, s, out=k)
+        subtract(a, k, out=k)
+        multiply(y, k, out=scratch)
+        subtract(w, scratch, out=w)
+
+    kick(a1, c[0])
+    add(y, w, out=y)
+    for s in (c[:-1] + c[1:]).tolist():
+        kick(a2, s)
+        add(y, w, out=y)
+    kick(a1, c[-1])
+    return y[0], y[1], w[0], w[1]
+
+
 @np.errstate(over="ignore", invalid="ignore")   # an overflowed cell is unstable
 def _floquet(a, q, steps: int):
     """One period's monodromy ``(m00, m01, m10, m11)`` of ``steps`` loop
@@ -144,12 +194,22 @@ def _floquet(a, q, steps: int):
     own time reverse, S P_j^-1 S = P_j with S = diag(1, -1); cos 2t is even
     with period pi, so P_(N-1-j) = P_j. Hence M = S adj(H) S G exactly, with
     H the state after N // 2 steps and G after (N + 1) // 2, one step more
-    when N is odd; the determinant is det(H) det(G).
+    when N is odd; the determinant is det(H) det(G). H comes from
+    :func:`_leapfrog`, and G from one more kick-drift-kick step.
     """
     dt = np.pi / steps
-    ks = _mathieu_ks(a, q, dt, (steps + 1) // 2)
-    ay, by, av, bv = h = _kdk(itertools.islice(ks, steps // 2), dt, _IDENTITY)
-    gay, gby, gav, gbv = _kdk(ks, dt, h)
+    half = 0.5 * dt
+    c = np.cos(2.0 * (np.arange((steps + 1) // 2) * dt + half))
+    a1, q2 = dt * half * a, 2.0 * dt * half * q     # dt half k_j = a1 - q2 c_j
+    leapfrog = _leapfrog if np.ndim(a1) == 0 and np.ndim(q2) == 0 else _leapfrog_cells
+    ay, by, wa, wb = leapfrog(a1, q2, c[:steps // 2], dt)
+    av, bv = wa / dt, wb / dt
+    gay, gby, gav, gbv = ay, by, av, bv
+    if steps % 2:
+        k = a1 - q2 * c[-1]
+        gwa, gwb = wa - k * ay, wb - k * by
+        gay, gby = ay + gwa, by + gwb
+        gav, gbv = (gwa - k * gay) / dt, (gwb - k * gby) / dt
     m = (bv * gay + by * gav, bv * gby + by * gbv,
          av * gay + ay * gav, av * gby + ay * gbv)
     return m, (ay * bv - av * by) * (gay * gbv - gav * gby)
@@ -212,8 +272,8 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
     if x_range[1] <= x_range[0] or y_range[1] <= y_range[0]:
         raise ValueError("stability map window must have positive area")
     _check_steps(steps)
-    if isinstance(resolution, int):
-        nx = ny = resolution
+    if isinstance(resolution, numbers.Integral):
+        nx = ny = int(resolution)
     else:
         nx, ny = resolution
     if nx < 1 or ny < 1:

@@ -12,9 +12,10 @@ from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SamplingMode,
                      sample_system, temperature_sweep, thermal_widths)
 from sqzbath import driver
 from sqzbath.cli import EXIT_TRAJECTORY, main
-from sqzbath.driver import (_batch_ranges, _propagate, _response, _sample_chunk,
-                           _step_batch, temperature_seed)
-from sqzbath.system import normal_mode_freqs
+from sqzbath.driver import (_batch_ranges, _contract, _propagate, _response, _rows,
+                           _sample_chunk, _step_batch, temperature_seed)
+from sqzbath.observables import VarianceAccumulator
+from sqzbath.system import normal_mode_freqs, to_normal_modes
 
 from conftest import contract_normals
 
@@ -424,6 +425,12 @@ class TestFailurePolicy:
         assert err.value.step < self.unstable.n_steps
 
 
+def snapshots(coords, n_obs):
+    """(qt1, qt2, pt1, pt2) arrays of (rows, records) as one C-ordered
+    (observations, rows, 4) buffer, the stepper's snapshot layout."""
+    return np.ascontiguousarray(np.stack(coords, axis=-1).swapaxes(0, 1)[:n_obs])
+
+
 class TestPropagation:
     """Isolated and Ohmic runs propagate their snapshots from four stepped
     unit probes instead of stepping every trajectory."""
@@ -446,12 +453,35 @@ class TestPropagation:
         cfg = isolated_config(bath=bath, system=system, sampling=sampling, chunk_size=23,
                               integrator=IntegratorConfig(n_steps=n_steps, stride=50))
         state = _sample_chunk(cfg, 0, cfg.n_traj)
-        propagated = _propagate(cfg, _response(cfg), state)
+        coords = _contract(_response(cfg), to_normal_modes(state.system), state.bath)
         stepped, _ = _step_batch(cfg, state)
+        propagated = snapshots(coords, len(stepped))
         assert propagated.shape == stepped.shape
         assert np.array_equal(propagated[0], stepped[0])
         rms = np.sqrt((stepped ** 2).mean(axis=1, keepdims=True))
         assert (np.abs(propagated - stepped) / rms).max(axis=(0, 1)).max() <= 1e-12
+
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.007, 3.0)],
+                             ids=["isolated", "ohmic"])
+    def test_chunk_accumulators_equal_add_block(self, bath):
+        # each chunk's moments, reduced straight from its propagated
+        # coordinates, have the bits add_block gives on the same coordinates
+        # copied into a (records, rows, 4) snapshot buffer; 70 rows make an
+        # uneven last chunk, and step 1037 is off the stride grid
+        cfg = isolated_config(n_traj=70, chunk_size=32, bath=bath,
+                              integrator=IntegratorConfig(n_steps=1037, stride=50))
+        resp = _response(cfg)
+        state = _sample_chunk(cfg, 0, cfg.n_traj)
+        modes, times = to_normal_modes(state.system), cfg.integrator.obs_times
+        partials = _propagate(cfg, resp, state)
+        assert len(partials) == 3
+        for acc, (a, b) in zip(partials, ((0, 32), (32, 64), (64, 70))):
+            coords = _contract(resp, _rows(modes, a, b), _rows(state.bath, a, b))
+            assert coords[0].shape == (b - a, len(times) + 1)
+            ref = VarianceAccumulator(times)
+            ref.add_block(snapshots(coords, len(times)).swapaxes(0, 1))
+            for name in ("count", "mean", "m2"):
+                assert np.array_equal(getattr(acc, name), getattr(ref, name))
 
     @pytest.mark.parametrize("kondo", [0.0, 0.007, 0.3])
     def test_probes_reproduce_ohmic_oracle(self, kondo):
@@ -542,10 +572,16 @@ class TestPropagation:
         cfg = isolated_config(n_traj=250, chunk_size=100, bath=bath,
                               integrator=IntegratorConfig(n_steps=200, stride=50))
         resp = _response(cfg)
-        wide = _propagate(cfg, resp, _sample_chunk(cfg, 0, 250))
+
+        def contract(lo, hi):
+            state = _sample_chunk(cfg, lo, hi)
+            return _contract(resp, to_normal_modes(state.system), state.bath)
+
+        wide = contract(0, 250)
         for lo, hi in ((0, 100), (100, 200), (200, 250)):
-            alone = _propagate(cfg, resp, _sample_chunk(cfg, lo, hi))
-            assert np.array_equal(alone, wide[:, lo:hi])
+            alone = contract(lo, hi)
+            for chunk, batch in zip(alone, wide):
+                assert np.array_equal(chunk, batch[lo:hi])
 
         results = []
         for workers, batch_bytes in itertools.product((1, 2), (driver._BATCH_BYTES, 0)):

@@ -42,20 +42,36 @@ def reference_mathieu(a, q, steps, t_final=np.pi):
                           for i in range(steps)), dt)
 
 
-def reference_half_period(a, q, steps):
+def reference_leapfrog(a, q, steps):
     """One period's monodromy ((m00, m01), (m10, m11)) and its determinant
-    from the reference loop over the first half period. Each step's map P_j
-    is its own time reverse under S = diag(1, -1), and P_(N-1-j) = P_j, so
-    M = S adj(H) S G with H the state after steps // 2 steps and G after
-    (steps + 1) // 2; S adj(H) S = [[bv, by], [av, ay]] for H = (ay, by, av, bv)."""
+    from the first half period, stepped as the leapfrog loop is written: with
+    w = dt y' and each half-kick's coefficient dt (dt / 2) k_j = a1 - q2 c_j,
+    the kicks that meet between steps j and j + 1 are one kick of
+    2 a1 - q2 (c_j + c_(j+1)), and the first and last are half-kicks. H is
+    the state after steps // 2 steps and G after (steps + 1) // 2, one more
+    kick-drift-kick step; M = S adj(H) S G with S = diag(1, -1), and
+    S adj(H) S = [[bv, by], [av, ay]] for H = (ay, by, av, bv)."""
     dt = np.pi / steps
     half = 0.5 * dt
-
-    def ks(n):
-        return (a - 2.0 * q * np.cos(2.0 * (i * dt + half)) for i in range(n))
-    ay, by, av, bv = reference_kdk(ks(steps // 2), dt)
-    gay, gby, gav, gbv = reference_kdk(ks((steps + 1) // 2), dt)
+    c = np.cos(2.0 * (np.arange((steps + 1) // 2) * dt + half))
+    a1, q2 = dt * half * a, 2.0 * dt * half * q
+    n = steps // 2
     with np.errstate(over="ignore", invalid="ignore"):
+        ay, by, wa, wb = 1.0, 0.0, 0.0, dt
+        for j in range(n):
+            if j == 0:
+                k = a1 - q2 * c[0]
+                wa, wb = wa - k * ay, wb - k * by
+            ay, by = ay + wa, by + wb
+            k = a1 - q2 * c[j] if j == n - 1 else 2.0 * a1 - q2 * (c[j] + c[j + 1])
+            wa, wb = wa - k * ay, wb - k * by
+        gay, gby, gwa, gwb = ay, by, wa, wb
+        if steps % 2:
+            k = a1 - q2 * c[n]
+            gwa, gwb = gwa - k * gay, gwb - k * gby
+            gay, gby = gay + gwa, gby + gwb
+            gwa, gwb = gwa - k * gay, gwb - k * gby
+        av, bv, gav, gbv = wa / dt, wb / dt, gwa / dt, gwb / dt
         m = ((bv * gay + by * gav, bv * gby + by * gbv),
              (av * gay + ay * gav, av * gby + ay * gbv))
         det = (ay * bv - av * by) * (gay * gbv - gav * gby)
@@ -164,6 +180,14 @@ class TestStabilityMap:
         assert stability_map((0.0, 4.0), (0.0, 4.0), resolution=2,
                              steps=256).abs_trace.shape == (2, 2)
 
+    def test_integer_scalar_resolution(self):
+        # any integer scalar is a square grid, numpy's included
+        want = stability_map((0.0, 40.0), (0.0, 40.0), resolution=8, steps=256)
+        for resolution in (np.int64(8), np.int32(8), np.uint8(8)):
+            got = stability_map((0.0, 40.0), (0.0, 40.0), resolution=resolution, steps=256)
+            assert got.abs_trace.shape == (8, 8)
+            assert np.array_equal(got.abs_trace, want.abs_trace)
+
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
             stability_map((1.0, 1.0), (0.0, 40.0))
@@ -251,8 +275,9 @@ class TestHalfPeriodIdentity:
 
 
 class TestReferenceLoop:
-    """Every user of kdk_fundamental gives the reference loop's bits,
-    including the nan and inf entries of overflowed cells."""
+    """The map and the monodromy give the leapfrog reference's bits, and
+    every user of kdk_fundamental the reference loop's, including the nan
+    and inf entries of overflowed cells."""
 
     @pytest.mark.parametrize("window", [
         OVERFLOW_WINDOW,
@@ -263,7 +288,7 @@ class TestReferenceLoop:
     def test_map_matches_reference(self, window):
         smap = stability_map(**window)
         gx, gy = np.meshgrid(smap.xs, smap.ys)
-        ((m00, _), (_, m11)), det = reference_half_period(
+        ((m00, _), (_, m11)), det = reference_leapfrog(
             (gx + gy).ravel(), (gy / 2.0).ravel(), window["steps"])
         shape = smap.abs_trace.shape
         assert np.array_equal(smap.abs_trace, np.abs(m00 + m11).reshape(shape),
@@ -274,7 +299,7 @@ class TestReferenceLoop:
     def test_monodromy_matches_reference(self, a, q):
         for steps in (1024, 257):   # G = H, and G one step past H
             m = monodromy(MathieuParams(a=a, q=q), steps=steps)
-            assert np.array_equal(m, reference_half_period(a, q, steps)[0])
+            assert np.array_equal(m, reference_leapfrog(a, q, steps)[0])
 
     def test_fundamental_solution_matches_reference(self, paper_system):
         f = fundamental_solution(paper_system, dt=0.01, n_steps=3000)
