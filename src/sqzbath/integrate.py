@@ -13,17 +13,28 @@ momentum, by an exact exponential drag, and the chain variables; their
 divisions by unit masses are skipped, which is exact, so the bits are those
 of the textbook substep.
 
+Without a thermostat (the isolated and Ohmic models), :func:`integrate`
+runs the same steps in leapfrog form (:func:`_leapfrog`): between two steps
+that are not observed, the closing half-kick of one and the opening
+half-kick of the next act at the same positions and run as one kick, which
+halves the system-force and momentum passes of those steps. Observed steps
+and the last one end with a half-kick, so observers and callers see the
+synchronized states of :func:`step_hamiltonian`; the merge rounds otherwise,
+which moves those states at round-off level (about 1e-14 of their largest
+value after 5000 steps). The NHC loop runs :func:`step_nhc`, bit for bit.
+
 The stepper owns every array it moves except the Ohmic bath arrays: once per
 :func:`integrate` call (or standalone step) it copies the system phase, the
 NHC oscillator and the NHC chain into stacked (2, rows) arrays, binds the
 state's fields to their rows and updates them in place, so it never writes
 into arrays the caller passed in. The Ohmic step updates the caller's bath
 arrays in place; copying them would add a (rows, N) array pair to every
-block. Each half-kick's system force goes into a preallocated buffer
-(``system_force(..., out=)``), and the drift divides by the mass only when it
-is not 1; the arithmetic is that of the textbook step, bit for bit. All
-steppers operate transparently on scalar or batched (leading-axis) phase
-coordinates.
+block. Each kick's system force goes into a preallocated buffer
+(``system_force(..., out=)``, or ``coupled_force`` with the drive
+coefficient given), and the drift divides by the mass only when it is not 1;
+the arithmetic is that of the textbook step, or of the textbook leapfrog
+loop, bit for bit. All steppers operate transparently on scalar or batched
+(leading-axis) phase coordinates.
 """
 
 from __future__ import annotations
@@ -35,7 +46,8 @@ import numpy as np
 
 from .baths import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase,
                     OhmicWorkspace, nhc_bath_forces, ohmic_forces)
-from .system import SystemParams, SystemPhase, system_force
+from .system import (SystemParams, SystemPhase, coupled_force, coupling_stiffness,
+                     system_force)
 
 
 @dataclass(frozen=True)
@@ -129,15 +141,15 @@ def _own(phase, names, shape) -> np.ndarray:
 
 
 class _Kick:
-    """The half-kick h*F of one ``dt``, and the drift, on the arrays they move.
+    """The kicks and the drift of one ``dt``, on the arrays they move.
 
     It owns the system phase as (q1, q2) and (p1, p2) stacks and, for the NHC
     model, the bath oscillator as an (osc_q, osc_p) stack, and updates them in
     place; the Ohmic bath arrays are the caller's. The system force of each
-    half-kick goes into a preallocated buffer. The bath force is evaluated at
-    construction and after each drift, and serves the next half-kick, also
-    across the thermostat half-steps, which move no position; observers of
-    an :func:`integrate` call must not modify the state.
+    kick goes into a preallocated buffer. The bath force is evaluated at
+    construction and after each drift, and serves the next kick, or half-kick,
+    also across the thermostat half-steps, which move no position; observers
+    of an :func:`integrate` call must not modify the state.
     """
 
     def __init__(self, bath: BathParams, state: TrajectoryState, dt: float):
@@ -145,7 +157,7 @@ class _Kick:
         shape = np.broadcast_shapes(*(np.shape(v) for v in vars(ph).values()))
         self.q = _own(ph, ("q1", "q2"), shape)
         self.p = _own(ph, ("p1", "p2"), shape)
-        self.force = np.empty((2,) + shape)     # h*F of the system momenta
+        self.force = np.empty((2,) + shape)     # the system momenta's kick
         self.dq = np.empty((2,) + shape)        # the drift's position change
         self.bath = bath
         self.dt = dt
@@ -157,25 +169,27 @@ class _Kick:
         elif bath is not None:
             _own(state.bath, ("osc_q", "osc_p"), shape)
             self.bath_q, self.bath_p = state.bath.osc_q, state.bath.osc_p
-        self.update(state)
+        self.update(state, self.h)
 
-    def update(self, state: TrajectoryState) -> None:
-        """Evaluate the bath force at the current positions."""
+    def update(self, state: TrajectoryState, scale: float) -> None:
+        """Evaluate the bath force at the current positions; the bath's kick
+        is that force times ``scale``, the duration of the next kick."""
         if self.work is not None:
             self.sys_kick, force = ohmic_forces(state.system, state.bath, self.bath,
                                                 self.work)
-            self.bath_kick = np.multiply(force, self.h, out=force)
+            self.bath_kick = np.multiply(force, scale, out=force)
         elif self.bath is not None:
             self.sys_kick, force = nhc_bath_forces(state.system, state.bath, self.bath)
-            self.bath_kick = self.h * force
+            self.bath_kick = scale * force
 
-    def apply(self, state: TrajectoryState, sys: SystemParams,
-              t_force: float) -> None:
-        force = system_force(t_force, state.system, sys, out=self.force)
+    def apply(self, force: np.ndarray, scale: float) -> None:
+        """Kick the momenta for a time ``scale``: the system's by ``force``,
+        the system force written into ``self.force``, plus the bath pull, and
+        the bath's by the kick :meth:`update` formed for the same time."""
         if self.bath is not None:
             force += self.sys_kick
             self.bath_p += self.bath_kick
-        force *= self.h
+        force *= scale
         self.p += force
 
     def drift(self, sys: SystemParams) -> None:
@@ -203,12 +217,41 @@ def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
     if kick is None:
         kick = _Kick(bath, state, dt)
     t_mid = state.t + 0.5 * dt
-    kick.apply(state, sys, t_mid)
+    kick.apply(system_force(t_mid, state.system, sys, out=kick.force), kick.h)
     kick.drift(sys)
-    kick.update(state)
-    kick.apply(state, sys, t_mid)
+    kick.update(state, kick.h)
+    kick.apply(system_force(t_mid, state.system, sys, out=kick.force), kick.h)
     state.t += dt
     return state
+
+
+def _leapfrog(kick: _Kick, state: TrajectoryState, sys: SystemParams,
+              n_steps: int) -> None:
+    """``n_steps`` >= 1 steps of :func:`step_hamiltonian` from a synchronized
+    state, with no thermostat between them, in leapfrog form: the closing
+    half-kick of each step but the last and the opening half-kick of the next
+    act at the same positions, so they run as one kick of ``dt`` at the mean
+    of the two midpoints' drive coefficients, with the bath force scaled by
+    ``dt``. Each midpoint's coefficient is evaluated once; the last step
+    closes with a half-kick, so the state it leaves is synchronized again.
+    Exact in exact arithmetic, the merge rounds otherwise than the
+    synchronized loop.
+    """
+    dt, h = kick.dt, kick.h
+    k = coupling_stiffness(state.t + h, sys)
+    kick.apply(coupled_force(k, state.system, sys, out=kick.force), h)
+    for _ in range(n_steps - 1):
+        kick.drift(sys)
+        state.t += dt
+        k_next = coupling_stiffness(state.t + h, sys)
+        kick.update(state, dt)
+        kick.apply(coupled_force(0.5 * (k + k_next), state.system, sys, out=kick.force),
+                   dt)
+        k = k_next
+    kick.drift(sys)
+    state.t += dt
+    kick.update(state, h)
+    kick.apply(coupled_force(k, state.system, sys, out=kick.force), h)
 
 
 class _Thermostat:
@@ -333,6 +376,9 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
               observer: Optional[Observer] = None) -> TrajectoryState:
     """Propagate n_steps steps, calling the observer at step 0 and every stride.
 
+    Without a thermostat (isolated and Ohmic models) the steps between
+    observations run in leapfrog form (:func:`_leapfrog`); every observed
+    step, and the last, ends synchronized, as :func:`step_hamiltonian` does.
     Non-finite coordinates propagate; checking them is the caller's policy,
     and an exception the observer raises stops the integration. Observers
     must not modify the state, and must copy what they keep: from step 0 on,
@@ -341,14 +387,19 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
     kick = _Kick(bath, state, config.dt)
     thermostat = (_Thermostat(bath, state, kick, config.n_yoshida, config.n_mts)
                   if isinstance(bath, NHCBathParams) else None)
+    stride = config.stride
     if observer is not None:
         observer(0, state)
+    if thermostat is None:
+        for start in range(0, config.n_steps, stride):
+            n_steps = min(stride, config.n_steps - start)
+            _leapfrog(kick, state, sys, n_steps)
+            if observer is not None and n_steps == stride:
+                observer(start + stride, state)
+        return state
     for i in range(1, config.n_steps + 1):
-        if thermostat is not None:
-            step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts,
-                     kick, thermostat)
-        else:
-            step_hamiltonian(state, sys, bath, config.dt, kick)
-        if observer is not None and i % config.stride == 0:
+        step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts,
+                 kick, thermostat)
+        if observer is not None and i % stride == 0:
             observer(i, state)
     return state

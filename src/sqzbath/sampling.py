@@ -24,6 +24,7 @@ from :func:`philox_keys`, a vectorized uint32 copy of numpy's
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -175,7 +176,9 @@ def trajectory_rng(seed: int, indices, *shapes) -> list:
 
     Row r holds the first draws of trajectory ``indices[r]``'s stream,
     ``Generator(Philox(SeedSequence((seed, indices[r]))))``, filling the
-    arrays in argument order. One Philox generator serves all rows: it is
+    arrays in argument order. Each row is one draw into one (rows, total
+    size) buffer, and the arrays are views of its consecutive column blocks,
+    so their rows are strided. One Philox generator serves all rows: it is
     re-keyed for each row from one state dict of Python ints, which the
     state setter reads faster than numpy arrays.
     """
@@ -185,13 +188,15 @@ def trajectory_rng(seed: int, indices, *shapes) -> list:
     fresh = bitgen.state        # a just-keyed Philox; the key is set per row
     fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
     fresh["buffer"] = fresh["buffer"].tolist()
-    outs = [np.empty((len(keys),) + tuple(shape)) for shape in shapes]
-    for row, key in enumerate(keys):
+    sizes = [math.prod(shape) for shape in shapes]
+    draws = np.empty((len(keys), sum(sizes)))
+    for row, key in zip(draws, keys):
         fresh["state"]["key"] = key
         bitgen.state = fresh
-        for out in outs:
-            gen.standard_normal(out=out[row])
-    return outs
+        gen.standard_normal(out=row)
+    ends = list(itertools.accumulate(sizes))
+    return [draws[:, end - size:end].reshape((len(keys),) + tuple(shape))
+            for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def sample_system(z, sys: SystemParams, temperature: float,

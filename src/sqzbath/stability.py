@@ -56,6 +56,11 @@ def mathieu_params(sys: SystemParams) -> MathieuParams:
                          q=sys.coupling_amp ** 2 / (2.0 * wd2))
 
 
+# steps whose values kdk_fundamental holds as Python floats before writing
+# them to ``out``: about 32 B each, so 4 x 2048 floats stay near 0.26 MB
+_FLUSH_STEPS = 2048
+
+
 # every caller handles an overflowed cell: monodromy raises, the map and
 # grows_unbounded classify it as unstable, fundamental_solution raises
 @np.errstate(over="ignore", invalid="ignore")
@@ -66,8 +71,10 @@ def kdk_fundamental(ks, dt: float, out=None):
     as arrays over cells. Solution a starts at (y, y') = (1, 0) and b at
     (0, 1); returns their final ``(ay, by, av, bv)``. When ``out`` is given,
     of shape (4, n_steps + 1), column i receives the same four values after
-    i steps (scalar coefficients only). Arrays over cells run on stacked
-    (ay, by) and (av, bv) buffers, updated in place with the same bits.
+    i steps (scalar coefficients only); they are collected in lists and
+    written ``_FLUSH_STEPS`` columns at a time. Arrays over cells run on
+    stacked (ay, by) and (av, bv) buffers, updated in place with the same
+    bits.
     """
     ks = iter(ks)
     first = next(ks, None)
@@ -77,22 +84,27 @@ def kdk_fundamental(ks, dt: float, out=None):
             return _kdk_cells(ks, np.shape(first), dt)
     half = 0.5 * dt
     ay, by, av, bv = 1.0, 0.0, 0.0, 1.0
-    ays, bys, avs, bvs = track = [ay], [by], [av], [bv]
-    for k in ks:
-        hk = half * k
-        av -= hk * ay
-        bv -= hk * by
-        ay += dt * av
-        by += dt * bv
-        av -= hk * ay
-        bv -= hk * by
-        if out is not None:
-            ays.append(ay)
-            bys.append(by)
-            avs.append(av)
-            bvs.append(bv)
     if out is not None:
-        out[:] = track
+        out[:, 0] = ay, by, av, bv
+    col = 1
+    for block in iter(lambda: list(itertools.islice(ks, _FLUSH_STEPS)), []):
+        ays, bys, avs, bvs = track = [], [], [], []
+        for k in block:
+            hk = half * k
+            av -= hk * ay
+            bv -= hk * by
+            ay += dt * av
+            by += dt * bv
+            av -= hk * ay
+            bv -= hk * by
+            if out is not None:
+                ays.append(ay)
+                bys.append(by)
+                avs.append(av)
+                bvs.append(bv)
+        if out is not None:
+            out[:, col:col + len(block)] = track
+        col += len(block)
     return ay, by, av, bv
 
 

@@ -100,6 +100,11 @@ def coupling_freq_sq(t, sys: SystemParams):
     return w * w
 
 
+def coupling_stiffness(t, sys: SystemParams):
+    """The drive coefficient m w(t)^2 that multiplies q2 - q1 in the force."""
+    return sys.mass * coupling_freq_sq(t, sys)
+
+
 def system_force(t, phase: SystemPhase, sys: SystemParams, out=None):
     """Forces (dp1/dt, dp2/dt) = -dH/dq from the system Hamiltonian, bath
     terms excluded.
@@ -108,8 +113,15 @@ def system_force(t, phase: SystemPhase, sys: SystemParams, out=None):
     shape, writes f1 and f2 into its rows, with the same bits, and returns
     ``out``.
     """
+    return coupled_force(coupling_stiffness(t, sys), phase, sys, out)
+
+
+def coupled_force(k_rel, phase: SystemPhase, sys: SystemParams, out=None):
+    """:func:`system_force` with the drive coefficient ``k_rel`` (see
+    :func:`coupling_stiffness`) given instead of the time:
+    f1 = -m omega^2 q1 + k_rel (q2 - q1) and f2 = -m omega^2 q2 - k_rel (q2 - q1).
+    """
     k_own = sys.mass * sys.freq ** 2
-    k_rel = sys.mass * coupling_freq_sq(t, sys)
     rel = phase.q2 - phase.q1
     if out is None:
         f1 = -k_own * phase.q1 + k_rel * rel

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sqzbath import SystemParams
+from sqzbath import SystemParams, SystemPhase, coupling_freq_sq
+from sqzbath.system import coupled_force
 
 
 def contract_normals(seed, indices, *shapes):
@@ -14,6 +15,49 @@ def contract_normals(seed, indices, *shapes):
         for out in outs:
             out[row] = rng.standard_normal(out.shape[1:])
     return outs
+
+
+def reference_leapfrog(phase, sys, dt, n_steps, stride, bath=None, bath_phase=None):
+    """Reference for ``integrate`` without a thermostat, from the plain
+    formulas into fresh arrays: kick-drift-kick steps with the drive
+    coefficient m w(t)^2 at each midpoint, where the closing half-kick of a
+    step that is neither a multiple of ``stride`` nor the last and the
+    opening half-kick of the next are one kick of dt at the mean of the two
+    coefficients. ``bath`` is an Ohmic bath or None. Returns the final time,
+    (q1, q2, p1, p2) and (R, P)."""
+    q1, q2, p1, p2 = (np.array(v, dtype=float) for v in vars(phase).values())
+    pos = mom = None
+    if bath is not None:
+        pos, mom = bath_phase.pos.copy(), bath_phase.mom.copy()
+    h, t = 0.5 * dt, 0.0
+
+    def kick(k, scale):
+        nonlocal p1, p2, mom
+        f1, f2 = coupled_force(k, SystemPhase(q1, q2, p1, p2), sys)
+        if bath is not None:
+            pull = pos @ bath.couplings
+            f1, f2 = f1 + pull, f2 + pull
+            mom = mom + scale * (np.multiply.outer(q1 + q2, bath.couplings)
+                                 - bath.mass * bath.freqs ** 2 * pos)
+        p1, p2 = p1 + scale * f1, p2 + scale * f2
+
+    k = sys.mass * coupling_freq_sq(t + h, sys)
+    if n_steps:
+        kick(k, h)
+    for i in range(1, n_steps + 1):
+        q1, q2 = q1 + dt * p1 / sys.mass, q2 + dt * p2 / sys.mass
+        if bath is not None:
+            pos = pos + mom * (dt / bath.mass)
+        t += dt
+        k_next = sys.mass * coupling_freq_sq(t + h, sys)
+        if i % stride and i < n_steps:
+            kick(0.5 * (k + k_next), dt)
+        else:
+            kick(k, h)
+            if i < n_steps:
+                kick(k_next, h)
+        k = k_next
+    return t, (q1, q2, p1, p2), (pos, mom)
 
 
 @pytest.fixture

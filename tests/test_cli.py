@@ -248,10 +248,10 @@ class TestRunCommand:
     # relative directory so that the digests do not depend on tmp_path. A
     # change to any output byte, or to the numerics under it, changes them.
     GOLDEN = {
-        "isolated": ("2a8580134808846e2faa620f3360f4da8544abf9b15fd0f7c047abf27235c1c1",
-                     "5261b10580c0372eb3dae9e40a2947e83b47076444b521f7c8cad39a5aac91b3"),
-        "ohmic": ("bf112ef3ab25963f9871af5b85d1419a20336d1b3006728c26cd54fd24f1c57a",
-                  "1af8f846c0b0488acde1909cc44a843781fba5aaef92de03e99e0bda63c99686"),
+        "isolated": ("1b6877258545bc77d2582a8242ea6046a8de192663242ac459df3e5b9d59aab2",
+                     "cac50d26af88b19fd8fd7410e9720724784a0d96cb945fe0602fcdd7728d614b"),
+        "ohmic": ("037263b8331d549837846e1830427855d0aab6ac3561250189be9b82754d0871",
+                  "011ab2254d0b2ef64d9be55bb3c9c06e192aa018c69131a02cb4bc39aef4c5a3"),
         "nhc": ("24989b9fb990199ed83080c678b2b863f9d4e3855a06ef21a9d8718591ba5878",
                 "d2921279401ccd1459c666cb7c300091b60c9b422cf978325af24f6297eb2f26"),
     }
@@ -309,11 +309,11 @@ class TestSweepCommand:
     # per temperature, written to a relative directory. A change to any
     # output byte, or to the numerics under it, changes them.
     GOLDEN = {"demo_sweep.json":
-              "e18927c83ea56d87b3c60fc6c03953edc76a83cf4d8db3be185bf76a63e563b6",
+              "2200eb86005548b6b2b1e0839c0eca8137f14ec3fafd4f290bb4771ee3406cee",
               "demo_T0.9500_variance.csv":
-              "b3bc3e6092cb944815de87ffd36fc4548f364c76395a3ea223116e19d6fb986e",
+              "69af6beea5e8425e0725fb1258b54ea21126356eaf5d4751f96e9fccf614b01c",
               "demo_T1.0500_variance.csv":
-              "fe564896c8e4f65260d624b211dde193cf8f99c57629469336471f09b098d1b0"}
+              "dceb5e4ae18f47039ab56eb7d241f434ebbed029905884cfe24b5593386e8846"}
 
     def test_golden_outputs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

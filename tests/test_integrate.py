@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import math
 import pickle
@@ -14,6 +15,8 @@ from sqzbath import (IntegratorConfig, NHCBathParams, SamplingMode, SystemParams
                      to_normal_modes,
                      trajectory_rng, yoshida_weights)
 from sqzbath.baths import NHCBathPhase
+
+from conftest import reference_leapfrog
 
 
 class TestConfig:
@@ -352,8 +355,9 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("mass", [1.0, 0.7])
     def test_textbook_step_bits(self, mass):
-        # the in-place system step gives the bits of the plain kick-drift-kick
-        # formulas, division by the mass included
+        # the in-place steppers give the bits of the plain formulas, division
+        # by the mass included: standalone steps those of the kick-drift-kick
+        # step, integrate those of the merged-kick loop
         sys = SystemParams(mass=mass, spring_k=1.25 * mass)
         z, = trajectory_rng(9, range(7), (4,))
         start = sample_system(z, sys, 1.0, SamplingMode.QUANTUM)
@@ -367,10 +371,100 @@ class TestIntegrate:
             f1, f2 = system_force(t_mid, SystemPhase(q1, q2, p1, p2), sys)
             p1, p2 = p1 + h * f1, p2 + h * f2
             t += dt
-        state = TrajectoryState(0.0, start)
-        integrate(state, sys, None, IntegratorConfig(dt=dt, n_steps=30, stride=30))
-        for got, want in zip(vars(state.system).values(), (q1, q2, p1, p2)):
+        stepped = TrajectoryState(0.0, start.copy())
+        for _ in range(30):
+            step_hamiltonian(stepped, sys, None, dt)
+        for got, want in zip(vars(stepped.system).values(), (q1, q2, p1, p2)):
             assert got.tobytes() == want.tobytes()
+
+        for stride in (30, 7):
+            state = TrajectoryState(0.0, start.copy())
+            integrate(state, sys, None, IntegratorConfig(dt=dt, n_steps=30, stride=stride))
+            t_ref, want, _ = reference_leapfrog(start, sys, dt, 30, stride)
+            assert state.t == t_ref
+            for got, ref in zip(vars(state.system).values(), want):
+                assert got.tobytes() == ref.tobytes(), stride
+
+
+class TestLeapfrog:
+    """Without a thermostat, integrate() merges the two half-kicks between
+    unobserved steps; observed steps and the last stay synchronized."""
+
+    @staticmethod
+    def records(model, n_steps, stride, leapfrog):
+        """(mode 1, mode 2, bath) at every observation and at the last step,
+        from integrate() or from standalone synchronized steps."""
+        sys = SystemParams(mass=1.7)
+        bath = build_ohmic_bath(20, 0.05, 3.0, mass=0.7) if model == "ohmic" else None
+        z, pos, mom = trajectory_rng(4, range(4), (4,), (20,), (20,))
+        state = TrajectoryState(0.0, sample_system(z, sys, 1.0, SamplingMode.QUANTUM))
+        if bath is not None:
+            state.bath = sample_ohmic_bath(pos, mom, bath, 1.0, SamplingMode.QUANTUM)
+        recs = []
+
+        def record(step, st):
+            modes = to_normal_modes(st.system)
+            recs.append(([modes.qt1, modes.pt1], [modes.qt2, modes.pt2],
+                         [st.bath.pos, st.bath.mom] if bath is not None else []))
+
+        config = IntegratorConfig(dt=0.01, n_steps=n_steps, stride=stride)
+        if leapfrog:
+            integrate(state, sys, bath, config, record)
+        else:
+            record(0, state)
+            for i in range(1, n_steps + 1):
+                step_hamiltonian(state, sys, bath, config.dt)
+                if i % stride == 0:
+                    record(i, state)
+        if n_steps % stride:
+            record(n_steps, state)
+        return state.t, [np.array(group) for group in zip(*recs)]
+
+    @pytest.mark.parametrize("model", ["isolated", "ohmic"])
+    @pytest.mark.parametrize("n_steps, stride", [(4999, 25), (5000, 7), (1013, 1)])
+    def test_agrees_with_synchronized_steps(self, model, n_steps, stride):
+        t, got = self.records(model, n_steps, stride, leapfrog=True)
+        t_ref, want = self.records(model, n_steps, stride, leapfrog=False)
+        assert t == t_ref
+        for group, new, ref, bound in zip(("mode 1", "mode 2", "bath"), got, want,
+                                          (1e-12, 1e-9, 1e-12)):
+            assert new.shape == ref.shape
+            if stride == 1:     # every step is observed, so none is merged
+                assert np.array_equal(new, ref), group
+            elif ref.size:
+                assert np.abs(new - ref).max() <= bound * np.abs(ref).max(), group
+
+    @pytest.mark.parametrize("n_steps, stride", [(60, 5), (7, 5), (1, 5), (10, 1), (0, 3)])
+    @pytest.mark.parametrize("model", ["isolated", "ohmic", "nhc"])
+    def test_system_force_evaluations(self, monkeypatch, model, n_steps, stride):
+        # once per merged step, twice per observed or last step; the NHC loop
+        # keeps two per step
+        module = importlib.import_module("sqzbath.integrate")
+        calls = []
+
+        def counting(force):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return force(*args, **kwargs)
+            return counted
+
+        for name in ("system_force", "coupled_force"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        bath = {"isolated": None, "ohmic": build_ohmic_bath(6, 0.05, 3.0),
+                "nhc": nhc_from_ohmic(0.05, 3.0, 1.0)}[model]
+        z, pos, mom, osc = trajectory_rng(8, range(3), (4,), (6,), (6,), (2,))
+        state = TrajectoryState(0.0, sample_system(z, SystemParams(), 1.0,
+                                                   SamplingMode.QUANTUM))
+        if model == "ohmic":
+            state.bath = sample_ohmic_bath(pos, mom, bath, 1.0, SamplingMode.QUANTUM)
+        elif model == "nhc":
+            state.bath = init_nhc_bath(osc, bath, 1.0, SamplingMode.QUANTUM)
+        integrate(state, SystemParams(), bath,
+                  IntegratorConfig(n_steps=n_steps, stride=stride))
+        synchronized = -(-n_steps // stride)     # observed steps, and the last
+        expected = 2 * n_steps if model == "nhc" else n_steps + synchronized
+        assert len(calls) == expected
 
 
 def test_trajectory_failure_pickles():

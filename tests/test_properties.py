@@ -23,7 +23,7 @@ from sqzbath import (IntegratorConfig, NHCBathParams, NHCBathPhase, NormalModePh
                      system_force, to_normal_modes, yoshida_weights)
 from sqzbath.sampling import philox_keys, trajectory_rng
 
-from conftest import contract_normals
+from conftest import contract_normals, reference_leapfrog
 
 N_MODES = 4
 
@@ -255,22 +255,38 @@ def _phase_vector(state):
 class TestOhmicFirstSameAsLast:
     """Inside integrate() the bath force of both baths is evaluated once per
     step; for the NHC model the held force also crosses the thermostat
-    half-steps, which move only P1 and the chain. Each test runs both baths."""
+    half-steps, which move only P1 and the chain. Each test runs both baths;
+    the bitwise test also the isolated model."""
 
     @settings(max_examples=30, deadline=None)
     @given(mass=masses, bath_mass=masses, batch=st.integers(0, 5),
-           n_steps=st.integers(1, 40), dt=st.sampled_from([0.01, 0.005, 0.02]),
-           x=coords(4 + 2 * N_MODES))
+           n_steps=st.integers(1, 40), stride=st.integers(1, 50),
+           dt=st.sampled_from([0.01, 0.005, 0.02]), x=coords(4 + 2 * N_MODES))
     def test_integrate_matches_standalone_steps_bitwise(self, mass, bath_mass, batch,
-                                                         n_steps, dt, x):
+                                                         n_steps, stride, dt, x):
+        # the NHC loop is a run of standalone steps; without a thermostat,
+        # integrate() gives the bits of the merged-kick reference loop
         sys = SystemParams(mass=mass)
+        config = IntegratorConfig(dt=dt, n_steps=n_steps, stride=stride)
         for model, (make_bath, _, step) in FSAL_MODELS.items():
             bath = make_bath(bath_mass)
             fused = _bath_state(model, x, batch)
             looped = _bath_state(model, x, batch)
-            integrate(fused, sys, bath, IntegratorConfig(dt=dt, n_steps=n_steps))
-            for _ in range(n_steps):
-                step(looped, sys, bath, dt)
+            integrate(fused, sys, bath, config)
+            if model == "nhc":
+                for _ in range(n_steps):
+                    step(looped, sys, bath, dt)
+            else:
+                looped.t, system, (pos, mom) = reference_leapfrog(
+                    looped.system, sys, dt, n_steps, stride, bath, looped.bath)
+                looped.system, looped.bath = SystemPhase(*system), OhmicBathPhase(pos, mom)
+                start = _bath_state(model, x, batch).system
+                isolated = TrajectoryState(0.0, start.copy())
+                integrate(isolated, sys, None, config)
+                t, system, _ = reference_leapfrog(start, sys, dt, n_steps, stride)
+                assert isolated.t == t
+                assert np.array_equal(np.ravel(list(vars(isolated.system).values())),
+                                      np.ravel(system)), "isolated"
             assert fused.t == looped.t
             assert np.array_equal(_phase_vector(fused), _phase_vector(looped)), model
 

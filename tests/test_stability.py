@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,30 @@ class TestReferenceLoop:
         out = np.empty((4, 3001))
         reference_kdk(k.tolist(), 0.01, out)
         assert np.array_equal(np.array([f.pos_a, f.pos_b, f.vel_a, f.vel_b]), out)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2047, 2048, 2049, 6001])
+    def test_flushed_blocks_match_reference(self, paper_system, n_steps):
+        # the columns are written in blocks of _FLUSH_STEPS (2048) steps; a
+        # last block that is partial, full or empty gives the same bits
+        k = (paper_system.freq ** 2 + 2.0 * coupling_freq_sq(
+            (np.arange(n_steps) + 0.5) * 0.01, paper_system)).tolist()
+        new, ref = np.full((4, n_steps + 1), np.nan), np.empty((4, n_steps + 1))
+        assert kdk_fundamental(k, 0.01, new) == reference_kdk(k, 0.01, ref)
+        assert np.array_equal(new, ref)
+
+    def test_holds_a_bounded_number_of_floats(self, paper_system):
+        # 4 x 25001 Python floats would take about 3.2 MB; the blocks hold
+        # 4 x 2048 of them at a time
+        k = (paper_system.freq ** 2 + 2.0 * coupling_freq_sq(
+            (np.arange(25000) + 0.5) * 0.01, paper_system)).tolist()
+        out = np.empty((4, 25001))
+        tracemalloc.start()
+        try:
+            kdk_fundamental(k, 0.01, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_overflowed_columns_match_reference(self):
         sys = SystemParams(coupling_amp=20.0, drive_freq=20.0)
