@@ -25,23 +25,22 @@ probes do not depend on the temperature or the seed, so a temperature
 sweep integrates them once for all its points.
 
 Every other batch is integrated by the stepper: those of the NHC model and
-of energy-tracking runs, a batch whose sampled state or propagated
+of energy-tracking runs, and a batch whose sampled state or propagated
 coordinates hold a value that is non-finite or at least 2**511 in magnitude
-(whose square overflows), and the batches that run after a failure. Every
-failure is therefore the stepper's. The sampling and the normal-mode map
-act on each row alone there too. An Ohmic batch is one chunk, integrated in
-consecutive row blocks whose five (rows, N) bath arrays fit a 1.5 MiB
-budget, so that each step's elementwise passes run from one core's L2
-cache. The bath pull ``pos @ c`` is a BLAS product, which gives a row the
-same bits in a block as in the whole batch only on aligned blocks, so blocks
-start at multiples of 32 rows.
+(whose square overflows). Every failure is therefore the stepper's. The
+sampling and the normal-mode map act on each row alone there too. An Ohmic
+batch is one chunk, integrated in consecutive row blocks whose five (rows,
+N) bath arrays fit a 1.5 MiB budget, so that each step's elementwise passes
+run from one core's L2 cache. The bath pull ``pos @ c`` is a BLAS product,
+which gives a row the same bits in a block as in the whole batch only on
+aligned blocks, so blocks start at multiples of 32 rows.
 
-The driver owns the failure policy: the first observation, or final state,
-that holds a non-finite coordinate aborts the run with
-:class:`~sqzbath.integrate.TrajectoryFailure` (the earliest over all blocks
-and batches, so the same step for any worker count and batch width), and so
-does the first observation whose merged mean, m2 or energy sum is
-non-finite.
+The driver owns the failure policy, one rule for every block and batch,
+serial or pooled: each runs to its end or its own failure, and the run then
+aborts with the earliest :class:`~sqzbath.integrate.TrajectoryFailure` over
+all of them, the first observation, or final state, that holds a non-finite
+coordinate, so the same step for any worker count and batch width. So does
+the first observation whose merged mean, m2 or energy sum is non-finite.
 """
 
 from __future__ import annotations
@@ -207,26 +206,25 @@ def _step_batch(config: RunConfig, state: TrajectoryState):
     snapshots (observations x rows x 4) and, with ``track_energy``, its
     energies (rows x observations).
 
-    Raises :class:`TrajectoryFailure` at the first observation, or at the
-    final state, that holds a non-finite coordinate, the earliest over all
-    blocks (see :func:`_up_to`).
+    Every block runs to its end or its own failure; then the earliest
+    failure over all blocks is raised (see :func:`_raise_earliest`): the
+    first observation, or final state, that holds a non-finite coordinate.
     """
     n_obs, n = len(config.integrator.obs_times), len(state.system.q1)
     snaps = np.empty((n_obs, n, 4))
     # rows first, so that a chunk's energy sum runs over rows in order
     energies = np.empty((n, n_obs)) if config.track_energy else None
 
-    failure = None
+    failures = []
     for a, b in _chunk_ranges(n, _block_rows(config, n)):
         block = TrajectoryState(t=state.t, system=_rows(state.system, a, b),
                                 bath=_rows(state.bath, a, b))
         try:
-            _integrate_block(_up_to(config, failure), block, snaps[:, a:b],
+            _integrate_block(config, block, snaps[:, a:b],
                              energies[a:b] if energies is not None else None)
-        except TrajectoryFailure as err:    # at or before the step of `failure`
-            failure = err
-    if failure is not None:
-        raise failure
+        except TrajectoryFailure as err:
+            failures.append(err)
+    _raise_earliest(failures)
     return snaps, energies
 
 
@@ -381,14 +379,14 @@ def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase]):
     return mode1[0], qt2, mode1[1], pt2
 
 
-def _up_to(config: RunConfig, failure: Optional[TrajectoryFailure]) -> RunConfig:
-    """``config``, cut at the step of ``failure`` when there is one: blocks and
-    batches after a failed one run only that far, so the earliest failure
-    over all of them is raised whatever their number."""
-    if failure is None:
-        return config
-    return dataclasses.replace(config, integrator=dataclasses.replace(
-        config.integrator, n_steps=failure.step))
+def _raise_earliest(outcomes) -> None:
+    """Raise the earliest :class:`TrajectoryFailure` among ``outcomes``, the
+    first of those at the same step, if there is one. Blocks and batches
+    fail independently, so this is the step a run fails at for any block
+    size, batch width and worker count."""
+    failures = [o for o in outcomes if isinstance(o, TrajectoryFailure)]
+    if failures:
+        raise min(failures, key=lambda err: err.step)
 
 
 def _try_chunk(config: RunConfig, lo: int, hi: int,
@@ -490,12 +488,14 @@ def run_ensemble(config: RunConfig, *, pool=None,
     Finite coordinates whose merged moments overflow abort it too, at the
     step of the first such observation.
 
-    A run with more than one worker and more than one batch maps its batches
-    on ``pool``, an open pool from :func:`_pool` shared by a sequence of runs,
-    or on a pool of its own when ``pool`` is None. The probes of
-    :func:`_response` are handed to every batch; batches that run after a
-    failure are stepped. They are integrated here unless ``response`` holds
-    them already: the probes depend on the system, the bath and the
+    Every batch runs through :func:`_try_chunk` with the same arguments, the
+    probes of :func:`_response` included: a run with more than one worker and
+    more than one batch maps them on ``pool``, an open pool from
+    :func:`_pool` shared by a sequence of runs, or on a pool of its own when
+    ``pool`` is None; any other run maps them in this process. A failing
+    batch does not stop the others, and the earliest failure over all of
+    them is raised. The probes are integrated here unless ``response``
+    holds them already: they depend on the system, the bath and the
     integrator, not on the temperature or the seed, so a sweep shares one
     set across its points.
     """
@@ -503,20 +503,13 @@ def run_ensemble(config: RunConfig, *, pool=None,
     batches = _batch_ranges(config)
     if response is None:
         response = _response(config)
+    args = zip(*((config, lo, hi, response) for lo, hi in batches))
     if config.workers > 1 and len(batches) > 1:
         with _pool(config) if pool is None else contextlib.nullcontext(pool) as pool:
-            per_batch = list(pool.map(_try_chunk, *zip(*((config, lo, hi, response)
-                                                         for lo, hi in batches))))
+            per_batch = list(pool.map(_try_chunk, *args))
     else:
-        per_batch, failure = [], None
-        for lo, hi in batches:
-            per_batch.append(_try_chunk(_up_to(config, failure), lo, hi,
-                                        response if failure is None else None))
-            if isinstance(per_batch[-1], TrajectoryFailure):
-                failure = per_batch[-1]     # at or before the step of the last one
-    failures = [p for p in per_batch if isinstance(p, TrajectoryFailure)]
-    if failures:
-        raise min(failures, key=lambda err: err.step)
+        per_batch = list(map(_try_chunk, *args))
+    _raise_earliest(per_batch)
 
     acc = VarianceAccumulator(times)
     energy_sum = np.zeros(len(times)) if config.track_energy else None

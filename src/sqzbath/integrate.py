@@ -13,15 +13,19 @@ momentum, by an exact exponential drag, and the chain variables; their
 divisions by unit masses are skipped, which is exact, so the bits are those
 of the textbook substep.
 
-Without a thermostat (the isolated and Ohmic models), :func:`integrate`
-runs the same steps in leapfrog form (:func:`_leapfrog`): between two steps
-that are not observed, the closing half-kick of one and the opening
-half-kick of the next act at the same positions and run as one kick, which
-halves the system-force and momentum passes of those steps. Observed steps
-and the last one end with a half-kick, so observers and callers see the
-synchronized states of :func:`step_hamiltonian`; the merge rounds otherwise,
-which moves those states at round-off level (about 1e-14 of their largest
-value after 5000 steps). The NHC loop runs :func:`step_nhc`, bit for bit.
+One kick-drift-kick body, :func:`_leapfrog`, serves every model. It runs
+a stretch of steps with no thermostat between them in leapfrog form:
+between two steps of the stretch, the closing half-kick of one and the
+opening half-kick of the next act at the same positions and run as one
+kick, which halves the system-force and momentum passes of those steps. Its
+last step ends with a half-kick, so the state it leaves is synchronized. A
+stretch of one step is the textbook step, bit for bit, and is
+:func:`step_hamiltonian`. :func:`integrate` walks the observation stretches
+once for all three models: without a thermostat (the isolated and Ohmic
+models) each stretch is one :func:`_leapfrog` call, whose merges round
+otherwise than the synchronized loop, which moves the observed states at
+round-off level (about 1e-14 of their largest value after 5000 steps); with
+the Nose-Hoover chain each step is one :func:`step_nhc`, bit for bit.
 
 The stepper owns every array it moves except the Ohmic bath arrays: once per
 :func:`integrate` call (or standalone step) it copies the system phase, the
@@ -208,7 +212,8 @@ class _Kick:
 def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
                      bath: BathParams, dt: float,
                      kick: Optional[_Kick] = None) -> TrajectoryState:
-    """One symmetric kick-drift-kick step; drive frozen at the midpoint time.
+    """One symmetric kick-drift-kick step; drive frozen at the midpoint time:
+    :func:`_leapfrog` of one step.
 
     ``kick`` is the stepper of the enclosing :func:`integrate` call, built for
     this ``dt`` on this state. Standalone calls omit it and build their own,
@@ -216,34 +221,32 @@ def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
     """
     if kick is None:
         kick = _Kick(bath, state, dt)
-    t_mid = state.t + 0.5 * dt
-    kick.apply(system_force(t_mid, state.system, sys, out=kick.force), kick.h)
-    kick.drift(sys)
-    kick.update(state, kick.h)
-    kick.apply(system_force(t_mid, state.system, sys, out=kick.force), kick.h)
-    state.t += dt
+    _leapfrog(kick, state, sys, 1)
     return state
 
 
 def _leapfrog(kick: _Kick, state: TrajectoryState, sys: SystemParams,
               n_steps: int) -> None:
-    """``n_steps`` >= 1 steps of :func:`step_hamiltonian` from a synchronized
-    state, with no thermostat between them, in leapfrog form: the closing
-    half-kick of each step but the last and the opening half-kick of the next
-    act at the same positions, so they run as one kick of ``dt`` at the mean
-    of the two midpoints' drive coefficients, with the bath force scaled by
-    ``dt``. Each midpoint's coefficient is evaluated once; the last step
-    closes with a half-kick, so the state it leaves is synchronized again.
+    """``n_steps`` >= 1 kick-drift-kick steps from a synchronized state, with
+    no thermostat between them, in leapfrog form: the closing half-kick of
+    each step but the last and the opening half-kick of the next act at the
+    same positions, so they run as one kick of ``dt`` at the mean of the two
+    midpoints' drive coefficients, with the bath force scaled by ``dt``. The
+    opening and closing half-kicks take the system force at their midpoint
+    time; each merged kick evaluates its later midpoint's coefficient once
+    and carries it to the next. The state it leaves is synchronized again.
     Exact in exact arithmetic, the merge rounds otherwise than the
-    synchronized loop.
+    synchronized loop; one step is the textbook step, bit for bit.
     """
     dt, h = kick.dt, kick.h
-    k = coupling_stiffness(state.t + h, sys)
-    kick.apply(coupled_force(k, state.system, sys, out=kick.force), h)
+    t_mid = state.t + h
+    kick.apply(system_force(t_mid, state.system, sys, out=kick.force), h)
+    k = coupling_stiffness(t_mid, sys) if n_steps > 1 else None
     for _ in range(n_steps - 1):
         kick.drift(sys)
         state.t += dt
-        k_next = coupling_stiffness(state.t + h, sys)
+        t_mid = state.t + h
+        k_next = coupling_stiffness(t_mid, sys)
         kick.update(state, dt)
         kick.apply(coupled_force(0.5 * (k + k_next), state.system, sys, out=kick.force),
                    dt)
@@ -251,7 +254,7 @@ def _leapfrog(kick: _Kick, state: TrajectoryState, sys: SystemParams,
     kick.drift(sys)
     state.t += dt
     kick.update(state, h)
-    kick.apply(coupled_force(k, state.system, sys, out=kick.force), h)
+    kick.apply(system_force(t_mid, state.system, sys, out=kick.force), h)
 
 
 class _Thermostat:
@@ -376,9 +379,10 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
               observer: Optional[Observer] = None) -> TrajectoryState:
     """Propagate n_steps steps, calling the observer at step 0 and every stride.
 
-    Without a thermostat (isolated and Ohmic models) the steps between
-    observations run in leapfrog form (:func:`_leapfrog`); every observed
-    step, and the last, ends synchronized, as :func:`step_hamiltonian` does.
+    Each stretch between observations, and the last, shorter one, runs as
+    one :func:`_leapfrog` call without a thermostat (isolated and Ohmic
+    models) and as one :func:`step_nhc` per step with one; every observed
+    step, and the last, ends synchronized.
     Non-finite coordinates propagate; checking them is the caller's policy,
     and an exception the observer raises stops the integration. Observers
     must not modify the state, and must copy what they keep: from step 0 on,
@@ -390,16 +394,14 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
     stride = config.stride
     if observer is not None:
         observer(0, state)
-    if thermostat is None:
-        for start in range(0, config.n_steps, stride):
-            n_steps = min(stride, config.n_steps - start)
+    for start in range(0, config.n_steps, stride):
+        n_steps = min(stride, config.n_steps - start)
+        if thermostat is None:
             _leapfrog(kick, state, sys, n_steps)
-            if observer is not None and n_steps == stride:
-                observer(start + stride, state)
-        return state
-    for i in range(1, config.n_steps + 1):
-        step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts,
-                 kick, thermostat)
-        if observer is not None and i % stride == 0:
-            observer(i, state)
+        else:
+            for _ in range(n_steps):
+                step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts,
+                         kick, thermostat)
+        if observer is not None and n_steps == stride:
+            observer(start + stride, state)
     return state

@@ -19,6 +19,7 @@ closure in the chain variables, so only its mode 2 has an exact curve.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +30,7 @@ from .baths import OhmicBathParams
 from .integrate import IntegratorConfig, TrajectoryFailure
 from .observables import VarianceSeries
 from .sampling import SamplingMode, thermal_widths, width_temperature
-from .stability import kdk_fundamental
+from .stability import _FLUSH_STEPS, kdk_fundamental
 from .system import SystemParams, coupling_freq_sq, normal_mode_freqs, to_physical_units
 
 # not called here; bench/tracer.py wraps these two module globals by name
@@ -55,10 +56,14 @@ def fundamental_solution(sys: SystemParams, dt: float = 0.01,
                          n_steps: int = 25000) -> FundamentalSolution:
     """Fundamental solutions of the relative mode,
     y'' = -(w^2 + 2 w0^2 sin^2(wd t)) y, with the drive at each step midpoint
-    as the trajectory stepper evaluates it."""
+    as the trajectory stepper evaluates it. The coefficients reach the loop
+    as Python floats one flush block at a time, so it holds a bounded
+    number of them."""
     k = sys.freq ** 2 + 2.0 * coupling_freq_sq((np.arange(n_steps) + 0.5) * dt, sys)
     out = np.empty((4, n_steps + 1))
-    kdk_fundamental(k.tolist(), dt, out)
+    kdk_fundamental(itertools.chain.from_iterable(
+        k[i:i + _FLUSH_STEPS].tolist() for i in range(0, n_steps, _FLUSH_STEPS)), dt, out)
+    del k   # freed before the time grid, which would otherwise set the peak
     finite = np.isfinite(out).all(axis=0)
     if not finite[-1]:
         raise TrajectoryFailure(int(finite.argmin()))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import types
 
 import numpy as np
 import pytest
@@ -398,6 +399,48 @@ class TestFailurePolicy:
         assert capsys.readouterr().err == ("sqzbath: error: non-finite phase-space "
                                            "coordinates at step 0\n")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_serial_and_pooled_batches_run_alike(self, monkeypatch):
+        # two 100-row batches; row 5 starts at the edge of overflow, so the
+        # first batch is stepped and fails. Serially as on a pool, both
+        # batches reach _try_chunk with the probes, and the run raises the
+        # same failure
+        def sample(config, lo, hi):
+            state = _sample_chunk(config, lo, hi)
+            if lo <= 5 < hi:
+                state.system.q1[5 - lo] = state.system.q2[5 - lo] = 0.85e308
+            return state
+
+        def recording(mapper):
+            def record(fn, *iterables):
+                args = list(zip(*iterables))
+                calls.append([(fn, lo, hi, resp) for _, lo, hi, resp in args])
+                return mapper(fn, *zip(*args))
+            return record
+
+        monkeypatch.setattr(driver, "_sample_chunk", sample)
+        monkeypatch.setattr(driver, "_BATCH_BYTES", 0)
+        cfg = isolated_config(n_traj=200, chunk_size=100, seed=5,
+                              integrator=IntegratorConfig(n_steps=400, stride=50))
+        response = _response(cfg)
+        calls = []
+        monkeypatch.setattr(driver, "map", recording(map), raising=False)
+        with pytest.raises(TrajectoryFailure) as serial:
+            run_ensemble(cfg, response=response)
+        monkeypatch.delattr(driver, "map")
+        pooled_cfg = dataclasses.replace(cfg, workers=2)
+        with driver._pool(pooled_cfg) as pool, pytest.raises(TrajectoryFailure) as pooled:
+            run_ensemble(pooled_cfg, pool=types.SimpleNamespace(map=recording(pool.map)),
+                         response=response)
+
+        assert len(calls) == 2
+        for batches in calls:
+            assert [(fn, lo, hi) for fn, lo, hi, _ in batches] == [
+                (driver._try_chunk, 0, 100), (driver._try_chunk, 100, 200)]
+            assert all(resp is response for *_, resp in batches)
+        assert 0 < serial.value.step == pooled.value.step < cfg.integrator.n_steps
+        assert str(serial.value) == str(pooled.value)
+
     def test_non_finite_energy_sum_aborts(self, monkeypatch):
         # finite coordinates whose energies overflow from the third
         # observation on: the merged energy sum names that step
@@ -540,7 +583,7 @@ class TestPropagation:
     def test_near_overflow_batch_is_stepped(self, monkeypatch, bath):
         # row 21 starts at the edge of overflow: its chunk's batch is stepped
         # and fails where the stepper fails (step 150, as when every batch
-        # was stepped); the batches before it are propagated
+        # was stepped); the batches before and after it are propagated
         rows = self.integrate_rows(monkeypatch)
 
         def sample(config, lo, hi):
@@ -555,9 +598,8 @@ class TestPropagation:
         with pytest.raises(TrajectoryFailure) as err:
             run_ensemble(cfg)
         assert err.value.step == 150
-        # the probes, chunk [16, 32) stepped, then the later chunks stepped
-        # up to the failure
-        assert rows[:2] == [4, 16] and sum(rows[2:]) == 32
+        # the probes, then chunk [16, 32) stepped; the later chunks propagated
+        assert rows == [4, 16]
         rows.clear()
         monkeypatch.setattr(driver, "_response", lambda config: None)
         with pytest.raises(TrajectoryFailure) as stepped:
@@ -662,6 +704,21 @@ class TestBathEquivalence:
         assert cmp.coords["qt2"].max_rel_dev < 1e-10
         assert cmp.coords["pt2"].max_rel_dev < 1e-10
         assert cmp.coords["qt2"].passed and cmp.coords["pt2"].passed
+
+    def test_one_seed_one_relative_mode_in_every_model(self):
+        # every model draws a trajectory's system normals first, from the
+        # same stream, and the relative mode never feels either bath, so one
+        # seed gives one qt2, pt2 ensemble: the isolated and Ohmic runs
+        # propagate it from the same probes, bit for bit, and the NHC run
+        # steps it, equal at round-off
+        cfg = isolated_config(n_traj=300, integrator=IntegratorConfig(n_steps=400, stride=25))
+        isolated, ohmic, nhc = (run_ensemble(dataclasses.replace(cfg, bath=bath)).series
+                                for bath in (None, build_ohmic_bath(200, 0.007, 3.0),
+                                             nhc_from_ohmic(0.007, 3.0, 1.0)))
+        for name in ("variances", "std_errors", "means"):
+            ref, same, close = (getattr(s, name)[:, [1, 3]] for s in (isolated, ohmic, nhc))
+            assert np.array_equal(same, ref), name
+            assert np.allclose(close, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()), name
 
     def test_mismatched_configs_rejected(self):
         bath = build_ohmic_bath(8, 0.007, 3.0)

@@ -334,6 +334,17 @@ class TestReferenceLoop:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_fundamental_solution_holds_a_bounded_number_of_floats(self, paper_system):
+        # the 25000 coefficients as one list of Python floats would add about
+        # 0.8 MB to the (4, 25001) output's 0.8 MB
+        tracemalloc.start()
+        try:
+            fundamental_solution(paper_system, dt=0.01, n_steps=25000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
     def test_overflowed_columns_match_reference(self):
         sys = SystemParams(coupling_amp=20.0, drive_freq=20.0)
         k = (sys.freq ** 2 + 2.0 * coupling_freq_sq((np.arange(20000) + 0.5) * 0.01,
