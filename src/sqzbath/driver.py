@@ -6,16 +6,17 @@ Each trajectory samples from its own counter-based random stream keyed by
 each chunk of trajectories is reduced to one partial accumulator, and the
 partials merge in chunk order. Runs of consecutive chunks are sampled and
 reduced together as one batch, whose width is set by a memory budget on the
-snapshot buffers it needs if it is stepped. A temperature sweep, and a bath
-comparison, run their ensembles one after another on one process pool (see
-:func:`_pool`).
+buffer it needs if it is stepped. A stepped batch and a propagated chunk
+fill the same coordinate-major buffer, (qt1, qt2, pt1, pt2) and, with
+energy tracking, the energy, each a (rows, records) array, and every chunk
+is reduced from it by one function (:func:`_reduce`). A temperature sweep,
+and a bath comparison, run their ensembles one after another on one
+process pool (see :func:`_pool`).
 
 The isolated and Ohmic models are linear, so a run of either, without
 energy tracking, steps no trajectory of its own: :func:`_response` steps
 four unit probes once, and each chunk's coordinates are its initial
-coordinates contracted with the probes' records, one (rows, records) array
-per coordinate, reduced straight to the chunk's moments; a propagated batch
-holds no snapshot buffer (see :func:`_propagate`).
+coordinates contracted with the probes' records (see :func:`_propagate`).
 The centre-of-mass + bath block is undriven and its step is symplectic and
 time-reversible, so the probes' columns of the k-step map give the rows
 that (qt1, pt1) need; the driven relative mode is bath-free and takes its
@@ -175,7 +176,7 @@ def _chunk_energy(config: RunConfig, state: TrajectoryState):
 def _run_chunk(config: RunConfig, lo: int, hi: int,
                response: Optional[_Response] = None):
     """Sample trajectories [lo, hi) as one batch of whole chunks and reduce
-    each chunk's observations; returns each chunk's (accumulator,
+    each chunk (:func:`_reduce`); returns each chunk's (accumulator,
     energy_sums), in chunk order.
 
     With a ``response`` the chunks are propagated (:func:`_propagate`);
@@ -188,66 +189,65 @@ def _run_chunk(config: RunConfig, lo: int, hi: int,
     if response is not None:
         partials = _propagate(config, response, state)
         if partials is not None:
-            return [(acc, None) for acc in partials]
-    snaps, energies = _step_batch(config, state)
-
-    partials = []
-    for a, b in _chunk_ranges(hi - lo, config.chunk_size):
-        acc = VarianceAccumulator(config.integrator.obs_times)
-        acc.add_block(snaps[:, a:b].swapaxes(0, 1))
-        energy_sums = energies[a:b].sum(axis=0) if energies is not None else None
-        partials.append((acc, energy_sums))
-    return partials
+            return partials
+    coords = _step_batch(config, state)
+    return [_reduce(config, coords[:, a:b])
+            for a, b in _chunk_ranges(hi - lo, config.chunk_size)]
 
 
-def _step_batch(config: RunConfig, state: TrajectoryState):
+def _reduce(config: RunConfig, coords: np.ndarray):
+    """One chunk's (accumulator, energy_sums) from its coordinate-major
+    buffer, stepped or propagated: rows 0-3 of ``coords`` hold (qt1, qt2,
+    pt1, pt2) and, with ``track_energy``, row 4 the energy, each a (rows,
+    records) array whose first records are the observations. Both reduce
+    over rows in order (see :meth:`VarianceAccumulator.add_block`)."""
+    times = config.integrator.obs_times
+    acc = VarianceAccumulator(times)
+    acc.add_block(coords[:4, :, :len(times)].transpose(1, 2, 0))
+    return acc, coords[4].sum(axis=0) if config.track_energy else None
+
+
+def _step_batch(config: RunConfig, state: TrajectoryState) -> np.ndarray:
     """Integrate a sampled batch in consecutive row blocks (see
     :func:`_block_rows`), each a view of the sampled arrays; returns its
-    snapshots (observations x rows x 4) and, with ``track_energy``, its
-    energies (rows x observations).
+    coordinate-major (4 + track_energy, rows, observations) buffer, (qt1,
+    qt2, pt1, pt2) and, with ``track_energy``, the energy.
 
     Every block runs to its end or its own failure; then the earliest
     failure over all blocks is raised (see :func:`_raise_earliest`): the
     first observation, or final state, that holds a non-finite coordinate.
     """
     n_obs, n = len(config.integrator.obs_times), len(state.system.q1)
-    snaps = np.empty((n_obs, n, 4))
-    # rows first, so that a chunk's energy sum runs over rows in order
-    energies = np.empty((n, n_obs)) if config.track_energy else None
+    coords = np.empty((4 + config.track_energy, n, n_obs))
 
     failures = []
     for a, b in _chunk_ranges(n, _block_rows(config, n)):
         block = TrajectoryState(t=state.t, system=_rows(state.system, a, b),
                                 bath=_rows(state.bath, a, b))
         try:
-            _integrate_block(config, block, snaps[:, a:b],
-                             energies[a:b] if energies is not None else None)
+            _integrate_block(config, block, coords[:, a:b])
         except TrajectoryFailure as err:
             failures.append(err)
     _raise_earliest(failures)
-    return snaps, energies
+    return coords
 
 
-def _integrate_block(config: RunConfig, state: TrajectoryState, snaps: np.ndarray,
-                     energies: Optional[np.ndarray]) -> None:
-    """Integrate one block of rows, writing its normal modes into ``snaps``
-    (observations x rows x 4) and its energies into ``energies`` (rows x
-    observations)."""
+def _integrate_block(config: RunConfig, state: TrajectoryState,
+                     coords: np.ndarray) -> None:
+    """Integrate one block of rows, writing observation i of its normal
+    modes, and of its energy with ``track_energy``, into ``coords[:, :, i]``
+    (a view of :func:`_step_batch`'s buffer)."""
     integrator = config.integrator
     stride = integrator.stride
 
     def observer(step, st):
-        i = step // stride
+        obs = coords[:, :, step // stride]
         modes = to_normal_modes(st.system)
-        snap = snaps[i]
-        snap[:, 0] = modes.qt1
-        snap[:, 1] = modes.qt2
-        snap[:, 2] = modes.pt1
-        snap[:, 3] = modes.pt2
-        if not np.isfinite(snap).all():
+        obs[0], obs[1], obs[2], obs[3] = modes.qt1, modes.qt2, modes.pt1, modes.pt2
+        if not np.isfinite(obs[:4]).all():
             raise TrajectoryFailure(step)
-        if energies is not None:
-            energies[:, i] = _chunk_energy(config, st)
+        if config.track_energy:
+            obs[4] = _chunk_energy(config, st)
 
     integrate(state, config.system, config.bath, integrator, observer)
     if not np.all(state.is_finite()):
@@ -327,32 +327,31 @@ def _bounded(*arrays) -> bool:
 
 def _propagate(config: RunConfig, response: _Response,
                state: TrajectoryState) -> Optional[list]:
-    """Each chunk's accumulator, in chunk order, for a sampled batch whose
-    chunks are propagated one at a time (:func:`_contract`) and reduced
-    straight from the propagated coordinates; None when the sampled state,
-    or a propagated coordinate at any record, the final one included, is
-    not :func:`_bounded`, so that the batch is stepped instead."""
+    """Each chunk's (accumulator, None), in chunk order, for a sampled batch
+    whose chunks are propagated (:func:`_contract`) and reduced
+    (:func:`_reduce`) one at a time, so that one chunk's buffer is alive at
+    once; None when the sampled state, or a propagated coordinate at any
+    record, the final one included, is not :func:`_bounded`, so that the
+    batch is stepped instead."""
     sampled = list(vars(state.system).values())
     if state.bath is not None:
         sampled += vars(state.bath).values()
     if not _bounded(*sampled):
         return None
     modes = to_normal_modes(state.system)
-    times = config.integrator.obs_times
     partials = []
     for a, b in _chunk_ranges(len(modes.qt1), config.chunk_size):
         coords = _contract(response, _rows(modes, a, b), _rows(state.bath, a, b))
-        if not _bounded(*coords):
+        if not _bounded(coords):
             return None
-        acc = VarianceAccumulator(times)
-        acc.add_coordinates([coord[:, :len(times)] for coord in coords])
-        partials.append(acc)
+        partials.append(_reduce(config, coords))
     return partials
 
 
-def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase]):
+def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase]) -> np.ndarray:
     """(qt1, qt2, pt1, pt2) at every record of the rows whose initial normal
-    modes are ``modes`` and bath is ``bath``, each a (rows, records) array.
+    modes are ``modes`` and bath is ``bath``, as one coordinate-major (4,
+    rows, records) buffer, the layout of :func:`_step_batch`.
 
     With probes A-D as in :class:`_Response`, qt1(k) = A.pt1(k) qt1(0) +
     A.qt1(k) pt1(0) + sum_j A.P_j(k) R_j(0) + sum_j A.R_j(k) P_j(0), and
@@ -364,19 +363,20 @@ def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase]):
     bits with the number of rows.
     """
     outer = np.multiply.outer
-    mode1 = []
-    for p in (0, 1):                    # qt1 from probe A, pt1 from B
-        coord = outer(modes.qt1, response.mode1[:, p, 1])
-        coord += outer(modes.pt1, response.mode1[:, p, 0])
+    coords = np.empty((4, len(modes.qt1), len(response.mode1)))
+    term = np.empty(coords.shape[1:])
+    for k, p in ((0, 0), (2, 1)):       # qt1 from probe A, pt1 from B
+        coord = outer(modes.qt1, response.mode1[:, p, 1], out=coords[k])
+        coord += outer(modes.pt1, response.mode1[:, p, 0], out=term)
         if bath is not None:
             coord += np.einsum("rj,ij->ri", bath.pos, response.bath_mom[:, p],
-                               optimize=False)
+                               out=term, optimize=False)
             coord += np.einsum("rj,ij->ri", bath.mom, response.bath_pos[:, p],
-                               optimize=False)
-        mode1.append(coord)
-    qt2, pt2 = (outer(modes.qt2, response.mode2[:, 0, c])     # the map of C, D
-                + outer(modes.pt2, response.mode2[:, 1, c]) for c in (0, 1))
-    return mode1[0], qt2, mode1[1], pt2
+                               out=term, optimize=False)
+    for k, c in ((1, 0), (3, 1)):       # qt2, pt2: the map of C, D
+        coord = outer(modes.qt2, response.mode2[:, 0, c], out=coords[k])
+        coord += outer(modes.pt2, response.mode2[:, 1, c], out=term)
+    return coords
 
 
 def _raise_earliest(outcomes) -> None:
@@ -442,17 +442,17 @@ def _chunk_ranges(n_traj: int, chunk_size: int):
             for lo in range(0, n_traj, chunk_size)]
 
 
-# Cap on the snapshot and energy buffers of one stepped batch, which hold
-# n_obs x rows x (32 + 8 * track_energy) bytes. It keeps a pool worker's
-# peak memory below the host process's. A propagated batch holds no snapshot
-# buffer, so the cap bounds only what it needs if it falls back to stepping.
+# Cap on the buffer of one stepped batch, which holds (4 + track_energy) x
+# rows x n_obs floats. It keeps a pool worker's peak memory below the host
+# process's. A propagated batch holds one chunk's buffer at a time, so the
+# cap bounds only what it needs if it falls back to stepping.
 _BATCH_BYTES = 4 * 2**20
 
 
 def _batch_ranges(config: RunConfig):
     """Consecutive runs of whole chunks, each integrated as one batch.
 
-    A batch holds as many chunks as the snapshot budget allows, but no more
+    A batch holds as many chunks as the buffer budget allows, but no more
     than an even share of the chunks per worker. The Ohmic model keeps one
     chunk per batch: its sampled (rows, N) bath arrays lie outside that
     budget. :func:`_step_batch` integrates them in cache-sized row blocks.
@@ -460,7 +460,7 @@ def _batch_ranges(config: RunConfig):
     n_chunks = -(-config.n_traj // config.chunk_size)
     chunks_per_batch = 1
     if config.model is not ModelKind.OHMIC:
-        row_bytes = len(config.integrator.obs_times) * (32 + 8 * config.track_energy)
+        row_bytes = len(config.integrator.obs_times) * 8 * (4 + config.track_energy)
         chunks_per_batch = min(-(-n_chunks // config.workers),
                                max(1, _BATCH_BYTES // row_bytes // config.chunk_size))
     return _chunk_ranges(config.n_traj, chunks_per_batch * config.chunk_size)

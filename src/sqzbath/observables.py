@@ -28,29 +28,24 @@ class VarianceAccumulator:
         self.m2 = np.zeros((nt, 4))
 
     def add_block(self, values: np.ndarray) -> None:
-        """Merge a whole (n_traj, n_times, 4) block in one vectorized update."""
+        """Merge a whole (n_traj, n_times, 4) block, one coordinate's
+        ``values[..., k]`` view at a time.
+
+        numpy sums a view's trajectory axis in order when that axis is not
+        the view's smallest stride, and pairwise when it is (as it is when
+        n_times is 1). A C-ordered block and the ``transpose(1, 2, 0)``
+        view of a coordinate-major (4, n_traj, n_times) buffer both meet
+        that condition, so they give the same bits.
+        """
         values = np.asarray(values, dtype=float)
         n = values.shape[0]
         if n == 0:
             return
-        block_mean = values.mean(axis=0)
-        block_m2 = ((values - block_mean) ** 2).sum(axis=0)
-        self._merge_moments(np.full(len(self.times), n, dtype=np.int64),
-                            block_mean, block_m2)
-
-    def add_coordinates(self, coords) -> None:
-        """Merge a whole block given as one (n_traj, n_times) array per
-        coordinate, in (qt1, qt2, pt1, pt2) order: the bits of
-        :meth:`add_block` on the same values stacked as (n_traj, n_times, 4),
-        without the stacked copy. Each coordinate is reduced over
-        trajectories in order."""
-        n = coords[0].shape[0]
-        if n == 0:
-            return
         block_mean, block_m2 = np.empty((2, len(self.times), 4))
-        for k, values in enumerate(coords):
-            block_mean[:, k] = mean = values.mean(axis=0)
-            block_m2[:, k] = ((values - mean) ** 2).sum(axis=0)
+        for k in range(4):
+            coord = values[..., k]
+            block_mean[:, k] = mean = coord.mean(axis=0)
+            block_m2[:, k] = ((coord - mean) ** 2).sum(axis=0)
         self._merge_moments(np.full(len(self.times), n, dtype=np.int64),
                             block_mean, block_m2)
 

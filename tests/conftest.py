@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,14 @@ def contract_normals(seed, indices, *shapes):
         for out in outs:
             out[row] = rng.standard_normal(out.shape[1:])
     return outs
+
+
+def row_ordered_moments(values):
+    """Reference for ``VarianceAccumulator.add_block``'s block moments: the
+    mean and m2 over the first axis of ``values``, summed one row after the
+    other."""
+    mean = functools.reduce(np.add, values) / len(values)
+    return mean, functools.reduce(np.add, ((row - mean) ** 2 for row in values))
 
 
 def reference_leapfrog(phase, sys, dt, n_steps, stride, bath=None, bath_phase=None):

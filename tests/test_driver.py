@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import time
 import types
@@ -18,7 +19,7 @@ from sqzbath.driver import (_batch_ranges, _contract, _propagate, _response, _ro
 from sqzbath.observables import VarianceAccumulator
 from sqzbath.system import normal_mode_freqs, to_normal_modes
 
-from conftest import contract_normals
+from conftest import contract_normals, row_ordered_moments
 
 
 def isolated_config(**kwargs):
@@ -468,12 +469,6 @@ class TestFailurePolicy:
         assert err.value.step < self.unstable.n_steps
 
 
-def snapshots(coords, n_obs):
-    """(qt1, qt2, pt1, pt2) arrays of (rows, records) as one C-ordered
-    (observations, rows, 4) buffer, the stepper's snapshot layout."""
-    return np.ascontiguousarray(np.stack(coords, axis=-1).swapaxes(0, 1)[:n_obs])
-
-
 class TestPropagation:
     """Isolated and Ohmic runs propagate their snapshots from four stepped
     unit probes instead of stepping every trajectory."""
@@ -496,20 +491,22 @@ class TestPropagation:
         cfg = isolated_config(bath=bath, system=system, sampling=sampling, chunk_size=23,
                               integrator=IntegratorConfig(n_steps=n_steps, stride=50))
         state = _sample_chunk(cfg, 0, cfg.n_traj)
-        coords = _contract(_response(cfg), to_normal_modes(state.system), state.bath)
-        stepped, _ = _step_batch(cfg, state)
-        propagated = snapshots(coords, len(stepped))
-        assert propagated.shape == stepped.shape
-        assert np.array_equal(propagated[0], stepped[0])
+        propagated = _contract(_response(cfg), to_normal_modes(state.system), state.bath)
+        stepped = _step_batch(cfg, state)
+        n_obs = len(cfg.integrator.obs_times)
+        assert stepped.shape == (4, cfg.n_traj, n_obs)
+        # one more record when n_steps is off the stride grid
+        assert propagated.shape == (4, cfg.n_traj, n_obs + (n_steps % 50 != 0))
+        propagated = propagated[:, :, :n_obs]
+        assert np.array_equal(propagated[:, :, 0], stepped[:, :, 0])
         rms = np.sqrt((stepped ** 2).mean(axis=1, keepdims=True))
-        assert (np.abs(propagated - stepped) / rms).max(axis=(0, 1)).max() <= 1e-12
+        assert (np.abs(propagated - stepped) / rms).max() <= 1e-12
 
     @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.007, 3.0)],
                              ids=["isolated", "ohmic"])
     def test_chunk_accumulators_equal_add_block(self, bath):
-        # each chunk's moments, reduced straight from its propagated
-        # coordinates, have the bits add_block gives on the same coordinates
-        # copied into a (records, rows, 4) snapshot buffer; 70 rows make an
+        # each chunk's moments, reduced from its propagated coordinates,
+        # have the bits of a sum over its rows in order; 70 rows make an
         # uneven last chunk, and step 1037 is off the stride grid
         cfg = isolated_config(n_traj=70, chunk_size=32, bath=bath,
                               integrator=IntegratorConfig(n_steps=1037, stride=50))
@@ -518,13 +515,46 @@ class TestPropagation:
         modes, times = to_normal_modes(state.system), cfg.integrator.obs_times
         partials = _propagate(cfg, resp, state)
         assert len(partials) == 3
-        for acc, (a, b) in zip(partials, ((0, 32), (32, 64), (64, 70))):
+        for (acc, energy_sums), (a, b) in zip(partials, ((0, 32), (32, 64), (64, 70))):
+            assert energy_sums is None
             coords = _contract(resp, _rows(modes, a, b), _rows(state.bath, a, b))
-            assert coords[0].shape == (b - a, len(times) + 1)
-            ref = VarianceAccumulator(times)
-            ref.add_block(snapshots(coords, len(times)).swapaxes(0, 1))
-            for name in ("count", "mean", "m2"):
-                assert np.array_equal(getattr(acc, name), getattr(ref, name))
+            assert coords.shape == (4, b - a, len(times) + 1)
+            mean, m2 = row_ordered_moments(coords[:, :, :len(times)].transpose(1, 2, 0))
+            assert np.all(acc.count == b - a)
+            assert np.array_equal(acc.mean, mean)
+            assert np.array_equal(acc.m2, m2)
+
+    @pytest.mark.parametrize("track_energy", [False, True], ids=["propagated", "stepped"])
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.007, 3.0),
+                                      nhc_from_ohmic(0.007, 3.0, 1.0)],
+                             ids=["isolated", "ohmic", "nhc"])
+    def test_every_chunk_reduces_through_add_block_once(self, monkeypatch, bath,
+                                                        track_energy):
+        shapes, add_block = [], VarianceAccumulator.add_block
+
+        def counting(self, values):
+            shapes.append(values.shape)
+            return add_block(self, values)
+
+        monkeypatch.setattr(VarianceAccumulator, "add_block", counting)
+        cfg = isolated_config(n_traj=70, chunk_size=32, bath=bath,
+                              track_energy=track_energy)
+        run_ensemble(cfg)
+        n_obs = len(cfg.integrator.obs_times)
+        assert shapes == [(32, n_obs, 4), (32, n_obs, 4), (6, n_obs, 4)]
+
+    @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.007, 3.0)],
+                             ids=["isolated", "ohmic"])
+    def test_one_observation_reduces_alike_stepped_and_propagated(self, bath):
+        # with n_steps < stride the only observation is the sampled state,
+        # the same bits stepped and propagated, and one reduction gives them
+        # the same moments
+        cfg = isolated_config(n_traj=300, chunk_size=150, bath=bath,
+                              integrator=IntegratorConfig(n_steps=30, stride=50))
+        propagated = run_ensemble(cfg).series
+        stepped = run_ensemble(dataclasses.replace(cfg, track_energy=True)).series
+        for name in ("variances", "std_errors", "means"):
+            assert np.array_equal(getattr(propagated, name), getattr(stepped, name))
 
     @pytest.mark.parametrize("kondo", [0.0, 0.007, 0.3])
     def test_probes_reproduce_ohmic_oracle(self, kondo):
@@ -644,6 +674,32 @@ class TestEnergyTracking:
         from sqzbath.system import system_energy
         e0 = float(np.mean(system_energy(0.0, state.system, cfg.system)))
         assert res.energy.mean[0] == pytest.approx(e0, rel=1e-12)
+
+    # SHA-256 of the series variances, standard errors and means and of the
+    # mean energy of a stepped energy-tracking run of each model: 250
+    # trajectories in chunks of 100, 400 steps at stride 50. "ohmic-blocks"
+    # integrates each chunk in 32-row blocks (_BLOCK_BYTES = 0)
+    GOLDEN = {
+        "isolated": "5f9b7b3006a61b6592ef702a8a8009ac344ff7a65071ae17bc89a2baf2fefdb3",
+        "ohmic": "ca4f93641c22aba301260c02b88cba485facf8cb7bb97da1a97307c6ff64bf18",
+        "ohmic-blocks": "ca4f93641c22aba301260c02b88cba485facf8cb7bb97da1a97307c6ff64bf18",
+        "nhc": "f9b4356387a97efb4a309cfb2bbb5f9e0f2fb56db2cb8b93226e591c695d6fef",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_stepped_runs(self, monkeypatch, case):
+        bath = {"isolated": None, "nhc": nhc_from_ohmic(0.007, 3.0, 1.0)}.get(
+            case, build_ohmic_bath(20, 0.007, 3.0))
+        if case == "ohmic-blocks":
+            monkeypatch.setattr(driver, "_BLOCK_BYTES", 0)
+        res = run_ensemble(isolated_config(
+            n_traj=250, chunk_size=100, bath=bath, track_energy=True,
+            integrator=IntegratorConfig(n_steps=400, stride=50)))
+        digest = hashlib.sha256()
+        for values in (res.series.variances, res.series.std_errors, res.series.means,
+                       res.energy.mean):
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == self.GOLDEN[case]
 
 
 class TestSweep:

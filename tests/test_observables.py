@@ -8,6 +8,8 @@ import pytest
 from sqzbath import (VarianceAccumulator, read_variance_csv, squeeze_report,
                      write_variance_csv)
 
+from conftest import row_ordered_moments
+
 
 def accumulator_from_samples(samples, times=None):
     """samples: (n_traj, n_times, 4)"""
@@ -57,6 +59,19 @@ class TestAccumulator:
                 acc.merge(part)
             assert np.allclose(acc.series().variances, whole.series().variances,
                                rtol=1e-12)
+
+    def test_block_layouts_sum_rows_in_order(self, rng):
+        # a C-ordered (rows, times, 4) block and the (rows, times, 4) view of
+        # a coordinate-major (4, rows, times) buffer: in neither is the row
+        # axis a coordinate view's smallest stride, so both reduce rows in
+        # order; 300 rows are enough for a pairwise sum to differ
+        values = rng.standard_normal((300, 7, 4)) * rng.uniform(0.1, 10, 300)[:, None, None]
+        coordinate_major = np.ascontiguousarray(values.transpose(2, 0, 1))
+        mean, m2 = row_ordered_moments(values)
+        for block in (values, coordinate_major.transpose(1, 2, 0)):
+            acc = accumulator_from_samples(block)
+            assert np.array_equal(acc.mean, mean)
+            assert np.array_equal(acc.m2, m2)
 
     def test_merge_requires_matching_grid(self):
         a = VarianceAccumulator(np.array([0.0, 1.0]))
