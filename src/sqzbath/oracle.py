@@ -7,8 +7,8 @@ which keeps discretization bias common-mode between oracle and Monte Carlo;
 a finer-step run of the oracle bounds that shared bias.
 
 Both baths couple to q1 + q2 only. The relative mode is therefore
-bath-decoupled, and its 2x2 fundamental solution, from the loop of
-:func:`stability.kdk_fundamental`, is exact for all three models
+bath-decoupled, and its 2x2 fundamental solution, from the Floquet map's
+loop :func:`stability._leapfrog`, is exact for all three models
 (``tests/test_properties.py::TestFundamentalSolution`` checks it against the
 relative mode of :func:`integrate`). The centre-of-mass mode is undriven:
 isolated, its variances are the thermal constants; with the Ohmic bath it
@@ -19,7 +19,6 @@ closure in the chain variables, so only its mode 2 has an exact curve.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,8 +29,8 @@ from .baths import OhmicBathParams
 from .integrate import IntegratorConfig, TrajectoryFailure
 from .observables import VarianceSeries
 from .sampling import SamplingMode, thermal_widths, width_temperature
-from .stability import _FLUSH_STEPS, kdk_fundamental
-from .system import SystemParams, coupling_freq_sq, normal_mode_freqs, to_physical_units
+from .stability import _leapfrog
+from .system import SystemParams, normal_mode_freqs, to_physical_units
 
 # not called here; bench/tracer.py wraps these two module globals by name
 from .integrate import integrate  # noqa: F401
@@ -56,14 +55,29 @@ def fundamental_solution(sys: SystemParams, dt: float = 0.01,
                          n_steps: int = 25000) -> FundamentalSolution:
     """Fundamental solutions of the relative mode,
     y'' = -(w^2 + 2 w0^2 sin^2(wd t)) y, with the drive at each step midpoint
-    as the trajectory stepper evaluates it. The coefficients reach the loop
-    as Python floats one flush block at a time, so it holds a bounded
-    number of them."""
-    k = sys.freq ** 2 + 2.0 * coupling_freq_sq((np.arange(n_steps) + 0.5) * dt, sys)
+    as the trajectory stepper evaluates it.
+
+    Since 2 w0^2 sin^2(wd t) = w0^2 (1 - cos 2 wd t), the mode has the Mathieu
+    form of the Floquet map, and runs in its loop (:func:`stability._leapfrog`)
+    with a1 = dt (dt / 2) (w^2 + w0^2), q2 = dt (dt / 2) w0^2 and
+    c_j = cos(2 wd (j + 1/2) dt); with frozen coupling, a1 = dt (dt / 2)
+    (w^2 + 2 w0^2) and q2 = 0. Raises :class:`TrajectoryFailure` at the first
+    step whose values are not finite.
+    """
+    IntegratorConfig(dt=dt, n_steps=n_steps)   # its rules for dt and n_steps
+    h = 0.5 * dt
+    w2, w02 = sys.freq ** 2, sys.coupling_amp ** 2
+    if sys.frozen_coupling:
+        a1, q2 = dt * h * (w2 + 2.0 * w02), 0.0
+    else:
+        a1, q2 = dt * h * (w2 + w02), dt * h * w02
+    # on the stepper's grid t_j = (j + 1/2) dt, so that c_j rounds as its drive does
+    c = np.cos((2.0 * sys.drive_freq) * ((np.arange(n_steps) + 0.5) * dt))
     out = np.empty((4, n_steps + 1))
-    kdk_fundamental(itertools.chain.from_iterable(
-        k[i:i + _FLUSH_STEPS].tolist() for i in range(0, n_steps, _FLUSH_STEPS)), dt, out)
-    del k   # freed before the time grid, which would otherwise set the peak
+    out[:, 0] = 1.0, 0.0, 0.0, 1.0
+    if n_steps:
+        _leapfrog(a1, q2, c, dt, out[:, 1:])
+    del c   # freed before the time grid, which would otherwise set the peak
     finite = np.isfinite(out).all(axis=0)
     if not finite[-1]:
         raise TrajectoryFailure(int(finite.argmin()))

@@ -2,28 +2,30 @@
 
 In drive-scaled time the relative mode obeys y'' + (a - 2q cos 2t) y = 0;
 one period is [0, pi]. The monodromy matrix is built from the two
-fundamental solutions of the relative mode's velocity-Verlet loop, and
-|trace| > 2 flags parametric instability. :func:`kdk_fundamental` runs
-that loop step by step; that it is the relative mode of the trajectory
-stepper is checked by ``tests/test_properties.py::TestFundamentalSolution``.
+fundamental solutions of the relative mode's kick-drift-kick loop, and
+|trace| > 2 flags parametric instability.
+
+One loop form steps the mode: :func:`_leapfrog`, which merges the two
+half-kicks that meet between steps into one, so that arrays of cells take
+8 passes per step instead of 15. It serves the monodromy and the map, the
+growth check :func:`grows_unbounded` and the oracle's
+:func:`~sqzbath.oracle.fundamental_solution`, which records every step.
+That it is the relative mode of the trajectory stepper is checked by
+``tests/test_properties.py::TestFundamentalSolution``.
 
 The monodromy and the map step only the first half period: the drive's
 time-reversal symmetry gives the one-period map in closed form from the
 states after N // 2 and (N + 1) // 2 of the period's N steps (see
-:func:`_floquet`). That half period runs in leapfrog form
-(:func:`_leapfrog`): the two half-kicks that meet between steps are merged
-into one, so the map's arrays of cells take 8 passes per step instead of
-15. Both rearrangements are exact in exact arithmetic, but they round
-otherwise than the full-period loop: against it, the 100 x 100, 4096-step
-map's traces differ by at most 1.9e-14 max(1, |trace|), |det - 1| stays
-below 2.1e-14, and no cell's classification differs.
-:func:`grows_unbounded` and :func:`~sqzbath.oracle.fundamental_solution`
-still run :func:`kdk_fundamental` over every step.
+:func:`_floquet`). Both rearrangements are exact in exact arithmetic, but
+they round otherwise than the synchronized full-period loop: against it,
+the 100 x 100, 4096-step map's traces differ by at most 1.9e-14
+max(1, |trace|), |det - 1| stays below 2.1e-14, and no cell's
+classification differs. :func:`grows_unbounded` runs every step of every
+period, so it checks the half-period closure independently.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -56,119 +58,61 @@ def mathieu_params(sys: SystemParams) -> MathieuParams:
                          q=sys.coupling_amp ** 2 / (2.0 * wd2))
 
 
-# steps whose values kdk_fundamental holds as Python floats before writing
-# them to ``out``: about 32 B each, so 4 x 2048 floats stay near 0.26 MB
+# steps whose values the recording _leapfrog holds as Python floats before
+# writing them to ``out``: about 32 B each, so 4 x 2048 floats stay near 0.26 MB
 _FLUSH_STEPS = 2048
 
 
 # every caller handles an overflowed cell: monodromy raises, the map and
 # grows_unbounded classify it as unstable, fundamental_solution raises
 @np.errstate(over="ignore", invalid="ignore")
-def kdk_fundamental(ks, dt: float, out=None):
-    """Velocity-Verlet fundamental solutions of y'' = -k(t) y.
+def _leapfrog(a1, q2, c, dt: float, out=None):
+    """Kick-drift-kick fundamental solutions of y'' = -k(t) y over the steps
+    whose midpoint cosines are ``c``, with dt (dt / 2) k_j = a1 - q2 c_j.
 
-    ``ks`` yields each step's coefficient at the step midpoint, as scalars or
-    as arrays over cells. Solution a starts at (y, y') = (1, 0) and b at
-    (0, 1); returns their final ``(ay, by, av, bv)``. When ``out`` is given,
-    of shape (4, n_steps + 1), column i receives the same four values after
-    i steps (scalar coefficients only); they are collected in lists and
-    written ``_FLUSH_STEPS`` columns at a time. Arrays over cells run on
-    stacked (ay, by) and (av, bv) buffers, updated in place with the same
-    bits.
+    In leapfrog form: with w = dt y', step j kicks w by -(a1 - q2 c_j) y
+    before and after its drift y += w, and the kicks that meet between two
+    steps are merged into one, with coefficient 2 a1 - q2 (c_j + c_(j+1)).
+    Solution a starts at (y, y') = (1, 0) and b at (0, 1); returns
+    ``(ay, by, wa, wb)`` after the last step's closing kick. Arrays of
+    ``a1`` or ``q2`` over cells run in :func:`_leapfrog_cells`.
+
+    When ``out`` is given, of shape (4, len(c)), column j receives
+    ``(ay, by, av, bv)`` after step j, its velocities v = w / dt taken after
+    the step's closing kick. The steps' values are held as Python floats and
+    written ``_FLUSH_STEPS`` columns at a time, and the merged coefficients
+    are formed one such block at a time.
     """
-    ks = iter(ks)
-    first = next(ks, None)
-    if first is not None:
-        ks = itertools.chain([first], ks)
-        if np.ndim(first) > 0:
-            return _kdk_cells(ks, np.shape(first), dt)
-    half = 0.5 * dt
-    ay, by, av, bv = 1.0, 0.0, 0.0, 1.0
-    if out is not None:
-        out[:, 0] = ay, by, av, bv
-    col = 1
-    for block in iter(lambda: list(itertools.islice(ks, _FLUSH_STEPS)), []):
-        ays, bys, avs, bvs = track = [], [], [], []
-        for k in block:
-            hk = half * k
-            av -= hk * ay
-            bv -= hk * by
-            ay += dt * av
-            by += dt * bv
-            av -= hk * ay
-            bv -= hk * by
-            if out is not None:
-                ays.append(ay)
-                bys.append(by)
-                avs.append(av)
-                bvs.append(bv)
-        if out is not None:
-            out[:, col:col + len(block)] = track
-        col += len(block)
-    return ay, by, av, bv
-
-
-def _kdk_cells(ks, shape, dt: float):
-    """The loop of :func:`kdk_fundamental` on arrays of ``shape`` cells."""
-    multiply, add, subtract = np.multiply, np.add, np.subtract
-    y = np.zeros((2,) + shape)      # (ay, by)
-    v = np.zeros((2,) + shape)      # (av, bv)
-    y[0] = v[1] = 1.0
-    hk, scratch = np.empty(shape), np.empty((2,) + shape)
-    half = 0.5 * dt
-    for k in ks:
-        multiply(k, half, out=hk)
-        multiply(y, hk, out=scratch)
-        subtract(v, scratch, out=v)
-        multiply(v, dt, out=scratch)
-        add(y, scratch, out=y)
-        multiply(y, hk, out=scratch)
-        subtract(v, scratch, out=v)
-    return y[0], y[1], v[0], v[1]
-
-
-def _mathieu_ks(a, q, dt: float, steps: int):
-    """Coefficients a - 2q cos 2t of y'' + (a - 2q cos 2t) y = 0 at the
-    midpoints of ``steps`` steps of ``dt`` from t = 0; arrays over cells
-    arrive in one reused buffer."""
-    half = 0.5 * dt
-    q2 = 2.0 * q
-    drive = (np.cos(2.0 * (i * dt + half)) for i in range(steps))
-    if np.ndim(a) == 0 and np.ndim(q2) == 0:
-        return (a - q2 * c for c in drive)
-    k = np.empty(np.broadcast_shapes(np.shape(a), np.shape(q2)))
-
-    def ks():
-        for c in drive:
-            np.multiply(q2, c, out=k)
-            np.subtract(a, k, out=k)
-            yield k
-    return ks()
-
-
-def _leapfrog(a1, q2, c, dt: float):
-    """The kick-drift-kick loop of :func:`kdk_fundamental` over the steps
-    whose midpoint cosines are ``c``, in leapfrog form: with w = dt y', step
-    j kicks w by -(a1 - q2 c_j) y before and after its drift y += w, and the
-    kicks that meet between two steps are merged into one, with coefficient
-    2 a1 - q2 (c_j + c_(j+1)). Returns ``(ay, by, wa, wb)`` after the last
-    step's closing kick, for scalar ``a1`` and ``q2``."""
+    if np.ndim(a1) or np.ndim(q2):
+        return _leapfrog_cells(a1, q2, c, dt)
     a1, q2 = float(a1), float(q2)   # Python floats step faster than numpy's
     ay, by, wa, wb = 1.0, 0.0, 0.0, dt
-    a2 = 2.0 * a1
+    a2, n, record = 2.0 * a1, len(c), out is not None
     k = a1 - q2 * float(c[0])
     wa -= k * ay
     wb -= k * by
-    ay += wa
-    by += wb
-    for s in (c[:-1] + c[1:]).tolist():
-        k = a2 - q2 * s
-        wa -= k * ay
-        wb -= k * by
-        ay += wa
-        by += wb
-    k = a1 - q2 * float(c[-1])
-    return ay, by, wa - k * ay, wb - k * by
+    for lo in range(0, n, _FLUSH_STEPS):
+        ends = c[lo:lo + _FLUSH_STEPS + 1]
+        ks = (a2 - q2 * (ends[:-1] + ends[1:])).tolist()
+        if lo + _FLUSH_STEPS >= n:
+            ks.append(a1 - q2 * float(c[-1]))   # the last step's closing kick
+        ays, bys, was, wbs = track = [], [], [], []
+        for k in ks:
+            ay += wa
+            by += wb
+            if record:
+                ays.append(ay)
+                bys.append(by)
+                was.append(wa)
+                wbs.append(wb)
+            wa -= k * ay
+            wb -= k * by
+        if record:
+            block = out[:, lo:lo + len(ks)]
+            block[:] = track
+            block[2:] -= (a1 - q2 * c[lo:lo + len(ks)]) * block[:2]   # closing kicks
+            block[2:] /= dt
+    return ay, by, wa, wb
 
 
 def _leapfrog_cells(a1, q2, c, dt: float):
@@ -197,6 +141,14 @@ def _leapfrog_cells(a1, q2, c, dt: float):
     return y[0], y[1], w[0], w[1]
 
 
+def _mathieu_kicks(a, q, dt: float, steps: int):
+    """``(a1, q2, c)`` of :func:`_leapfrog` for ``steps`` steps of ``dt``
+    from t = 0 of y'' + (a - 2q cos 2t) y = 0."""
+    half = 0.5 * dt
+    c = np.cos(2.0 * (np.arange(steps) * dt + half))
+    return dt * half * a, 2.0 * dt * half * q, c
+
+
 @np.errstate(over="ignore", invalid="ignore")   # an overflowed cell is unstable
 def _floquet(a, q, steps: int):
     """One period's monodromy ``(m00, m01, m10, m11)`` of ``steps`` loop
@@ -210,11 +162,8 @@ def _floquet(a, q, steps: int):
     :func:`_leapfrog`, and G from one more kick-drift-kick step.
     """
     dt = np.pi / steps
-    half = 0.5 * dt
-    c = np.cos(2.0 * (np.arange((steps + 1) // 2) * dt + half))
-    a1, q2 = dt * half * a, 2.0 * dt * half * q     # dt half k_j = a1 - q2 c_j
-    leapfrog = _leapfrog if np.ndim(a1) == 0 and np.ndim(q2) == 0 else _leapfrog_cells
-    ay, by, wa, wb = leapfrog(a1, q2, c[:steps // 2], dt)
+    a1, q2, c = _mathieu_kicks(a, q, dt, (steps + 1) // 2)
+    ay, by, wa, wb = _leapfrog(a1, q2, c[:steps // 2], dt)
     av, bv = wa / dt, wb / dt
     gay, gby, gav, gbv = ay, by, av, bv
     if steps % 2:
@@ -324,9 +273,13 @@ def grows_unbounded(params: MathieuParams, periods: int = 50,
     """Brute-force classification: does any entry of the propagator after
     ``periods`` periods (y or y' of either fundamental solution) exceed the
     threshold in magnitude, or overflow? Elementwise when ``params`` holds
-    arrays of cells."""
-    steps = periods * steps_per_period
-    dt = periods * np.pi / steps
-    ay, by, av, bv = kdk_fundamental(_mathieu_ks(params.a, params.q, dt, steps), dt)
-    peak = np.max(np.abs([ay, by, av, bv]), axis=0)
+    arrays of cells. Every step of every period runs, so this checks the
+    half-period closure of the map independently."""
+    if periods < 1:
+        raise ValueError(f"periods must be >= 1, got {periods}")
+    _check_steps(steps_per_period)
+    dt = np.pi / steps_per_period
+    ay, by, wa, wb = _leapfrog(*_mathieu_kicks(params.a, params.q, dt,
+                                               periods * steps_per_period), dt)
+    peak = np.max(np.abs([ay, by, wa / dt, wb / dt]), axis=0)
     return ~np.isfinite(peak) | (peak > growth_threshold)

@@ -8,7 +8,6 @@ not reproduce; they fail deliberately and are documented in the README
 rather than weakened.
 """
 
-import itertools
 import json
 import math
 import os
@@ -25,8 +24,7 @@ from sqzbath import (IntegratorConfig, RunConfig, SamplingMode,
                      sample_system, threshold_temperature, thermal_widths,
                      to_normal_modes, to_physical_units, trajectory_rng)
 from sqzbath.cli import main
-from sqzbath.stability import (MathieuParams, grows_unbounded, kdk_fundamental,
-                               stability_map)
+from sqzbath.stability import MathieuParams, grows_unbounded, stability_map
 
 DESK_SEED = 271828
 WORKERS = min(2, os.cpu_count() or 1)
@@ -251,8 +249,8 @@ class TestCriterion7StabilityMap:
     def test_harmonic_column(self):
         a = np.linspace(0.05, 40.0, 400)
         steps = 2 ** 19
-        ay, by, av, bv = kdk_fundamental(itertools.repeat(a, steps), np.pi / steps)
-        err = float(np.abs((ay + bv) - 2 * np.cos(np.pi * np.sqrt(a))).max())
+        m = monodromy(MathieuParams(a=a, q=0.0), steps=steps)
+        err = float(np.abs((m[0, 0] + m[1, 1]) - 2 * np.cos(np.pi * np.sqrt(a))).max())
         check("criterion 7b (q=0 column matches 2cos(pi sqrt(a)))", err < 1e-8,
               f"max |trace error| = {err:.2e} over 400 points (tolerance 1e-8)")
 

@@ -309,7 +309,7 @@ class TestSweepCommand:
     # per temperature, written to a relative directory. A change to any
     # output byte, or to the numerics under it, changes them.
     GOLDEN = {"demo_sweep.json":
-              "2200eb86005548b6b2b1e0839c0eca8137f14ec3fafd4f290bb4771ee3406cee",
+              "017cbc6fd5d094c39947db76996cd7ef3e6c1b48434ea66c74ea15587111dd3a",
               "demo_T0.9500_variance.csv":
               "69af6beea5e8425e0725fb1258b54ea21126356eaf5d4751f96e9fccf614b01c",
               "demo_T1.0500_variance.csv":
@@ -512,14 +512,14 @@ class TestOracleCommand:
     # guard the kelvin values byte for byte. The Ohmic CSV is left out: its
     # last bits follow the BLAS thread count.
     GOLDEN = {
-        "isolated": ("30e6dbe80f193d1dc69625efdf1f221de527abea07e4cc1c91b02d5a34e24092",
-                     "3552233c5066fae041b968f7e9d876467ab62cffaf6627493424eca4b7af93a8",
+        "isolated": ("57eea5f91dccdad5744dd7236d9ffb2599b54998ad49f23d92a7a1a558b414b4",
+                     "d798dc53df0bc025ea1ecb17feb4f4b3ffe211d0c344cd55a63abcc1fe97737b",
                      "28f5dddc61f280f824da8b9574d5c4734f587af15a15d030ed2f3aaac127fcf1"),
-        "ohmic": ("a229ddbd9cfa1126742174698b2c0c4c7052ed6084281e5ee0b20b921bd0e6a8",
+        "ohmic": ("c0ee3557297a71a874c82e79f4fc95e93cc9028f66a8f4379a2df7ab3919616b",
                   None,
                   "28f5dddc61f280f824da8b9574d5c4734f587af15a15d030ed2f3aaac127fcf1"),
-        "nhc": ("1055119cbd34e4cb730a8e6a7c36edf1ffdaae32fe1dae6317057e5fe7b8a860",
-                "c7eda527217f80f28e3ea1822109ed5ba86f0363c4a13f9eff634a79983ebdee",
+        "nhc": ("5e42fe046b27377a75ce291262da436e27a78efcb055e20250ad435f0de84ef2",
+                "48321d4965be362e89983609d16621ff7a2f423c5d678c63725d41261e6522d2",
                 "f3121d65fdc417b6ac7ae0e0f5bcf01da770a23d0d56fecc9d276ff089736221"),
     }
 

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqzbath import (MathieuParams, SystemParams, TrajectoryFailure, fundamental_solution,
-                     grows_unbounded, mathieu_params, monodromy, stability_map,
+                     grows_unbounded, mathieu_params, monodromy, stability, stability_map,
                      write_stability_csv)
-from sqzbath.stability import classify_trace, kdk_fundamental
+from sqzbath.stability import _leapfrog, classify_trace
 from sqzbath.system import coupling_freq_sq
 
 # holds overflowed cells, both inf and nan traces, and one marginal cell; the
@@ -18,7 +20,8 @@ OVERFLOW_WINDOW = dict(x_range=(0.0, 2e6), y_range=(0.0, 3.0), resolution=(410, 
 
 def reference_kdk(ks, dt, out=None):
     """The velocity-Verlet loop as first written, with half * k formed at
-    each of the four half-kicks; kdk_fundamental must match it bit for bit."""
+    each of the four half-kicks: the synchronized form of the relative mode,
+    which the leapfrog loops match to round-off."""
     half = 0.5 * dt
     ay, by, av, bv = 1.0, 0.0, 0.0, 1.0
     if out is not None:
@@ -41,6 +44,55 @@ def reference_mathieu(a, q, steps, t_final=np.pi):
     half = 0.5 * dt
     return reference_kdk((a - 2.0 * q * np.cos(2.0 * (i * dt + half))
                           for i in range(steps)), dt)
+
+
+def reference_fundamental(sys, dt, n_steps):
+    """(ay, by, av, bv) of the relative mode after 0 .. n_steps steps from
+    the reference loop, with the drive at each step midpoint."""
+    k = sys.freq ** 2 + 2.0 * coupling_freq_sq((np.arange(n_steps) + 0.5) * dt, sys)
+    out = np.empty((4, n_steps + 1))
+    reference_kdk(k.tolist(), dt, out)
+    return out
+
+
+def oracle_kicks(sys, dt, n_steps):
+    """(a1, q2, c) of the relative mode in the Floquet map's Mathieu form:
+    2 w0^2 sin^2(wd t) = w0^2 (1 - cos 2 wd t)."""
+    h = 0.5 * dt
+    w2, w02 = sys.freq ** 2, sys.coupling_amp ** 2
+    a1, q2 = (dt * h * (w2 + 2.0 * w02), 0.0) if sys.frozen_coupling else \
+        (dt * h * (w2 + w02), dt * h * w02)
+    return a1, q2, np.cos((2.0 * sys.drive_freq) * ((np.arange(n_steps) + 0.5) * dt))
+
+
+def reference_recording(a1, q2, c, dt):
+    """The recording leapfrog loop as first written, one column per step:
+    (ay, by, av, bv) after each step, v from that step's closing kick, and
+    the state after the last closing kick; _leapfrog must match both bit for
+    bit."""
+    c = c.tolist()
+    out = np.empty((4, len(c)))
+    ay, by, wa, wb = 1.0, 0.0, 0.0, dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = a1 - q2 * c[0]
+        wa, wb = wa - k * ay, wb - k * by
+        for j in range(len(c)):
+            ay, by = ay + wa, by + wb
+            close = a1 - q2 * c[j]
+            out[:, j] = ay, by, (wa - close * ay) / dt, (wb - close * by) / dt
+            k = close if j == len(c) - 1 else 2.0 * a1 - q2 * (c[j] + c[j + 1])
+            wa, wb = wa - k * ay, wb - k * by
+    return out, (ay, by, wa, wb)
+
+
+def reference_oracle(sys, dt, n_steps):
+    """fundamental_solution's (pos_a, pos_b, vel_a, vel_b) rows from
+    :func:`reference_recording`."""
+    out = np.empty((4, n_steps + 1))
+    out[:, 0] = 1.0, 0.0, 0.0, 1.0
+    if n_steps:
+        out[:, 1:] = reference_recording(*oracle_kicks(sys, dt, n_steps), dt)[0]
+    return out
 
 
 def reference_leapfrog(a, q, steps):
@@ -219,6 +271,16 @@ class TestStabilityMap:
                   for xi, yi in zip(x, y)]
         assert list(batch) == single
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(periods=0), "periods must be >= 1"),
+        (dict(periods=-1), "periods must be >= 1"),
+        (dict(steps_per_period=0), "steps must be >= 256"),
+        (dict(steps_per_period=16), "steps must be >= 256"),
+    ])
+    def test_growth_arguments_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            grows_unbounded(MathieuParams.from_axes(0.8, 0.2), **kwargs)
+
     def test_csv_writer(self, tmp_path):
         smap = stability_map((0.0, 4.0), (0.0, 4.0), resolution=5, steps=512)
         path = tmp_path / "map.csv"
@@ -276,9 +338,9 @@ class TestHalfPeriodIdentity:
 
 
 class TestReferenceLoop:
-    """The map and the monodromy give the leapfrog reference's bits, and
-    every user of kdk_fundamental the reference loop's, including the nan
-    and inf entries of overflowed cells."""
+    """The map, the monodromy and the oracle's recording loop give the
+    leapfrog references' bits, including the nan and inf entries of
+    overflowed cells."""
 
     @pytest.mark.parametrize("window", [
         OVERFLOW_WINDOW,
@@ -303,32 +365,32 @@ class TestReferenceLoop:
             assert np.array_equal(m, reference_leapfrog(a, q, steps)[0])
 
     def test_fundamental_solution_matches_reference(self, paper_system):
-        f = fundamental_solution(paper_system, dt=0.01, n_steps=3000)
-        k = paper_system.freq ** 2 + 2.0 * coupling_freq_sq(
-            (np.arange(3000) + 0.5) * 0.01, paper_system)
-        out = np.empty((4, 3001))
-        reference_kdk(k.tolist(), 0.01, out)
-        assert np.array_equal(np.array([f.pos_a, f.pos_b, f.vel_a, f.vel_b]), out)
+        for sys in (paper_system, SystemParams(mass=1.7, frozen_coupling=True)):
+            f = fundamental_solution(sys, dt=0.01, n_steps=3000)
+            assert np.array_equal(np.array([f.pos_a, f.pos_b, f.vel_a, f.vel_b]),
+                                  reference_oracle(sys, 0.01, 3000))
 
     @pytest.mark.parametrize("n_steps", [0, 1, 2047, 2048, 2049, 6001])
     def test_flushed_blocks_match_reference(self, paper_system, n_steps):
         # the columns are written in blocks of _FLUSH_STEPS (2048) steps; a
         # last block that is partial, full or empty gives the same bits
-        k = (paper_system.freq ** 2 + 2.0 * coupling_freq_sq(
-            (np.arange(n_steps) + 0.5) * 0.01, paper_system)).tolist()
-        new, ref = np.full((4, n_steps + 1), np.nan), np.empty((4, n_steps + 1))
-        assert kdk_fundamental(k, 0.01, new) == reference_kdk(k, 0.01, ref)
-        assert np.array_equal(new, ref)
+        f = fundamental_solution(paper_system, dt=0.01, n_steps=n_steps)
+        assert np.array_equal(np.array([f.pos_a, f.pos_b, f.vel_a, f.vel_b]),
+                              reference_oracle(paper_system, 0.01, n_steps))
+        if n_steps:   # recording leaves the returned state, the map's, alone
+            a1, q2, c = oracle_kicks(paper_system, 0.01, n_steps)
+            state = reference_recording(a1, q2, c, 0.01)[1]
+            out = np.empty((4, n_steps))
+            assert _leapfrog(a1, q2, c, 0.01, out) == _leapfrog(a1, q2, c, 0.01) == state
 
     def test_holds_a_bounded_number_of_floats(self, paper_system):
-        # 4 x 25001 Python floats would take about 3.2 MB; the blocks hold
+        # 4 x 25000 Python floats would take about 3.2 MB; the blocks hold
         # 4 x 2048 of them at a time
-        k = (paper_system.freq ** 2 + 2.0 * coupling_freq_sq(
-            (np.arange(25000) + 0.5) * 0.01, paper_system)).tolist()
-        out = np.empty((4, 25001))
+        a1, q2, c = oracle_kicks(paper_system, 0.01, 25000)
+        out = np.empty((4, 25000))
         tracemalloc.start()
         try:
-            kdk_fundamental(k, 0.01, out)
+            _leapfrog(a1, q2, c, 0.01, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,14 +409,67 @@ class TestReferenceLoop:
 
     def test_overflowed_columns_match_reference(self):
         sys = SystemParams(coupling_amp=20.0, drive_freq=20.0)
-        k = (sys.freq ** 2 + 2.0 * coupling_freq_sq((np.arange(20000) + 0.5) * 0.01,
-                                                     sys)).tolist()
-        new, ref = np.empty((4, 20001)), np.empty((4, 20001))
-        kdk_fundamental(k, 0.01, new)
-        reference_kdk(k, 0.01, ref)
+        a1, q2, c = oracle_kicks(sys, 0.01, 20000)
+        new = np.empty((4, 20000))
+        _leapfrog(a1, q2, c, 0.01, new)
+        ref = reference_recording(a1, q2, c, 0.01)[0]
         assert np.isinf(ref).any() and np.isnan(ref).any()
         assert np.array_equal(new, ref, equal_nan=True)
-        first_bad = int(np.isfinite(ref).all(axis=0).argmin())
+        first_bad = 1 + int(np.isfinite(ref).all(axis=0).argmin())
         with pytest.raises(TrajectoryFailure) as err:
             fundamental_solution(sys, dt=0.01, n_steps=20000)
         assert err.value.step == first_bad
+
+
+class TestOracleLoop:
+    """fundamental_solution pinned apart from the form of its loop: within
+    round-off of the reference loop, the same bits whatever its flush blocks,
+    and the same failure step."""
+
+    @staticmethod
+    def assert_near_reference(sys, dt, n_steps):
+        f = fundamental_solution(sys, dt=dt, n_steps=n_steps)
+        ref = reference_fundamental(sys, dt, n_steps)
+        # a velocity closed with a wrong kick is off by O(dt^2), far above this
+        got = np.array([f.pos_a, f.pos_b, f.vel_a, f.vel_b])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_paper_system_matches_reference(self, paper_system):
+        self.assert_near_reference(paper_system, 0.01, 25000)
+
+    @settings(max_examples=10, deadline=None)
+    @given(mass=st.floats(0.5, 2.0), spring_k=st.floats(0.8, 2.0),
+           coupling_amp=st.floats(0.0, 3.0), drive_freq=st.floats(0.2, 1.5),
+           frozen_coupling=st.booleans(), n_steps=st.integers(1, 5000))
+    def test_random_systems_match_reference(self, mass, spring_k, coupling_amp,
+                                            drive_freq, frozen_coupling, n_steps):
+        self.assert_near_reference(
+            SystemParams(mass=mass, spring_k=spring_k, coupling_amp=coupling_amp,
+                         drive_freq=drive_freq, frozen_coupling=frozen_coupling),
+            0.01, n_steps)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2047, 2048, 2049, 6001])
+    def test_flushed_columns_match_one_unflushed_run(self, paper_system, n_steps,
+                                                     monkeypatch):
+        # the columns are written in blocks of _FLUSH_STEPS (2048) steps; a
+        # last block that is partial, full or empty gives the same bits
+        flushed = fundamental_solution(paper_system, dt=0.01, n_steps=n_steps)
+        monkeypatch.setattr(stability, "_FLUSH_STEPS", 1 << 30)
+        whole = fundamental_solution(paper_system, dt=0.01, n_steps=n_steps)
+        for name in ("times", "pos_a", "vel_a", "pos_b", "vel_b"):
+            assert np.array_equal(getattr(flushed, name), getattr(whole, name))
+
+    def test_overflow_fails_at_its_step(self):
+        with pytest.raises(TrajectoryFailure) as err:
+            fundamental_solution(SystemParams(coupling_amp=20.0, drive_freq=20.0),
+                                 dt=0.01, n_steps=20000)
+        assert err.value.step == 14774
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_steps=-1), "n_steps must be >= 0"),
+        (dict(dt=0.0), "dt must be positive"),
+        (dict(dt=-0.01), "dt must be positive"),
+    ])
+    def test_arguments_rejected(self, paper_system, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fundamental_solution(paper_system, **{"dt": 0.01, "n_steps": 100, **kwargs})

@@ -1,9 +1,11 @@
-"""The benchmark's tracer (bench/tracer.py) wraps package names by string.
-A renamed or removed name fails only the benchmark's own tests, which the
-package suite does not collect; this test catches it here. The tracer is
-imported, never installed."""
+"""The benchmark's tracer (bench/tracer.py) wraps package names by string,
+and its checker (bench/run.py) calls oracle and stability functions by
+keyword. A renamed or removed name or argument fails only the benchmark's own
+tests, which the package suite does not collect; these tests catch it here.
+The tracer is imported, never installed."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -35,3 +37,20 @@ def test_every_traced_name_resolves():
         if not callable(getattr(_module("driver"), attr, None)):
             missing.append(f"driver.{attr}")
     assert missing == []
+
+
+def test_checker_calls_bind():
+    # the calls bench/run.py's Checker makes, bound against the signatures
+    # they rely on; binding raises TypeError when an argument went away
+    from sqzbath import oracle, stability
+    calls = [
+        (oracle.fundamental_solution, ("system",), dict(dt=0.01, n_steps=100)),
+        (oracle.mode2_variance_exact, ("system", 1.0, "sampling"),
+         dict(fundamental="fundamental")),
+        (stability.MathieuParams.from_axes, (1.0, 2.0), {}),
+        (stability.monodromy, ("params",), dict(steps=4096)),
+        (stability.stability_map, ((0.0, 40.0), (0.0, 40.0)),
+         dict(resolution=100, steps=4096)),
+    ]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)
