@@ -101,6 +101,8 @@ def ohmic_forces(phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
     ``bath_force`` is ``work.force``, overwritten by the next call with the
     same workspace; without ``work`` a fresh one is allocated.
 
+    The pull sum_j c_j R_j is one ``np.vecdot`` per row, so a row's
+    ``sys_kick`` has the same bits whatever the other rows of the batch.
     The coupling term c_j (q1 + q2) is formed by ``einsum``, which runs it
     as one loop where a broadcast multiply runs one per row. einsum sums
     each product into a zeroed output, so a product that is exactly -0.0
@@ -110,7 +112,7 @@ def ohmic_forces(phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
     """
     if work is None:
         work = OhmicWorkspace(bath, np.shape(phase_bath.pos))
-    sys_kick = phase_bath.pos @ bath.couplings
+    sys_kick = np.vecdot(phase_bath.pos, bath.couplings)
     np.einsum("...,j->...j", phase_sys.q1 + phase_sys.q2, bath.couplings,
               out=work.force)
     np.multiply(work.stiffness, phase_bath.pos, out=work.scratch)
@@ -123,7 +125,8 @@ def ohmic_energy(t, phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
     """Total dimensionless energy of the system + Ohmic bath model."""
     e_bath = 0.5 * (phase_bath.mom ** 2 / bath.mass
                     + bath.mass * bath.freqs ** 2 * phase_bath.pos ** 2).sum(axis=-1)
-    e_int = -(phase_sys.q1 + phase_sys.q2) * (phase_bath.pos @ bath.couplings)
+    e_int = -(phase_sys.q1 + phase_sys.q2) * np.vecdot(phase_bath.pos,
+                                                        bath.couplings)
     return system_energy(t, phase_sys, sys) + e_bath + e_int
 
 

@@ -288,9 +288,18 @@ import numpy as np
 import matplotlib.pyplot as plt
 
 FILES = {files!r}
+
+
+def read(name):
+    # the table, without the CSV's '#' header lines
+    with open(name, encoding="utf-8") as fh:
+        return np.genfromtxt([line for line in fh if not line.startswith("#")],
+                             delimiter=",", names=True)
+
+
 fig, ax = plt.subplots(figsize=(7, 4.5))
 for name in FILES:
-    data = np.genfromtxt(name, delimiter=",", names=True)
+    data = read(name)
     for column, style in (("var_q1", "-"), ("var_q2", "-"),
                           ("var_p1", "--"), ("var_p2", "--")):
         ax.plot(data["t_prime"], data[column], style, lw=0.8,
@@ -310,7 +319,10 @@ _STABILITY_PLOT = """\
 import numpy as np
 import matplotlib.pyplot as plt
 
-data = np.genfromtxt({name!r}, delimiter=",", names=True)
+with open({name!r}, encoding="utf-8") as fh:
+    # the table, without the CSV's '#' header lines
+    data = np.genfromtxt([line for line in fh if not line.startswith("#")],
+                         delimiter=",", names=True)
 xs = np.unique(data["x"])
 ys = np.unique(data["y"])
 grid = data["unstable"].reshape(len(ys), len(xs))

@@ -32,9 +32,9 @@ coordinates hold a value that is non-finite or at least 2**511 in magnitude
 sampling and the normal-mode map act on each row alone there too. An Ohmic
 batch is one chunk, integrated in consecutive row blocks whose five (rows,
 N) bath arrays fit a 1.5 MiB budget, so that each step's elementwise passes
-run from one core's L2 cache. The bath pull ``pos @ c`` is a BLAS product,
-which gives a row the same bits in a block as in the whole batch only on
-aligned blocks, so blocks start at multiples of 32 rows.
+run from one core's L2 cache. Every sum over bath modes is one ``np.vecdot``
+per row, so a row has the same bits in a block of any size as in the whole
+batch.
 
 The driver owns the failure policy, one rule for every block and batch,
 serial or pooled: each runs to its end or its own failure, and the run then
@@ -358,9 +358,8 @@ def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase]) -> np.
     pt1(k) is the same sum over probe B: the step map M of the undriven
     (qt1, R | pt1, P) block is symplectic and time-reversible, so the q and p
     rows of M^k are its p and q columns transposed. Mode 2 is the 2x2 map of
-    probes C and D. Every product acts on each row alone: the sums over j
-    run in ``einsum``'s own loop, where a BLAS product would change a row's
-    bits with the number of rows.
+    probes C and D. Every product acts on each row alone: each sum over j
+    is one ``np.vecdot`` of a row with a record.
     """
     outer = np.multiply.outer
     coords = np.empty((4, len(modes.qt1), len(response.mode1)))
@@ -369,10 +368,10 @@ def _contract(response: _Response, modes, bath: Optional[OhmicBathPhase]) -> np.
         coord = outer(modes.qt1, response.mode1[:, p, 1], out=coords[k])
         coord += outer(modes.pt1, response.mode1[:, p, 0], out=term)
         if bath is not None:
-            coord += np.einsum("rj,ij->ri", bath.pos, response.bath_mom[:, p],
-                               out=term, optimize=False)
-            coord += np.einsum("rj,ij->ri", bath.mom, response.bath_pos[:, p],
-                               out=term, optimize=False)
+            coord += np.vecdot(bath.pos[:, None, :], response.bath_mom[None, :, p],
+                               out=term)
+            coord += np.vecdot(bath.mom[:, None, :], response.bath_pos[None, :, p],
+                               out=term)
     for k, c in ((1, 0), (3, 1)):       # qt2, pt2: the map of C, D
         coord = outer(modes.qt2, response.mode2[:, 0, c], out=coords[k])
         coord += outer(modes.pt2, response.mode2[:, 1, c], out=term)
@@ -409,32 +408,24 @@ def _rows(phase, a: int, b: int):
 # Cap on one Ohmic block's five (rows, N) float64 bath arrays (positions,
 # momenta, and the workspace's tiled stiffness, force and scratch), so that
 # a block's step stays in one core's L2 cache instead of streaming each
-# elementwise pass from L3. Three quarters of a 2 MiB L2 gives 192 rows at
+# elementwise pass from L3. Three quarters of a 2 MiB L2 gives 196 rows at
 # N = 200. On a 2-vCPU Xeon with 2 MiB of L2 per core, 192-row blocks ran
 # the 500-row ohmic-run chunk about 4% faster than 160-row ones, and 128
 # rows no faster than 160.
 _BLOCK_BYTES = 3 * 2**19
-# Ohmic blocks start at multiples of this many rows. The BLAS product
-# pos @ c gives a row the bits it has in the whole batch only when the blocks
-# are aligned: OpenBLAS 0.3.31 reproduces a 500-row product with blocks of
-# any multiple of 4 rows, and not with blocks of 1, 2, 3, 5, 50, 125 or 250
-# rows. 32 rather than 4 leaves a margin for BLAS builds whose kernels take
-# more rows at a time.
-_BLOCK_ALIGN = 32
 
 
 def _block_rows(config: RunConfig, n: int) -> int:
     """Rows per integration block of an n-row batch.
 
-    The Ohmic model takes the largest multiple of ``_BLOCK_ALIGN`` rows
-    whose bath arrays fit ``_BLOCK_BYTES`` (192 rows at N = 200), and at
-    least ``_BLOCK_ALIGN``. The other models' per-row arrays are small, and
-    they integrate the whole batch at once, which makes fewer numpy calls.
+    The Ohmic model takes as many rows as fit their bath arrays in
+    ``_BLOCK_BYTES`` (196 rows at N = 200), and at least one. The other
+    models' per-row arrays are small, and they integrate the whole batch at
+    once, which makes fewer numpy calls.
     """
     if config.model is not ModelKind.OHMIC:
         return n
-    rows = _BLOCK_BYTES // (5 * 8 * config.bath.n_modes)
-    return max(_BLOCK_ALIGN, rows - rows % _BLOCK_ALIGN)
+    return max(1, _BLOCK_BYTES // (5 * 8 * config.bath.n_modes))
 
 
 def _chunk_ranges(n_traj: int, chunk_size: int):
@@ -492,21 +483,24 @@ def run_ensemble(config: RunConfig, *, pool=None,
     probes of :func:`_response` included: a run with more than one worker and
     more than one batch maps them on ``pool``, an open pool from
     :func:`_pool` shared by a sequence of runs, or on a pool of its own when
-    ``pool`` is None; any other run maps them in this process. A failing
-    batch does not stop the others, and the earliest failure over all of
-    them is raised. The probes are integrated here unless ``response``
-    holds them already: they depend on the system, the bath and the
-    integrator, not on the temperature or the seed, so a sweep shares one
-    set across its points.
+    ``pool`` is None, as one task of consecutive batches per worker, so that
+    the probes are pickled once per worker rather than once per batch; any
+    other run maps them in this process. A failing batch does not stop the
+    others, and the earliest failure over all of them is raised. The probes
+    are integrated here unless ``response`` holds them already: they depend
+    on the system, the bath and the integrator, not on the temperature or
+    the seed, so a sweep shares one set across its points.
     """
     times = config.integrator.obs_times
     batches = _batch_ranges(config)
     if response is None:
         response = _response(config)
     args = zip(*((config, lo, hi, response) for lo, hi in batches))
-    if config.workers > 1 and len(batches) > 1:
+    width = min(config.workers, len(batches))
+    if width > 1:
         with _pool(config) if pool is None else contextlib.nullcontext(pool) as pool:
-            per_batch = list(pool.map(_try_chunk, *args))
+            per_batch = list(pool.map(_try_chunk, *args,
+                                      chunksize=-(-len(batches) // width)))
     else:
         per_batch = list(map(_try_chunk, *args))
     _raise_earliest(per_batch)

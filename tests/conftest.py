@@ -27,6 +27,13 @@ def row_ordered_moments(values):
     return mean, functools.reduce(np.add, ((row - mean) ** 2 for row in values))
 
 
+def row_dots(pos, couplings):
+    """Reference for the bath pull sum_j c_j R_j: one ``np.dot`` per row of
+    ``pos``, (N,) or (rows, N), so that no row's sum sees another row."""
+    rows = [np.dot(row, couplings) for row in np.reshape(pos, (-1, np.shape(pos)[-1]))]
+    return np.reshape(rows, np.shape(pos)[:-1])
+
+
 def reference_leapfrog(phase, sys, dt, n_steps, stride, bath=None, bath_phase=None):
     """Reference for ``integrate`` without a thermostat, from the plain
     formulas into fresh arrays: kick-drift-kick steps with the drive
@@ -45,7 +52,7 @@ def reference_leapfrog(phase, sys, dt, n_steps, stride, bath=None, bath_phase=No
         nonlocal p1, p2, mom
         f1, f2 = coupled_force(k, SystemPhase(q1, q2, p1, p2), sys)
         if bath is not None:
-            pull = pos @ bath.couplings
+            pull = row_dots(pos, bath.couplings)
             f1, f2 = f1 + pull, f2 + pull
             mom = mom + scale * (np.multiply.outer(q1 + q2, bath.couplings)
                                  - bath.mass * bath.freqs ** 2 * pos)

@@ -8,6 +8,8 @@ from sqzbath import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhas
                      nhc_from_ohmic, ohmic_forces)
 from sqzbath.baths import OhmicWorkspace
 
+from conftest import row_dots
+
 
 class TestBuildOhmic:
     def test_mode_spacing(self):
@@ -61,6 +63,36 @@ class TestBuildOhmic:
                             couplings=np.array([0.1, 0.2]))
 
 
+class TestSpectralDensity:
+    """The implemented bath, at unit mass: J(w) = (pi/2) sum_j c_j^2/(m
+    Omega_j) delta(w - Omega_j) has the density (pi/2) xi e^(-w), which is
+    flat at low w, so the static dressing sum_j c_j^2/Omega_j^2 grows as
+    xi ln N instead of converging."""
+
+    @pytest.mark.parametrize("kondo", [0.007, 0.3])
+    @pytest.mark.parametrize("n_modes", [50, 200, 3200])
+    def test_cumulative_weight_is_exponential(self, n_modes, kondo):
+        # the weight of the modes up to Omega_j is the integral of the
+        # density up to Omega_j
+        bath = build_ohmic_bath(n_modes, kondo, 3.0)
+        assert bath.mass == 1.0
+        weight = 0.5 * math.pi * np.cumsum(bath.couplings ** 2 / (bath.mass * bath.freqs))
+        np.testing.assert_allclose(
+            weight, 0.5 * math.pi * kondo * (1.0 - np.exp(-bath.freqs)), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kondo", [0.007, 0.3])
+    def test_dressing_grows_by_xi_ln2_per_doubling(self, kondo):
+        def dressing(n_modes):
+            bath = build_ohmic_bath(n_modes, kondo, 3.0)
+            return float(np.sum(bath.couplings ** 2 / bath.freqs ** 2))
+
+        sums = [dressing(50 * 2 ** k) for k in range(7)]
+        for lo, hi in zip(sums, sums[1:]):
+            assert hi - lo == pytest.approx(kondo * math.log(2), rel=6e-3)
+        assert sums[0] / kondo == pytest.approx(0.02771 / 0.007, rel=2e-4)
+        assert sums[-1] / kondo == pytest.approx(0.05676 / 0.007, rel=2e-4)
+
+
 def single_mode_bath(freq=1.0, coupling=0.1):
     return OhmicBathParams(n_modes=1, kondo=0.1, cutoff=freq, mass=1.0,
                            mode_spacing=0.5, freqs=np.array([freq]),
@@ -111,7 +143,7 @@ class TestOhmicForces:
         for work in (None, OhmicWorkspace(bath, shape)):
             sys_kick, force = ohmic_forces(phase, OhmicBathPhase(pos, pos.copy()),
                                            bath, work)
-            assert np.array_equal(sys_kick, pos @ bath.couplings)
+            assert np.array_equal(sys_kick, row_dots(pos, bath.couplings))
             assert np.array_equal(force, expected)
             # the documented exception: an exact -0.0 product comes out +0.0
             flipped = np.signbit(force) != np.signbit(expected)

@@ -250,7 +250,7 @@ class TestRunCommand:
     GOLDEN = {
         "isolated": ("1b6877258545bc77d2582a8242ea6046a8de192663242ac459df3e5b9d59aab2",
                      "cac50d26af88b19fd8fd7410e9720724784a0d96cb945fe0602fcdd7728d614b"),
-        "ohmic": ("037263b8331d549837846e1830427855d0aab6ac3561250189be9b82754d0871",
+        "ohmic": ("f2a19546cf65f31bc9de74d554fb9c71cb9b7207734251dc9f395a98b34a58e4",
                   "011ab2254d0b2ef64d9be55bb3c9c06e192aa018c69131a02cb4bc39aef4c5a3"),
         "nhc": ("24989b9fb990199ed83080c678b2b863f9d4e3855a06ef21a9d8718591ba5878",
                 "d2921279401ccd1459c666cb7c300091b60c9b422cf978325af24f6297eb2f26"),
@@ -311,9 +311,9 @@ class TestSweepCommand:
     GOLDEN = {"demo_sweep.json":
               "017cbc6fd5d094c39947db76996cd7ef3e6c1b48434ea66c74ea15587111dd3a",
               "demo_T0.9500_variance.csv":
-              "69af6beea5e8425e0725fb1258b54ea21126356eaf5d4751f96e9fccf614b01c",
+              "f7b8814d9bcee21aba1f98ccdb2df4c4c766d04189dee6b26e35c91fb10f96f9",
               "demo_T1.0500_variance.csv":
-              "dceb5e4ae18f47039ab56eb7d241f434ebbed029905884cfe24b5593386e8846"}
+              "fc5c5b699c7aecd2bbfd99983e34de81327f398464ffda797bcf5823f5933d09"}
 
     def test_golden_outputs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -581,7 +581,84 @@ prefix = grid
         assert run == oracle
 
 
+# A stand-in for matplotlib.pyplot, which the package does not depend on.
+# Every Axes call is accepted and recorded with its array arguments, and
+# savefig writes the record to the figure's path as JSON.
+PYPLOT_STUB = """
+import json
+
+import numpy as np
+
+
+class Axes:
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append([name] + [np.asarray(a).tolist() for a in args
+                                        if not isinstance(a, str)])
+        return call
+
+
+class Figure:
+    def __init__(self, ax):
+        self.ax = ax
+
+    def tight_layout(self):
+        pass
+
+    def savefig(self, path, **kwargs):
+        with open(path, "w") as fh:
+            json.dump(self.ax.calls, fh)
+
+
+def subplots(**kwargs):
+    ax = Axes()
+    return Figure(ax), ax
+"""
+
+
 class TestPlotCommand:
+    def test_scripts_read_the_outputs(self, small_config, tmp_path):
+        # each emitted script runs, with the stub on its path, and plots the
+        # values of the CSV it names
+        cfg, out = small_config
+        main(["run", "--config", cfg])
+        main(["stability", "--config", cfg, "--window", "0:4:0:4",
+              "--resolution", "4", "--steps", "512"])
+        assert main(["plot", out]) == EXIT_OK
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("")
+        (stub / "pyplot.py").write_text(PYPLOT_STUB)
+        env = cli_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(stub.parent), env["PYTHONPATH"]])
+
+        def plotted(script, figure):
+            proc = subprocess.run([sys.executable, script], cwd=out, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == f"wrote {figure}\n"
+            return json.loads(Path(out, figure).read_text())
+
+        series = read_variance_csv(Path(out, "demo_variance.csv"))
+        curves = [c for c in plotted("plot_variance.py", "variance.png") if c[0] == "plot"]
+        assert len(curves) == 4
+        for k, (_, t, var) in enumerate(curves):
+            assert t == series.times.tolist()
+            assert var == series.variances[:, k].tolist()
+
+        [name] = [f for f in os.listdir(out) if f.endswith("_stability.csv")]
+        lines = [line for line in Path(out, name).read_text().splitlines()
+                 if not line.startswith("#")]
+        cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        [(_, xs, ys, grid)] = [c for c in plotted(f"plot_{name[:-4]}.py", "stability.png")
+                               if c[0] == "pcolormesh"]
+        assert xs == np.unique(cells[:, 0]).tolist()
+        assert ys == np.unique(cells[:, 1]).tolist()
+        assert grid == cells[:, 3].reshape(4, 4).tolist()
+
     def test_emits_scripts(self, small_config):
         cfg, out = small_config
         main(["run", "--config", cfg])

@@ -89,7 +89,7 @@ class TestDeterminism:
         # chunks of 100, 100 and 50 rows. By default they integrate as
         # batches of several chunks, with zero budgets as one chunk each. An
         # Ohmic batch is always one chunk: by default one block, with a zero
-        # block budget 32-row blocks, the last one short.
+        # block budget one-row blocks.
         cfg = isolated_config(n_traj=250, chunk_size=100, workers=workers, bath=bath,
                               track_energy=True,
                               integrator=IntegratorConfig(n_steps=200, stride=50))
@@ -100,7 +100,7 @@ class TestDeterminism:
         monkeypatch.setattr(driver, "_BATCH_BYTES", 0)
         monkeypatch.setattr(driver, "_BLOCK_BYTES", 0)
         assert len(_batch_ranges(cfg)) == 3
-        assert driver._block_rows(cfg, 100) == (32 if ohmic else 100)
+        assert driver._block_rows(cfg, 100) == (1 if ohmic else 100)
         narrow = run_ensemble(cfg)
         for name in ("variances", "std_errors", "means"):
             assert np.array_equal(getattr(wide.series, name),
@@ -204,7 +204,7 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
     monkeypatch.setattr(driver, "ProcessPoolExecutor", RecordingPool)
@@ -242,6 +242,29 @@ class TestSharedPool:
                                   dataclasses.replace(cfg_n, workers=1))
         assert pool_sizes == [4]
         assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
+
+    def test_probes_pickled_once_per_worker(self, monkeypatch):
+        # six one-chunk Ohmic batches on two workers: each worker takes one
+        # task of three consecutive batches, so the probes are pickled twice,
+        # not once per batch, and the outputs keep their bits
+        pickles = []
+
+        def counting(response, protocol):
+            pickles.append(protocol)
+            return object.__reduce_ex__(response, protocol)
+
+        monkeypatch.setattr(driver._Response, "__reduce_ex__", counting, raising=False)
+        cfg = isolated_config(n_traj=60, chunk_size=10, workers=2,
+                              bath=build_ohmic_bath(5, 0.007, 3.0),
+                              integrator=IntegratorConfig(n_steps=100, stride=50))
+        assert len(_batch_ranges(cfg)) == 6
+        pooled = run_ensemble(cfg)
+        assert len(pickles) == 2
+        serial = run_ensemble(dataclasses.replace(cfg, workers=1))
+        assert len(pickles) == 2
+        for name in ("variances", "std_errors", "means"):
+            assert np.array_equal(getattr(pooled.series, name),
+                                  getattr(serial.series, name)), name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_point_stops_the_sweep(self, monkeypatch, pool_sizes):
@@ -316,7 +339,7 @@ class TestFailurePolicy:
         assert err.value.step == icfg.n_steps
 
     def test_earliest_failure_over_ohmic_blocks(self, monkeypatch, tmp_path, capsys):
-        # one 100-row Ohmic chunk. Row 5 (block 0 of the 32-row blocks)
+        # one 100-row Ohmic chunk. Row 5 (block 0 of the 25-row blocks)
         # starts at the edge of overflow and goes non-finite when its momenta
         # peak; row 70 (block 2) has an infinite bath position, which reaches
         # the system in the first step. In blocks as in one, the run stops at
@@ -331,7 +354,7 @@ class TestFailurePolicy:
                 return state
             monkeypatch.setattr(driver, "_sample_chunk", sample)
 
-        budgets = {1: driver._BLOCK_BYTES, 4: 0}
+        budgets = {1: driver._BLOCK_BYTES, 4: 25 * 5 * 8 * 20}   # 25 rows of N = 20
 
         def failure_step(blocks, rows):
             monkeypatch.setattr(driver, "_BLOCK_BYTES", budgets[blocks])
@@ -413,10 +436,10 @@ class TestFailurePolicy:
             return state
 
         def recording(mapper):
-            def record(fn, *iterables):
+            def record(fn, *iterables, **kwargs):
                 args = list(zip(*iterables))
                 calls.append([(fn, lo, hi, resp) for _, lo, hi, resp in args])
-                return mapper(fn, *zip(*args))
+                return mapper(fn, *zip(*args), **kwargs)
             return record
 
         monkeypatch.setattr(driver, "_sample_chunk", sample)
@@ -678,11 +701,13 @@ class TestEnergyTracking:
     # SHA-256 of the series variances, standard errors and means and of the
     # mean energy of a stepped energy-tracking run of each model: 250
     # trajectories in chunks of 100, 400 steps at stride 50. "ohmic-blocks"
-    # integrates each chunk in 32-row blocks (_BLOCK_BYTES = 0)
+    # integrates each chunk in blocks of 1, 7 and 33 rows, and each must
+    # give the digest of one block per chunk: every sum over the bath modes
+    # acts on one row
     GOLDEN = {
         "isolated": "5f9b7b3006a61b6592ef702a8a8009ac344ff7a65071ae17bc89a2baf2fefdb3",
-        "ohmic": "ca4f93641c22aba301260c02b88cba485facf8cb7bb97da1a97307c6ff64bf18",
-        "ohmic-blocks": "ca4f93641c22aba301260c02b88cba485facf8cb7bb97da1a97307c6ff64bf18",
+        "ohmic": "494b6eba6d564fd97426c9019fd52cf5c94f1d65b4510e2b33b4ebae2e358c25",
+        "ohmic-blocks": "494b6eba6d564fd97426c9019fd52cf5c94f1d65b4510e2b33b4ebae2e358c25",
         "nhc": "f9b4356387a97efb4a309cfb2bbb5f9e0f2fb56db2cb8b93226e591c695d6fef",
     }
 
@@ -690,16 +715,17 @@ class TestEnergyTracking:
     def test_golden_stepped_runs(self, monkeypatch, case):
         bath = {"isolated": None, "nhc": nhc_from_ohmic(0.007, 3.0, 1.0)}.get(
             case, build_ohmic_bath(20, 0.007, 3.0))
-        if case == "ohmic-blocks":
-            monkeypatch.setattr(driver, "_BLOCK_BYTES", 0)
-        res = run_ensemble(isolated_config(
-            n_traj=250, chunk_size=100, bath=bath, track_energy=True,
-            integrator=IntegratorConfig(n_steps=400, stride=50)))
-        digest = hashlib.sha256()
-        for values in (res.series.variances, res.series.std_errors, res.series.means,
-                       res.energy.mean):
-            digest.update(values.tobytes())
-        assert digest.hexdigest() == self.GOLDEN[case]
+        cfg = isolated_config(n_traj=250, chunk_size=100, bath=bath, track_energy=True,
+                              integrator=IntegratorConfig(n_steps=400, stride=50))
+        for rows in ((1, 7, 33) if case == "ohmic-blocks" else (None,)):
+            if rows is not None:
+                monkeypatch.setattr(driver, "_block_rows", lambda config, n, rows=rows: rows)
+            res = run_ensemble(cfg)
+            digest = hashlib.sha256()
+            for values in (res.series.variances, res.series.std_errors, res.series.means,
+                           res.energy.mean):
+                digest.update(values.tobytes())
+            assert digest.hexdigest() == self.GOLDEN[case], rows
 
 
 class TestSweep:
