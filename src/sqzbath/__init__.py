@@ -16,8 +16,8 @@ from .integrate import (IntegratorConfig, TrajectoryFailure, TrajectoryState,
 from .observables import (SqueezeReport, VarianceAccumulator, VarianceSeries,
                           read_variance_csv, squeeze_report, write_variance_csv)
 from .oracle import (FundamentalSolution, ThresholdResult, fundamental_solution,
-                     isolated_variance_series, mode2_variance_exact,
-                     ohmic_mode1_variances, threshold_temperature)
+                     isolated_variance_series, mode1_variance_exact,
+                     mode2_variance_exact, threshold_temperature)
 from .sampling import (SamplingMode, ThermalWidths, init_nhc_bath,
                        sample_ohmic_bath, sample_system, thermal_widths,
                        trajectory_rng, width_temperature)

@@ -15,6 +15,14 @@ import numpy as np
 
 from .system import SystemPhase, system_energy
 
+# Largest bath an Ohmic run takes (checked by driver.RunConfig). Each
+# trajectory row's sum over the modes is one OpenBLAS ddot, which OpenBLAS
+# 0.3.31 splits over its threads above 10000 elements, so that a larger
+# bath's bits would follow OPENBLAS_NUM_THREADS; at 10000 modes the oracle's
+# (N + 1)^2 eigh input already takes 800 MB. An NHC run only reads its Ohmic
+# reference's tables once, so it takes any size.
+MAX_BATH_MODES = 10000
+
 
 @dataclass(frozen=True, eq=False)
 class OhmicBathParams:
@@ -70,9 +78,6 @@ class OhmicBathPhase:
 
     def copy(self) -> "OhmicBathPhase":
         return OhmicBathPhase(self.pos.copy(), self.mom.copy())
-
-    def is_finite(self):
-        return np.isfinite(self.pos).all(axis=-1) & np.isfinite(self.mom).all(axis=-1)
 
 
 class OhmicWorkspace:
@@ -217,11 +222,6 @@ class NHCBathPhase:
         vals = (self.osc_q, self.osc_p, self.eta1, self.eta2, self.p_eta1, self.p_eta2)
         return NHCBathPhase(*(v.copy() if isinstance(v, np.ndarray) else float(v)
                               for v in vals))
-
-    def is_finite(self):
-        return (np.isfinite(self.osc_q) & np.isfinite(self.osc_p)
-                & np.isfinite(self.eta1) & np.isfinite(self.eta2)
-                & np.isfinite(self.p_eta1) & np.isfinite(self.p_eta2))
 
 
 def nhc_bath_forces(phase_sys: SystemPhase, phase_bath: NHCBathPhase,

@@ -30,7 +30,7 @@ from .driver import (ModelKind, SEED_STREAM_RULE, bath_equivalence, run_ensemble
 from .integrate import TrajectoryFailure
 from .observables import write_variance_csv
 from .oracle import (fundamental_solution, isolated_variance_series,
-                     mode2_variance_exact, ohmic_mode1_variances, threshold_temperature)
+                     mode1_variance_exact, mode2_variance_exact, threshold_temperature)
 from .stability import (MathieuParams, classify_trace, monodromy, stability_map,
                         write_stability_csv)
 
@@ -249,7 +249,7 @@ def cmd_oracle(args) -> int:
     # mode 2 is exact for every model; mode 1 depends on the bath
     note = ""
     if run_cfg.model is ModelKind.OHMIC:
-        series.variances[:, 0], series.variances[:, 2] = ohmic_mode1_variances(
+        series.variances[:, 0], series.variances[:, 2] = mode1_variance_exact(
             run_cfg.system, run_cfg.bath, run_cfg.temperature, run_cfg.sampling,
             config=run_cfg.integrator)
     elif run_cfg.model is ModelKind.NHC:

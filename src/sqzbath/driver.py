@@ -56,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baths import (NHCBathParams, OhmicBathParams, OhmicBathPhase,
+from .baths import (MAX_BATH_MODES, NHCBathParams, OhmicBathParams, OhmicBathPhase,
                     nhc_extended_energy, ohmic_energy)
 from .integrate import (BathParams, IntegratorConfig, TrajectoryFailure,
                         TrajectoryState, integrate)
@@ -113,6 +113,9 @@ class RunConfig:
             raise ValueError("workers and chunk_size must be >= 1")
         if type(self.bath) not in _BATH_MODELS:
             raise ValueError(f"unknown bath type {type(self.bath).__name__}")
+        if self.model is ModelKind.OHMIC and self.bath.n_modes > MAX_BATH_MODES:
+            raise ValueError(f"n_modes must be <= {MAX_BATH_MODES}, "
+                             f"got {self.bath.n_modes}")
         if self.model is ModelKind.NHC and self.bath.temperature != self.temperature:
             raise ValueError("thermostat temperature must match the ensemble "
                              "temperature")
@@ -250,7 +253,7 @@ def _integrate_block(config: RunConfig, state: TrajectoryState,
             obs[4] = _chunk_energy(config, st)
 
     integrate(state, config.system, config.bath, integrator, observer)
-    if not np.all(state.is_finite()):
+    if not all(np.isfinite(a).all() for a in _coordinates(state)):
         raise TrajectoryFailure(integrator.n_steps)
 
 
@@ -320,6 +323,14 @@ def _response(config: RunConfig) -> Optional[_Response]:
 _HUGE = 2.0 ** 511
 
 
+def _coordinates(state: TrajectoryState) -> list:
+    """The system's, then the bath's, coordinate arrays of ``state``."""
+    arrays = list(vars(state.system).values())
+    if state.bath is not None:
+        arrays += vars(state.bath).values()
+    return arrays
+
+
 def _bounded(*arrays) -> bool:
     """Whether every value is finite and below ``_HUGE`` in magnitude."""
     return all(bool((np.abs(a) < _HUGE).all()) for a in arrays)
@@ -333,10 +344,7 @@ def _propagate(config: RunConfig, response: _Response,
     once; None when the sampled state, or a propagated coordinate at any
     record, the final one included, is not :func:`_bounded`, so that the
     batch is stepped instead."""
-    sampled = list(vars(state.system).values())
-    if state.bath is not None:
-        sampled += vars(state.bath).values()
-    if not _bounded(*sampled):
+    if not _bounded(*_coordinates(state)):
         return None
     modes = to_normal_modes(state.system)
     partials = []

@@ -96,12 +96,6 @@ class TrajectoryState:
         return TrajectoryState(self.t, self.system.copy(),
                                self.bath.copy() if self.bath is not None else None)
 
-    def is_finite(self):
-        ok = self.system.is_finite()
-        if self.bath is not None:
-            ok = ok & self.bath.is_finite()
-        return ok
-
 
 class TrajectoryFailure(RuntimeError):
     """Raised when a trajectory produces non-finite coordinates, or when an

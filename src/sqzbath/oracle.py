@@ -11,10 +11,10 @@ bath-decoupled, and its 2x2 fundamental solution, from the Floquet map's
 loop :func:`stability._leapfrog`, is exact for all three models
 (``tests/test_properties.py::TestFundamentalSolution`` checks it against the
 relative mode of :func:`integrate`). The centre-of-mass mode is undriven:
-isolated, its variances are the thermal constants; with the Ohmic bath it
-forms a time-invariant linear block whose step powers have a closed form
-(:func:`ohmic_mode1_variances`). The thermostatted model has no Gaussian
-closure in the chain variables, so only its mode 2 has an exact curve.
+alone (isolated) or with the Ohmic bath it forms a time-invariant linear
+block whose step powers have one closed form (:func:`mode1_variance_exact`).
+The thermostatted model has no Gaussian closure in the chain variables, so
+only its mode 2 has an exact curve.
 """
 
 from __future__ import annotations
@@ -110,21 +110,16 @@ def isolated_variance_series(sys: SystemParams, temperature: float,
                              fundamental: FundamentalSolution):
     """Exact isolated-model variance curves in the ensemble CSV layout.
 
-    Mode 1 is an undriven thermal oscillator, so its position and momentum
-    variances are constant; mode 2 comes from the fundamental solutions,
-    which must span ``config.n_steps`` steps. Standard-error columns are
-    zero (the curves are deterministic).
+    Mode 1 comes from :func:`mode1_variance_exact` with no bath, mode 2 from
+    the fundamental solutions, which must span ``config.n_steps`` steps.
+    Standard-error columns are zero (the curves are deterministic).
     """
     _, var_q2, var_p2 = mode2_variance_exact(sys, temperature, mode,
                                              fundamental=fundamental)
-    w1, _ = normal_mode_freqs(0.0, sys)
-    wid = thermal_widths(sys.mass, w1, temperature, mode)
+    var_q1, var_p1 = mode1_variance_exact(sys, None, temperature, mode, config=config)
     idx = np.arange(0, config.n_steps + 1, config.stride)
     n_obs = len(idx)
-    variances = np.column_stack([
-        np.full(n_obs, wid.var_q), var_q2[idx],
-        np.full(n_obs, wid.var_p), var_p2[idx],
-    ])
+    variances = np.column_stack([var_q1, var_q2[idx], var_p1, var_p2[idx]])
     return VarianceSeries(times=config.obs_times, variances=variances,
                           std_errors=np.zeros_like(variances),
                           count=np.zeros(n_obs, dtype=np.int64))
@@ -194,16 +189,22 @@ def threshold_temperature(sys: SystemParams, *, fundamental: FundamentalSolution
 
 _OBS_BLOCK = 64   # observations per block, to bound the temporaries
 
+# the isolated model's centre of mass: the Ohmic block with no bath modes
+_NO_BATH = OhmicBathParams(n_modes=0, kondo=0.0, cutoff=0.0, mass=1.0,
+                           mode_spacing=0.0, freqs=np.empty(0), couplings=np.empty(0))
 
-def ohmic_mode1_variances(sys: SystemParams, bath: OhmicBathParams,
-                          temperature: float,
-                          mode: SamplingMode = SamplingMode.QUANTUM, *,
-                          config: IntegratorConfig):
-    """Exact (var_qt1, var_pt1) of the Ohmic model on ``config.obs_times``.
+
+def mode1_variance_exact(sys: SystemParams, bath: Optional[OhmicBathParams],
+                         temperature: float,
+                         mode: SamplingMode = SamplingMode.QUANTUM, *,
+                         config: IntegratorConfig):
+    """Exact (var_qt1, var_pt1) of the isolated (``bath`` None) or Ohmic
+    model on ``config.obs_times``.
 
     The centre-of-mass mode and the bath form an undriven linear block
     (qt1, R_1..R_N | pt1, P_1..P_N) with symmetric force matrix F (F00 =
-    -m w^2, F0j = sqrt(2) c_j, Fjj = -m_b W_j^2). With s = diag(mass)^(-1/2),
+    -m w^2, F0j = sqrt(2) c_j, Fjj = -m_b W_j^2); the isolated model is the
+    block with N = 0. With s = diag(mass)^(-1/2),
     -s F s = U diag(lam) U^T splits it into independent modes whose
     kick-drift-kick step is M = [[c, dt], [-lam dt (1 - lam dt^2/4), c]],
     c = 1 - lam dt^2/2, so M^k = (sin(k th) M - sin((k-1) th) I) / sin(th)
@@ -212,6 +213,7 @@ def ohmic_mode1_variances(sys: SystemParams, bath: OhmicBathParams,
     The variances sum the squared rows against the diagonal thermal
     covariance the samplers draw from.
     """
+    bath = _NO_BATH if bath is None else bath
     dt = config.dt
     w1, _ = normal_mode_freqs(0.0, sys)
     wid_sys = thermal_widths(sys.mass, w1, temperature, mode)

@@ -69,11 +69,6 @@ class SystemPhase:
         return SystemPhase(*(np.array(v, dtype=float, copy=True) if isinstance(v, np.ndarray)
                              else float(v) for v in (self.q1, self.q2, self.p1, self.p2)))
 
-    def is_finite(self):
-        """Elementwise finiteness over all four coordinates."""
-        return (np.isfinite(self.q1) & np.isfinite(self.q2)
-                & np.isfinite(self.p1) & np.isfinite(self.p2))
-
 
 @dataclass
 class NormalModePhase:
@@ -109,9 +104,9 @@ def system_force(t, phase: SystemPhase, sys: SystemParams, out=None):
     """Forces (dp1/dt, dp2/dt) = -dH/dq from the system Hamiltonian, bath
     terms excluded.
 
-    Returns ``(f1, f2)``; with ``out``, an array of shape (2,) + the phase's
-    shape, writes f1 and f2 into its rows, with the same bits, and returns
-    ``out``.
+    Returns an array of shape (2,) + the phase's shape whose rows are f1 and
+    f2, so that ``f1, f2 = system_force(...)`` unpacks it: ``out`` when
+    given, else a new one.
     """
     return coupled_force(coupling_stiffness(t, sys), phase, sys, out)
 
@@ -119,14 +114,13 @@ def system_force(t, phase: SystemPhase, sys: SystemParams, out=None):
 def coupled_force(k_rel, phase: SystemPhase, sys: SystemParams, out=None):
     """:func:`system_force` with the drive coefficient ``k_rel`` (see
     :func:`coupling_stiffness`) given instead of the time:
-    f1 = -m omega^2 q1 + k_rel (q2 - q1) and f2 = -m omega^2 q2 - k_rel (q2 - q1).
+    f1 = -m omega^2 q1 + k_rel (q2 - q1) and f2 = -m omega^2 q2 - k_rel (q2 - q1),
+    returned as the rows of ``out``, or of a new (2,) + shape array.
     """
     k_own = sys.mass * sys.freq ** 2
     rel = phase.q2 - phase.q1
     if out is None:
-        f1 = -k_own * phase.q1 + k_rel * rel
-        f2 = -k_own * phase.q2 - k_rel * rel
-        return f1, f2
+        out = np.empty((2,) + np.shape(rel))
     f1, f2 = out[0, ...], out[1, ...]
     np.multiply(phase.q1, -k_own, out=f1)
     np.multiply(phase.q2, -k_own, out=f2)

@@ -3,8 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from sqzbath import SystemParams, SystemPhase, coupling_freq_sq
-from sqzbath.system import coupled_force
+from sqzbath import SystemParams, coupling_freq_sq
 
 
 def contract_normals(seed, indices, *shapes):
@@ -34,6 +33,14 @@ def row_dots(pos, couplings):
     return np.reshape(rows, np.shape(pos)[:-1])
 
 
+def plain_force(k_rel, q1, q2, sys):
+    """Reference for ``system.coupled_force`` from its formula, into fresh
+    arrays: f1 = -m w^2 q1 + k_rel (q2 - q1), f2 = -m w^2 q2 - k_rel (q2 - q1)."""
+    k_own = sys.mass * sys.freq ** 2
+    rel = q2 - q1
+    return -k_own * q1 + k_rel * rel, -k_own * q2 - k_rel * rel
+
+
 def reference_leapfrog(phase, sys, dt, n_steps, stride, bath=None, bath_phase=None):
     """Reference for ``integrate`` without a thermostat, from the plain
     formulas into fresh arrays: kick-drift-kick steps with the drive
@@ -50,7 +57,7 @@ def reference_leapfrog(phase, sys, dt, n_steps, stride, bath=None, bath_phase=No
 
     def kick(k, scale):
         nonlocal p1, p2, mom
-        f1, f2 = coupled_force(k, SystemPhase(q1, q2, p1, p2), sys)
+        f1, f2 = plain_force(k, q1, q2, sys)
         if bath is not None:
             pull = row_dots(pos, bath.couplings)
             f1, f2 = f1 + pull, f2 + pull

@@ -18,9 +18,9 @@ import pytest
 
 from sqzbath import (IntegratorConfig, RunConfig, SamplingMode,
                      SystemParams, build_ohmic_bath, compare_variance_series,
-                     fundamental_solution, mode2_variance_exact,
-                     monodromy, nhc_from_ohmic, nhc_matched_to_ohmic,
-                     ohmic_mode1_variances, run_ensemble,
+                     fundamental_solution, mode1_variance_exact,
+                     mode2_variance_exact, monodromy, nhc_from_ohmic,
+                     nhc_matched_to_ohmic, run_ensemble,
                      sample_system, threshold_temperature, thermal_widths,
                      to_normal_modes, to_physical_units, trajectory_rng)
 from sqzbath.cli import main
@@ -80,8 +80,8 @@ def nhc_run(ohmic_bath):
 def oracle_covariance(ohmic_bath, paper_fundamental):
     """Exact (var_qt1, var_qt2) of the Ohmic model on the observation grid."""
     t0 = time.perf_counter()
-    var_q1, _ = ohmic_mode1_variances(SystemParams(), ohmic_bath, 1.0,
-                                      config=DESK_INTEGRATOR)
+    var_q1, _ = mode1_variance_exact(SystemParams(), ohmic_bath, 1.0,
+                                     config=DESK_INTEGRATOR)
     _, var_q2, _ = mode2_variance_exact(SystemParams(), 1.0,
                                         fundamental=paper_fundamental)
     print(f"\n[runtime] exact covariance: {time.perf_counter() - t0:.2f}s")

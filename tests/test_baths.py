@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from sqzbath import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase,
                      SystemPhase, build_ohmic_bath, nhc_bath_forces,
                      nhc_from_ohmic, ohmic_forces)
-from sqzbath.baths import OhmicWorkspace
+from sqzbath.baths import MAX_BATH_MODES, OhmicWorkspace
 
 from conftest import row_dots
 
@@ -44,6 +47,21 @@ class TestBuildOhmic:
     def test_invalid_arguments(self, args):
         with pytest.raises(ValueError):
             build_ohmic_bath(*args)
+
+    def test_row_sums_at_the_size_bound_ignore_blas_threads(self):
+        # each row's pull is one np.vecdot; at the largest bath it must give
+        # the same bits on one BLAS thread as on two (a BLAS that splits a
+        # shorter dot over its threads fails here)
+        n = MAX_BATH_MODES
+        script = ("import hashlib, numpy as np; rng = np.random.default_rng(5); "
+                  f"rows, vec = rng.standard_normal((8, {n})), rng.standard_normal({n}); "
+                  "print(hashlib.sha256(np.vecdot(rows, vec).tobytes()).hexdigest())")
+        digests = {subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                                  capture_output=True, timeout=120,
+                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+                                  ).stdout
+                   for threads in (1, 2)}
+        assert len(digests) == 1
 
     def test_spacing_guard(self):
         # a huge cutoff makes 1 - j*spacing hit zero for the last mode

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqzbath import (ohmic_mode1_variances, read_variance_csv, stability,
+from sqzbath import (mode1_variance_exact, read_variance_csv, stability,
                      to_physical_units)
 from sqzbath.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRAJECTORY, _parse_grid, main
 from sqzbath.config import ConfigError, build_run_config, config_hash, read_config_file
@@ -203,6 +203,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert not out.exists()
         assert "temperature" in capsys.readouterr().err
+
+    def test_oversized_bath_exits_config_no_files(self, tmp_path, capsys):
+        cfg, out = write_ini(tmp_path, SMALL_INI.replace("n_modes = 6", "n_modes = 10001"))
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "n_modes must be <= 10000" in capsys.readouterr().err
+
+    def test_nhc_reference_bath_takes_any_size(self, tmp_path):
+        cfg, out = write_ini(tmp_path, SMALL_INI.replace("model = ohmic", "model = nhc")
+                             .replace("n_modes = 6", "n_modes = 10001"))
+        assert main(["run", "--config", cfg]) == 0
+        assert os.path.exists(out)
 
     def test_negative_seed_exits_config_no_files(self, small_config, capsys):
         cfg, out = small_config
@@ -467,9 +479,9 @@ class TestOracleCommand:
     def test_ohmic_mode1_columns(self, tmp_path, capsys):
         cfg, series, _ = self.oracle_csv(tmp_path, "ohmic", capsys)
         run_cfg, _, _ = build_run_config(read_config_file(cfg))
-        var_q1, var_p1 = ohmic_mode1_variances(run_cfg.system, run_cfg.bath,
-                                               run_cfg.temperature, run_cfg.sampling,
-                                               config=run_cfg.integrator)
+        var_q1, var_p1 = mode1_variance_exact(run_cfg.system, run_cfg.bath,
+                                              run_cfg.temperature, run_cfg.sampling,
+                                              config=run_cfg.integrator)
         # the CSV's repr round-trips every float
         assert series.column("qt1").tobytes() == var_q1.tobytes()
         assert series.column("pt1").tobytes() == var_p1.tobytes()
@@ -513,7 +525,7 @@ class TestOracleCommand:
     # last bits follow the BLAS thread count.
     GOLDEN = {
         "isolated": ("57eea5f91dccdad5744dd7236d9ffb2599b54998ad49f23d92a7a1a558b414b4",
-                     "d798dc53df0bc025ea1ecb17feb4f4b3ffe211d0c344cd55a63abcc1fe97737b",
+                     "db003ce0e915d5632e3f29585719c132613f2ebc0886e6895504a90f6c7d3a7c",
                      "28f5dddc61f280f824da8b9574d5c4734f587af15a15d030ed2f3aaac127fcf1"),
         "ohmic": ("c0ee3557297a71a874c82e79f4fc95e93cc9028f66a8f4379a2df7ab3919616b",
                   None,

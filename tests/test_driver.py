@@ -9,10 +9,12 @@ import pytest
 
 from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SamplingMode,
                      SystemParams, TrajectoryFailure, bath_equivalence,
-                     build_ohmic_bath, init_nhc_bath, nhc_from_ohmic,
-                     ohmic_mode1_variances, run_ensemble, sample_ohmic_bath,
-                     sample_system, temperature_sweep, thermal_widths)
+                     build_ohmic_bath, init_nhc_bath, mode1_variance_exact,
+                     nhc_from_ohmic, nhc_matched_to_ohmic, run_ensemble,
+                     sample_ohmic_bath, sample_system, temperature_sweep,
+                     thermal_widths)
 from sqzbath import driver
+from sqzbath.baths import MAX_BATH_MODES
 from sqzbath.cli import EXIT_TRAJECTORY, main
 from sqzbath.driver import (_batch_ranges, _contract, _propagate, _response, _rows,
                            _sample_chunk, _step_batch, temperature_seed)
@@ -53,6 +55,16 @@ class TestRunConfigValidation:
         assert isolated_config(bath=nhc_from_ohmic(0.007, 3.0, 1.0)).model is ModelKind.NHC
         with pytest.raises(ValueError, match="bath type"):
             isolated_config(bath="ohmic")
+
+    def test_ohmic_bath_size_bound(self):
+        # the cap guards the Ohmic rows' sums over the modes; an NHC run only
+        # builds its matched parameters from a reference of any size
+        assert (isolated_config(bath=build_ohmic_bath(MAX_BATH_MODES, 0.007, 3.0))
+                .bath.n_modes == MAX_BATH_MODES)
+        big = build_ohmic_bath(MAX_BATH_MODES + 1, 0.007, 3.0)
+        with pytest.raises(ValueError, match="n_modes must be <= 10000"):
+            isolated_config(bath=big)
+        assert isolated_config(bath=nhc_matched_to_ohmic(big, 1.0)).model is ModelKind.NHC
 
     def test_model_parsing(self):
         assert ModelKind.parse("Ohmic") is ModelKind.OHMIC
@@ -598,8 +610,8 @@ class TestPropagation:
                      + resp.mode1[:, :, 0] ** 2 * sys_w.var_p
                      + resp.bath_mom ** 2 @ bath_w.var_q
                      + resp.bath_pos ** 2 @ np.broadcast_to(bath_w.var_p, bath.n_modes))
-        var_q1, var_p1 = ohmic_mode1_variances(system, bath, cfg.temperature, cfg.sampling,
-                                               config=cfg.integrator)
+        var_q1, var_p1 = mode1_variance_exact(system, bath, cfg.temperature, cfg.sampling,
+                                              config=cfg.integrator)
         assert np.allclose(variances[:, 0], var_q1, rtol=1e-10, atol=0)
         assert np.allclose(variances[:, 1], var_p1, rtol=1e-10, atol=0)
 

@@ -9,14 +9,13 @@ import pytest
 
 from sqzbath import (IntegratorConfig, NHCBathParams, SamplingMode, SystemParams,
                      SystemPhase, TrajectoryFailure, TrajectoryState,
-                     build_ohmic_bath, init_nhc_bath, integrate, nhc_extended_energy,
-                     nhc_from_ohmic, sample_ohmic_bath, sample_system,
-                     step_hamiltonian, step_nhc, system_energy, system_force,
-                     to_normal_modes,
-                     trajectory_rng, yoshida_weights)
+                     build_ohmic_bath, coupling_freq_sq, init_nhc_bath, integrate,
+                     nhc_extended_energy, nhc_from_ohmic, sample_ohmic_bath,
+                     sample_system, step_hamiltonian, step_nhc, system_energy,
+                     to_normal_modes, trajectory_rng, yoshida_weights)
 from sqzbath.baths import NHCBathPhase
 
-from conftest import reference_leapfrog
+from conftest import plain_force, reference_leapfrog
 
 
 class TestConfig:
@@ -365,10 +364,11 @@ class TestIntegrate:
         dt, h, t = 0.02, 0.01, 0.0
         for _ in range(30):
             t_mid = t + 0.5 * dt
-            f1, f2 = system_force(t_mid, SystemPhase(q1, q2, p1, p2), sys)
+            k = mass * coupling_freq_sq(t_mid, sys)
+            f1, f2 = plain_force(k, q1, q2, sys)
             p1, p2 = p1 + h * f1, p2 + h * f2
             q1, q2 = q1 + dt * p1 / mass, q2 + dt * p2 / mass
-            f1, f2 = system_force(t_mid, SystemPhase(q1, q2, p1, p2), sys)
+            f1, f2 = plain_force(k, q1, q2, sys)
             p1, p2 = p1 + h * f1, p2 + h * f2
             t += dt
         stepped = TrajectoryState(0.0, start.copy())

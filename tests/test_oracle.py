@@ -8,9 +8,10 @@ from scipy.integrate import solve_ivp
 from sqzbath import (IntegratorConfig, NormalModePhase, OhmicBathPhase, RunConfig,
                      SamplingMode, SystemParams, TrajectoryFailure, TrajectoryState,
                      build_ohmic_bath, from_normal_modes, fundamental_solution, integrate,
-                     isolated_variance_series, mode2_variance_exact, normal_mode_freqs,
-                     ohmic_mode1_variances, run_ensemble, threshold_temperature,
+                     isolated_variance_series, mode1_variance_exact, mode2_variance_exact,
+                     normal_mode_freqs, run_ensemble, threshold_temperature,
                      thermal_widths, to_normal_modes)
+from sqzbath import driver
 
 W1 = math.sqrt(1.25)
 
@@ -195,7 +196,7 @@ def unit_column_variances(sys, bath, temperature, mode, config):
 
 
 class TestFullCovariance:
-    """Mode 1 from ohmic_mode1_variances and mode 2 from mode2_variance_exact
+    """Mode 1 from mode1_variance_exact and mode 2 from mode2_variance_exact
     against the Ohmic model's full propagator."""
 
     ICFG = IntegratorConfig(n_steps=2000, stride=50)
@@ -203,7 +204,7 @@ class TestFullCovariance:
     def test_uncoupled_bath_reduces_to_isolated_curves(self):
         # mode 1 follows the same stepper at the undriven frequency
         bath = build_ohmic_bath(8, 0.0, 3.0)
-        vq1, vp1 = ohmic_mode1_variances(SystemParams(), bath, 1.0, config=self.ICFG)
+        vq1, vp1 = mode1_variance_exact(SystemParams(), bath, 1.0, config=self.ICFG)
         sys0 = SystemParams(coupling_amp=0.0)
         f1 = fundamental_solution(sys0, dt=0.01, n_steps=2000)
         _, vq, vp = mode2_variance_exact(sys0, 1.0, fundamental=f1)
@@ -230,7 +231,7 @@ class TestFullCovariance:
         # the block's lowest eigenvalue is negative and the curves grow
         sys = SystemParams(mass=masses[0])
         bath = build_ohmic_bath(8, kondo, 3.0, mass=masses[1])
-        vq1, vp1 = ohmic_mode1_variances(sys, bath, 1.3, mode, config=self.ICFG)
+        vq1, vp1 = mode1_variance_exact(sys, bath, 1.3, mode, config=self.ICFG)
         ref = unit_column_variances(sys, bath, 1.3, mode, self.ICFG)
         assert np.max(np.abs(vq1 / ref[:, 0] - 1)) <= 1e-11
         assert np.max(np.abs(vp1 / ref[:, 2] - 1)) <= 1e-11
@@ -238,17 +239,17 @@ class TestFullCovariance:
     def test_frozen_coupling_equals_driven(self):
         # the drive enters mode 2 only
         bath = build_ohmic_bath(8, 0.007, 3.0)
-        driven = ohmic_mode1_variances(SystemParams(), bath, 1.0, config=self.ICFG)
-        frozen = ohmic_mode1_variances(SystemParams(frozen_coupling=True), bath, 1.0,
-                                       config=self.ICFG)
+        driven = mode1_variance_exact(SystemParams(), bath, 1.0, config=self.ICFG)
+        frozen = mode1_variance_exact(SystemParams(frozen_coupling=True), bath, 1.0,
+                                      config=self.ICFG)
         for a, b in zip(driven, frozen):
             assert a.tobytes() == b.tobytes()
 
     def test_overflow_raises(self):
         bath = build_ohmic_bath(8, 300.0, 3.0)
         with pytest.raises(TrajectoryFailure, match="non-finite"):
-            ohmic_mode1_variances(SystemParams(), bath, 1.0,
-                                  config=IntegratorConfig(n_steps=20000, stride=50))
+            mode1_variance_exact(SystemParams(), bath, 1.0,
+                                 config=IntegratorConfig(n_steps=20000, stride=50))
 
 
 class TestIsolatedSeries:
@@ -259,6 +260,29 @@ class TestIsolatedSeries:
                                          SystemParams(), dt=cfg.dt, n_steps=cfg.n_steps))
         assert s.variances.shape == (11, 4)
         assert np.all(s.std_errors == 0.0)
+        var_q1, var_p1 = mode1_variance_exact(SystemParams(), None, 1.0, config=cfg)
+        assert s.variances[:, 0].tobytes() == var_q1.tobytes()
+        assert s.variances[:, 2].tobytes() == var_p1.tobytes()
+        # the kick-drift-kick curve of the undriven mode stays near the
+        # continuous-time thermal constants: with eps = w1^2 dt^2 / 4, var_q1
+        # rises by up to eps / (1 - eps) and var_p1 falls by up to eps
         wid = thermal_widths(1.0, W1, 1.0, SamplingMode.QUANTUM)
-        assert np.allclose(s.variances[:, 0], wid.var_q, rtol=1e-12)
-        assert np.allclose(s.variances[:, 2], wid.var_p, rtol=1e-12)
+        eps = W1 ** 2 * cfg.dt ** 2 / 4
+        assert np.abs(var_q1 / wid.var_q - 1).max() <= eps / (1 - eps)
+        assert np.abs(var_p1 / wid.var_p - 1).max() <= eps
+
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    @pytest.mark.parametrize("mass", [1.0, 1.7])
+    def test_mode1_is_the_stepper_curve(self, mode, mass):
+        # the stepper's unit probes A (pt1 = 1) and B (qt1 = 1), squared
+        # against the thermal widths the sampler draws qt1 and pt1 from
+        sys = SystemParams(mass=mass)
+        cfg = RunConfig(system=sys, temperature=1.3, n_traj=2, seed=0, sampling=mode,
+                        integrator=IntegratorConfig(n_steps=5000, stride=50))
+        probes = driver._response(cfg).mode1          # (records, A/B, qt1/pt1)
+        wid = thermal_widths(mass, normal_mode_freqs(0.0, sys)[0], 1.3, mode)
+        expected = probes[:, 1] ** 2 * wid.var_q + probes[:, 0] ** 2 * wid.var_p
+        s = isolated_variance_series(sys, 1.3, mode, config=cfg.integrator,
+                                     fundamental=fundamental_solution(sys, n_steps=5000))
+        assert np.abs(s.variances[:, 0] / expected[:, 0] - 1).max() <= 1e-11
+        assert np.abs(s.variances[:, 2] / expected[:, 1] - 1).max() <= 1e-11

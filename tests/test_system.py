@@ -6,7 +6,9 @@ import pytest
 from sqzbath import (SystemParams, SystemPhase, coupling_freq_sq,
                      from_normal_modes, normal_mode_freqs, system_energy,
                      system_force, to_normal_modes, to_physical_units)
-from sqzbath.system import _HBAR_SI, _KB_SI
+from sqzbath.system import _HBAR_SI, _KB_SI, coupling_stiffness
+
+from conftest import plain_force
 
 
 class TestParams:
@@ -76,11 +78,12 @@ class TestForce:
         if rows is None:
             phase = SystemPhase(*(float(v) for v in (q1, q2, p1, p2)))
         for t in (0.0, 0.37, 2.9):
-            f1, f2 = system_force(t, phase, sys)
+            f1, f2 = plain_force(coupling_stiffness(t, sys), phase.q1, phase.q2, sys)
             out = np.full((2,) + np.shape(f1), np.nan)
             assert system_force(t, phase, sys, out=out) is out
-            assert out[0].tobytes() == np.float64(f1).tobytes()
-            assert out[1].tobytes() == np.float64(f2).tobytes()
+            for got in (out, system_force(t, phase, sys)):
+                assert got[0].tobytes() == np.float64(f1).tobytes()
+                assert got[1].tobytes() == np.float64(f2).tobytes()
         assert np.array_equal(phase.q1, q1) and np.array_equal(phase.q2, q2)
 
 
