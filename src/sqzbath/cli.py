@@ -39,6 +39,10 @@ EXIT_CONFIG = 2
 EXIT_TRAJECTORY = 3
 EXIT_IO = 4
 
+# Most temperatures one sweep grid may hold; the point count is checked
+# before the list is built.
+MAX_GRID_POINTS = 10_000
+
 
 def _fail(message: str, code: int) -> int:
     print(f"sqzbath: error: {message}", file=_sys.stderr)
@@ -65,9 +69,13 @@ def _parse_grid(spec: str):
     lo, hi, step = values
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad grid spec {spec!r}: need stop >= start and step > 0")
-    # every point up to stop; the allowance absorbs round-off in the quotient
-    n = math.floor((hi - lo) / step + 1e-9) + 1
-    return [lo + i * step for i in range(n)]
+    # every point up to stop; the allowance absorbs round-off in the quotient,
+    # which overflows to inf for a step far below the span
+    steps = (hi - lo) / step + 1e-9
+    if steps >= MAX_GRID_POINTS:
+        raise ConfigError(f"bad grid spec {spec!r}: more than {MAX_GRID_POINTS} "
+                          f"temperatures")
+    return [lo + i * step for i in range(math.floor(steps) + 1)]
 
 
 def _parse_window(spec: str):

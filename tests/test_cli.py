@@ -10,7 +10,8 @@ import pytest
 
 from sqzbath import (mode1_variance_exact, read_variance_csv, stability,
                      to_physical_units)
-from sqzbath.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRAJECTORY, _parse_grid, main
+from sqzbath.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRAJECTORY, MAX_GRID_POINTS,
+                         _parse_grid, main)
 from sqzbath.config import ConfigError, build_run_config, config_hash, read_config_file
 
 SMALL_INI = """
@@ -339,6 +340,14 @@ class TestSweepCommand:
     def test_bad_grid(self, small_config, capsys):
         cfg, _ = small_config
         assert main(["sweep", "--config", cfg, "--grid", "2:1:0.1"]) == EXIT_CONFIG
+        # the point count is checked before any point is built
+        for grid in ("1:2:1e-12", "1:1e300:1e-300"):
+            assert main(["sweep", "--config", cfg, "--oracle-only",
+                         "--grid", grid]) == EXIT_CONFIG
+            assert f"more than {MAX_GRID_POINTS} temperatures" in capsys.readouterr().err
+        assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="more than"):
+            _parse_grid(f"1:{MAX_GRID_POINTS + 1}:1")
 
     @pytest.mark.parametrize("grid", ["1:inf:0.1", "1:nan:0.1", "nan:1:0.1",
                                       "1:2:inf", "inf:inf"])
@@ -550,9 +559,11 @@ class TestOracleCommand:
 
 
 class TestDependencies:
-    def test_cli_import_loads_no_scipy(self):
+    # the pool machinery loads only when a run opens a pool
+    @pytest.mark.parametrize("package", ["scipy", "concurrent", "multiprocessing"])
+    def test_cli_import_loads_no_scipy(self, package):
         probe = ("import sys, sqzbath.cli; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                 f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
         proc = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
                               capture_output=True, text=True, check=True, timeout=120)
         assert proc.stdout == "[]\n"

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -671,6 +672,38 @@ class TestPropagation:
             run_ensemble(cfg)
         assert stepped.value.step == err.value.step
         assert str(stepped.value) == str(err.value)
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3, 5)], ids=["1d", "3d"])
+    def test_bound_check_at_the_edge(self, shape):
+        # declined from 2**511 in magnitude on, where a square can overflow,
+        # and at every non-finite value, wherever it sits in the array
+        below = np.nextafter(2.0 ** 511, 0)
+        for value, bounded in ((below, True), (-below, True), (2.0 ** 511, False),
+                               (-2.0 ** 511, False), (np.nan, False),
+                               (np.inf, False), (-np.inf, False)):
+            for index in (0, -1):
+                a = np.zeros(shape)
+                a.flat[index] = value
+                assert driver._bounded(np.ones(3), a) is bounded
+        assert driver._bounded(np.empty((4, 0)))
+
+    def test_propagated_chunk_peak_memory(self):
+        # a chunk at the reference 25000 steps and stride 25: its (4, 500,
+        # 1001) buffer and one (500, 1001) term, with no buffer-sized
+        # temporary in the bound check
+        cfg = isolated_config(n_traj=500, chunk_size=500,
+                              integrator=IntegratorConfig(n_steps=25000, stride=25))
+        response = _response(cfg)
+        state = _sample_chunk(cfg, 0, 500)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert _propagate(cfg, response, state) is not None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (4 * 500 * len(response.mode1) * 8)
 
     @pytest.mark.parametrize("bath", [None, build_ohmic_bath(20, 0.05, 3.0)],
                              ids=["isolated", "ohmic"])

@@ -4,6 +4,7 @@ keyword. A renamed or removed name or argument fails only the benchmark's own
 tests, which the package suite does not collect; these tests catch it here.
 The tracer is imported, never installed."""
 
+import concurrent.futures
 import importlib.util
 import inspect
 import sys
@@ -37,6 +38,8 @@ def test_every_traced_name_resolves():
         if not callable(getattr(_module("driver"), attr, None)):
             missing.append(f"driver.{attr}")
     assert missing == []
+    # the tracer subclasses the pool only when the name is the standard class
+    assert _module("driver").ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
 
 
 def test_checker_calls_bind():
