@@ -76,9 +76,6 @@ class OhmicBathPhase:
     pos: np.ndarray   # R_j
     mom: np.ndarray   # P_j
 
-    def copy(self) -> "OhmicBathPhase":
-        return OhmicBathPhase(self.pos.copy(), self.mom.copy())
-
 
 class OhmicWorkspace:
     """Preallocated arrays for :func:`ohmic_forces` on one bath shape.
@@ -217,11 +214,6 @@ class NHCBathPhase:
     eta2: float | np.ndarray
     p_eta1: float | np.ndarray
     p_eta2: float | np.ndarray
-
-    def copy(self) -> "NHCBathPhase":
-        vals = (self.osc_q, self.osc_p, self.eta1, self.eta2, self.p_eta1, self.p_eta2)
-        return NHCBathPhase(*(v.copy() if isinstance(v, np.ndarray) else float(v)
-                              for v in vals))
 
 
 def nhc_bath_forces(phase_sys: SystemPhase, phase_bath: NHCBathPhase,

@@ -91,6 +91,11 @@ class ModelKind(enum.Enum):
                              f"{[m.value for m in cls]}") from None
 
 
+# Most worker processes of a run: a pool forks all of its min(workers,
+# batches) processes at its first task (Python 3.11's fork context), and a
+# run of one-trajectory chunks has a batch per trajectory.
+MAX_WORKERS = 256
+
 _BATH_MODELS = {type(None): ModelKind.ISOLATED, OhmicBathParams: ModelKind.OHMIC,
                 NHCBathParams: ModelKind.NHC}
 
@@ -117,6 +122,8 @@ class RunConfig:
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
         if self.workers < 1 or self.chunk_size < 1:
             raise ValueError("workers and chunk_size must be >= 1")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
         if type(self.bath) not in _BATH_MODELS:
             raise ValueError(f"unknown bath type {type(self.bath).__name__}")
         if self.model is ModelKind.OHMIC and self.bath.n_modes > MAX_BATH_MODES:
@@ -258,8 +265,8 @@ def _integrate_block(config: RunConfig, state: TrajectoryState,
         if config.track_energy:
             obs[4] = _chunk_energy(config, st)
 
-    integrate(state, config.system, config.bath, integrator, observer)
-    if not all(np.isfinite(a).all() for a in _coordinates(state)):
+    final = integrate(state, config.system, config.bath, integrator, observer)
+    if not all(np.isfinite(a).all() for a in _coordinates(final)):
         raise TrajectoryFailure(integrator.n_steps)
 
 

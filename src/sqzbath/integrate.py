@@ -27,14 +27,11 @@ otherwise than the synchronized loop, which moves the observed states at
 round-off level (about 1e-14 of their largest value after 5000 steps); with
 the Nose-Hoover chain each step is one :func:`step_nhc`, bit for bit.
 
-The stepper owns every array it moves except the Ohmic bath arrays: once per
-:func:`integrate` call (or standalone step) it copies the system phase, the
-NHC oscillator and the NHC chain into stacked (2, rows) arrays, binds the
-state's fields to their rows and updates them in place, so it never writes
-into arrays the caller passed in. The Ohmic step updates the caller's bath
-arrays in place; copying them would add a (rows, N) array pair to every
-block. Each kick's system force goes into a preallocated buffer
-(``system_force(..., out=)``, or ``coupled_force`` with the drive
+Steppers write nothing they are given: :func:`integrate`,
+:func:`step_hamiltonian` and :func:`step_nhc` return a state of their own,
+whose moved fields are rows of C-contiguous stacks, copied once per call
+and updated in place. Each kick's system force goes into a preallocated
+buffer (``system_force(..., out=)``, or ``coupled_force`` with the drive
 coefficient given), and the drift divides by the mass only when it is not 1;
 the arithmetic is that of the textbook step, or of the textbook leapfrog
 loop, bit for bit. All steppers operate transparently on scalar or batched
@@ -43,7 +40,7 @@ loop, bit for bit. All steppers operate transparently on scalar or batched
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -92,10 +89,6 @@ class TrajectoryState:
     system: SystemPhase
     bath: BathPhase = None
 
-    def copy(self) -> "TrajectoryState":
-        return TrajectoryState(self.t, self.system.copy(),
-                               self.bath.copy() if self.bath is not None else None)
-
 
 class TrajectoryFailure(RuntimeError):
     """Raised when a trajectory produces non-finite coordinates, or when an
@@ -141,17 +134,17 @@ def _own(phase, names, shape) -> np.ndarray:
 class _Kick:
     """The kicks and the drift of one ``dt``, on the arrays they move.
 
-    It owns the system phase as (q1, q2) and (p1, p2) stacks and, for the NHC
-    model, the bath oscillator as an (osc_q, osc_p) stack, and updates them in
-    place; the Ohmic bath arrays are the caller's. The system force of each
-    kick goes into a preallocated buffer. The bath force is evaluated at
+    ``state`` holds shallow copies of the caller's phases. Their moved fields
+    are rows of stacks it owns and updates in place: (q1, q2), (p1, p2) and
+    the bath oscillators, (pos, mom) or (osc_q, osc_p). The system force of
+    each kick goes into a preallocated buffer. The bath force is evaluated at
     construction and after each drift, and serves the next kick, or half-kick,
     also across the thermostat half-steps, which move no position; observers
     of an :func:`integrate` call must not modify the state.
     """
 
     def __init__(self, bath: BathParams, state: TrajectoryState, dt: float):
-        ph = state.system
+        ph = replace(state.system)
         shape = np.broadcast_shapes(*(np.shape(v) for v in vars(ph).values()))
         self.q = _own(ph, ("q1", "q2"), shape)
         self.p = _own(ph, ("p1", "p2"), shape)
@@ -161,17 +154,21 @@ class _Kick:
         self.dt = dt
         self.h = 0.5 * dt
         self.work = None
+        bath_ph = None if state.bath is None else replace(state.bath)
+        self.state = TrajectoryState(state.t, ph, bath_ph)
         if isinstance(bath, OhmicBathParams):
-            self.work = OhmicWorkspace(bath, np.shape(state.bath.pos))
-            self.bath_q, self.bath_p = state.bath.pos, state.bath.mom
+            self.work = OhmicWorkspace(bath, np.shape(bath_ph.pos))
+            _own(bath_ph, ("pos", "mom"), np.shape(bath_ph.pos))
+            self.bath_q, self.bath_p = bath_ph.pos, bath_ph.mom
         elif bath is not None:
-            _own(state.bath, ("osc_q", "osc_p"), shape)
-            self.bath_q, self.bath_p = state.bath.osc_q, state.bath.osc_p
-        self.update(state, self.h)
+            _own(bath_ph, ("osc_q", "osc_p"), shape)
+            self.bath_q, self.bath_p = bath_ph.osc_q, bath_ph.osc_p
+        self.update(self.h)
 
-    def update(self, state: TrajectoryState, scale: float) -> None:
+    def update(self, scale: float) -> None:
         """Evaluate the bath force at the current positions; the bath's kick
         is that force times ``scale``, the duration of the next kick."""
+        state = self.state
         if self.work is not None:
             self.sys_kick, force = ohmic_forces(state.system, state.bath, self.bath,
                                                 self.work)
@@ -210,17 +207,16 @@ def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
     :func:`_leapfrog` of one step.
 
     ``kick`` is the stepper of the enclosing :func:`integrate` call, built for
-    this ``dt`` on this state. Standalone calls omit it and build their own,
-    which copies the phase arrays it moves and evaluates the bath force.
+    this ``dt``, and ``state`` is its state. Standalone calls omit it and
+    build their own on a copy of ``state``. Returns the stepper's state.
     """
     if kick is None:
         kick = _Kick(bath, state, dt)
-    _leapfrog(kick, state, sys, 1)
-    return state
+    _leapfrog(kick, sys, 1)
+    return kick.state
 
 
-def _leapfrog(kick: _Kick, state: TrajectoryState, sys: SystemParams,
-              n_steps: int) -> None:
+def _leapfrog(kick: _Kick, sys: SystemParams, n_steps: int) -> None:
     """``n_steps`` >= 1 kick-drift-kick steps from a synchronized state, with
     no thermostat between them, in leapfrog form: the closing half-kick of
     each step but the last and the opening half-kick of the next act at the
@@ -232,7 +228,7 @@ def _leapfrog(kick: _Kick, state: TrajectoryState, sys: SystemParams,
     Exact in exact arithmetic, the merge rounds otherwise than the
     synchronized loop; one step is the textbook step, bit for bit.
     """
-    dt, h = kick.dt, kick.h
+    dt, h, state = kick.dt, kick.h, kick.state
     t_mid = state.t + h
     kick.apply(system_force(t_mid, state.system, sys, out=kick.force), h)
     k = coupling_stiffness(t_mid, sys) if n_steps > 1 else None
@@ -241,13 +237,13 @@ def _leapfrog(kick: _Kick, state: TrajectoryState, sys: SystemParams,
         state.t += dt
         t_mid = state.t + h
         k_next = coupling_stiffness(t_mid, sys)
-        kick.update(state, dt)
+        kick.update(dt)
         kick.apply(coupled_force(0.5 * (k + k_next), state.system, sys, out=kick.force),
                    dt)
         k = k_next
     kick.drift(sys)
     state.t += dt
-    kick.update(state, h)
+    kick.update(h)
     kick.apply(system_force(t_mid, state.system, sys, out=kick.force), h)
 
 
@@ -256,20 +252,19 @@ class _Thermostat:
     each a reversible chain update symmetric about the drag on P1.
 
     It drags P1 in the array of the stepper ``kick``, which must be built
-    first, and owns the chain as (p_eta1, p_eta2) and (eta1, eta2) stacks,
-    updated in place. x = p_eta1^2/Q1 - T and G = P1^2/m1 - gT are the rows
-    of one stack, so one product gives both opening half-increments of a
-    substep. A substep leaves x and G as the next one's opening values, and
-    only the thermostat moves p_eta1, so x is formed once, here, and each
-    half-step refreshes only G. The stacked eta increments are formed with
+    first, and owns the chain of its state as (p_eta1, p_eta2) and (eta1,
+    eta2) stacks, updated in place. x = p_eta1^2/Q1 - T and G = P1^2/m1 - gT
+    are the rows of one stack, so one product gives both opening
+    half-increments of a substep. A substep leaves x and G as the next one's
+    opening values, and only the thermostat moves p_eta1, so x is formed
+    once, here, and each half-step refreshes only G. The stacked eta increments are formed with
     -delta, so that their first row is the drag exponent. A division by a
     unit mass is skipped, which is exact. The arithmetic is that of the
     textbook substep, bit for bit.
     """
 
-    def __init__(self, bath: NHCBathParams, state: TrajectoryState, kick: _Kick,
-                 n_yoshida: int, n_mts: int):
-        ph = state.bath
+    def __init__(self, bath: NHCBathParams, kick: _Kick, n_yoshida: int, n_mts: int):
+        ph = kick.state.bath
         self.p = kick.bath_p
         shape = np.shape(self.p)
         self.p_eta = _own(ph, ("p_eta1", "p_eta2"), shape)
@@ -352,17 +347,17 @@ def step_nhc(state: TrajectoryState, sys: SystemParams, bath: NHCBathParams,
     The thermostat moves only P1 and the chain, so the bath force ``kick``
     holds stays valid across it. ``kick`` and ``thermostat`` are the stepper
     and the chain state of the enclosing :func:`integrate` call, built for
-    this ``dt``, ``n_yoshida`` and ``n_mts``; standalone calls omit them and
-    build their own.
+    this ``dt``, ``n_yoshida`` and ``n_mts``, on ``state``; standalone calls
+    omit them and build their own, on a copy. Returns the stepper's state.
     """
     if kick is None:
         kick = _Kick(bath, state, dt)
     if thermostat is None:
-        thermostat = _Thermostat(bath, state, kick, n_yoshida, n_mts)
+        thermostat = _Thermostat(bath, kick, n_yoshida, n_mts)
     thermostat.half_step()
-    step_hamiltonian(state, sys, bath, dt, kick)
+    step_hamiltonian(kick.state, sys, bath, dt, kick)
     thermostat.half_step()
-    return state
+    return kick.state
 
 
 Observer = Callable[[int, TrajectoryState], None]
@@ -376,22 +371,22 @@ def integrate(state: TrajectoryState, sys: SystemParams, bath: BathParams,
     Each stretch between observations, and the last, shorter one, runs as
     one :func:`_leapfrog` call without a thermostat (isolated and Ohmic
     models) and as one :func:`step_nhc` per step with one; every observed
-    step, and the last, ends synchronized.
+    step, and the last, ends synchronized. Returns the stepper's final state.
     Non-finite coordinates propagate; checking them is the caller's policy,
     and an exception the observer raises stops the integration. Observers
-    must not modify the state, and must copy what they keep: from step 0 on,
-    the state's fields are the stepper's arrays, updated in place.
+    see the stepper's state, must not modify it, and must copy what they
+    keep: its fields are the stepper's arrays, updated in place.
     """
     kick = _Kick(bath, state, config.dt)
-    thermostat = (_Thermostat(bath, state, kick, config.n_yoshida, config.n_mts)
+    thermostat = (_Thermostat(bath, kick, config.n_yoshida, config.n_mts)
                   if isinstance(bath, NHCBathParams) else None)
-    stride = config.stride
+    state, stride = kick.state, config.stride
     if observer is not None:
         observer(0, state)
     for start in range(0, config.n_steps, stride):
         n_steps = min(stride, config.n_steps - start)
         if thermostat is None:
-            _leapfrog(kick, state, sys, n_steps)
+            _leapfrog(kick, sys, n_steps)
         else:
             for _ in range(n_steps):
                 step_nhc(state, sys, bath, config.dt, config.n_yoshida, config.n_mts,

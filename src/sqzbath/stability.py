@@ -42,6 +42,8 @@ class MathieuParams:
     q: float | np.ndarray
 
     def __post_init__(self):
+        if not (np.isfinite(self.a).all() and np.isfinite(self.q).all()):
+            raise ValueError(f"a and q must be finite, got a={self.a}, q={self.q}")
         if np.any(np.asarray(self.q) < 0):
             raise ValueError(f"q must be >= 0, got {self.q}")
 
@@ -176,11 +178,20 @@ def _floquet(a, q, steps: int):
     return m, (ay * bv - av * by) * (gay * gbv - gav * gby)
 
 
+# Bounds on the map's arguments, checked before anything is allocated: the
+# loop's cosine table takes 4 MiB at MAX_PERIOD_STEPS steps per period, and a
+# map keeps about 160 B per cell alive at once, 160 MB at MAX_MAP_CELLS.
+MAX_PERIOD_STEPS = 2 ** 20
+MAX_MAP_CELLS = 1_000_000
+
+
 def _check_steps(steps: int) -> None:
     """Steps per period of the monodromy and the map: fewer than 256
-    under-resolve the period."""
+    under-resolve the period, and more than ``MAX_PERIOD_STEPS`` are refused."""
     if steps < 256:
         raise ValueError(f"steps must be >= 256, got {steps}")
+    if steps > MAX_PERIOD_STEPS:
+        raise ValueError(f"steps must be <= {MAX_PERIOD_STEPS}, got {steps}")
 
 
 def monodromy(params: MathieuParams, steps: int = 4096) -> np.ndarray:
@@ -228,17 +239,21 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
     """Classify every cell of a regular grid by its monodromy trace.
 
     Cells are sampled at their centers and classified by
-    :func:`classify_trace`.
+    :func:`classify_trace`; at most ``MAX_MAP_CELLS`` of them.
     """
+    if not np.isfinite([*x_range, *y_range]).all():
+        raise ValueError("stability map window values must be finite")
     if x_range[1] <= x_range[0] or y_range[1] <= y_range[0]:
-        raise ValueError("stability map window must have positive area")
+        raise ValueError("degenerate stability map window (zero area)")
     _check_steps(steps)
     if isinstance(resolution, numbers.Integral):
         nx = ny = int(resolution)
     else:
-        nx, ny = resolution
+        nx, ny = (int(n) for n in resolution)
     if nx < 1 or ny < 1:
         raise ValueError("resolution must be >= 1 in both directions")
+    if nx * ny > MAX_MAP_CELLS:
+        raise ValueError(f"resolution {nx} x {ny} exceeds {MAX_MAP_CELLS} cells")
     xs = x_range[0] + (np.arange(nx) + 0.5) * (x_range[1] - x_range[0]) / nx
     ys = y_range[0] + (np.arange(ny) + 0.5) * (y_range[1] - y_range[0]) / ny
     gx, gy = np.meshgrid(xs, ys)

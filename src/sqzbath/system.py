@@ -65,10 +65,6 @@ class SystemPhase:
     p1: float | np.ndarray
     p2: float | np.ndarray
 
-    def copy(self) -> "SystemPhase":
-        return SystemPhase(*(np.array(v, dtype=float, copy=True) if isinstance(v, np.ndarray)
-                             else float(v) for v in (self.q1, self.q2, self.p1, self.p2)))
-
 
 @dataclass
 class NormalModePhase:

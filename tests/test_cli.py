@@ -10,6 +10,7 @@ import pytest
 
 from sqzbath import (mode1_variance_exact, read_variance_csv, stability,
                      to_physical_units)
+from sqzbath import driver
 from sqzbath.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRAJECTORY, MAX_GRID_POINTS,
                          _parse_grid, main)
 from sqzbath.config import ConfigError, build_run_config, config_hash, read_config_file
@@ -210,6 +211,19 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert not out.exists()
         assert "n_modes must be <= 10000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_too_many_workers_exit_config_no_files(self, tmp_path, capsys, where):
+        # rejected when the config is built, before any pool or file exists
+        limit = driver.MAX_WORKERS + 1
+        text, args = SMALL_INI, ["--threads", str(limit)]
+        if where == "file":
+            text, args = SMALL_INI.replace("workers = 1", f"workers = {limit}"), []
+        cfg, out = write_ini(tmp_path, text)
+        for command in ("run", "sweep", "compare-baths"):
+            assert main([command, "--config", cfg] + args) == EXIT_CONFIG
+            assert not out.exists()
+            assert f"workers must be <= {driver.MAX_WORKERS}" in capsys.readouterr().err
 
     def test_nhc_reference_bath_takes_any_size(self, tmp_path):
         cfg, out = write_ini(tmp_path, SMALL_INI.replace("model = ohmic", "model = nhc")
@@ -425,6 +439,10 @@ class TestStabilityCommand:
         (["--steps", "-5"], "steps must be >= 256"),
         (["--steps", "3"], "steps must be >= 256"),
         (["--resolution", "0"], "resolution must be >= 1"),
+        (["--steps", str(stability.MAX_PERIOD_STEPS + 1)],
+         f"steps must be <= {stability.MAX_PERIOD_STEPS}"),
+        (["--resolution", "1001"], f"exceeds {stability.MAX_MAP_CELLS} cells"),
+        (["--resolution", "100000"], f"exceeds {stability.MAX_MAP_CELLS} cells"),
     ])
     def test_bad_map_arguments_exit_config_no_files(self, small_config, capsys,
                                                     args, message):
@@ -442,6 +460,21 @@ class TestStabilityCommand:
                      "--resolution", "4", "--steps", "512"]) == EXIT_CONFIG
         assert not os.path.exists(out)
         assert "values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", [("nan", "1"), ("1", "nan"), ("inf", "1"),
+                                       ("1", "inf")])
+    def test_non_finite_point(self, capsys, point):
+        assert main(["stability", "--point", *point, "--steps", "256"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "overflow" not in err
+
+    def test_steps_bound_on_point_query(self, capsys, monkeypatch):
+        # rejected before the cosine table is built
+        monkeypatch.setattr(stability, "_mathieu_kicks", None)
+        assert main(["stability", "--point", "1", "1", "--steps",
+                     str(stability.MAX_PERIOD_STEPS + 1)]) == EXIT_CONFIG
+        assert (f"steps must be <= {stability.MAX_PERIOD_STEPS}"
+                in capsys.readouterr().err)
 
     def test_degenerate_window(self, capsys):
         assert main(["stability", "--window", "0:0:0:40"]) == EXIT_CONFIG

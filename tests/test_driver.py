@@ -67,6 +67,13 @@ class TestRunConfigValidation:
             isolated_config(bath=big)
         assert isolated_config(bath=nhc_matched_to_ohmic(big, 1.0)).model is ModelKind.NHC
 
+    def test_worker_count_bound(self):
+        # a pool forks all its processes at its first task, so the count is
+        # capped; the bound itself is accepted (no pool is opened here)
+        assert isolated_config(workers=driver.MAX_WORKERS).workers == driver.MAX_WORKERS
+        with pytest.raises(ValueError, match=f"workers must be <= {driver.MAX_WORKERS}"):
+            isolated_config(workers=driver.MAX_WORKERS + 1)
+
     def test_model_parsing(self):
         assert ModelKind.parse("Ohmic") is ModelKind.OHMIC
         with pytest.raises(ValueError):

@@ -60,14 +60,14 @@ def free_oscillator(spring_k=1.0):
 class TestStepHamiltonian:
     def test_single_step_vs_analytic(self):
         st = TrajectoryState(0.0, SystemPhase(1.0, 0.0, 0.0, 0.0))
-        step_hamiltonian(st, free_oscillator(), None, 0.01)
+        st = step_hamiltonian(st, free_oscillator(), None, 0.01)
         assert abs(st.system.q1 - math.cos(0.01)) < 1e-6
         assert abs(st.system.p1 + math.sin(0.01)) < 1e-6
         assert st.t == pytest.approx(0.01)
 
     def test_tiny_step_keeps_state(self):
         st = TrajectoryState(0.0, SystemPhase(1.0, -0.3, 0.2, 0.7))
-        step_hamiltonian(st, free_oscillator(), None, 1e-9)
+        st = step_hamiltonian(st, free_oscillator(), None, 1e-9)
         assert abs(st.system.q1 - 1.0) < 1e-9
         assert abs(st.system.p1 - 0.2) < 1e-8
 
@@ -77,7 +77,7 @@ class TestStepHamiltonian:
         st = TrajectoryState(0.0, SystemPhase(0.7, -0.4, 0.1, 0.9))
         dt, n = 0.01, 2000
         for _ in range(n):
-            step_hamiltonian(st, sys, None, dt)
+            st = step_hamiltonian(st, sys, None, dt)
         w = sys.freq
         t = n * dt
         q_exact = 0.7 * math.cos(w * t) + 0.1 * math.sin(w * t) / w
@@ -92,7 +92,7 @@ class TestStepHamiltonian:
         e0 = system_energy(0.0, st.system, sys).mean()
         worst = 0.0
         for i in range(25000):
-            step_hamiltonian(st, sys, None, 0.01)
+            st = step_hamiltonian(st, sys, None, 0.01)
             if (i + 1) % 500 == 0:
                 drift = abs(system_energy(st.t, st.system, sys).mean() - e0)
                 worst = max(worst, drift)
@@ -101,12 +101,12 @@ class TestStepHamiltonian:
     def test_time_reversibility(self):
         sys = SystemParams(frozen_coupling=True)
         rng = np.random.default_rng(3)
-        st = TrajectoryState(0.0, SystemPhase(*rng.standard_normal(4)))
-        ref = st.copy()
+        ref = TrajectoryState(0.0, SystemPhase(*rng.standard_normal(4)))
+        st = ref
         for _ in range(500):
-            step_hamiltonian(st, sys, None, 0.01)
+            st = step_hamiltonian(st, sys, None, 0.01)
         for _ in range(500):
-            step_hamiltonian(st, sys, None, -0.01)
+            st = step_hamiltonian(st, sys, None, -0.01)
         scale = max(abs(ref.system.q1), abs(ref.system.p1), 1.0)
         assert abs(st.system.q1 - ref.system.q1) / scale < 1e-9
         assert abs(st.system.p1 - ref.system.p1) / scale < 1e-9
@@ -121,10 +121,10 @@ class TestStepHamiltonian:
         for j in range(dim):
             e = eye[j]
             h = 1e-4
-            plus = _ohmic_state_from_vector(e * h)
-            minus = _ohmic_state_from_vector(-e * h)
-            step_hamiltonian(plus, paper_system, bath, 0.01)
-            step_hamiltonian(minus, paper_system, bath, 0.01)
+            plus = step_hamiltonian(_ohmic_state_from_vector(e * h), paper_system,
+                                    bath, 0.01)
+            minus = step_hamiltonian(_ohmic_state_from_vector(-e * h), paper_system,
+                                     bath, 0.01)
             cols.append((_vector_from_ohmic_state(plus)
                          - _vector_from_ohmic_state(minus)) / (2 * h))
         jac = np.column_stack(cols)
@@ -134,7 +134,7 @@ class TestStepHamiltonian:
         def endpoint(dt):
             st = TrajectoryState(0.0, SystemPhase(0.5, -0.2, 0.3, 0.1))
             for _ in range(int(round(4.0 / dt))):
-                step_hamiltonian(st, paper_system, None, dt)
+                st = step_hamiltonian(st, paper_system, None, dt)
             return np.array([st.system.q1, st.system.q2, st.system.p1, st.system.p2])
 
         ref = endpoint(0.02 / 16)
@@ -147,7 +147,7 @@ def _ohmic_state_from_vector(v):
     from sqzbath import OhmicBathPhase
     n = (len(v) - 4) // 2
     return TrajectoryState(0.0, SystemPhase(v[0], v[1], v[2 + n], v[3 + n]),
-                           OhmicBathPhase(v[2:2 + n].copy(), v[4 + n:].copy()))
+                           OhmicBathPhase(v[2:2 + n], v[4 + n:]))
 
 
 def _vector_from_ohmic_state(st):
@@ -162,12 +162,12 @@ class TestModeTwoBathIndependence:
         z, pos, mom = trajectory_rng(21, range(1), (4,), (8,), (8,))
         ph = sample_system(z, sys, 1.0, SamplingMode.QUANTUM)
         bph = sample_ohmic_bath(pos, mom, bath, 1.0, SamplingMode.QUANTUM)
-        st_bath = TrajectoryState(0.0, ph.copy(), bph)
-        st_free = TrajectoryState(0.0, ph.copy())
+        st_bath = TrajectoryState(0.0, ph, bph)
+        st_free = TrajectoryState(0.0, ph)
         worst = 0.0
         for _ in range(25000):
-            step_hamiltonian(st_bath, sys, bath, 0.01)
-            step_hamiltonian(st_free, sys, None, 0.01)
+            st_bath = step_hamiltonian(st_bath, sys, bath, 0.01)
+            st_free = step_hamiltonian(st_free, sys, None, 0.01)
             a = to_normal_modes(st_bath.system)
             b = to_normal_modes(st_free.system)
             scale = max(abs(b.qt2), abs(b.pt2), 1e-3)
@@ -192,18 +192,17 @@ class TestStepNHC:
                            p_eta1=0.0, p_eta2=0.0)
         st = TrajectoryState(0.0, SystemPhase(0.0, 0.0, 0.0, 0.0), bph)
         sys = SystemParams(coupling_amp=0.0)
-        step_nhc(st, sys, nhc, 0.01)
+        st = step_nhc(st, sys, nhc, 0.01)
         assert abs(st.bath.p_eta1) < 1e-5
         assert st.bath.p_eta2 == pytest.approx(-0.01, abs=1e-4)
 
     def test_infinite_fictitious_mass_reduces_to_hamiltonian(self):
         nhc = nhc_from_ohmic(0.007, 3.0, 1.0)
         heavy = dataclasses.replace(nhc, mass_eta1=1e300, mass_eta2=1e300)
-        st_a = self.make_state(heavy)
-        st_b = st_a.copy()
+        st_a = st_b = self.make_state(heavy)
         for _ in range(100):
-            step_nhc(st_a, SystemParams(), heavy, 0.01)
-            step_hamiltonian(st_b, SystemParams(), heavy, 0.01)
+            st_a = step_nhc(st_a, SystemParams(), heavy, 0.01)
+            st_b = step_hamiltonian(st_b, SystemParams(), heavy, 0.01)
         assert st_a.system.q1 == st_b.system.q1
         assert st_a.system.p1 == st_b.system.p1
         assert st_a.bath.osc_p == st_b.bath.osc_p
@@ -215,7 +214,7 @@ class TestStepNHC:
         e0 = nhc_extended_energy(0.0, st.system, st.bath, sys, nhc)
         worst = 0.0
         for i in range(25000):
-            step_nhc(st, sys, nhc, 0.01)
+            st = step_nhc(st, sys, nhc, 0.01)
             if (i + 1) % 250 == 0:
                 e = nhc_extended_energy(st.t, st.system, st.bath, sys, nhc)
                 worst = max(worst, abs(e - e0))
@@ -224,12 +223,11 @@ class TestStepNHC:
     def test_thermostat_reversibility(self):
         # forward then backward with negated dt returns the initial state
         nhc = nhc_from_ohmic(0.007, 3.0, 1.0)
-        st = self.make_state(nhc, seed=57)
-        ref = st.copy()
+        st = ref = self.make_state(nhc, seed=57)
         for _ in range(200):
-            step_nhc(st, SystemParams(), nhc, 0.01)
+            st = step_nhc(st, SystemParams(), nhc, 0.01)
         for _ in range(200):
-            step_nhc(st, SystemParams(), nhc, -0.01)
+            st = step_nhc(st, SystemParams(), nhc, -0.01)
         assert abs(st.system.q1 - ref.system.q1) < 1e-9
         assert abs(st.bath.osc_p - ref.bath.osc_p) < 1e-9
         assert abs(st.bath.p_eta1 - ref.bath.p_eta1) < 1e-9
@@ -253,8 +251,8 @@ class TestStepNHC:
         held = [*vars(shared.system).values(), *vars(shared.bath).values()]
         before = [v.copy() for v in held]
         config = IntegratorConfig(n_steps=60, stride=20)
-        integrate(shared, SystemParams(), nhc, config)
-        integrate(separate, SystemParams(), nhc, config)
+        shared = integrate(shared, SystemParams(), nhc, config)
+        separate = integrate(separate, SystemParams(), nhc, config)
         for value, old in zip(held, before):
             assert np.array_equal(value, old)
         for part in ("system", "bath"):
@@ -272,7 +270,7 @@ class TestStepNHC:
                              init_nhc_bath(osc, nhc, 1.0, SamplingMode.QUANTUM))
         acc, cnt = 0.0, 0
         for i in range(steps):
-            step_nhc(st, sys, nhc, 0.01, n_yoshida=3, n_mts=1)
+            st = step_nhc(st, sys, nhc, 0.01, n_yoshida=3, n_mts=1)
             if i >= steps // 2 and i % 20 == 0:
                 acc += float(np.mean(st.bath.osc_p ** 2))
                 cnt += 1
@@ -301,28 +299,32 @@ class TestIntegrate:
             out = []
             st = TrajectoryState(0.0, SystemPhase(0.3, -0.1, 0.2, 0.4))
             integrate(st, paper_system, None, IntegratorConfig(n_steps=200, stride=50),
-                      observer=lambda i, s: out.append((s.system.q1, s.system.p2)))
+                      observer=lambda i, s: out.append((float(s.system.q1),
+                                                        float(s.system.p2))))
             return out
 
         assert run() == run()
 
 
     @pytest.mark.parametrize("model", ["isolated", "ohmic", "nhc"])
-    def test_caller_system_arrays_never_written(self, model):
-        # every stepper copies the arrays it moves, the Ohmic bath arrays
-        # excepted, into arrays it owns, scalar coordinates (held as 0-d
-        # arrays) as batched ones; an integrate observer sees those same
-        # arrays at every observation
+    def test_given_state_never_written(self, model):
+        # every stepper returns a state of its own: the state it is given keeps
+        # its time, its fields and every array's bytes, the Ohmic bath's
+        # included, for scalar coordinates (held as 0-d arrays) as for batched
+        # ones; the returned state has moved, and an integrate observer sees
+        # the same arrays at every observation
         z, pos, mom, osc = trajectory_rng(8, range(5), (4,), (6,), (6,), (2,))
         params = {"isolated": None, "ohmic": build_ohmic_bath(6, 0.05, 3.0),
                   "nhc": nhc_from_ohmic(0.05, 3.0, 1.0)}[model]
         steppers = [integrate, step_hamiltonian] + ([step_nhc] if model == "nhc" else [])
         config = IntegratorConfig(n_steps=40, stride=10)
+        moved = {"isolated": [], "ohmic": ["pos", "mom"], "nhc": ["osc_q", "osc_p"]}[model]
         for stepper, batch in itertools.product(steppers, (0, 5)):
             system = sample_system(z, SystemParams(), 1.0, SamplingMode.QUANTUM)
             bath = None
             if model == "ohmic":
-                bath = sample_ohmic_bath(pos, mom, params, 1.0, SamplingMode.QUANTUM)
+                bath = sample_ohmic_bath(pos.copy(), mom.copy(), params, 1.0,
+                                         SamplingMode.QUANTUM)
             elif model == "nhc":
                 bath = init_nhc_bath(osc, params, 1.0, SamplingMode.QUANTUM)
             if batch == 0:
@@ -331,26 +333,49 @@ class TestIntegrate:
                     bath = dataclasses.replace(
                         bath, **{k: np.array(v[0]) for k, v in vars(bath).items()})
             state = TrajectoryState(0.0, system, bath)
-            held = [*vars(system).values(), *(vars(bath).values() if model == "nhc" else ())]
-            before = [v.copy() for v in held]
+            phases = [system] + ([bath] if bath is not None else [])
+            fields = [dict(vars(ph)) for ph in phases]
+            before = {(i, k): v.tobytes() for i, f in enumerate(fields) for k, v in f.items()}
             seen = []
             if stepper is integrate:
-                integrate(state, SystemParams(), params, config, observer=lambda i, s: (
+                final = integrate(state, SystemParams(), params, config, observer=lambda i, s: (
                     seen.append([*vars(s.system).values(),
                                  *(vars(s.bath).values() if s.bath is not None else ())])))
                 assert len(seen) == 5
             else:
+                final = state
                 for _ in range(config.n_steps):
-                    stepper(state, SystemParams(), params, config.dt)
-            for value, old in zip(held, before):
-                assert np.array_equal(value, old), (stepper.__name__, batch)
-            for value, old in zip(vars(state.system).values(), before):
-                assert not np.array_equal(value, old), (stepper.__name__, batch)
-            if model == "nhc":
-                assert not np.array_equal(state.bath.osc_q, before[4])
-                assert not np.array_equal(state.bath.osc_p, before[5])
-            for fields in seen:
-                assert all(a is b for a, b in zip(fields, seen[0])), batch
+                    final = stepper(final, SystemParams(), params, config.dt)
+            where = (stepper.__name__, batch)
+            assert state.t == 0.0 and final.t == pytest.approx(0.4), where
+            assert state.system is system and state.bath is bath, where
+            for ph, held in zip(phases, fields):
+                assert all(getattr(ph, k) is v for k, v in held.items()), where
+            for (i, k), old in before.items():
+                assert fields[i][k].tobytes() == old, (k, *where)
+            for k in ("q1", "q2", "p1", "p2"):
+                assert getattr(final.system, k).tobytes() != before[0, k], (k, *where)
+            for k in moved:
+                assert getattr(final.bath, k).tobytes() != before[1, k], (k, *where)
+            for fields_seen in seen:
+                assert all(a is b for a, b in zip(fields_seen, seen[0])), batch
+
+    def test_ohmic_arrays_contiguous_from_strided_samples(self):
+        # the sampled bath arrays are strided column views of one draw buffer;
+        # the stepper moves C-contiguous copies of them
+        z, pos, mom = trajectory_rng(8, range(5), (4,), (6,), (6,))
+        bath = build_ohmic_bath(6, 0.05, 3.0)
+        phase = sample_ohmic_bath(pos, mom, bath, 1.0, SamplingMode.QUANTUM)
+        assert not phase.pos.flags.c_contiguous and not phase.mom.flags.c_contiguous
+        state = TrajectoryState(0.0, sample_system(z, SystemParams(), 1.0,
+                                                   SamplingMode.QUANTUM), phase)
+        seen = []
+        final = integrate(state, SystemParams(), bath,
+                          IntegratorConfig(n_steps=20, stride=10),
+                          observer=lambda i, s: seen.append(s.bath))
+        stepped = step_hamiltonian(state, SystemParams(), bath, 0.01)
+        for ph in [*seen, final.bath, stepped.bath]:
+            assert ph.pos.flags.c_contiguous and ph.mom.flags.c_contiguous
 
     @pytest.mark.parametrize("mass", [1.0, 0.7])
     def test_textbook_step_bits(self, mass):
@@ -371,15 +396,15 @@ class TestIntegrate:
             f1, f2 = plain_force(k, q1, q2, sys)
             p1, p2 = p1 + h * f1, p2 + h * f2
             t += dt
-        stepped = TrajectoryState(0.0, start.copy())
+        stepped = TrajectoryState(0.0, start)
         for _ in range(30):
-            step_hamiltonian(stepped, sys, None, dt)
+            stepped = step_hamiltonian(stepped, sys, None, dt)
         for got, want in zip(vars(stepped.system).values(), (q1, q2, p1, p2)):
             assert got.tobytes() == want.tobytes()
 
         for stride in (30, 7):
-            state = TrajectoryState(0.0, start.copy())
-            integrate(state, sys, None, IntegratorConfig(dt=dt, n_steps=30, stride=stride))
+            state = integrate(TrajectoryState(0.0, start), sys, None,
+                              IntegratorConfig(dt=dt, n_steps=30, stride=stride))
             t_ref, want, _ = reference_leapfrog(start, sys, dt, 30, stride)
             assert state.t == t_ref
             for got, ref in zip(vars(state.system).values(), want):
@@ -405,15 +430,16 @@ class TestLeapfrog:
         def record(step, st):
             modes = to_normal_modes(st.system)
             recs.append(([modes.qt1, modes.pt1], [modes.qt2, modes.pt2],
-                         [st.bath.pos, st.bath.mom] if bath is not None else []))
+                         [st.bath.pos.copy(), st.bath.mom.copy()]
+                         if bath is not None else []))
 
         config = IntegratorConfig(dt=0.01, n_steps=n_steps, stride=stride)
         if leapfrog:
-            integrate(state, sys, bath, config, record)
+            state = integrate(state, sys, bath, config, record)
         else:
             record(0, state)
             for i in range(1, n_steps + 1):
-                step_hamiltonian(state, sys, bath, config.dt)
+                state = step_hamiltonian(state, sys, bath, config.dt)
                 if i % stride == 0:
                     record(i, state)
         if n_steps % stride:

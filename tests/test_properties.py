@@ -173,8 +173,8 @@ class TestMode2BathIndependence:
         sys = SystemParams(mass=mass)
 
         def relative_mode(bath, bath_phase):
-            state = TrajectoryState(0.0, SystemPhase(*x[:4]), bath_phase)
-            integrate(state, sys, bath, IntegratorConfig(n_steps=300))
+            state = integrate(TrajectoryState(0.0, SystemPhase(*x[:4]), bath_phase),
+                              sys, bath, IntegratorConfig(n_steps=300))
             modes = to_normal_modes(state.system)
             return np.array([modes.qt2, modes.pt2])
 
@@ -270,19 +270,17 @@ class TestOhmicFirstSameAsLast:
         config = IntegratorConfig(dt=dt, n_steps=n_steps, stride=stride)
         for model, (make_bath, _, step) in FSAL_MODELS.items():
             bath = make_bath(bath_mass)
-            fused = _bath_state(model, x, batch)
+            fused = integrate(_bath_state(model, x, batch), sys, bath, config)
             looped = _bath_state(model, x, batch)
-            integrate(fused, sys, bath, config)
             if model == "nhc":
                 for _ in range(n_steps):
-                    step(looped, sys, bath, dt)
+                    looped = step(looped, sys, bath, dt)
             else:
                 looped.t, system, (pos, mom) = reference_leapfrog(
                     looped.system, sys, dt, n_steps, stride, bath, looped.bath)
                 looped.system, looped.bath = SystemPhase(*system), OhmicBathPhase(pos, mom)
                 start = _bath_state(model, x, batch).system
-                isolated = TrajectoryState(0.0, start.copy())
-                integrate(isolated, sys, None, config)
+                isolated = integrate(TrajectoryState(0.0, start), sys, None, config)
                 t, system, _ = reference_leapfrog(start, sys, dt, n_steps, stride)
                 assert isolated.t == t
                 assert np.array_equal(np.ravel(list(vars(isolated.system).values())),
@@ -336,8 +334,9 @@ def reference_half_step(ph, bath, dt, n_yoshida, n_mts):
 
 def reference_step_nhc(state, sys, bath, dt, n_yoshida, n_mts):
     reference_half_step(state.bath, bath, dt, n_yoshida, n_mts)
-    step_hamiltonian(state, sys, bath, dt)
+    state = step_hamiltonian(state, sys, bath, dt)
     reference_half_step(state.bath, bath, dt, n_yoshida, n_mts)
+    return state
 
 
 def _nhc_states(x, batch, inf_field):
@@ -389,8 +388,8 @@ class TestThermostatReference:
                              mass_eta1=q1, mass_eta2=q2, thermo_dof=thermo_dof)
         state, ref = _nhc_states(x, batch, inf_field)
         for _ in range(n_steps):
-            step_nhc(state, SystemParams(), bath, dt, n_yoshida, n_mts)
-            reference_step_nhc(ref, SystemParams(), bath, dt, n_yoshida, n_mts)
+            state = step_nhc(state, SystemParams(), bath, dt, n_yoshida, n_mts)
+            ref = reference_step_nhc(ref, SystemParams(), bath, dt, n_yoshida, n_mts)
         _assert_same_fields(state, ref)
 
     @settings(max_examples=40, deadline=None)
@@ -404,11 +403,11 @@ class TestThermostatReference:
         bath = NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.3, osc_mass=m1,
                              mass_eta1=q1, mass_eta2=q2, thermo_dof=thermo_dof)
         state, ref = _nhc_states(x, batch, inf_field)
-        integrate(state, SystemParams(), bath,
-                  IntegratorConfig(dt=dt, n_steps=n_steps, n_yoshida=n_yoshida,
-                                   n_mts=n_mts, stride=7))
+        state = integrate(state, SystemParams(), bath,
+                          IntegratorConfig(dt=dt, n_steps=n_steps, n_yoshida=n_yoshida,
+                                           n_mts=n_mts, stride=7))
         for _ in range(n_steps):
-            reference_step_nhc(ref, SystemParams(), bath, dt, n_yoshida, n_mts)
+            ref = reference_step_nhc(ref, SystemParams(), bath, dt, n_yoshida, n_mts)
         _assert_same_fields(state, ref)
 
 

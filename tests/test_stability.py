@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from sqzbath import (MathieuParams, SystemParams, TrajectoryFailure, fundamental_solution,
                      grows_unbounded, mathieu_params, monodromy, stability, stability_map,
                      write_stability_csv)
-from sqzbath.stability import _leapfrog, classify_trace
+from sqzbath.stability import (MAX_MAP_CELLS, MAX_PERIOD_STEPS, _leapfrog,
+                               classify_trace)
 from sqzbath.system import coupling_freq_sq
 
 # holds overflowed cells, both inf and nan traces, and one marginal cell; the
@@ -167,6 +168,13 @@ class TestMathieuParams:
         p = MathieuParams.from_axes(6.0, 30.0)
         assert p.a == 36.0 and p.q == 15.0
 
+    @pytest.mark.parametrize("a, q", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, math.inf), (-math.inf, 1.0),
+                                      (np.array([1.0, math.nan]), 1.0)])
+    def test_non_finite_rejected(self, a, q):
+        with pytest.raises(ValueError, match="a and q must be finite"):
+            MathieuParams(a=a, q=q)
+
 
 class TestMonodromy:
     @pytest.mark.parametrize("a", [2.0, 7.3, 40.0])
@@ -244,6 +252,50 @@ class TestStabilityMap:
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
             stability_map((1.0, 1.0), (0.0, 40.0))
+
+    @pytest.mark.parametrize("x_range, y_range", [
+        ((math.nan, 1.0), (0.0, 1.0)), ((0.0, math.inf), (0.0, 1.0)),
+        ((0.0, 1.0), (-math.inf, 1.0)), ((0.0, 1.0), (0.0, math.nan))])
+    def test_non_finite_window_rejected(self, monkeypatch, x_range, y_range):
+        monkeypatch.setattr(stability, "_floquet", None)    # never reached
+        with pytest.raises(ValueError, match="window values must be finite"):
+            stability_map(x_range, y_range, resolution=4, steps=256)
+
+    def test_cell_bound_checked_before_allocation(self, monkeypatch):
+        # an oversized grid is refused before any cell array exists; a grid
+        # at the bound passes the checks (the map itself is not run)
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(stability, "_floquet", reached)
+        n = MAX_MAP_CELLS
+        for resolution in ((n + 1, 1), (1, n + 1), math.isqrt(n) + 1):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"exceeds {n} cells"):
+                    stability_map(resolution=resolution, steps=256)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 16, resolution
+        with pytest.raises(Reached):
+            stability_map(resolution=(n, 1), steps=256)
+
+    def test_step_bound(self, monkeypatch):
+        # the cosine table of an oversized step count is never built
+        monkeypatch.setattr(stability, "_mathieu_kicks", None)
+        limit = MAX_PERIOD_STEPS
+        params = MathieuParams(a=1.0, q=0.1)
+        for call in (lambda steps: monodromy(params, steps=steps),
+                     lambda steps: stability_map(resolution=2, steps=steps),
+                     lambda steps: grows_unbounded(params, steps_per_period=steps)):
+            with pytest.raises(ValueError, match=f"steps must be <= {limit}"):
+                call(limit + 1)
+            with pytest.raises(TypeError):      # past the checks, at the table
+                call(limit)
 
     def test_brute_force_growth_agrees(self, rng):
         xs = rng.uniform(0.0, 40.0, size=20)

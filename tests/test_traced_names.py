@@ -57,3 +57,17 @@ def test_checker_calls_bind():
     ]
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_integrate_returns_the_final_batch_state():
+    # the tracer's integrate hook counts trajectory-steps from the size of
+    # the returned state's q1
+    import numpy as np
+    from sqzbath import (IntegratorConfig, SystemParams, SystemPhase, TrajectoryState,
+                         integrate)
+    rows = 3
+    start = TrajectoryState(0.0, SystemPhase(*np.ones((4, rows))))
+    result = integrate(start, SystemParams(), None, IntegratorConfig(n_steps=5, stride=5))
+    assert isinstance(result, TrajectoryState) and result is not start
+    assert result.t == 5 * 0.01
+    assert result.system.q1.size == rows
