@@ -3,6 +3,11 @@ oscillator thermalized by a two-link Nose-Hoover chain.
 
 Both baths couple bilinearly to the sum q1 + q2, i.e. to the center-of-mass
 mode only; the relative mode never feels either bath.
+
+Every bath oscillator has unit mass: the rescaling R_j -> sqrt(m_j) R_j,
+P_j -> P_j / sqrt(m_j) turns mass m_j and coupling c_j into unit mass and
+coupling c_j / sqrt(m_j), and keeps the chain's P1^2 / m1, so a bath is its
+(Omega_j, c_j) tables (README, "Forces and time stepping").
 """
 
 from __future__ import annotations
@@ -26,25 +31,23 @@ MAX_BATH_MODES = 10000
 
 @dataclass(frozen=True, eq=False)
 class OhmicBathParams:
-    """Discretized Ohmic bath: N oscillators on an exponential frequency grid."""
+    """Discretized Ohmic bath: N unit-mass oscillators, as their tables."""
 
-    n_modes: int
-    kondo: float            # coupling strength xi
-    cutoff: float           # omega_max
-    mass: float             # m_j, identical for all modes
-    mode_spacing: float     # (1 - exp(-cutoff)) / N
     freqs: np.ndarray       # Omega_j, strictly increasing, len N
     couplings: np.ndarray   # c_j, len N
 
     def __post_init__(self):
-        if len(self.freqs) != self.n_modes or len(self.couplings) != self.n_modes:
-            raise ValueError("frequency/coupling tables must have length n_modes")
+        if len(self.couplings) != len(self.freqs):
+            raise ValueError("frequency and coupling tables must have one length")
         if np.any(np.diff(self.freqs) <= 0):
             raise ValueError("bath frequencies must be strictly increasing")
 
+    @property
+    def n_modes(self) -> int:
+        return len(self.freqs)
 
-def build_ohmic_bath(n_modes: int, kondo: float, cutoff: float,
-                     mass: float = 1.0) -> OhmicBathParams:
+
+def build_ohmic_bath(n_modes: int, kondo: float, cutoff: float) -> OhmicBathParams:
     """Construct the bath tables from (N, xi, omega_max).
 
     Omega_j = -ln(1 - j*spacing) with spacing = (1 - exp(-omega_max))/N, so
@@ -56,17 +59,13 @@ def build_ohmic_bath(n_modes: int, kondo: float, cutoff: float,
         raise ValueError(f"kondo must be >= 0, got {kondo}")
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
     spacing = (1.0 - np.exp(-cutoff)) / n_modes
     j = np.arange(1, n_modes + 1, dtype=float)
     arg = 1.0 - j * spacing
     if np.any(arg <= 0):
         raise ValueError("mode spacing too large: 1 - j*spacing must stay positive")
     freqs = -np.log(arg)
-    couplings = np.sqrt(kondo * spacing * freqs)
-    return OhmicBathParams(n_modes=n_modes, kondo=kondo, cutoff=cutoff, mass=mass,
-                           mode_spacing=spacing, freqs=freqs, couplings=couplings)
+    return OhmicBathParams(freqs=freqs, couplings=np.sqrt(kondo * spacing * freqs))
 
 
 @dataclass
@@ -82,14 +81,14 @@ class OhmicWorkspace:
 
     Every array has the shape of the bath positions, (N,) or (batch, N), so
     that each of the force's elementwise passes runs as one flat loop rather
-    than one inner loop per row. ``stiffness`` holds m_j Omega_j^2 tiled to
-    that shape, built once. ``force`` receives the bath force and ``scratch``
+    than one inner loop per row. ``stiffness`` holds Omega_j^2 tiled to that
+    shape, built once. ``force`` receives the bath force and ``scratch``
     the harmonic term; both are free for other use between calls.
     """
 
     def __init__(self, bath: OhmicBathParams, shape):
         self.stiffness = np.empty(shape)
-        self.stiffness[...] = bath.mass * bath.freqs ** 2
+        self.stiffness[...] = bath.freqs ** 2
         self.force = np.empty(shape)
         self.scratch = np.empty(shape)
 
@@ -99,7 +98,7 @@ def ohmic_forces(phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
     """Bath contribution to the dynamics.
 
     Returns ``(sys_kick, bath_force)``: the former is added to both dp1/dt
-    and dp2/dt, the latter is dP_j/dt = -m_j Omega_j^2 R_j + c_j (q1 + q2).
+    and dp2/dt, the latter is dP_j/dt = -Omega_j^2 R_j + c_j (q1 + q2).
     ``bath_force`` is ``work.force``, overwritten by the next call with the
     same workspace; without ``work`` a fresh one is allocated.
 
@@ -125,8 +124,8 @@ def ohmic_forces(phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
 def ohmic_energy(t, phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
                  sys, bath: OhmicBathParams):
     """Total dimensionless energy of the system + Ohmic bath model."""
-    e_bath = 0.5 * (phase_bath.mom ** 2 / bath.mass
-                    + bath.mass * bath.freqs ** 2 * phase_bath.pos ** 2).sum(axis=-1)
+    e_bath = 0.5 * (phase_bath.mom ** 2
+                    + bath.freqs ** 2 * phase_bath.pos ** 2).sum(axis=-1)
     e_int = -(phase_sys.q1 + phase_sys.q2) * np.vecdot(phase_bath.pos,
                                                         bath.couplings)
     return system_energy(t, phase_sys, sys) + e_bath + e_int
@@ -134,7 +133,7 @@ def ohmic_energy(t, phase_sys: SystemPhase, phase_bath: OhmicBathPhase,
 
 @dataclass(frozen=True)
 class NHCBathParams:
-    """Single bath oscillator plus a two-link Nose-Hoover chain thermostat.
+    """Unit-mass bath oscillator plus a two-link Nose-Hoover chain thermostat.
 
     The thermostat acts on the bath oscillator momentum only; the system
     momenta receive no direct drag. ``thermo_dof`` (g) is the number of
@@ -144,7 +143,6 @@ class NHCBathParams:
     osc_freq: float          # Omega_1
     coupling: float          # c_1
     temperature: float       # T_ext
-    osc_mass: float = 1.0    # m_1
     mass_eta1: float = 1.0
     mass_eta2: float = 1.0
     thermo_dof: int = 1
@@ -152,7 +150,7 @@ class NHCBathParams:
     def __post_init__(self):
         if self.osc_freq <= 0:
             raise ValueError(f"osc_freq must be positive, got {self.osc_freq}")
-        if self.osc_mass <= 0 or self.mass_eta1 <= 0 or self.mass_eta2 <= 0:
+        if self.mass_eta1 <= 0 or self.mass_eta2 <= 0:
             raise ValueError("all masses must be positive")
         if self.thermo_dof < 1:
             raise ValueError(f"thermo_dof must be >= 1, got {self.thermo_dof}")
@@ -173,10 +171,8 @@ def nhc_from_ohmic(kondo: float, cutoff: float, temperature: float,
     """
     single = build_ohmic_bath(1, kondo, cutoff)
     return NHCBathParams(osc_freq=float(single.freqs[0]),
-                         coupling=float(single.couplings[0]),
-                         temperature=temperature, osc_mass=single.mass,
-                         mass_eta1=mass_eta1, mass_eta2=mass_eta2,
-                         thermo_dof=thermo_dof)
+                         coupling=float(single.couplings[0]), temperature=temperature,
+                         mass_eta1=mass_eta1, mass_eta2=mass_eta2, thermo_dof=thermo_dof)
 
 
 DRESSING_MATCHED_OSC_FREQ = 0.15
@@ -197,11 +193,9 @@ def nhc_matched_to_ohmic(reference: OhmicBathParams, temperature: float,
     the 200-mode reference bath.
     """
     dressing = float(np.sum(reference.couplings ** 2 / reference.freqs ** 2))
-    return NHCBathParams(osc_freq=osc_freq,
-                         coupling=osc_freq * math.sqrt(dressing),
-                         temperature=temperature, osc_mass=reference.mass,
-                         mass_eta1=mass_eta1, mass_eta2=mass_eta2,
-                         thermo_dof=thermo_dof)
+    return NHCBathParams(osc_freq=osc_freq, coupling=osc_freq * math.sqrt(dressing),
+                         temperature=temperature, mass_eta1=mass_eta1,
+                         mass_eta2=mass_eta2, thermo_dof=thermo_dof)
 
 
 @dataclass
@@ -221,10 +215,10 @@ def nhc_bath_forces(phase_sys: SystemPhase, phase_bath: NHCBathPhase,
     """Conservative forces of the NHC model (thermostat drag excluded).
 
     Returns ``(sys_kick, osc_force)`` with sys_kick = c1*R1 added to both
-    system momenta and osc_force = -m_1 Omega_1^2 R1 + c1 (q1 + q2).
+    system momenta and osc_force = -Omega_1^2 R1 + c1 (q1 + q2).
     """
     sys_kick = bath.coupling * phase_bath.osc_q
-    osc_force = (-(bath.osc_mass * bath.osc_freq ** 2) * phase_bath.osc_q
+    osc_force = (-(bath.osc_freq ** 2) * phase_bath.osc_q
                  + bath.coupling * (phase_sys.q1 + phase_sys.q2))
     return sys_kick, osc_force
 
@@ -236,8 +230,8 @@ def nhc_extended_energy(t, phase_sys: SystemPhase, phase_bath: NHCBathPhase,
     The non-Hamiltonian flow conserves this quantity exactly, which makes it
     the standard integrator health check for the thermostatted model.
     """
-    e_osc = (0.5 * phase_bath.osc_p ** 2 / bath.osc_mass
-             + 0.5 * bath.osc_mass * bath.osc_freq ** 2 * phase_bath.osc_q ** 2)
+    e_osc = (0.5 * phase_bath.osc_p ** 2
+             + 0.5 * bath.osc_freq ** 2 * phase_bath.osc_q ** 2)
     e_int = -bath.coupling * phase_bath.osc_q * (phase_sys.q1 + phase_sys.q2)
     e_chain = (0.5 * phase_bath.p_eta1 ** 2 / bath.mass_eta1
                + 0.5 * phase_bath.p_eta2 ** 2 / bath.mass_eta2

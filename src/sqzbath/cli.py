@@ -171,6 +171,10 @@ def cmd_sweep(args) -> int:
             rows.append({"temperature": temp, "oracle_min_variance": float(var_q.min())})
         payload = {"rows": rows}
     else:
+        names = [f"{out.prefix}_T{temp:.4f}_variance.csv" for temp in temps]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"bad grid spec {args.grid!r}: temperatures closer "
+                              f"than 1e-4 would share one T{{:.4f}} output file")
         sweep = temperature_sweep(run_cfg, temps)
         payload = sweep.to_dict()
     payload.update({"oracle_only": args.oracle_only, "config_hash": config_hash(resolved),
@@ -180,8 +184,7 @@ def cmd_sweep(args) -> int:
     _write_json(payload, os.path.join(out.directory, outputs[0]))
     if sweep is not None:
         header = _csv_header(resolved, run_cfg.seed)
-        for row in sweep.rows:
-            name = f"{out.prefix}_T{row.temperature:.4f}_variance.csv"
+        for row, name in zip(sweep.rows, names):
             write_variance_csv(row.series, os.path.join(out.directory, name),
                                header + [f"temperature: {row.temperature!r}"])
             outputs.append(name)

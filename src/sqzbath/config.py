@@ -106,13 +106,18 @@ def read_config_file(path: Optional[str]) -> dict:
     if path is None:
         return resolved
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: "
+                          f"{' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             resolved[section][key] = _convert(section, key, raw)

@@ -188,16 +188,15 @@ class _Kick:
         self.p += force
 
     def drift(self, sys: SystemParams) -> None:
-        """Position update of the system and of the bath oscillators."""
+        """Position update of the system and of the unit-mass bath oscillators."""
         dq = np.multiply(self.p, self.dt, out=self.dq)
         if sys.mass != 1.0:
             dq /= sys.mass
         self.q += dq
         if self.work is not None:
-            self.bath_q += np.multiply(self.bath_p, self.dt / self.bath.mass,
-                                       out=self.work.scratch)
+            self.bath_q += np.multiply(self.bath_p, self.dt, out=self.work.scratch)
         elif self.bath is not None:
-            self.bath_q += self.dt * self.bath_p / self.bath.osc_mass
+            self.bath_q += self.dt * self.bath_p
 
 
 def step_hamiltonian(state: TrajectoryState, sys: SystemParams,
@@ -253,14 +252,14 @@ class _Thermostat:
 
     It drags P1 in the array of the stepper ``kick``, which must be built
     first, and owns the chain of its state as (p_eta1, p_eta2) and (eta1,
-    eta2) stacks, updated in place. x = p_eta1^2/Q1 - T and G = P1^2/m1 - gT
+    eta2) stacks, updated in place. x = p_eta1^2/Q1 - T and G = P1^2 - gT
     are the rows of one stack, so one product gives both opening
     half-increments of a substep. A substep leaves x and G as the next one's
     opening values, and only the thermostat moves p_eta1, so x is formed
-    once, here, and each half-step refreshes only G. The stacked eta increments are formed with
-    -delta, so that their first row is the drag exponent. A division by a
-    unit mass is skipped, which is exact. The arithmetic is that of the
-    textbook substep, bit for bit.
+    once, here, and each half-step refreshes only G. The stacked eta
+    increments are formed with -delta, so that their first row is the drag
+    exponent. A division by a unit chain mass is skipped, which is exact.
+    The arithmetic is that of the textbook substep, bit for bit.
     """
 
     def __init__(self, bath: NHCBathParams, kick: _Kick, n_yoshida: int, n_mts: int):
@@ -282,7 +281,6 @@ class _Thermostat:
         const = np.asarray
         self.kt = const(bath.temperature)
         self.gkt = const(bath.thermo_dof * bath.temperature)
-        self.m1 = None if bath.osc_mass == 1.0 else const(bath.osc_mass)
         self.q1 = None if bath.mass_eta1 == 1.0 else const(bath.mass_eta1)
         self.q2 = None if bath.mass_eta2 == 1.0 else const(bath.mass_eta2)
         self.q = (None if self.q1 is None and self.q2 is None else
@@ -299,9 +297,9 @@ class _Thermostat:
         xg, x, g, half, half_x, half_g = (self.xg, self.x, self.g, self.half,
                                           self.half_x, self.half_g)
         scale, tmp, u, u1 = self.scale, self.tmp, self.u, self.u1
-        kt, gkt, m1, q1, q2, q = self.kt, self.gkt, self.m1, self.q1, self.q2, self.q
+        kt, gkt, q1, q2, q = self.kt, self.gkt, self.q1, self.q2, self.q
         multiply, add, subtract, exp = np.multiply, np.add, np.subtract, np.exp
-        _square_over(p, m1, gkt, g)
+        _square_over(p, None, gkt, g)
         for neg_delta, half_delta, quarter_neg in self.deltas:
             multiply(xg, half_delta, half)
             add(p_eta2, half_x, p_eta2)
@@ -320,7 +318,7 @@ class _Thermostat:
             exp(u1, tmp)
             multiply(p, tmp, p)
 
-            _square_over(p, m1, gkt, g)
+            _square_over(p, None, gkt, g)
             multiply(p_eta1, scale, p_eta1)
             multiply(g, half_delta, tmp)
             add(p_eta1, tmp, p_eta1)

@@ -190,8 +190,7 @@ def threshold_temperature(sys: SystemParams, *, fundamental: FundamentalSolution
 _OBS_BLOCK = 64   # observations per block, to bound the temporaries
 
 # the isolated model's centre of mass: the Ohmic block with no bath modes
-_NO_BATH = OhmicBathParams(n_modes=0, kondo=0.0, cutoff=0.0, mass=1.0,
-                           mode_spacing=0.0, freqs=np.empty(0), couplings=np.empty(0))
+_NO_BATH = OhmicBathParams(freqs=np.empty(0), couplings=np.empty(0))
 
 
 def mode1_variance_exact(sys: SystemParams, bath: Optional[OhmicBathParams],
@@ -203,8 +202,8 @@ def mode1_variance_exact(sys: SystemParams, bath: Optional[OhmicBathParams],
 
     The centre-of-mass mode and the bath form an undriven linear block
     (qt1, R_1..R_N | pt1, P_1..P_N) with symmetric force matrix F (F00 =
-    -m w^2, F0j = sqrt(2) c_j, Fjj = -m_b W_j^2); the isolated model is the
-    block with N = 0. With s = diag(mass)^(-1/2),
+    -m w^2, F0j = sqrt(2) c_j, Fjj = -W_j^2 for the unit-mass bath); the
+    isolated model is the block with N = 0. With s = diag(m, 1, .., 1)^(-1/2),
     -s F s = U diag(lam) U^T splits it into independent modes whose
     kick-drift-kick step is M = [[c, dt], [-lam dt (1 - lam dt^2/4), c]],
     c = 1 - lam dt^2/2, so M^k = (sin(k th) M - sin((k-1) th) I) / sin(th)
@@ -217,10 +216,10 @@ def mode1_variance_exact(sys: SystemParams, bath: Optional[OhmicBathParams],
     dt = config.dt
     w1, _ = normal_mode_freqs(0.0, sys)
     wid_sys = thermal_widths(sys.mass, w1, temperature, mode)
-    wid_bath = thermal_widths(bath.mass, bath.freqs, temperature, mode)
+    wid_bath = thermal_widths(1.0, bath.freqs, temperature, mode)
     var_q = np.append(wid_sys.var_q, wid_bath.var_q)
     var_p = np.append(wid_sys.var_p, np.broadcast_to(wid_bath.var_p, bath.n_modes))
-    masses = np.append(sys.mass, np.full(bath.n_modes, bath.mass))
+    masses = np.append(sys.mass, np.ones(bath.n_modes))
     s = masses ** -0.5
     force = np.diag(-masses * np.append(w1, bath.freqs) ** 2)
     force[0, 1:] = force[1:, 0] = math.sqrt(2.0) * bath.couplings

@@ -222,7 +222,7 @@ def sample_ohmic_bath(pos, mom, bath: OhmicBathParams, temperature: float,
     ``pos`` and ``mom`` have shape (rows, N) and scale (R_1..R_N) and
     (P_1..P_N); they are scaled in place and become the phase's arrays.
     """
-    wid = thermal_widths(bath.mass, bath.freqs, temperature, mode)
+    wid = thermal_widths(1.0, bath.freqs, temperature, mode)
     pos *= wid.sigma_q
     mom *= wid.sigma_p
     return OhmicBathPhase(pos=pos, mom=mom)
@@ -235,7 +235,7 @@ def init_nhc_bath(z, bath: NHCBathParams, temperature: float,
 
     ``z`` has shape (rows, 2): its columns scale (R1, P1).
     """
-    wid = thermal_widths(bath.osc_mass, bath.osc_freq, temperature, mode)
+    wid = thermal_widths(1.0, bath.osc_freq, temperature, mode)
     eta1, eta2, p_eta1, p_eta2 = (np.full(z.shape[:-1], value)
                                   for value in (0.0, 0.0, 0.0, 1.0))
     return NHCBathPhase(osc_q=z[..., 0] * wid.sigma_q, osc_p=z[..., 1] * wid.sigma_p,

@@ -43,9 +43,9 @@ class MathieuParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.a).all() and np.isfinite(self.q).all()):
-            raise ValueError(f"a and q must be finite, got a={self.a}, q={self.q}")
+            raise ValueError("a and q must be finite")
         if np.any(np.asarray(self.q) < 0):
-            raise ValueError(f"q must be >= 0, got {self.q}")
+            raise ValueError(f"q must be >= 0, got {np.min(self.q)}")
 
     @classmethod
     def from_axes(cls, x, y) -> "MathieuParams":
@@ -238,7 +238,8 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
                   steps: int = 4096) -> StabilityMap:
     """Classify every cell of a regular grid by its monodromy trace.
 
-    Cells are sampled at their centers and classified by
+    Cells are sampled at their centers, mapped to (a, q) by
+    :meth:`MathieuParams.from_axes` (so y must be >= 0) and classified by
     :func:`classify_trace`; at most ``MAX_MAP_CELLS`` of them.
     """
     if not np.isfinite([*x_range, *y_range]).all():
@@ -257,9 +258,8 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
     xs = x_range[0] + (np.arange(nx) + 0.5) * (x_range[1] - x_range[0]) / nx
     ys = y_range[0] + (np.arange(ny) + 0.5) * (y_range[1] - y_range[0]) / ny
     gx, gy = np.meshgrid(xs, ys)
-    a = (gx + gy).ravel()
-    q = (gy / 2.0).ravel()
-    (m00, _, _, m11), det = _floquet(a, q, steps)
+    cells = MathieuParams.from_axes(gx.ravel(), gy.ravel())
+    (m00, _, _, m11), det = _floquet(cells.a, cells.q, steps)
     tr = np.abs(m00 + m11).reshape(ny, nx)
     det = det.reshape(ny, nx)
     unstable, marginal = classify_trace(tr)

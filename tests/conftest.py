@@ -62,7 +62,7 @@ def reference_leapfrog(phase, sys, dt, n_steps, stride, bath=None, bath_phase=No
             pull = row_dots(pos, bath.couplings)
             f1, f2 = f1 + pull, f2 + pull
             mom = mom + scale * (np.multiply.outer(q1 + q2, bath.couplings)
-                                 - bath.mass * bath.freqs ** 2 * pos)
+                                 - bath.freqs ** 2 * pos)
         p1, p2 = p1 + scale * f1, p2 + scale * f2
 
     k = sys.mass * coupling_freq_sq(t + h, sys)
@@ -71,7 +71,7 @@ def reference_leapfrog(phase, sys, dt, n_steps, stride, bath=None, bath_phase=No
     for i in range(1, n_steps + 1):
         q1, q2 = q1 + dt * p1 / sys.mass, q2 + dt * p2 / sys.mass
         if bath is not None:
-            pos = pos + mom * (dt / bath.mass)
+            pos = pos + mom * dt
         t += dt
         k_next = sys.mass * coupling_freq_sq(t + h, sys)
         if i % stride and i < n_steps:

@@ -16,9 +16,12 @@ from conftest import row_dots
 
 class TestBuildOhmic:
     def test_mode_spacing(self):
+        # the grid is uniform in 1 - exp(-Omega): 1 - exp(-Omega_j) = j * spacing
         bath = build_ohmic_bath(200, 0.007, 3.0)
-        assert bath.mode_spacing == pytest.approx((1 - math.exp(-3)) / 200, rel=1e-12)
-        assert bath.mode_spacing == pytest.approx(4.751065e-3, rel=1e-6)
+        spacing = (1 - math.exp(-3)) / 200
+        assert spacing == pytest.approx(4.751065e-3, rel=1e-6)
+        np.testing.assert_allclose(-np.expm1(-bath.freqs), np.arange(1, 201) * spacing,
+                                   rtol=1e-12, atol=0)
 
     def test_cutoff_recovered(self):
         bath = build_ohmic_bath(200, 0.007, 3.0)
@@ -43,7 +46,7 @@ class TestBuildOhmic:
             assert abs(count - round(expected)) <= 1
 
     @pytest.mark.parametrize("args", [(0, 0.007, 3.0), (10, -0.1, 3.0),
-                                      (10, 0.007, 0.0), (10, 0.007, 3.0, -1.0)])
+                                      (10, 0.007, 0.0), (10, 0.007, -3.0)])
     def test_invalid_arguments(self, args):
         with pytest.raises(ValueError):
             build_ohmic_bath(*args)
@@ -70,22 +73,27 @@ class TestBuildOhmic:
 
     def test_table_length_validation(self):
         with pytest.raises(ValueError):
-            OhmicBathParams(n_modes=3, kondo=0.1, cutoff=3.0, mass=1.0,
-                            mode_spacing=0.1, freqs=np.array([1.0, 2.0]),
-                            couplings=np.array([0.1, 0.2]))
+            OhmicBathParams(freqs=np.array([1.0, 2.0]), couplings=np.array([0.1]))
 
     def test_monotonicity_validation(self):
         with pytest.raises(ValueError):
-            OhmicBathParams(n_modes=2, kondo=0.1, cutoff=3.0, mass=1.0,
-                            mode_spacing=0.1, freqs=np.array([2.0, 1.0]),
-                            couplings=np.array([0.1, 0.2]))
+            OhmicBathParams(freqs=np.array([2.0, 1.0]), couplings=np.array([0.1, 0.2]))
+
+    def test_n_modes_is_the_table_length(self):
+        # the tables are the bath; n_modes is read off them, not set
+        bath = build_ohmic_bath(7, 0.007, 3.0)
+        assert bath.n_modes == len(bath.freqs) == len(bath.couplings) == 7
+        with pytest.raises(AttributeError):
+            bath.n_modes = 8
+        with pytest.raises(TypeError):
+            OhmicBathParams(freqs=bath.freqs, couplings=bath.couplings, n_modes=7)
 
 
 class TestSpectralDensity:
-    """The implemented bath, at unit mass: J(w) = (pi/2) sum_j c_j^2/(m
-    Omega_j) delta(w - Omega_j) has the density (pi/2) xi e^(-w), which is
-    flat at low w, so the static dressing sum_j c_j^2/Omega_j^2 grows as
-    xi ln N instead of converging."""
+    """The implemented bath, of unit masses: J(w) = (pi/2) sum_j c_j^2/Omega_j
+    delta(w - Omega_j) has the density (pi/2) xi e^(-w), which is flat at low
+    w, so the static dressing sum_j c_j^2/Omega_j^2 grows as xi ln N instead
+    of converging."""
 
     @pytest.mark.parametrize("kondo", [0.007, 0.3])
     @pytest.mark.parametrize("n_modes", [50, 200, 3200])
@@ -93,8 +101,7 @@ class TestSpectralDensity:
         # the weight of the modes up to Omega_j is the integral of the
         # density up to Omega_j
         bath = build_ohmic_bath(n_modes, kondo, 3.0)
-        assert bath.mass == 1.0
-        weight = 0.5 * math.pi * np.cumsum(bath.couplings ** 2 / (bath.mass * bath.freqs))
+        weight = 0.5 * math.pi * np.cumsum(bath.couplings ** 2 / bath.freqs)
         np.testing.assert_allclose(
             weight, 0.5 * math.pi * kondo * (1.0 - np.exp(-bath.freqs)), rtol=1e-12, atol=0)
 
@@ -112,9 +119,7 @@ class TestSpectralDensity:
 
 
 def single_mode_bath(freq=1.0, coupling=0.1):
-    return OhmicBathParams(n_modes=1, kondo=0.1, cutoff=freq, mass=1.0,
-                           mode_spacing=0.5, freqs=np.array([freq]),
-                           couplings=np.array([coupling]))
+    return OhmicBathParams(freqs=np.array([freq]), couplings=np.array([coupling]))
 
 
 class TestOhmicForces:
@@ -146,7 +151,11 @@ class TestOhmicForces:
     @pytest.mark.parametrize("shape", [(200,), (1, 200), (20, 200), (160, 200),
                                        (500, 200)])
     def test_matches_textbook_formula(self, rng, shape, kondo, mass):
-        bath = build_ohmic_bath(200, kondo, 3.0, mass)
+        # a bath of masses m_j enters as its unit-mass equivalent, with
+        # couplings c_j / sqrt(m_j)
+        tables = build_ohmic_bath(200, kondo, 3.0)
+        bath = OhmicBathParams(freqs=tables.freqs,
+                               couplings=tables.couplings / math.sqrt(mass))
         q1 = rng.standard_normal(shape[:-1])
         q2 = rng.standard_normal(shape[:-1])
         pos = rng.standard_normal(shape)
@@ -156,7 +165,7 @@ class TestOhmicForces:
             q2[::3] = -q1[::3]
             q1[1::3] = q2[1::3] = -0.0
         expected = (bath.couplings * (q1 + q2)[..., None]
-                    - bath.mass * bath.freqs ** 2 * pos)
+                    - bath.freqs ** 2 * pos)
         phase = SystemPhase(q1, q2, np.zeros(shape[:-1]), np.zeros(shape[:-1]))
         for work in (None, OhmicWorkspace(bath, shape)):
             sys_kick, force = ohmic_forces(phase, OhmicBathPhase(pos, pos.copy()),

@@ -149,6 +149,32 @@ class TestConfigLayer:
         with pytest.raises(ConfigError, match="cannot read"):
             read_config_file("/nonexistent/file.ini")
 
+    MALFORMED = {
+        "no-section-header": b"dir = results\n",
+        "duplicate-section": b"[system]\nmass = 1.0\n[system]\nmass = 2.0\n",
+        "duplicate-key": b"[system]\nmass = 1.0\nmass = 2.0\n",
+        "bare-percent": b"[output]\ndir = res%x\n",
+        "not-utf8": b"[system]\nmass = 1.0 \xff\xfe\n",
+    }
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep"], ["oracle"], ["compare-baths"],
+                                         ["stability", "--point", "1", "1"]],
+                             ids=lambda command: command[0])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_exits_config_no_files(self, tmp_path, capsys, case,
+                                                  command):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(self.MALFORMED[case])
+        out = tmp_path / "results"
+        assert main(command + ["--config", str(path),
+                               "--out-dir", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"sqzbath: error: malformed config file {str(path)!r}: ")
+
     def test_invalid_physics_becomes_config_error(self):
         resolved = read_config_file(None)
         resolved["ensemble"]["temperature"] = -1.0
@@ -392,6 +418,24 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("sqzbath: error: non-finite") and "Traceback" not in err
 
+    def test_grid_finer_than_file_names_exits_config_no_files(self, small_config,
+                                                              capsys, monkeypatch):
+        # four temperatures would write one T1.0000 file; refused before
+        # any ensemble runs
+        monkeypatch.setattr("sqzbath.cli.temperature_sweep", None)
+        cfg, out = small_config
+        assert main(["sweep", "--config", cfg, "--grid", "1:1.00003:0.00001"]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+        assert "would share one T{:.4f} output file" in capsys.readouterr().err
+
+    def test_oracle_only_grid_finer_than_file_names(self, small_config):
+        # an oracle-only sweep writes no per-temperature file
+        cfg, out = small_config
+        assert main(["sweep", "--config", cfg, "--oracle-only",
+                     "--grid", "1:1.00003:0.00001"]) == EXIT_OK
+        payload = json.loads(Path(out, "demo_sweep.json").read_text())
+        assert len(payload["rows"]) == 4
+
     def test_grid_ends_at_stop(self):
         # the grid holds every step up to stop, and none past it
         assert _parse_grid("0.95:1.06:0.04") == pytest.approx([0.95, 0.99, 1.03])
@@ -475,6 +519,18 @@ class TestStabilityCommand:
                      str(stability.MAX_PERIOD_STEPS + 1)]) == EXIT_CONFIG
         assert (f"steps must be <= {stability.MAX_PERIOD_STEPS}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("args", [["--point", "1", "-1"],
+                                      ["--window", "0:4:-1:4", "--resolution", "40"]],
+                             ids=["point", "map"])
+    def test_negative_y_exits_config_no_files(self, small_config, capsys, args):
+        # the point and the map take (a, q) from one axes map, which refuses
+        # q = y / 2 < 0 with one value, never the map's array of cells
+        cfg, out = small_config
+        assert main(["stability", "--config", cfg, "--steps", "256"] + args) == EXIT_CONFIG
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "q must be >= 0, got -" in err[0], err
 
     def test_degenerate_window(self, capsys):
         assert main(["stability", "--window", "0:0:0:40"]) == EXIT_CONFIG

@@ -516,14 +516,16 @@ class TestPropagation:
     """Isolated and Ohmic runs propagate their snapshots from four stepped
     unit probes instead of stepping every trajectory."""
 
+    # "masses": system mass 1.7, and a bath of mass 0.7 as its unit-mass
+    # equivalent, kondo 0.007 / 0.7 (couplings c_j / sqrt(0.7))
     @pytest.mark.parametrize("bath, system, sampling, n_steps", [
         (None, SystemParams(), SamplingMode.QUANTUM, 1000),
         (build_ohmic_bath(20, 0.0, 3.0), SystemParams(), SamplingMode.QUANTUM, 1000),
         (build_ohmic_bath(20, 0.007, 3.0), SystemParams(), SamplingMode.QUANTUM, 1000),
         (build_ohmic_bath(20, 0.3, 3.0), SystemParams(), SamplingMode.CLASSICAL, 1000),
-        (build_ohmic_bath(20, 0.007, 3.0, mass=0.7), SystemParams(mass=1.7),
+        (build_ohmic_bath(20, 0.007 / 0.7, 3.0), SystemParams(mass=1.7),
          SamplingMode.QUANTUM, 1000),
-        (build_ohmic_bath(20, 0.007, 3.0, mass=0.7), SystemParams(mass=1.7),
+        (build_ohmic_bath(20, 0.007 / 0.7, 3.0), SystemParams(mass=1.7),
          SamplingMode.CLASSICAL, 1037),
         (None, SystemParams(mass=1.7), SamplingMode.CLASSICAL, 1037),
     ], ids=["isolated", "kondo0", "kondo0.007", "kondo0.3-classical", "masses",
@@ -604,14 +606,14 @@ class TestPropagation:
         # var(qt1) and var(pt1) as the probe coefficients squared against the
         # sampled thermal widths: the oracle's closed form, without Monte
         # Carlo noise
-        bath = build_ohmic_bath(200, kondo, 3.0, mass=0.7)
+        bath = build_ohmic_bath(200, kondo / 0.7, 3.0)   # bath mass 0.7, rescaled
         system = SystemParams(mass=1.7)
         cfg = isolated_config(bath=bath, system=system,
                               integrator=IntegratorConfig(n_steps=5000, stride=25))
         resp = _response(cfg)
         w1, _ = normal_mode_freqs(0.0, system)
         sys_w = thermal_widths(system.mass, w1, cfg.temperature, cfg.sampling)
-        bath_w = thermal_widths(bath.mass, bath.freqs, cfg.temperature, cfg.sampling)
+        bath_w = thermal_widths(1.0, bath.freqs, cfg.temperature, cfg.sampling)
         # probe A gives qt1's coefficients, probe B pt1's: (qt1, pt1) of the
         # probe weigh the initial (pt1, qt1), its (R, P) the initial (P, R)
         variances = (resp.mode1[:, :, 1] ** 2 * sys_w.var_q

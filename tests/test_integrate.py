@@ -420,7 +420,8 @@ class TestLeapfrog:
         """(mode 1, mode 2, bath) at every observation and at the last step,
         from integrate() or from standalone synchronized steps."""
         sys = SystemParams(mass=1.7)
-        bath = build_ohmic_bath(20, 0.05, 3.0, mass=0.7) if model == "ohmic" else None
+        # a bath of mass 0.7 as its unit-mass equivalent, kondo 0.05 / 0.7
+        bath = build_ohmic_bath(20, 0.05 / 0.7, 3.0) if model == "ohmic" else None
         z, pos, mom = trajectory_rng(4, range(4), (4,), (20,), (20,))
         state = TrajectoryState(0.0, sample_system(z, sys, 1.0, SamplingMode.QUANTUM))
         if bath is not None:

@@ -181,7 +181,7 @@ def unit_column_variances(sys, bath, temperature, mode, config):
     w1, w2 = normal_mode_freqs(0.0, sys)
     mode1 = thermal_widths(sys.mass, w1, temperature, mode)
     mode2 = thermal_widths(sys.mass, w2, temperature, mode)
-    wid = thermal_widths(bath.mass, bath.freqs, temperature, mode)
+    wid = thermal_widths(1.0, bath.freqs, temperature, mode)
     sigma0_sq = np.concatenate([[mode1.var_q, mode2.var_q], wid.var_q,
                                 [mode1.var_p, mode2.var_p],
                                 np.broadcast_to(wid.var_p, n)])
@@ -228,9 +228,11 @@ class TestFullCovariance:
                              ids=["unit-mass", "mass-2-0.5", "unstable-kondo-0.3"])
     def test_matches_unit_column_reference(self, mode, masses, kondo):
         # kondo = 0.3 renormalizes the centre-of-mass stiffness below zero:
-        # the block's lowest eigenvalue is negative and the curves grow
+        # the block's lowest eigenvalue is negative and the curves grow. A
+        # bath mass m_b enters as its unit-mass equivalent, kondo / m_b,
+        # whose couplings are c_j / sqrt(m_b)
         sys = SystemParams(mass=masses[0])
-        bath = build_ohmic_bath(8, kondo, 3.0, mass=masses[1])
+        bath = build_ohmic_bath(8, kondo / masses[1], 3.0)
         vq1, vp1 = mode1_variance_exact(sys, bath, 1.3, mode, config=self.ICFG)
         ref = unit_column_variances(sys, bath, 1.3, mode, self.ICFG)
         assert np.max(np.abs(vq1 / ref[:, 0] - 1)) <= 1e-11

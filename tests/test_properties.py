@@ -1,6 +1,6 @@
-"""Property tests over random masses and states: every force is -dH/dq, the
-energy (for the NHC model, the extended energy) is conserved with frozen
-coupling, the relative mode never feels a bath, the oracle's 2x2 relative-mode
+"""Property tests over random masses, bath couplings and states: every force
+is -dH/dq, the energy (for the NHC model, the extended energy) is conserved
+with frozen coupling, the relative mode never feels a bath, the oracle's 2x2 relative-mode
 loop is the relative mode of integrate(), the Ohmic and NHC steps inside
 integrate() evaluate the bath force once per step ("first same as last")
 without changing a bit of the trajectory, the in-place NHC thermostat gives
@@ -29,6 +29,11 @@ N_MODES = 4
 
 masses = st.floats(0.25, 4.0)
 times = st.floats(0.0, 20.0)
+# the bath oscillators have unit mass; a mass m_j of the textbook bath is the
+# coupling c_j / sqrt(m_j), so the bath couplings are drawn over the range
+# the bath masses above would give: kondo 0.05 / m_j, and c_1 = 0.1 / sqrt(m_1)
+kondos = st.floats(0.0125, 0.2)
+osc_couplings = st.floats(0.05, 0.2)
 
 
 def coords(n):
@@ -49,13 +54,12 @@ def assert_matches(force, expected):
     np.testing.assert_allclose(force, expected, rtol=1e-7, atol=1e-7)
 
 
-def ohmic_bath(mass, kondo=0.05):
-    return build_ohmic_bath(N_MODES, kondo, 3.0, mass=mass)
+def ohmic_bath(kondo=0.05):
+    return build_ohmic_bath(N_MODES, kondo, 3.0)
 
 
-def nhc_bath(mass, **chain):
-    return NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0, osc_mass=mass,
-                         **chain)
+def nhc_bath(coupling=0.1, **chain):
+    return NHCBathParams(osc_freq=0.8, coupling=coupling, temperature=1.0, **chain)
 
 
 def nhc_phase(osc_q, osc_p):
@@ -76,10 +80,10 @@ class TestForceIsMinusGradient:
         assert_matches([f1, f2], minus_gradient(energy, x[:2]))
 
     @settings(max_examples=50, deadline=None)
-    @given(mass=masses, bath_mass=masses, t=times, x=coords(4 + 2 * N_MODES))
-    def test_ohmic(self, mass, bath_mass, t, x):
+    @given(mass=masses, kondo=kondos, t=times, x=coords(4 + 2 * N_MODES))
+    def test_ohmic(self, mass, kondo, t, x):
         sys = SystemParams(mass=mass)
-        bath = ohmic_bath(bath_mass)
+        bath = ohmic_bath(kondo)
         mom = x[2 + N_MODES:2 + 2 * N_MODES]
 
         def energy(q):
@@ -94,10 +98,10 @@ class TestForceIsMinusGradient:
                        minus_gradient(energy, x[:2 + N_MODES]))
 
     @settings(max_examples=50, deadline=None)
-    @given(mass=masses, osc_mass=masses, t=times, x=coords(6))
-    def test_nhc(self, mass, osc_mass, t, x):
+    @given(mass=masses, coupling=osc_couplings, t=times, x=coords(6))
+    def test_nhc(self, mass, coupling, t, x):
         sys = SystemParams(mass=mass)
-        bath = nhc_bath(osc_mass)
+        bath = nhc_bath(coupling)
 
         def energy(q):
             return nhc_extended_energy(t, SystemPhase(q[0], q[1], x[3], x[4]),
@@ -124,7 +128,8 @@ def _energy_drift(state, sys, bath, energy, n_steps=2000):
 
 class TestEnergyConservationAnyMass:
     # velocity Verlet keeps the energy within O((omega dt)^2) of its start;
-    # with the mass left out of a force it drifts by tens of percent
+    # with the system or chain mass left out of a force it drifts by tens of
+    # percent
     TOL = 2e-3
 
     @settings(max_examples=15, deadline=None)
@@ -137,10 +142,10 @@ class TestEnergyConservationAnyMass:
         assert drift <= self.TOL * e0
 
     @settings(max_examples=15, deadline=None)
-    @given(mass=masses, bath_mass=masses, x=coords(4 + 2 * N_MODES))
-    def test_ohmic(self, mass, bath_mass, x):
+    @given(mass=masses, kondo=kondos, x=coords(4 + 2 * N_MODES))
+    def test_ohmic(self, mass, kondo, x):
         sys = SystemParams(mass=mass, frozen_coupling=True)
-        bath = ohmic_bath(bath_mass)
+        bath = ohmic_bath(kondo)
         state = TrajectoryState(0.0, SystemPhase(x[0], x[1], x[-2], x[-1]),
                                 OhmicBathPhase(x[2:2 + N_MODES].copy(),
                                                x[2 + N_MODES:2 + 2 * N_MODES].copy()))
@@ -149,11 +154,11 @@ class TestEnergyConservationAnyMass:
         assert drift <= self.TOL * e0
 
     @settings(max_examples=15, deadline=None)
-    @given(mass=masses, osc_mass=masses, mass_eta1=masses, mass_eta2=masses,
+    @given(mass=masses, coupling=osc_couplings, mass_eta1=masses, mass_eta2=masses,
            thermo_dof=st.integers(1, 3), x=coords(6))
-    def test_nhc_extended(self, mass, osc_mass, mass_eta1, mass_eta2, thermo_dof, x):
+    def test_nhc_extended(self, mass, coupling, mass_eta1, mass_eta2, thermo_dof, x):
         sys = SystemParams(mass=mass, frozen_coupling=True)
-        bath = nhc_bath(osc_mass, mass_eta1=mass_eta1, mass_eta2=mass_eta2,
+        bath = nhc_bath(coupling, mass_eta1=mass_eta1, mass_eta2=mass_eta2,
                         thermo_dof=thermo_dof)
         state = TrajectoryState(0.0, SystemPhase(*x[:4]), nhc_phase(x[4], x[5]))
         e0, drift = _energy_drift(
@@ -167,9 +172,9 @@ class TestMode2BathIndependence:
     # relative mode (qt2, pt2) of the Ohmic and NHC models follows the
     # isolated model to round-off: the premise of the closed-form threshold
     @settings(max_examples=20, deadline=None)
-    @given(mass=masses, bath_mass=masses, osc_mass=masses,
+    @given(mass=masses, kondo=kondos, coupling=osc_couplings,
            x=coords(4 + 2 * N_MODES + 2))
-    def test_ohmic_and_nhc_match_isolated(self, mass, bath_mass, osc_mass, x):
+    def test_ohmic_and_nhc_match_isolated(self, mass, kondo, coupling, x):
         sys = SystemParams(mass=mass)
 
         def relative_mode(bath, bath_phase):
@@ -179,10 +184,10 @@ class TestMode2BathIndependence:
             return np.array([modes.qt2, modes.pt2])
 
         isolated = relative_mode(None, None)
-        ohmic = relative_mode(ohmic_bath(bath_mass),
+        ohmic = relative_mode(ohmic_bath(kondo),
                               OhmicBathPhase(x[4:4 + N_MODES].copy(),
                                              x[4 + N_MODES:4 + 2 * N_MODES].copy()))
-        nhc = relative_mode(nhc_bath(osc_mass), nhc_phase(x[-2], x[-1]))
+        nhc = relative_mode(nhc_bath(coupling), nhc_phase(x[-2], x[-1]))
         np.testing.assert_allclose(ohmic, isolated, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(nhc, isolated, rtol=1e-9, atol=1e-10)
 
@@ -259,17 +264,17 @@ class TestOhmicFirstSameAsLast:
     the bitwise test also the isolated model."""
 
     @settings(max_examples=30, deadline=None)
-    @given(mass=masses, bath_mass=masses, batch=st.integers(0, 5),
+    @given(mass=masses, kondo=kondos, coupling=osc_couplings, batch=st.integers(0, 5),
            n_steps=st.integers(1, 40), stride=st.integers(1, 50),
            dt=st.sampled_from([0.01, 0.005, 0.02]), x=coords(4 + 2 * N_MODES))
-    def test_integrate_matches_standalone_steps_bitwise(self, mass, bath_mass, batch,
-                                                         n_steps, stride, dt, x):
+    def test_integrate_matches_standalone_steps_bitwise(self, mass, kondo, coupling,
+                                                         batch, n_steps, stride, dt, x):
         # the NHC loop is a run of standalone steps; without a thermostat,
         # integrate() gives the bits of the merged-kick reference loop
         sys = SystemParams(mass=mass)
         config = IntegratorConfig(dt=dt, n_steps=n_steps, stride=stride)
         for model, (make_bath, _, step) in FSAL_MODELS.items():
-            bath = make_bath(bath_mass)
+            bath = make_bath(kondo if model == "ohmic" else coupling)
             fused = integrate(_bath_state(model, x, batch), sys, bath, config)
             looped = _bath_state(model, x, batch)
             if model == "nhc":
@@ -301,7 +306,7 @@ class TestOhmicFirstSameAsLast:
 
             monkeypatch.setattr(module, force_name, counting)
             state = _bath_state(model, np.linspace(-1.0, 1.0, 4 + 2 * N_MODES), 3)
-            integrate(state, SystemParams(), make_bath(1.0),
+            integrate(state, SystemParams(), make_bath(),
                       IntegratorConfig(n_steps=n_steps, stride=5))
             assert len(calls) == n_steps + 1, model
 
@@ -314,14 +319,14 @@ def reference_substep(ph, bath, delta):
 
     ph.p_eta2 = ph.p_eta2 + 0.5 * delta * (ph.p_eta1 ** 2 / bath.mass_eta1 - kt)
     scale1 = np.exp(-0.25 * delta * ph.p_eta2 / bath.mass_eta2)
-    g1 = ph.osc_p ** 2 / bath.osc_mass - g * kt
+    g1 = ph.osc_p ** 2 - g * kt
     ph.p_eta1 = (ph.p_eta1 * scale1 + 0.5 * delta * g1) * scale1
 
     ph.osc_p = ph.osc_p * np.exp(-delta * ph.p_eta1 / bath.mass_eta1)
     ph.eta1 = ph.eta1 + delta * ph.p_eta1 / bath.mass_eta1
     ph.eta2 = ph.eta2 + delta * ph.p_eta2 / bath.mass_eta2
 
-    g1 = ph.osc_p ** 2 / bath.osc_mass - g * kt
+    g1 = ph.osc_p ** 2 - g * kt
     ph.p_eta1 = (ph.p_eta1 * scale1 + 0.5 * delta * g1) * scale1
     ph.p_eta2 = ph.p_eta2 + 0.5 * delta * (ph.p_eta1 ** 2 / bath.mass_eta1 - kt)
 
@@ -374,17 +379,18 @@ chain_masses = st.just(1.0) | st.floats(0.3, 3.0)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestThermostatReference:
     """step_nhc and integrate() against the textbook substep, bit for bit,
-    at unit and non-unit masses, for every composition the config accepts."""
+    at unit and non-unit chain masses, for every composition the config
+    accepts."""
 
     @settings(max_examples=60, deadline=None)
-    @given(q1=chain_masses, q2=chain_masses, m1=chain_masses,
+    @given(q1=chain_masses, q2=chain_masses,
            thermo_dof=st.integers(1, 3), n_yoshida=st.sampled_from([1, 3, 5]),
            n_mts=st.integers(1, 4), dt=st.sampled_from([0.01, -0.02, 0.005]),
            batch=st.integers(0, 4), inf_field=st.integers(0, 9),
            n_steps=st.integers(1, 4), x=coords(10))
-    def test_step_nhc(self, q1, q2, m1, thermo_dof, n_yoshida, n_mts, dt, batch,
+    def test_step_nhc(self, q1, q2, thermo_dof, n_yoshida, n_mts, dt, batch,
                       inf_field, n_steps, x):
-        bath = NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.3, osc_mass=m1,
+        bath = NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.3,
                              mass_eta1=q1, mass_eta2=q2, thermo_dof=thermo_dof)
         state, ref = _nhc_states(x, batch, inf_field)
         for _ in range(n_steps):
@@ -393,14 +399,14 @@ class TestThermostatReference:
         _assert_same_fields(state, ref)
 
     @settings(max_examples=40, deadline=None)
-    @given(q1=chain_masses, q2=chain_masses, m1=chain_masses,
+    @given(q1=chain_masses, q2=chain_masses,
            thermo_dof=st.integers(1, 3), n_yoshida=st.sampled_from([1, 3, 5]),
            n_mts=st.integers(1, 4), dt=st.sampled_from([0.01, 0.02, 0.005]),
            batch=st.integers(0, 4), inf_field=st.integers(0, 9),
            n_steps=st.integers(1, 30), x=coords(10))
-    def test_integrate(self, q1, q2, m1, thermo_dof, n_yoshida, n_mts, dt, batch,
+    def test_integrate(self, q1, q2, thermo_dof, n_yoshida, n_mts, dt, batch,
                        inf_field, n_steps, x):
-        bath = NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.3, osc_mass=m1,
+        bath = NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.3,
                              mass_eta1=q1, mass_eta2=q2, thermo_dof=thermo_dof)
         state, ref = _nhc_states(x, batch, inf_field)
         state = integrate(state, SystemParams(), bath,

@@ -137,7 +137,7 @@ class TestSampleBath:
         bath = build_ohmic_bath(4, 0.007, 3.0)
         pos, mom = np.ones((3, 4)), np.ones((3, 4))
         ph = sample_ohmic_bath(pos, mom, bath, 1.0, SamplingMode.QUANTUM)
-        wid = thermal_widths(bath.mass, bath.freqs, 1.0, SamplingMode.QUANTUM)
+        wid = thermal_widths(1.0, bath.freqs, 1.0, SamplingMode.QUANTUM)
         assert ph.pos is pos and ph.mom is mom
         assert np.array_equal(pos, np.broadcast_to(wid.sigma_q, (3, 4)))
         assert np.array_equal(mom, np.broadcast_to(wid.sigma_p, (3, 4)))

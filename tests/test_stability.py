@@ -261,6 +261,12 @@ class TestStabilityMap:
         with pytest.raises(ValueError, match="window values must be finite"):
             stability_map(x_range, y_range, resolution=4, steps=256)
 
+    def test_cells_take_the_axes_map_and_its_checks(self):
+        # cells below y = 0 would have q < 0: refused as a point query is,
+        # with the offending value, not the array of cells
+        with pytest.raises(ValueError, match=r"^q must be >= 0, got -0\.5$"):
+            stability_map((0.0, 4.0), (-2.0, 0.0), resolution=(2, 1), steps=256)
+
     def test_cell_bound_checked_before_allocation(self, monkeypatch):
         # an oversized grid is refused before any cell array exists; a grid
         # at the bound passes the checks (the map itself is not run)

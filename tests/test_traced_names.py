@@ -71,3 +71,14 @@ def test_integrate_returns_the_final_batch_state():
     assert isinstance(result, TrajectoryState) and result is not start
     assert result.t == 5 * 0.01
     assert result.system.q1.size == rows
+
+
+def test_bath_mode_count_reads_as_the_tracer_reads_it():
+    # the tracer's integrate hook counts Ohmic modes with
+    # getattr(bath, "n_modes", None), and takes a bath without one (the NHC
+    # oscillator, or None) as having no Ohmic modes
+    from sqzbath import NHCBathParams, build_ohmic_bath
+    ohmic_bath = build_ohmic_bath(12, 0.007, 3.0)
+    assert getattr(ohmic_bath, "n_modes", None) == len(ohmic_bath.freqs) == 12
+    nhc_bath = NHCBathParams(osc_freq=0.15, coupling=0.01, temperature=1.0)
+    assert getattr(nhc_bath, "n_modes", None) is None
