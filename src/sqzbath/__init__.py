@@ -26,4 +26,4 @@ from .stability import (MathieuParams, StabilityMap, grows_unbounded,
                         write_stability_csv)
 from .system import (NormalModePhase, SystemParams, SystemPhase, coupling_freq_sq,
                      from_normal_modes, normal_mode_freqs, system_energy,
-                     system_force, to_normal_modes, to_physical_units)
+                     system_force, to_kelvin, to_normal_modes)

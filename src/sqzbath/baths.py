@@ -39,7 +39,9 @@ class OhmicBathParams:
     def __post_init__(self):
         if len(self.couplings) != len(self.freqs):
             raise ValueError("frequency and coupling tables must have one length")
-        if np.any(np.diff(self.freqs) <= 0):
+        if not (np.isfinite(self.freqs).all() and np.isfinite(self.couplings).all()):
+            raise ValueError("bath frequency and coupling tables must be finite")
+        if not np.all(np.diff(self.freqs) > 0):
             raise ValueError("bath frequencies must be strictly increasing")
 
     @property
@@ -55,9 +57,9 @@ def build_ohmic_bath(n_modes: int, kondo: float, cutoff: float) -> OhmicBathPara
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if kondo < 0:
+    if not kondo >= 0:
         raise ValueError(f"kondo must be >= 0, got {kondo}")
-    if cutoff <= 0:
+    if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     spacing = (1.0 - np.exp(-cutoff)) / n_modes
     j = np.arange(1, n_modes + 1, dtype=float)
@@ -148,40 +150,37 @@ class NHCBathParams:
     thermo_dof: int = 1
 
     def __post_init__(self):
-        if self.osc_freq <= 0:
+        if not self.osc_freq > 0:
             raise ValueError(f"osc_freq must be positive, got {self.osc_freq}")
-        if self.mass_eta1 <= 0 or self.mass_eta2 <= 0:
+        if not math.isfinite(self.coupling):
+            raise ValueError(f"coupling must be finite, got {self.coupling}")
+        if not (self.mass_eta1 > 0 and self.mass_eta2 > 0):
             raise ValueError("all masses must be positive")
-        if self.thermo_dof < 1:
+        if not self.thermo_dof >= 1:
             raise ValueError(f"thermo_dof must be >= 1, got {self.thermo_dof}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
-def nhc_from_ohmic(kondo: float, cutoff: float, temperature: float,
-                   mass_eta1: float = 1.0, mass_eta2: float = 1.0,
-                   thermo_dof: int = 1) -> NHCBathParams:
+def nhc_from_ohmic(kondo: float, cutoff: float, temperature: float) -> NHCBathParams:
     """Single-oscillator bath built as the N=1 limit of the Ohmic grid.
 
     With N=1 the discretization gives Omega_1 = omega_max exactly, so the
     lone oscillator sits at the cutoff frequency. Note that this choice
     reproduces almost none of the static stiffness renormalization of the
     many-mode bath; see :func:`nhc_matched_to_ohmic` for the variant that
-    does.
+    does. The chain keeps :class:`NHCBathParams`'s defaults.
     """
     single = build_ohmic_bath(1, kondo, cutoff)
     return NHCBathParams(osc_freq=float(single.freqs[0]),
-                         coupling=float(single.couplings[0]), temperature=temperature,
-                         mass_eta1=mass_eta1, mass_eta2=mass_eta2, thermo_dof=thermo_dof)
+                         coupling=float(single.couplings[0]), temperature=temperature)
 
 
 DRESSING_MATCHED_OSC_FREQ = 0.15
 
 
 def nhc_matched_to_ohmic(reference: OhmicBathParams, temperature: float,
-                         osc_freq: float = DRESSING_MATCHED_OSC_FREQ,
-                         mass_eta1: float = 1.0, mass_eta2: float = 1.0,
-                         thermo_dof: int = 1) -> NHCBathParams:
+                         osc_freq: float = DRESSING_MATCHED_OSC_FREQ) -> NHCBathParams:
     """Single-oscillator bath matching the many-mode static dressing.
 
     Without a counter-term the bath renormalizes the center-of-mass
@@ -190,12 +189,12 @@ def nhc_matched_to_ohmic(reference: OhmicBathParams, temperature: float,
     oscillator reproduce that shift; a slow (far off-resonant) oscillator
     tracks it quasi-statically without classicalizing the mode it dresses.
     The default frequency was calibrated against the exact covariance of
-    the 200-mode reference bath.
+    the 200-mode reference bath. The chain keeps :class:`NHCBathParams`'s
+    defaults.
     """
     dressing = float(np.sum(reference.couplings ** 2 / reference.freqs ** 2))
     return NHCBathParams(osc_freq=osc_freq, coupling=osc_freq * math.sqrt(dressing),
-                         temperature=temperature, mass_eta1=mass_eta1,
-                         mass_eta2=mass_eta2, thermo_dof=thermo_dof)
+                         temperature=temperature)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .config import ConfigError, build_run_config, config_hash, read_config_file
 from .driver import (ModelKind, SEED_STREAM_RULE, bath_equivalence, run_ensemble,
                      temperature_sweep)
 from .integrate import TrajectoryFailure
-from .observables import write_variance_csv
+from .observables import SQUEEZING_THRESHOLD, write_variance_csv
 from .oracle import (fundamental_solution, isolated_variance_series,
                      mode1_variance_exact, mode2_variance_exact, threshold_temperature)
 from .stability import (MathieuParams, classify_trace, monodromy, stability_map,
@@ -308,7 +308,7 @@ for name in FILES:
                           ("var_p1", "--"), ("var_p2", "--")):
         ax.plot(data["t_prime"], data[column], style, lw=0.8,
                 label=f"{{name}}:{{column}}")
-ax.axhline(0.5, color="k", lw=1.0, label="squeezing threshold 0.5")
+ax.axhline({threshold!r}, color="k", lw=1.0, label="squeezing threshold {threshold!r}")
 ax.set_xlabel("t")
 ax.set_ylabel("variance")
 ax.legend(fontsize=6)
@@ -353,7 +353,8 @@ def cmd_plot(args) -> int:
     if variance_files:
         path = os.path.join(directory, "plot_variance.py")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_VARIANCE_PLOT.format(files=variance_files))
+            fh.write(_VARIANCE_PLOT.format(files=variance_files,
+                                           threshold=SQUEEZING_THRESHOLD))
         written.append(path)
     for name in stability_files:
         path = os.path.join(directory, f"plot_{name[:-4]}.py")

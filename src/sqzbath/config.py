@@ -167,14 +167,12 @@ def build_run_config(resolved: dict, overrides: Optional[dict] = None):
         if model is ModelKind.NHC:
             # the auto thermostat oscillator matches the static dressing of
             # the Ohmic reference defined by the [bath] section
-            kwargs = dict(mass_eta1=sec_th["mass_eta1"],
-                          mass_eta2=sec_th["mass_eta2"],
-                          thermo_dof=sec_th["thermo_dof"])
-            if sec_th["osc_freq"] != "auto":
-                kwargs["osc_freq"] = sec_th["osc_freq"]
-            bath = nhc_matched_to_ohmic(bath, temperature, **kwargs)
+            osc = {} if sec_th["osc_freq"] == "auto" else {"osc_freq": sec_th["osc_freq"]}
+            bath = nhc_matched_to_ohmic(bath, temperature, **osc)
+            chain = {key: sec_th[key] for key in ("mass_eta1", "mass_eta2", "thermo_dof")}
             if sec_th["coupling"] != "auto":
-                bath = dataclasses.replace(bath, coupling=sec_th["coupling"])
+                chain["coupling"] = sec_th["coupling"]
+            bath = dataclasses.replace(bath, **chain)
 
         run = RunConfig(system=system, temperature=temperature,
                         n_traj=sec_ens["n_traj"], seed=sec_ens["seed"],

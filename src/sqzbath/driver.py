@@ -114,7 +114,7 @@ class RunConfig:
     track_energy: bool = False
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -676,6 +676,11 @@ def temperature_sweep(config: RunConfig, temperatures) -> SweepResult:
                        oracle_threshold_note=note)
 
 
+# Relative deviation two bath models' variance curves may show at any time
+# (or 3 combined standard errors, when larger) and still agree.
+AGREEMENT_REL_TOLERANCE = 0.05
+
+
 @dataclass
 class CoordAgreement:
     max_rel_dev: float
@@ -691,12 +696,12 @@ class BathComparison:
     rel_tolerance: float
 
 
-def compare_variance_series(series_ref: VarianceSeries, series_other: VarianceSeries,
-                            rel_tolerance: float = 0.05):
+def compare_variance_series(series_ref: VarianceSeries, series_other: VarianceSeries):
     """Pointwise agreement check between two variance series.
 
     A coordinate passes when, at every observed time, the curves differ by
-    no more than max(rel_tolerance * var, 3 * combined standard error).
+    no more than max(AGREEMENT_REL_TOLERANCE * var, 3 * combined standard
+    error).
     Returns ``(coords, passed)``.
     """
     coords = {}
@@ -706,7 +711,7 @@ def compare_variance_series(series_ref: VarianceSeries, series_other: VarianceSe
         vn = series_other.column(name)
         se = np.hypot(series_ref.se_column(name), series_other.se_column(name))
         dev = np.abs(vo - vn)
-        allowed = np.maximum(rel_tolerance * np.abs(vo), 3.0 * se)
+        allowed = np.maximum(AGREEMENT_REL_TOLERANCE * np.abs(vo), 3.0 * se)
         ok = bool(np.all(dev <= allowed))
         imax = int(np.argmax(np.where(vo != 0, dev / np.abs(vo), 0.0)))
         coords[name] = CoordAgreement(
@@ -717,8 +722,7 @@ def compare_variance_series(series_ref: VarianceSeries, series_other: VarianceSe
     return coords, all_ok
 
 
-def bath_equivalence(config_ohmic: RunConfig, config_nhc: RunConfig,
-                     rel_tolerance: float = 0.05) -> BathComparison:
+def bath_equivalence(config_ohmic: RunConfig, config_nhc: RunConfig) -> BathComparison:
     """Run the two bath representations and compare their variance curves."""
     if config_ohmic.model is not ModelKind.OHMIC or config_nhc.model is not ModelKind.NHC:
         raise ValueError("expected an ohmic config and an nhc config")
@@ -729,6 +733,6 @@ def bath_equivalence(config_ohmic: RunConfig, config_nhc: RunConfig,
     with _pool(config_ohmic, config_nhc) as pool:
         res_o = run_ensemble(config_ohmic, pool=pool)
         res_n = run_ensemble(config_nhc, pool=pool)
-    coords, all_ok = compare_variance_series(res_o.series, res_n.series, rel_tolerance)
+    coords, all_ok = compare_variance_series(res_o.series, res_n.series)
     return BathComparison(coords=coords, passed=all_ok, n_traj=config_ohmic.n_traj,
-                          rel_tolerance=rel_tolerance)
+                          rel_tolerance=AGREEMENT_REL_TOLERANCE)

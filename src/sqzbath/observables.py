@@ -16,6 +16,11 @@ import numpy as np
 
 COORD_NAMES = ("qt1", "qt2", "pt1", "pt2")
 
+# the vacuum level hbar / 2 = 1/2 that a squeezed variance dips below; the
+# one definition that squeeze_report, the oracle's threshold temperature and
+# the plot scripts read
+SQUEEZING_THRESHOLD = 0.5
+
 
 class VarianceAccumulator:
     """Streaming mean/variance of (qt1, qt2, pt1, pt2) on a fixed time grid."""
@@ -150,9 +155,9 @@ class SqueezeReport:
         return self.coords[name]
 
 
-def squeeze_report(series: VarianceSeries, threshold: float = 0.5) -> SqueezeReport:
-    """First sub-threshold crossing, minimum, and below-threshold fraction
-    of each coordinate's variance track.
+def squeeze_report(series: VarianceSeries) -> SqueezeReport:
+    """First crossing below :data:`SQUEEZING_THRESHOLD`, minimum, and
+    below-threshold fraction of each coordinate's variance track.
 
     A crossing is flagged significant when the minimum sits below the
     threshold by more than twice its standard error.
@@ -162,7 +167,7 @@ def squeeze_report(series: VarianceSeries, threshold: float = 0.5) -> SqueezeRep
     coords = {}
     for k, name in enumerate(COORD_NAMES):
         var = series.variances[:, k]
-        below = var < threshold
+        below = var < SQUEEZING_THRESHOLD
         imin = int(np.argmin(var))
         first = float(series.times[np.argmax(below)]) if below.any() else None
         coords[name] = CoordinateSqueeze(
@@ -171,7 +176,8 @@ def squeeze_report(series: VarianceSeries, threshold: float = 0.5) -> SqueezeRep
             time_of_min=float(series.times[imin]),
             fraction_below=float(below.mean()),
             se_at_min=float(series.std_errors[imin, k]),
-            significant=bool(threshold - var[imin] > 2.0 * series.std_errors[imin, k]),
+            significant=bool(SQUEEZING_THRESHOLD - var[imin]
+                             > 2.0 * series.std_errors[imin, k]),
         )
-    return SqueezeReport(threshold=threshold, coords=coords)
+    return SqueezeReport(threshold=SQUEEZING_THRESHOLD, coords=coords)
 

@@ -3,8 +3,8 @@
 The models are linear, so Gaussian initial states stay Gaussian and every
 variance follows from the propagator of the trajectory code's
 kick-drift-kick step (unit initial conditions instead of thermal samples),
-which keeps discretization bias common-mode between oracle and Monte Carlo;
-a finer-step run of the oracle bounds that shared bias.
+which keeps discretization bias common-mode between oracle and Monte Carlo.
+No code runs the oracle at a finer step, so nothing bounds that shared bias.
 
 Both baths couple to q1 + q2 only. The relative mode is therefore
 bath-decoupled, and its 2x2 fundamental solution, from the Floquet map's
@@ -27,10 +27,10 @@ import numpy as np
 
 from .baths import OhmicBathParams
 from .integrate import IntegratorConfig, TrajectoryFailure
-from .observables import VarianceSeries
+from .observables import SQUEEZING_THRESHOLD, VarianceSeries
 from .sampling import SamplingMode, thermal_widths, width_temperature
 from .stability import _leapfrog
-from .system import SystemParams, normal_mode_freqs, to_physical_units
+from .system import SystemParams, normal_mode_freqs, to_kelvin
 
 # not called here; bench/tracer.py wraps these two module globals by name
 from .integrate import integrate  # noqa: F401
@@ -154,19 +154,19 @@ def _sustained_level(shape: np.ndarray) -> float:
 
 
 def threshold_temperature(sys: SystemParams, *, fundamental: FundamentalSolution,
-                          threshold: float = 0.5,
                           mode: SamplingMode = SamplingMode.QUANTUM,
                           definition: str = "anywhere") -> Optional[ThresholdResult]:
     """Temperature where position squeezing of the relative mode disappears.
 
     The initial momentum variance is m^2 w2^2 times the position variance in
     both sampling modes, so var_qt2(t; T) = var_q0(T) * g(t) with
-    g = pos_a^2 + (w2 pos_b)^2 independent of T. ``anywhere``: the minimum
-    of var_qt2 over the window touches the threshold, var_q0(T*) =
-    threshold / min g. ``sustained``: the highest temperature at which the
-    curve, once below the threshold, stays below it to the end of the
-    window. Returns None when no positive temperature meets the definition,
-    e.g. when even the zero-point curve never dips below the threshold.
+    g = pos_a^2 + (w2 pos_b)^2 independent of T. The threshold is
+    :data:`observables.SQUEEZING_THRESHOLD`. ``anywhere``: the minimum of
+    var_qt2 over the window touches the threshold, var_q0(T*) = threshold /
+    min g. ``sustained``: the highest temperature at which the curve, once
+    below the threshold, stays below it to the end of the window. Returns
+    None when no positive temperature meets the definition, e.g. when even
+    the zero-point curve never dips below the threshold.
     """
     if definition not in ("anywhere", "sustained"):
         raise ValueError(f"unknown threshold definition {definition!r}")
@@ -176,15 +176,14 @@ def threshold_temperature(sys: SystemParams, *, fundamental: FundamentalSolution
     _, var_q, _ = mode2_variance_exact(sys, 1.0, mode, fundamental=fundamental)
     shape = var_q / thermal_widths(sys.mass, w2, 1.0, mode).var_q
     level = float(shape.min()) if definition == "anywhere" else _sustained_level(shape)
-    t_star = width_temperature(sys.mass, w2, threshold / level, mode)
+    t_star = width_temperature(sys.mass, w2, SQUEEZING_THRESHOLD / level, mode)
     if t_star is None:
         return None
     _, var_q, _ = mode2_variance_exact(sys, t_star, mode, fundamental=fundamental)
     return ThresholdResult(temperature=t_star, definition=definition,
                            tolerance=THRESHOLD_TOLERANCE,
                            min_variance=float(var_q.min()),
-                           temperature_K=to_physical_units(t_star, "temperature",
-                                                           sys.carrier_freq))
+                           temperature_K=to_kelvin(t_star, sys.carrier_freq))
 
 
 _OBS_BLOCK = 64   # observations per block, to bound the temporaries

@@ -255,8 +255,10 @@ def stability_map(x_range=(0.0, 40.0), y_range=(0.0, 40.0), resolution=400,
         raise ValueError("resolution must be >= 1 in both directions")
     if nx * ny > MAX_MAP_CELLS:
         raise ValueError(f"resolution {nx} x {ny} exceeds {MAX_MAP_CELLS} cells")
-    xs = x_range[0] + (np.arange(nx) + 0.5) * (x_range[1] - x_range[0]) / nx
-    ys = y_range[0] + (np.arange(ny) + 0.5) * (y_range[1] - y_range[0]) / ny
+    # a centre that overflows is refused by from_axes, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = x_range[0] + (np.arange(nx) + 0.5) * (x_range[1] - x_range[0]) / nx
+        ys = y_range[0] + (np.arange(ny) + 0.5) * (y_range[1] - y_range[0]) / ny
     gx, gy = np.meshgrid(xs, ys)
     cells = MathieuParams.from_axes(gx.ravel(), gy.ravel())
     (m00, _, _, m11), det = _floquet(cells.a, cells.q, steps)

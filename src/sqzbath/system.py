@@ -1,9 +1,9 @@
 """Two harmonic oscillators with a sinusoidally driven quadratic coupling.
 
 Everything here works in the dimensionless variables (hbar = omega_c = 1);
-conversion to SI units is a presentation-layer concern handled by
-:func:`to_physical_units`, which takes hbar and k_B at their exact 2019 SI
-values. All functions accept either scalars or numpy arrays for the
+the one conversion to SI units, of a temperature to kelvin, is a
+presentation-layer concern handled by :func:`to_kelvin`, which takes hbar
+and k_B at their exact 2019 SI values. All functions accept either scalars or numpy arrays for the
 phase-space coordinates, so the same code path serves a single trajectory
 and a batched ensemble.
 """
@@ -26,7 +26,7 @@ class SystemParams:
     """Dimensionless parameters of the driven two-oscillator system.
 
     ``carrier_freq`` is the angular frequency (rad/s) that defines the
-    dimensionless scaling; it is used only by :func:`to_physical_units`.
+    dimensionless scaling; it is used only by :func:`to_kelvin`.
     ``frozen_coupling`` holds the coupling at its full amplitude instead of
     modulating it, which turns the model into a conservative benchmark case.
     """
@@ -39,15 +39,15 @@ class SystemParams:
     frozen_coupling: bool = False
 
     def __post_init__(self):
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.spring_k <= 0:
+        if not self.spring_k > 0:
             raise ValueError(f"spring_k must be positive, got {self.spring_k}")
-        if self.coupling_amp < 0:
+        if not self.coupling_amp >= 0:
             raise ValueError(f"coupling_amp must be >= 0, got {self.coupling_amp}")
-        if self.drive_freq <= 0:
+        if not self.drive_freq > 0:
             raise ValueError(f"drive_freq must be positive, got {self.drive_freq}")
-        if self.carrier_freq <= 0:
+        if not self.carrier_freq > 0:
             raise ValueError(f"carrier_freq must be positive, got {self.carrier_freq}")
 
     @property
@@ -163,23 +163,9 @@ def normal_mode_freqs(t, sys: SystemParams):
     return w1, w2
 
 
-_UNIT_KINDS = ("time", "temperature", "frequency", "energy")
-
-
-def to_physical_units(value: float, kind: str, carrier_freq: float) -> float:
-    """Convert a dimensionless quantity to SI using the carrier frequency.
-
-    time -> seconds, temperature -> kelvin, frequency -> rad/s,
-    energy -> joules.
-    """
-    if carrier_freq <= 0:
+def to_kelvin(temperature: float, carrier_freq: float) -> float:
+    """A dimensionless temperature in kelvin: one unit is hbar omega_c / k_B
+    at the carrier frequency ``carrier_freq`` (rad/s)."""
+    if not carrier_freq > 0:
         raise ValueError("carrier_freq must be positive")
-    if kind == "time":
-        return value / carrier_freq
-    if kind == "temperature":
-        return value * _HBAR_SI * carrier_freq / _KB_SI
-    if kind == "frequency":
-        return value * carrier_freq
-    if kind == "energy":
-        return value * _HBAR_SI * carrier_freq
-    raise ValueError(f"unknown unit kind {kind!r}; expected one of {_UNIT_KINDS}")
+    return temperature * _HBAR_SI * carrier_freq / _KB_SI

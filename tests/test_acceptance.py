@@ -22,7 +22,7 @@ from sqzbath import (IntegratorConfig, RunConfig, SamplingMode,
                      mode2_variance_exact, monodromy, nhc_from_ohmic,
                      nhc_matched_to_ohmic, run_ensemble,
                      sample_system, threshold_temperature, thermal_widths,
-                     to_normal_modes, to_physical_units, trajectory_rng)
+                     to_kelvin, to_normal_modes, trajectory_rng)
 from sqzbath.cli import main
 from sqzbath.stability import MathieuParams, grows_unbounded, stability_map
 
@@ -274,7 +274,7 @@ class TestCriterion7StabilityMap:
 
 class TestCriterion8UnitConversion:
     def test_threshold_in_kelvin(self):
-        t_si = to_physical_units(1.037, "temperature", 3.93e13)
+        t_si = to_kelvin(1.037, 3.93e13)
         check("criterion 8 (unit conversion)", abs(t_si - 311.1) <= 0.5,
               f"T'=1.037 at 3.93e13 rad/s -> {t_si:.2f} K (target 311.1 +- 0.5)")
 

@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqzbath import (mode1_variance_exact, read_variance_csv, stability,
-                     to_physical_units)
+from sqzbath import mode1_variance_exact, read_variance_csv, stability, to_kelvin
 from sqzbath import driver
 from sqzbath.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRAJECTORY, MAX_GRID_POINTS,
                          _parse_grid, main)
@@ -505,6 +504,19 @@ class TestStabilityCommand:
         assert not os.path.exists(out)
         assert "values must be finite" in capsys.readouterr().err
 
+    def test_overflowing_cell_centres_print_one_line(self, tmp_path):
+        # numpy's warnings reach a child's stderr, where capsys cannot see
+        # them: a finite window whose cell centres overflow prints its error
+        # line and nothing else
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "sqzbath.cli", "stability",
+                               "--window", "0:1e308:0:1e308", "--resolution", "4",
+                               "--steps", "256", "--out-dir", str(out)],
+                              env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG
+        assert not out.exists()
+        assert proc.stderr == "sqzbath: error: stability map: a and q must be finite\n"
+
     @pytest.mark.parametrize("point", [("nan", "1"), ("1", "nan"), ("inf", "1"),
                                        ("1", "inf")])
     def test_non_finite_point(self, capsys, point):
@@ -602,8 +614,7 @@ class TestOracleCommand:
         cfg, out = small_config
         assert main(["oracle", "--config", cfg]) == EXIT_OK
         anywhere = json.loads(Path(out, "demo_threshold.json").read_text())["anywhere"]
-        assert anywhere["temperature_K"] == to_physical_units(
-            anywhere["temperature"], "temperature", 3.93e13)
+        assert anywhere["temperature_K"] == to_kelvin(anywhere["temperature"], 3.93e13)
         assert f"({anywhere['temperature_K']:.1f} K)" in capsys.readouterr().out
 
     def test_ohmic_csv_byte_identical_across_processes(self, small_config):

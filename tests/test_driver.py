@@ -8,8 +8,9 @@ import types
 import numpy as np
 import pytest
 
-from sqzbath import (IntegratorConfig, ModelKind, RunConfig, SamplingMode,
-                     SystemParams, TrajectoryFailure, bath_equivalence,
+from sqzbath import (IntegratorConfig, ModelKind, NHCBathParams, OhmicBathParams,
+                     RunConfig, SamplingMode, SystemParams, TrajectoryFailure,
+                     bath_equivalence,
                      build_ohmic_bath, init_nhc_bath, mode1_variance_exact,
                      nhc_from_ohmic, nhc_matched_to_ohmic, run_ensemble,
                      sample_ohmic_bath, sample_system, temperature_sweep,
@@ -48,6 +49,42 @@ class TestRunConfigValidation:
     def test_minimal_ensemble_size(self):
         with pytest.raises(ValueError):
             isolated_config(n_traj=1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SystemParams(mass=np.nan),
+        lambda: SystemParams(spring_k=np.nan),
+        lambda: SystemParams(coupling_amp=np.nan),
+        lambda: SystemParams(drive_freq=np.nan),
+        lambda: SystemParams(carrier_freq=np.nan),
+        lambda: IntegratorConfig(dt=np.nan),
+        lambda: NHCBathParams(osc_freq=np.nan, coupling=0.1, temperature=1.0),
+        lambda: NHCBathParams(osc_freq=0.8, coupling=np.nan, temperature=1.0),
+        lambda: NHCBathParams(osc_freq=0.8, coupling=np.inf, temperature=1.0),
+        lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0,
+                              mass_eta2=np.nan),
+        lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=np.nan),
+        lambda: OhmicBathParams(freqs=np.array([np.nan, 1.0]),
+                                couplings=np.array([0.1, 0.1])),
+        lambda: OhmicBathParams(freqs=np.array([1.0, np.inf]),
+                                couplings=np.array([0.1, 0.1])),
+        lambda: OhmicBathParams(freqs=np.array([0.5, 1.0]),
+                                couplings=np.array([0.1, np.nan])),
+        lambda: build_ohmic_bath(4, np.nan, 3.0),
+        lambda: build_ohmic_bath(4, np.inf, 3.0),
+        lambda: build_ohmic_bath(4, 0.007, np.nan),
+        lambda: isolated_config(temperature=np.nan),
+        lambda: thermal_widths(1.0, 1.0, np.nan, SamplingMode.QUANTUM),
+    ], ids=["mass", "spring_k", "coupling_amp", "drive_freq", "carrier_freq", "dt",
+            "osc_freq", "nhc_coupling_nan", "nhc_coupling_inf", "mass_eta2",
+            "nhc_temperature", "ohmic_freq_nan", "ohmic_freq_inf",
+            "ohmic_coupling_nan", "kondo_nan", "kondo_inf", "cutoff_nan",
+            "run_temperature", "thermal_widths_temperature"])
+    def test_non_finite_parameters_rejected(self, make):
+        # each range check fails for NaN, and tables and couplings must be
+        # finite; only Python callers reach these, as the config layer
+        # refuses non-finite numbers
+        with pytest.raises(ValueError):
+            make()
 
     def test_model_follows_bath(self):
         assert isolated_config().model is ModelKind.ISOLATED

@@ -5,7 +5,7 @@ import pytest
 
 from sqzbath import (SystemParams, SystemPhase, coupling_freq_sq,
                      from_normal_modes, normal_mode_freqs, system_energy,
-                     system_force, to_normal_modes, to_physical_units)
+                     system_force, to_kelvin, to_normal_modes)
 from sqzbath.system import _HBAR_SI, _KB_SI, coupling_stiffness
 
 from conftest import plain_force
@@ -147,24 +147,10 @@ class TestModeFrequencies:
 
 class TestUnits:
     def test_room_temperature(self):
-        t_si = to_physical_units(1.0, "temperature", 3.93e13)
-        assert t_si == pytest.approx(300.2, abs=1.0)
+        assert to_kelvin(1.0, 3.93e13) == pytest.approx(300.2, abs=1.0)
 
     def test_threshold_temperature_value(self):
-        t_si = to_physical_units(1.037, "temperature", 3.93e13)
-        assert t_si == pytest.approx(311.1, abs=0.5)
-
-    def test_time_zero(self):
-        assert to_physical_units(0.0, "time", 3.93e13) == 0.0
-
-    def test_frequency_and_energy(self):
-        assert to_physical_units(2.0, "frequency", 1e13) == pytest.approx(2e13)
-        # one quantum at the carrier: hbar * omega_c
-        assert to_physical_units(1.0, "energy", 3.93e13) == pytest.approx(4.144e-21, rel=1e-3)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown unit kind"):
-            to_physical_units(1.0, "mass", 1e13)
+        assert to_kelvin(1.037, 3.93e13) == pytest.approx(311.1, abs=0.5)
 
     def test_si_constants_are_exact(self):
         # the 2019 SI defining values; equal to scipy's bit for bit, so every
@@ -175,5 +161,6 @@ class TestUnits:
         assert (_HBAR_SI, _KB_SI) == (constants.hbar, constants.k)
 
     def test_carrier_must_be_positive(self):
-        with pytest.raises(ValueError):
-            to_physical_units(1.0, "time", 0.0)
+        for carrier in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                to_kelvin(1.0, carrier)

@@ -2,8 +2,10 @@
 and its checker (bench/run.py) calls oracle and stability functions by
 keyword. A renamed or removed name or argument fails only the benchmark's own
 tests, which the package suite does not collect; these tests catch it here.
-The tracer is imported, never installed."""
+The tracer is imported, never installed. Every other module-level import of
+the package must be used in its module."""
 
+import ast
 import concurrent.futures
 import importlib.util
 import inspect
@@ -13,6 +15,7 @@ from pathlib import Path
 import sqzbath.cli  # noqa: F401  (loads every submodule)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "sqzbath"
 
 
 def _tracer():
@@ -82,3 +85,28 @@ def test_bath_mode_count_reads_as_the_tracer_reads_it():
     assert getattr(ohmic_bath, "n_modes", None) == len(ohmic_bath.freqs) == 12
     nhc_bath = NHCBathParams(osc_freq=0.15, coupling=0.01, temperature=1.0)
     assert getattr(nhc_bath, "n_modes", None) is None
+
+
+def test_every_module_import_is_used():
+    # a module-level import that its module never reads is dead code, unless
+    # the tracer wraps that name in that module; those bench-only imports
+    # are listed here, so that a new one shows
+    wrapped = {(mod, attr) for mod, attr, _, _ in _tracer().WRAPS}
+    unused, bench_only = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    where = (path.stem, name)
+                    (bench_only if where in wrapped else unused).append(".".join(where))
+    assert unused == []
+    assert bench_only == ["oracle.integrate", "oracle.to_normal_modes"]
