@@ -33,7 +33,7 @@ MAX_BATH_MODES = 10000
 class OhmicBathParams:
     """Discretized Ohmic bath: N unit-mass oscillators, as their tables."""
 
-    freqs: np.ndarray       # Omega_j, strictly increasing, len N
+    freqs: np.ndarray       # Omega_j, positive and strictly increasing, len N
     couplings: np.ndarray   # c_j, len N
 
     def __post_init__(self):
@@ -41,8 +41,8 @@ class OhmicBathParams:
             raise ValueError("frequency and coupling tables must have one length")
         if not (np.isfinite(self.freqs).all() and np.isfinite(self.couplings).all()):
             raise ValueError("bath frequency and coupling tables must be finite")
-        if not np.all(np.diff(self.freqs) > 0):
-            raise ValueError("bath frequencies must be strictly increasing")
+        if not np.all(np.diff(self.freqs, prepend=0.0) > 0):
+            raise ValueError("bath frequencies must be positive and strictly increasing")
 
     @property
     def n_modes(self) -> int:
@@ -57,9 +57,9 @@ def build_ohmic_bath(n_modes: int, kondo: float, cutoff: float) -> OhmicBathPara
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if not kondo >= 0:
+    if not 0 <= kondo < np.inf:
         raise ValueError(f"kondo must be >= 0, got {kondo}")
-    if not cutoff > 0:
+    if not 0 < cutoff < np.inf:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     spacing = (1.0 - np.exp(-cutoff)) / n_modes
     j = np.arange(1, n_modes + 1, dtype=float)
@@ -150,15 +150,15 @@ class NHCBathParams:
     thermo_dof: int = 1
 
     def __post_init__(self):
-        if not self.osc_freq > 0:
+        if not 0 < self.osc_freq < np.inf:
             raise ValueError(f"osc_freq must be positive, got {self.osc_freq}")
         if not math.isfinite(self.coupling):
             raise ValueError(f"coupling must be finite, got {self.coupling}")
-        if not (self.mass_eta1 > 0 and self.mass_eta2 > 0):
+        if not (0 < self.mass_eta1 < np.inf and 0 < self.mass_eta2 < np.inf):
             raise ValueError("all masses must be positive")
-        if not self.thermo_dof >= 1:
+        if not 1 <= self.thermo_dof < np.inf:
             raise ValueError(f"thermo_dof must be >= 1, got {self.thermo_dof}")
-        if not self.temperature > 0:
+        if not 0 < self.temperature < np.inf:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 

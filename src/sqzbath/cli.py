@@ -117,9 +117,9 @@ def _write_manifest(out_dir: str, prefix: str, resolved: dict, seed: int,
     _write_json(manifest, os.path.join(out_dir, f"{prefix}_manifest.json"))
 
 
-def _load(args, overrides=None) -> tuple:
+def _load(args) -> tuple:
     resolved = read_config_file(args.config)
-    overrides = dict(overrides or {})
+    overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides[("ensemble", "seed")] = args.seed
     if getattr(args, "threads", None) is not None:
@@ -226,8 +226,9 @@ def cmd_stability(args) -> int:
 def cmd_compare_baths(args) -> int:
     _, out, resolved = _load(args)
     started = time.perf_counter()
-    cfg_ohmic, _, _ = _load(args, overrides={("bath", "model"): "ohmic"})
-    cfg_nhc, _, _ = _load(args, overrides={("bath", "model"): "nhc"})
+    # both runs are built from the one read of the file that the outputs embed
+    cfg_ohmic, cfg_nhc = (build_run_config(resolved, {("bath", "model"): model})[0]
+                          for model in ("ohmic", "nhc"))
     comparison = bath_equivalence(cfg_ohmic, cfg_nhc)
     _ensure_dir(out.directory)
     path = os.path.join(out.directory, f"{out.prefix}_bath_agreement.json")

@@ -114,7 +114,7 @@ class RunConfig:
     track_energy: bool = False
 
     def __post_init__(self):
-        if not self.temperature > 0:
+        if not 0 < self.temperature < np.inf:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -140,18 +140,20 @@ class RunConfig:
 
 
 @dataclass
-class EnergySeries:
-    times: np.ndarray
-    mean: np.ndarray
-
-
-@dataclass
 class EnsembleResult:
     series: VarianceSeries
     report: SqueezeReport
-    n_traj: int
-    n_failed: int   # always 0: a non-finite trajectory aborts the run
-    energy: Optional[EnergySeries] = None
+    energy: Optional[np.ndarray] = None     # (n_obs,) mean, with track_energy
+
+    @property
+    def n_traj(self) -> int:
+        """The run's trajectory count, which every observation holds."""
+        return self.series.count
+
+    @property
+    def n_failed(self) -> int:
+        """Always 0: a non-finite trajectory aborts the run."""
+        return 0
 
 
 def _sample_chunk(config: RunConfig, lo: int, hi: int) -> TrajectoryState:
@@ -560,11 +562,8 @@ def run_ensemble(config: RunConfig, *, pool=None,
                                 "ensemble moments")
 
     series = acc.series()
-    energy = None
-    if energy_sum is not None:
-        energy = EnergySeries(times=times, mean=energy_sum / config.n_traj)
-    return EnsembleResult(series=series, report=squeeze_report(series),
-                          n_traj=config.n_traj, n_failed=0, energy=energy)
+    energy = None if energy_sum is None else energy_sum / series.count
+    return EnsembleResult(series=series, report=squeeze_report(series), energy=energy)
 
 
 def temperature_seed(master_seed: int, index: int) -> int:
@@ -593,16 +592,16 @@ class SweepRow:
 class SweepResult:
     rows: list
     mc_threshold: Optional[float]
-    mc_threshold_defined: bool
     oracle_threshold: Optional[dict]
     oracle_threshold_note: str
 
+    @property
+    def mc_threshold_defined(self) -> bool:
+        return self.mc_threshold is not None
+
     def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows],
-                "mc_threshold": self.mc_threshold,
-                "mc_threshold_defined": self.mc_threshold_defined,
-                "oracle_threshold": self.oracle_threshold,
-                "oracle_threshold_note": self.oracle_threshold_note}
+        return {**vars(self), "rows": [r.to_dict() for r in self.rows],
+                "mc_threshold_defined": self.mc_threshold_defined}
 
 
 def _oracle_threshold_auto(sys: SystemParams, t_lo: float, t_hi: float,
@@ -661,18 +660,11 @@ def temperature_sweep(config: RunConfig, temperatures) -> SweepResult:
                              oracle_min_variance=float(oracle_var_q.min()),
                              series=result.series))
 
-    mc_threshold = None
-    defined = False
-    if len(rows) > 1:
-        for row in rows:
-            if not row.significant:
-                mc_threshold = row.temperature
-                defined = True
-                break
+    mc_threshold = (next((r.temperature for r in rows if not r.significant), None)
+                    if len(rows) > 1 else None)
     oracle_thr, note = _oracle_threshold_auto(config.system, temps[0], temps[-1],
                                               config.sampling, fundamental)
-    return SweepResult(rows=rows, mc_threshold=mc_threshold,
-                       mc_threshold_defined=defined, oracle_threshold=oracle_thr,
+    return SweepResult(rows=rows, mc_threshold=mc_threshold, oracle_threshold=oracle_thr,
                        oracle_threshold_note=note)
 
 

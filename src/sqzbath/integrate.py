@@ -60,7 +60,7 @@ class IntegratorConfig:
     stride: int = 25    # steps between observable snapshots
 
     def __post_init__(self):
-        if not self.dt > 0:
+        if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")

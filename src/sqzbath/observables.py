@@ -23,12 +23,13 @@ SQUEEZING_THRESHOLD = 0.5
 
 
 class VarianceAccumulator:
-    """Streaming mean/variance of (qt1, qt2, pt1, pt2) on a fixed time grid."""
+    """Streaming mean/variance of (qt1, qt2, pt1, pt2) on a fixed time grid,
+    over one trajectory count for every time."""
 
     def __init__(self, times: np.ndarray):
         self.times = np.asarray(times, dtype=float)
         nt = len(self.times)
-        self.count = np.zeros(nt, dtype=np.int64)
+        self.count = np.int64(0)    # not int: n_a * n_b / n divides as float64
         self.mean = np.zeros((nt, 4))
         self.m2 = np.zeros((nt, 4))
 
@@ -51,8 +52,7 @@ class VarianceAccumulator:
             coord = values[..., k]
             block_mean[:, k] = mean = coord.mean(axis=0)
             block_m2[:, k] = ((coord - mean) ** 2).sum(axis=0)
-        self._merge_moments(np.full(len(self.times), n, dtype=np.int64),
-                            block_mean, block_m2)
+        self._merge_moments(np.int64(n), block_mean, block_m2)
 
     def merge(self, other: "VarianceAccumulator") -> "VarianceAccumulator":
         """Associative combination of two partial accumulators (Chan update)."""
@@ -62,21 +62,22 @@ class VarianceAccumulator:
         return self
 
     def _merge_moments(self, n_b, mean_b, m2_b) -> None:
+        if n_b == 0:
+            return
         n_a = self.count
         n = n_a + n_b
-        safe = np.where(n > 0, n, 1)
         delta = mean_b - self.mean
-        self.mean = self.mean + delta * (n_b / safe)[:, None]
-        self.m2 = self.m2 + m2_b + delta ** 2 * (n_a * n_b / safe)[:, None]
+        self.mean = self.mean + delta * (n_b / n)
+        self.m2 = self.m2 + m2_b + delta ** 2 * (n_a * n_b / n)
         self.count = n
 
     def series(self) -> "VarianceSeries":
-        if np.any(self.count < 2):
-            raise ValueError("need at least two samples per time for variances")
-        var = self.m2 / self.count[:, None]
-        se = var * np.sqrt(2.0 / (self.count[:, None] - 1))
+        if self.count < 2:
+            raise ValueError("need at least two samples for variances")
+        var = self.m2 / self.count
+        se = var * np.sqrt(2.0 / (self.count - 1))
         return VarianceSeries(times=self.times.copy(), variances=var,
-                              std_errors=se, count=self.count.copy(),
+                              std_errors=se, count=int(self.count),
                               means=self.mean.copy())
 
 
@@ -91,7 +92,7 @@ class VarianceSeries:
     times: np.ndarray          # (n_times,)
     variances: np.ndarray      # (n_times, 4)
     std_errors: np.ndarray     # (n_times, 4)
-    count: np.ndarray          # (n_times,)
+    count: int                 # trajectories behind every observation
     means: Optional[np.ndarray] = None
 
     def column(self, name: str) -> np.ndarray:
@@ -117,21 +118,25 @@ def write_variance_csv(series: VarianceSeries, path, header_lines=()) -> None:
             for k in range(4):
                 cells.append(repr(float(v[i, k])))
                 cells.append(repr(float(s[i, k])))
-            cells.append(str(int(series.count[i])))
+            cells.append(str(series.count))
             fh.write(",".join(cells) + "\n")
 
 
 def read_variance_csv(path) -> VarianceSeries:
+    """A :func:`write_variance_csv` file, whose ``n`` column holds one count."""
     import io
 
     with open(path, "r", encoding="utf-8") as fh:
         body = "".join(line for line in fh if not line.startswith("#"))
     data = np.genfromtxt(io.StringIO(body), delimiter=",", names=True)
     data = np.atleast_1d(data)
+    counts = np.unique(data["n"])
+    if len(counts) > 1:
+        raise ValueError(f"{path}: the n column is not constant")
     var = np.column_stack([data["var_q1"], data["var_q2"], data["var_p1"], data["var_p2"]])
     se = np.column_stack([data["se_q1"], data["se_q2"], data["se_p1"], data["se_p2"]])
     return VarianceSeries(times=np.asarray(data["t_prime"]), variances=var,
-                          std_errors=se, count=np.asarray(data["n"], dtype=np.int64))
+                          std_errors=se, count=int(counts[0]) if len(counts) else 0)
 
 
 @dataclass

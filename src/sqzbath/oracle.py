@@ -112,17 +112,15 @@ def isolated_variance_series(sys: SystemParams, temperature: float,
 
     Mode 1 comes from :func:`mode1_variance_exact` with no bath, mode 2 from
     the fundamental solutions, which must span ``config.n_steps`` steps.
-    Standard-error columns are zero (the curves are deterministic).
+    Standard errors and the count are zero (the curves are deterministic).
     """
     _, var_q2, var_p2 = mode2_variance_exact(sys, temperature, mode,
                                              fundamental=fundamental)
     var_q1, var_p1 = mode1_variance_exact(sys, None, temperature, mode, config=config)
     idx = np.arange(0, config.n_steps + 1, config.stride)
-    n_obs = len(idx)
     variances = np.column_stack([var_q1, var_q2[idx], var_p1, var_p2[idx]])
     return VarianceSeries(times=config.obs_times, variances=variances,
-                          std_errors=np.zeros_like(variances),
-                          count=np.zeros(n_obs, dtype=np.int64))
+                          std_errors=np.zeros_like(variances), count=0)
 
 
 # Round-off bound on the closed-form threshold temperature, reported as its

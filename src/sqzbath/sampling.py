@@ -70,7 +70,7 @@ def thermal_widths(mass, freq, temperature, mode: SamplingMode) -> ThermalWidths
     Quantum: var_q = 1/(2 m w tanh(w/2T)), var_p = m w / (2 tanh(w/2T)).
     Classical: var_q = T/(m w^2), var_p = m T.
     """
-    if not np.all(np.asarray(temperature) > 0):
+    if not 0 < temperature < np.inf:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if mode is SamplingMode.QUANTUM:
         th = np.tanh(freq / (2.0 * temperature))

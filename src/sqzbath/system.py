@@ -39,15 +39,15 @@ class SystemParams:
     frozen_coupling: bool = False
 
     def __post_init__(self):
-        if not self.mass > 0:
+        if not 0 < self.mass < np.inf:
             raise ValueError(f"mass must be positive, got {self.mass}")
-        if not self.spring_k > 0:
+        if not 0 < self.spring_k < np.inf:
             raise ValueError(f"spring_k must be positive, got {self.spring_k}")
-        if not self.coupling_amp >= 0:
+        if not 0 <= self.coupling_amp < np.inf:
             raise ValueError(f"coupling_amp must be >= 0, got {self.coupling_amp}")
-        if not self.drive_freq > 0:
+        if not 0 < self.drive_freq < np.inf:
             raise ValueError(f"drive_freq must be positive, got {self.drive_freq}")
-        if not self.carrier_freq > 0:
+        if not 0 < self.carrier_freq < np.inf:
             raise ValueError(f"carrier_freq must be positive, got {self.carrier_freq}")
 
     @property
@@ -166,6 +166,6 @@ def normal_mode_freqs(t, sys: SystemParams):
 def to_kelvin(temperature: float, carrier_freq: float) -> float:
     """A dimensionless temperature in kelvin: one unit is hbar omega_c / k_B
     at the carrier frequency ``carrier_freq`` (rad/s)."""
-    if not carrier_freq > 0:
+    if not 0 < carrier_freq < np.inf:
         raise ValueError("carrier_freq must be positive")
     return temperature * _HBAR_SI * carrier_freq / _KB_SI

@@ -103,8 +103,8 @@ class TestCriterion1EnergyConservation:
         t0 = time.perf_counter()
         res = run_ensemble(cfg)
         elapsed = time.perf_counter() - t0
-        drift = float(np.abs(res.energy.mean - res.energy.mean[0]).max()
-                      / abs(res.energy.mean[0]))
+        drift = float(np.abs(res.energy - res.energy[0]).max()
+                      / abs(res.energy[0]))
         check("criterion 1 (energy conservation)", drift <= 1e-4,
               f"static-coupling <H> relative drift {drift:.2e} over 25000 steps "
               f"(tolerance 1e-4); 1000-trajectory run took {elapsed:.0f}s")

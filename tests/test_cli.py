@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqzbath import mode1_variance_exact, read_variance_csv, stability, to_kelvin
+from sqzbath import (IntegratorConfig, SystemParams, mode1_variance_exact,
+                     read_variance_csv, stability, to_kelvin)
 from sqzbath import driver
 from sqzbath.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRAJECTORY, MAX_GRID_POINTS,
                          _parse_grid, main)
@@ -104,6 +106,16 @@ class TestConfigLayer:
         assert resolved["ensemble"]["n_traj"] == 10000
         assert resolved["ensemble"]["temperature"] == 1.0
         assert resolved["thermostat"]["mass_eta1"] == 1.0
+        # the config defaults and the dataclass defaults agree
+        run_cfg, _, _ = build_run_config(resolved)
+        assert run_cfg.system == SystemParams()
+        assert run_cfg.integrator == IntegratorConfig()
+        nhc_cfg, _, _ = build_run_config(resolved, {("bath", "model"): "nhc"})
+        for obj, names in ((run_cfg, ("workers", "chunk_size", "sampling")),
+                           (nhc_cfg.bath, ("mass_eta1", "mass_eta2", "thermo_dof"))):
+            defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+            for name in names:
+                assert getattr(obj, name) == defaults[name], name
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -556,6 +568,19 @@ class TestCompareBathsCommand:
         payload = json.loads(Path(out, "demo_bath_agreement.json").read_text())
         assert set(payload["coords"]) == {"qt1", "qt2", "pt1", "pt2"}
         assert payload["coords"]["qt2"]["max_rel_dev"] < 1e-9
+
+    def test_reads_the_config_file_once(self, small_config, monkeypatch):
+        # both runs are built from the one read the outputs embed
+        cfg, _ = small_config
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_config_file(path)
+
+        monkeypatch.setattr("sqzbath.cli.read_config_file", counting)
+        assert main(["compare-baths", "--config", cfg]) == EXIT_OK
+        assert reads == [cfg]
 
     def test_invalid_thermostat_mass(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -74,15 +74,40 @@ class TestRunConfigValidation:
         lambda: build_ohmic_bath(4, 0.007, np.nan),
         lambda: isolated_config(temperature=np.nan),
         lambda: thermal_widths(1.0, 1.0, np.nan, SamplingMode.QUANTUM),
+        lambda: SystemParams(mass=np.inf),
+        lambda: SystemParams(spring_k=np.inf),
+        lambda: SystemParams(coupling_amp=np.inf),
+        lambda: SystemParams(drive_freq=np.inf),
+        lambda: SystemParams(carrier_freq=np.inf),
+        lambda: IntegratorConfig(dt=np.inf),
+        lambda: NHCBathParams(osc_freq=np.inf, coupling=0.1, temperature=1.0),
+        lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0,
+                              mass_eta1=np.inf),
+        lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0,
+                              mass_eta2=np.inf),
+        lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0,
+                              thermo_dof=np.inf),
+        lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=np.inf),
+        lambda: isolated_config(temperature=np.inf),
+        lambda: thermal_widths(1.0, 1.0, np.inf, SamplingMode.QUANTUM),
+        lambda: OhmicBathParams(freqs=np.array([-1.0, 0.0, 1.0]),
+                                couplings=np.array([0.1, 0.1, 0.1])),
+        lambda: OhmicBathParams(freqs=np.array([0.0, 1.0]),
+                                couplings=np.array([0.1, 0.1])),
     ], ids=["mass", "spring_k", "coupling_amp", "drive_freq", "carrier_freq", "dt",
             "osc_freq", "nhc_coupling_nan", "nhc_coupling_inf", "mass_eta2",
             "nhc_temperature", "ohmic_freq_nan", "ohmic_freq_inf",
             "ohmic_coupling_nan", "kondo_nan", "kondo_inf", "cutoff_nan",
-            "run_temperature", "thermal_widths_temperature"])
+            "run_temperature", "thermal_widths_temperature",
+            "mass_inf", "spring_k_inf", "coupling_amp_inf", "drive_freq_inf",
+            "carrier_freq_inf", "dt_inf", "osc_freq_inf", "mass_eta1_inf",
+            "mass_eta2_inf", "thermo_dof_inf", "nhc_temperature_inf",
+            "run_temperature_inf", "thermal_widths_temperature_inf",
+            "ohmic_freq_negative", "ohmic_freq_zero"])
     def test_non_finite_parameters_rejected(self, make):
-        # each range check fails for NaN, and tables and couplings must be
-        # finite; only Python callers reach these, as the config layer
-        # refuses non-finite numbers
+        # each range check fails for NaN and +inf, tables and couplings must
+        # be finite, and bath frequencies positive; only Python callers reach
+        # these, as the config layer refuses non-finite numbers
         with pytest.raises(ValueError):
             make()
 
@@ -163,7 +188,7 @@ class TestDeterminism:
             assert np.array_equal(getattr(wide.series, name),
                                   getattr(narrow.series, name)), name
         assert wide.n_failed == narrow.n_failed
-        assert np.array_equal(wide.energy.mean, narrow.energy.mean)
+        assert np.array_equal(wide.energy, narrow.energy)
 
     def test_prefix_stability_when_growing_ensemble(self):
         small = _sample_chunk(isolated_config(n_traj=16), 0, 16)
@@ -787,7 +812,7 @@ class TestEnergyTracking:
         state = _sample_chunk(cfg, 0, 32)
         from sqzbath.system import system_energy
         e0 = float(np.mean(system_energy(0.0, state.system, cfg.system)))
-        assert res.energy.mean[0] == pytest.approx(e0, rel=1e-12)
+        assert res.energy[0] == pytest.approx(e0, rel=1e-12)
 
     # SHA-256 of the series variances, standard errors and means and of the
     # mean energy of a stepped energy-tracking run of each model: 250
@@ -814,7 +839,7 @@ class TestEnergyTracking:
             res = run_ensemble(cfg)
             digest = hashlib.sha256()
             for values in (res.series.variances, res.series.std_errors, res.series.means,
-                           res.energy.mean):
+                           res.energy):
                 digest.update(values.tobytes())
             assert digest.hexdigest() == self.GOLDEN[case], rows
 

@@ -86,7 +86,7 @@ def make_series(var_qt2, times=None):
     variances = np.tile(np.array([[0.9, 0.0, 1.1, 0.9]]), (n_t, 1))
     variances[:, 1] = var_qt2
     acc = VarianceAccumulator(times)
-    acc.count[:] = 2000
+    acc.count = np.int64(2000)
     acc.mean[:] = 0.0
     acc.m2[:] = variances * 2000
     return acc.series()
@@ -137,6 +137,24 @@ class TestCsv:
         assert np.allclose(back.times, s.times, rtol=0, atol=0)
         assert np.allclose(back.variances, s.variances, rtol=0, atol=0)
         assert np.allclose(back.std_errors, s.std_errors, rtol=0, atol=0)
+        assert back.count == s.count == 50
+
+    def test_empty_series_round_trip(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write_variance_csv(make_series(np.array([])), path)
+        back = read_variance_csv(path)
+        assert back.times.size == 0 and back.count == 0
+
+    def test_count_column_must_be_constant(self, tmp_path, rng):
+        # a run's every row holds its one trajectory count
+        s = accumulator_from_samples(rng.standard_normal((50, 3, 4))).series()
+        path = tmp_path / "v.csv"
+        write_variance_csv(s, path)
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",49"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="v.csv"):
+            read_variance_csv(path)
 
     def test_deterministic_bytes(self, tmp_path, rng):
         s = accumulator_from_samples(rng.standard_normal((20, 2, 4))).series()

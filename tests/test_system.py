@@ -161,6 +161,6 @@ class TestUnits:
         assert (_HBAR_SI, _KB_SI) == (constants.hbar, constants.k)
 
     def test_carrier_must_be_positive(self):
-        for carrier in (0.0, math.nan):
+        for carrier in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 to_kelvin(1.0, carrier)

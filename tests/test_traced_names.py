@@ -87,6 +87,16 @@ def test_bath_mode_count_reads_as_the_tracer_reads_it():
     assert getattr(nhc_bath, "n_modes", None) is None
 
 
+def test_run_result_reads_as_the_tracer_reads_it():
+    # the tracer's run_ensemble hook counts result.n_traj and result.n_failed
+    from sqzbath import IntegratorConfig, RunConfig, SystemParams, run_ensemble
+    cfg = RunConfig(system=SystemParams(), temperature=1.0, n_traj=6, seed=3,
+                    integrator=IntegratorConfig(n_steps=20, stride=10))
+    result = run_ensemble(cfg)
+    assert type(result.n_traj) is int and result.n_traj == cfg.n_traj
+    assert result.n_failed == 0
+
+
 def test_every_module_import_is_used():
     # a module-level import that its module never reads is dead code, unless
     # the tracer wraps that name in that module; those bench-only imports
