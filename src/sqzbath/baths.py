@@ -23,9 +23,8 @@ from .system import SystemPhase, system_energy
 # Largest bath an Ohmic run takes (checked by driver.RunConfig). Each
 # trajectory row's sum over the modes is one OpenBLAS ddot, which OpenBLAS
 # 0.3.31 splits over its threads above 10000 elements, so that a larger
-# bath's bits would follow OPENBLAS_NUM_THREADS; at 10000 modes the oracle's
-# (N + 1)^2 eigh input already takes 800 MB. An NHC run only reads its Ohmic
-# reference's tables once, so it takes any size.
+# bath's bits would follow OPENBLAS_NUM_THREADS. An NHC run only reads its
+# Ohmic reference's tables once, so it takes any size.
 MAX_BATH_MODES = 10000
 
 
@@ -58,9 +57,9 @@ def build_ohmic_bath(n_modes: int, kondo: float, cutoff: float) -> OhmicBathPara
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if not 0 <= kondo < np.inf:
-        raise ValueError(f"kondo must be >= 0, got {kondo}")
+        raise ValueError(f"kondo must be >= 0 and finite, got {kondo}")
     if not 0 < cutoff < np.inf:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     spacing = (1.0 - np.exp(-cutoff)) / n_modes
     j = np.arange(1, n_modes + 1, dtype=float)
     arg = 1.0 - j * spacing
@@ -151,15 +150,15 @@ class NHCBathParams:
 
     def __post_init__(self):
         if not 0 < self.osc_freq < np.inf:
-            raise ValueError(f"osc_freq must be positive, got {self.osc_freq}")
+            raise ValueError(f"osc_freq must be positive and finite, got {self.osc_freq}")
         if not math.isfinite(self.coupling):
             raise ValueError(f"coupling must be finite, got {self.coupling}")
         if not (0 < self.mass_eta1 < np.inf and 0 < self.mass_eta2 < np.inf):
-            raise ValueError("all masses must be positive")
+            raise ValueError("all masses must be positive and finite")
         if not 1 <= self.thermo_dof < np.inf:
-            raise ValueError(f"thermo_dof must be >= 1, got {self.thermo_dof}")
+            raise ValueError(f"thermo_dof must be >= 1 and finite, got {self.thermo_dof}")
         if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 def nhc_from_ohmic(kondo: float, cutoff: float, temperature: float) -> NHCBathParams:

@@ -115,7 +115,7 @@ class RunConfig:
 
     def __post_init__(self):
         if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_traj < 2:

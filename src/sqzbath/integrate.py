@@ -61,7 +61,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
         if self.n_yoshida not in (1, 3, 5):

@@ -13,6 +13,10 @@ loop :func:`stability._leapfrog`, is exact for all three models
 relative mode of :func:`integrate`). The centre-of-mass mode is undriven:
 alone (isolated) or with the Ohmic bath it forms a time-invariant linear
 block whose step powers have one closed form (:func:`mode1_variance_exact`).
+That block is an arrowhead matrix, whose eigenpairs follow from its secular
+equation and Lowner's formula (:func:`_arrowhead_modes`), with exact
+deflation of uncoupled modes; the module makes no LAPACK call and no matrix
+product, so its bits do not follow the BLAS thread count.
 The thermostatted model has no Gaussian closure in the chain variables, so
 only its mode 2 has an exact curve.
 """
@@ -184,10 +188,142 @@ def threshold_temperature(sys: SystemParams, *, fundamental: FundamentalSolution
                            temperature_K=to_kelvin(t_star, sys.carrier_freq))
 
 
-_OBS_BLOCK = 64   # observations per block, to bound the temporaries
+_BLOCK = 64   # observations, roots or eigenvector components per block
 
 # the isolated model's centre of mass: the Ohmic block with no bath modes
 _NO_BATH = OhmicBathParams(freqs=np.empty(0), couplings=np.empty(0))
+
+_EPS = float(np.finfo(float).eps)
+_SECULAR_STEPS = 100   # a bound on the loop; Ohmic roots converge in 12 or fewer
+
+
+def _secular_roots(alpha: float, d: np.ndarray, z2: np.ndarray):
+    """Roots of g(lam) = lam - alpha - sum_j z2_j / (lam - d_j), z2 > 0 and
+    d strictly increasing: one in each of (-inf, d_0), (d_0, d_1), ..,
+    (d_{n-1}, inf), as ``(pole, tau)`` with root i = d[pole_i] + tau_i.
+
+    d[pole_i] is the nearer end of root i's interval (its one finite end for
+    the two outer roots), so that every lam_i - d_j = (d[pole_i] - d_j) +
+    tau_i keeps the digits of tau_i. Each root takes Newton steps on a model
+    of g that keeps its nearest pole exactly, -z2_k / t + psi(tau) + psi'(tau)
+    (t - tau), inside a bracket that falls back to bisection, and stops once
+    g is zero to its rounding error. Each block of roots is solved on its own,
+    so that no array is larger than (block, n).
+    """
+    n = len(d)
+    pole = np.minimum(np.arange(n + 1), n - 1)
+    far = np.empty(n + 1)   # the bracket's far end, as an offset from the pole
+    reach = math.sqrt(z2.sum())   # every root lies within |z| of [min(alpha, d), max(..)]
+    far[0] = min(alpha - d[0], 0.0) - reach
+    far[n] = max(alpha - d[-1], 0.0) + reach
+    half = 0.5 * np.diff(d)
+    for lo in range(0, n - 1, _BLOCK):   # the sign of g at each gap's midpoint
+        j = np.arange(lo, min(lo + _BLOCK, n - 1))
+        g = (d[j] - alpha) + half[j] - np.vecdot(1.0 / ((d[j, None] - d) + half[j, None]), z2)
+        below = g >= 0
+        pole[j + 1] -= below
+        far[j + 1] = np.where(below, half[j], -half[j])
+    tau = np.empty(n + 1)
+    for lo in range(0, n + 1, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        k, t = pole[block], far[block]
+        offsets, c = d[k, None] - d, z2[k]
+        above = t > 0
+        lower, upper = np.minimum(t, 0.0), np.maximum(t, 0.0)
+        active = np.ones(len(k), dtype=bool)
+        for _ in range(_SECULAR_STEPS):
+            inv = 1.0 / (offsets + t[:, None])
+            inv[np.arange(len(k)), k] = 0.0   # psi leaves out the nearest pole
+            psi = (d[k] - alpha) + t - np.vecdot(inv, z2)
+            g = psi - c / t
+            upper = np.where(g > 0, t, upper)
+            lower = np.where(g < 0, t, lower)
+            # the model's root on the pole's side: slope t^2 + b t - c = 0
+            slope = 1.0 + np.vecdot(inv * inv, z2)
+            b = psi - slope * t
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * slope * c), b))
+            step = np.where(above, np.maximum(q / slope, -c / q), np.minimum(q / slope, -c / q))
+            step = np.where((lower <= step) & (step <= upper), step, 0.5 * (lower + upper))
+            noise = abs(d[k] - alpha) + abs(t) + np.vecdot(abs(inv), z2) + c / abs(t)
+            converged = abs(g) <= 8.0 * _EPS * noise
+            step = np.where(converged, t, step)
+            done = converged | (abs(step - t) <= 4.0 * _EPS * abs(step))
+            t = np.where(active, step, t)
+            active &= ~done
+            if not active.any():
+                break
+        else:
+            raise ArithmeticError("secular equation: a root did not converge")
+        tau[block] = t
+    return pole, tau
+
+
+@dataclass(frozen=True)
+class _ArrowheadModes:
+    """Eigenpairs of a symmetric arrowhead [[alpha, z^T], [z, diag(d)]] that
+    have a first component. A pole with z_j = 0 is deflated: (d_j, e_j) is an
+    eigenpair with none, and is left out, as is d_j's component of the rest."""
+
+    d: np.ndarray       # the coupled poles, strictly increasing
+    zhat: np.ndarray    # Lowner's border: lam are the exact eigenvalues for it
+    pole: np.ndarray    # each eigenvalue's nearer pole, an index into d
+    tau: np.ndarray     # each eigenvalue minus that pole
+    lam: np.ndarray     # the eigenvalues, one per coupled pole and one more
+    first: np.ndarray   # the first component of each unit eigenvector
+
+    def components(self, lo: int, hi: int) -> np.ndarray:
+        """Components lo .. hi - 1 of every unit eigenvector, one row each:
+        row 0 the first, row j >= 1 zhat_j first / (lam - d_j)."""
+        n = len(self.d)
+        j = np.arange(max(lo, 1), min(hi, n + 1)) - 1
+        rows = np.empty((min(hi, n + 1) - lo, n + 1))
+        if lo == 0:
+            rows[0] = self.first
+        if len(j):
+            rows[len(rows) - len(j):] = (self.zhat[j, None] * self.first) / (
+                (self.d[self.pole] - self.d[j, None]) + self.tau)
+        return rows
+
+
+def _arrowhead_modes(alpha: float, d: np.ndarray, z: np.ndarray) -> _ArrowheadModes:
+    """Eigenpairs of [[alpha, z^T], [z, diag(d)]], d strictly increasing,
+    without LAPACK (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1266
+    (1994); Jakovcevic Stor, Slapnicar and Barlow, Linear Algebra Appl. 464,
+    62 (2015)).
+
+    The eigenvalues interlace the coupled poles and solve the secular
+    equation (:func:`_secular_roots`). Lowner's formula rebuilds the border
+    zhat_j^2 = prod_i |d_j - lam_i| / prod_(m != j) |d_j - d_m| for which
+    they are exact, so that the eigenvectors (1, zhat / (lam - d)) are
+    orthogonal to working accuracy however close a root lies to its pole.
+    The products run over blocks of roots; each lam_i but the outer two is
+    paired with a pole it interlaces, so that every ratio lies in (0, 1) and
+    no partial product underflows before the last. A bare alpha (no coupled
+    pole) is its own eigenvalue, with first component 1.
+    """
+    coupled = z != 0
+    d, z = d[coupled], z[coupled]
+    n = len(d)
+    if n == 0:
+        return _ArrowheadModes(d=d, zhat=z, pole=np.empty(0, dtype=int), tau=np.empty(0),
+                               lam=np.array([alpha]), first=np.ones(1))
+    pole, tau = _secular_roots(alpha, d, z * z)
+    zhat2, j = np.ones(n), np.arange(n)
+    for lo in range(0, n + 1, _BLOCK):
+        i = np.arange(lo, min(lo + _BLOCK, n + 1))[:, None]
+        # lam_i for i <= j pairs with d_(i-1) below d_j, for i > j with d_i;
+        # lam_0 and lam_n have no partner
+        partner = i - (i <= j)
+        spacing = np.where((partner < 0) | (partner == n), 1.0,
+                           abs(d - d[partner.clip(0, n - 1)]))
+        zhat2 *= np.prod(abs((d[pole[i]] - d) + tau[i]) / spacing, axis=0)
+    first = np.empty(n + 1)
+    for lo in range(0, n + 1, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        inv = 1.0 / ((d[pole[block], None] - d) + tau[block, None])
+        first[block] = 1.0 / np.sqrt(1.0 + np.vecdot(inv * inv, zhat2))
+    return _ArrowheadModes(d=d, zhat=np.copysign(np.sqrt(zhat2), z), pole=pole, tau=tau,
+                           lam=d[pole] + tau, first=first)
 
 
 def mode1_variance_exact(sys: SystemParams, bath: Optional[OhmicBathParams],
@@ -201,43 +337,58 @@ def mode1_variance_exact(sys: SystemParams, bath: Optional[OhmicBathParams],
     (qt1, R_1..R_N | pt1, P_1..P_N) with symmetric force matrix F (F00 =
     -m w^2, F0j = sqrt(2) c_j, Fjj = -W_j^2 for the unit-mass bath); the
     isolated model is the block with N = 0. With s = diag(m, 1, .., 1)^(-1/2),
-    -s F s = U diag(lam) U^T splits it into independent modes whose
-    kick-drift-kick step is M = [[c, dt], [-lam dt (1 - lam dt^2/4), c]],
-    c = 1 - lam dt^2/2, so M^k = (sin(k th) M - sin((k-1) th) I) / sin(th)
-    with th = 2 arcsin(dt sqrt(lam) / 2). Complex arithmetic covers an
-    unstable block (lam < 0).
+    -s F s = U diag(lam) U^T is an arrowhead: alpha = w^2 at (0, 0), the
+    border sqrt(2) c_j / sqrt(m) and the diagonal W_j^2. Its eigenpairs come
+    from the secular equation and Lowner's formula (:func:`_arrowhead_modes`),
+    with no LAPACK or matrix product. An uncoupled mode (c_j = 0) is its own
+    eigenmode with no qt1 component, so it drops out of qt1's rows exactly.
+    The modes are independent, and each one's kick-drift-kick step is
+    M = [[c, dt], [-lam dt (1 - lam dt^2/4), c]], c = 1 - lam dt^2/2, so
+    M^k = (sin(k th) M - sin((k-1) th) I) / sin(th) with th = 2 arcsin(dt
+    sqrt(lam) / 2). Complex arithmetic covers an unstable block (lam < 0).
     The variances sum the squared rows against the diagonal thermal
-    covariance the samplers draw from.
+    covariance the samplers draw from; every sum over modes is one
+    row-local ``np.vecdot``, and no array holds more than 3 x 64 x (N + 1)
+    values.
     """
     bath = _NO_BATH if bath is None else bath
+    coupled = bath.couplings != 0
+    freqs, couplings = bath.freqs[coupled], bath.couplings[coupled]
+    n = len(freqs)
     dt = config.dt
     w1, _ = normal_mode_freqs(0.0, sys)
     wid_sys = thermal_widths(sys.mass, w1, temperature, mode)
-    wid_bath = thermal_widths(1.0, bath.freqs, temperature, mode)
+    wid_bath = thermal_widths(1.0, freqs, temperature, mode)
     var_q = np.append(wid_sys.var_q, wid_bath.var_q)
-    var_p = np.append(wid_sys.var_p, np.broadcast_to(wid_bath.var_p, bath.n_modes))
-    masses = np.append(sys.mass, np.ones(bath.n_modes))
+    var_p = np.append(wid_sys.var_p, np.broadcast_to(wid_bath.var_p, n))
+    masses = np.append(sys.mass, np.ones(n))
     s = masses ** -0.5
-    force = np.diag(-masses * np.append(w1, bath.freqs) ** 2)
-    force[0, 1:] = force[1:, 0] = math.sqrt(2.0) * bath.couplings
-    lam, u = np.linalg.eigh(-(s[:, None] * force * s))
+    stiffness = masses * np.append(w1, freqs) ** 2
+    modes = _arrowhead_modes(s[0] * stiffness[0] * s[0], freqs ** 2,
+                             s[0] * (math.sqrt(2.0) * couplings))
+    lam = modes.lam
     theta = 2.0 * np.arcsin(0.5 * dt * np.sqrt(lam.astype(complex)))
     sin_th = np.sin(theta)
     cos_th = 1.0 - 0.5 * lam * dt ** 2
     kick = -lam * dt * (1.0 - 0.25 * lam * dt ** 2)
     # row 0 of U diag(.) U^T, rescaled to (qt1, pt1) from the unweighted (q, p)
-    u0, ratio, prod = u[0], s[0] / s, s[0] * s
+    ratio, prod = s[0] / s, s[0] * s
     steps = np.arange(0, config.n_steps + 1, config.stride)
     var_q1, var_p1 = np.empty((2, len(steps)))
     with np.errstate(over="ignore", invalid="ignore"):   # a blow-up raises below
-        for lo in range(0, len(steps), _OBS_BLOCK):
-            k = steps[lo:lo + _OBS_BLOCK, None]
+        for lo in range(0, len(steps), _BLOCK):
+            k = steps[lo:lo + _BLOCK, None]
             sin_k = (np.sin(k * theta) / sin_th).real
             diag = sin_k * cos_th - (np.sin((k - 1) * theta) / sin_th).real
-            a, b, c = ((u0 * d) @ u.T for d in (diag, sin_k * dt, sin_k * kick))
-            block = slice(lo, lo + _OBS_BLOCK)
-            var_q1[block] = (a * ratio) ** 2 @ var_q + (b * prod) ** 2 @ var_p
-            var_p1[block] = (c / prod) ** 2 @ var_q + (a / ratio) ** 2 @ var_p
+            weights = np.stack([diag, sin_k * dt, sin_k * kick])[:, :, None] * modes.first
+            rows = np.empty((3, len(k), n + 1))
+            for col in range(0, n + 1, _BLOCK):
+                rows[..., col:col + _BLOCK] = np.vecdot(weights,
+                                                        modes.components(col, col + _BLOCK))
+            a, b, c = rows
+            block = slice(lo, lo + _BLOCK)
+            var_q1[block] = np.vecdot((a * ratio) ** 2, var_q) + np.vecdot((b * prod) ** 2, var_p)
+            var_p1[block] = np.vecdot((c / prod) ** 2, var_q) + np.vecdot((a / ratio) ** 2, var_p)
     finite = np.isfinite(var_q1) & np.isfinite(var_p1)
     if not finite.all():
         raise TrajectoryFailure(int(steps[finite.argmin()]))

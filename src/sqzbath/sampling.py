@@ -71,7 +71,7 @@ def thermal_widths(mass, freq, temperature, mode: SamplingMode) -> ThermalWidths
     Classical: var_q = T/(m w^2), var_p = m T.
     """
     if not 0 < temperature < np.inf:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     if mode is SamplingMode.QUANTUM:
         th = np.tanh(freq / (2.0 * temperature))
         return ThermalWidths(var_q=1.0 / (2.0 * mass * freq * th),

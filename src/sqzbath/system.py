@@ -40,15 +40,15 @@ class SystemParams:
 
     def __post_init__(self):
         if not 0 < self.mass < np.inf:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not 0 < self.spring_k < np.inf:
-            raise ValueError(f"spring_k must be positive, got {self.spring_k}")
+            raise ValueError(f"spring_k must be positive and finite, got {self.spring_k}")
         if not 0 <= self.coupling_amp < np.inf:
-            raise ValueError(f"coupling_amp must be >= 0, got {self.coupling_amp}")
+            raise ValueError(f"coupling_amp must be >= 0 and finite, got {self.coupling_amp}")
         if not 0 < self.drive_freq < np.inf:
-            raise ValueError(f"drive_freq must be positive, got {self.drive_freq}")
+            raise ValueError(f"drive_freq must be positive and finite, got {self.drive_freq}")
         if not 0 < self.carrier_freq < np.inf:
-            raise ValueError(f"carrier_freq must be positive, got {self.carrier_freq}")
+            raise ValueError(f"carrier_freq must be positive and finite, got {self.carrier_freq}")
 
     @property
     def freq(self) -> float:
@@ -167,5 +167,5 @@ def to_kelvin(temperature: float, carrier_freq: float) -> float:
     """A dimensionless temperature in kelvin: one unit is hbar omega_c / k_B
     at the carrier frequency ``carrier_freq`` (rad/s)."""
     if not 0 < carrier_freq < np.inf:
-        raise ValueError("carrier_freq must be positive")
+        raise ValueError(f"carrier_freq must be positive and finite, got {carrier_freq}")
     return temperature * _HBAR_SI * carrier_freq / _KB_SI

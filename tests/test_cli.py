@@ -643,8 +643,8 @@ class TestOracleCommand:
         assert f"({anywhere['temperature_K']:.1f} K)" in capsys.readouterr().out
 
     def test_ohmic_csv_byte_identical_across_processes(self, small_config):
-        # one BLAS thread count in both: eigh and matrix products may round
-        # differently under another thread count
+        # two fresh processes, the same bytes: nothing in the oracle depends
+        # on its process (the thread count is checked on its own below)
         cfg, out = small_config
         payloads = []
         for _ in range(2):
@@ -653,16 +653,30 @@ class TestOracleCommand:
             payloads.append(Path(out, "demo_oracle_variance.csv").read_bytes())
         assert payloads[0] == payloads[1]
 
+    @pytest.mark.parametrize("n_modes", [6, 200])
+    def test_ohmic_csv_ignores_blas_threads(self, tmp_path, n_modes):
+        # every sum over the Ohmic block's N + 1 modes is one row-local
+        # np.vecdot, which OpenBLAS runs on one thread up to 10000 terms; at
+        # 200 modes an eigh or a matrix product rounds differently on two
+        (tmp_path / "case.ini").write_text(
+            SMALL_INI.replace("n_modes = 6", f"n_modes = {n_modes}").format(out="results"))
+        payloads = set()
+        for threads in (1, 2):
+            subprocess.run([sys.executable, "-m", "sqzbath.cli", "oracle", "--config", "case.ini"],
+                           cwd=tmp_path, check=True, capture_output=True, timeout=120,
+                           env=dict(cli_env(), OPENBLAS_NUM_THREADS=str(threads)))
+            payloads.add(Path(tmp_path, "results", "demo_oracle_variance.csv").read_bytes())
+        assert len(payloads) == 1
+
     # SHA-256 of the oracle outputs of SMALL_INI with each model, written to
     # a relative directory: (threshold JSON, oracle CSV, console line). They
-    # guard the kelvin values byte for byte. The Ohmic CSV is left out: its
-    # last bits follow the BLAS thread count.
+    # guard the kelvin values byte for byte.
     GOLDEN = {
         "isolated": ("57eea5f91dccdad5744dd7236d9ffb2599b54998ad49f23d92a7a1a558b414b4",
                      "db003ce0e915d5632e3f29585719c132613f2ebc0886e6895504a90f6c7d3a7c",
                      "28f5dddc61f280f824da8b9574d5c4734f587af15a15d030ed2f3aaac127fcf1"),
         "ohmic": ("c0ee3557297a71a874c82e79f4fc95e93cc9028f66a8f4379a2df7ab3919616b",
-                  None,
+                  "2b7ee458b50e0f5ee2d431710f90e7144f7adaf43c027c942383c6aa4c742e83",
                   "28f5dddc61f280f824da8b9574d5c4734f587af15a15d030ed2f3aaac127fcf1"),
         "nhc": ("5e42fe046b27377a75ce291262da436e27a78efcb055e20250ad435f0de84ef2",
                 "48321d4965be362e89983609d16621ff7a2f423c5d678c63725d41261e6522d2",
@@ -678,8 +692,7 @@ class TestOracleCommand:
         json_digest, csv_digest, line_digest = self.GOLDEN[model]
         sha = lambda data: hashlib.sha256(data).hexdigest()
         assert sha(Path("results", "demo_threshold.json").read_bytes()) == json_digest
-        if csv_digest is not None:
-            assert sha(Path("results", "demo_oracle_variance.csv").read_bytes()) == csv_digest
+        assert sha(Path("results", "demo_oracle_variance.csv").read_bytes()) == csv_digest
         assert sha(capsys.readouterr().out.encode()) == line_digest
 
 

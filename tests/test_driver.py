@@ -14,7 +14,7 @@ from sqzbath import (IntegratorConfig, ModelKind, NHCBathParams, OhmicBathParams
                      build_ohmic_bath, init_nhc_bath, mode1_variance_exact,
                      nhc_from_ohmic, nhc_matched_to_ohmic, run_ensemble,
                      sample_ohmic_bath, sample_system, temperature_sweep,
-                     thermal_widths)
+                     thermal_widths, to_kelvin)
 from sqzbath import driver
 from sqzbath.baths import MAX_BATH_MODES
 from sqzbath.cli import EXIT_TRAJECTORY, main
@@ -109,6 +109,28 @@ class TestRunConfigValidation:
         # be finite, and bath frequencies positive; only Python callers reach
         # these, as the config layer refuses non-finite numbers
         with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SystemParams(mass=np.inf), "mass must be positive and finite, got inf"),
+        (lambda: SystemParams(coupling_amp=np.inf),
+         "coupling_amp must be >= 0 and finite, got inf"),
+        (lambda: IntegratorConfig(dt=np.inf), "dt must be positive and finite, got inf"),
+        (lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0,
+                               mass_eta1=np.inf), "all masses must be positive and finite"),
+        (lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0,
+                               thermo_dof=np.inf), "thermo_dof must be >= 1 and finite, got inf"),
+        (lambda: isolated_config(temperature=np.inf),
+         "temperature must be positive and finite, got inf"),
+        (lambda: thermal_widths(1.0, 1.0, np.inf, SamplingMode.QUANTUM),
+         "temperature must be positive and finite, got inf"),
+        (lambda: to_kelvin(1.0, np.inf), "carrier_freq must be positive and finite, got inf"),
+        (lambda: build_ohmic_bath(8, np.inf, 3.0), "kondo must be >= 0 and finite, got inf"),
+        (lambda: build_ohmic_bath(8, 0.007, np.inf), "cutoff must be positive and finite, got inf"),
+    ])
+    def test_range_messages_name_the_whole_range(self, make, message):
+        # +inf fails the upper end of the range, so the message names both ends
+        with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
     def test_model_follows_bath(self):

@@ -1,8 +1,13 @@
+import ast
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from sqzbath import (IntegratorConfig, NormalModePhase, OhmicBathPhase, RunConfig,
@@ -11,7 +16,7 @@ from sqzbath import (IntegratorConfig, NormalModePhase, OhmicBathPhase, RunConfi
                      isolated_variance_series, mode1_variance_exact, mode2_variance_exact,
                      normal_mode_freqs, run_ensemble, threshold_temperature,
                      thermal_widths, to_normal_modes)
-from sqzbath import driver
+from sqzbath import driver, oracle
 
 W1 = math.sqrt(1.25)
 
@@ -212,6 +217,15 @@ class TestFullCovariance:
         assert np.max(np.abs(vq1 - vq[idx])) < 1e-9
         assert np.max(np.abs(vp1 - vp[idx])) < 1e-9
 
+    def test_uncoupled_bath_is_the_isolated_block(self):
+        # every c_j = 0 deflates: only the 1x1 block of the isolated model is left
+        cfg = IntegratorConfig(n_steps=2000, stride=50)
+        bath = mode1_variance_exact(SystemParams(), build_ohmic_bath(8, 0.0, 3.0), 1.0,
+                                    config=cfg)
+        isolated = mode1_variance_exact(SystemParams(), None, 1.0, config=cfg)
+        for a, b in zip(bath, isolated):
+            assert a.tobytes() == b.tobytes()
+
     def test_mode2_block_is_bath_independent(self):
         sys = SystemParams()
         bath = build_ohmic_bath(16, 0.007, 3.0)
@@ -288,3 +302,91 @@ class TestIsolatedSeries:
                                      fundamental=fundamental_solution(sys, n_steps=5000))
         assert np.abs(s.variances[:, 0] / expected[:, 0] - 1).max() <= 1e-11
         assert np.abs(s.variances[:, 2] / expected[:, 1] - 1).max() <= 1e-11
+
+
+def arrowhead(alpha, d, z):
+    a = np.diag(np.append(alpha, d))
+    a[0, 1:] = a[1:, 0] = z
+    return a
+
+
+def arrowhead_eigensystem(alpha, d, z):
+    """(lam, vecs) of :func:`arrowhead` from ``oracle._arrowhead_modes``, the
+    deflated pairs (d_j, e_j) of the zero z_j appended; vecs' columns are the
+    unit eigenvectors."""
+    modes = oracle._arrowhead_modes(alpha, d, z)
+    coupled = np.append(True, z != 0)
+    m = len(modes.lam)
+    vecs = np.zeros((len(d) + 1, len(d) + 1))
+    vecs[np.ix_(coupled, np.arange(m))] = modes.components(0, m)
+    vecs[np.flatnonzero(~coupled), np.arange(m, len(d) + 1)] = 1.0
+    return np.append(modes.lam, d[z == 0]), vecs
+
+
+class TestArrowheadEigenpairs:
+    """``oracle._arrowhead_modes`` against LAPACK and against its own
+    definition: A v = lam v, orthonormal vectors, roots that interlace."""
+
+    @pytest.mark.parametrize("kondo", [0.007, 0.3])
+    @pytest.mark.parametrize("n_modes", [1, 8, 200])
+    def test_matches_eigh(self, n_modes, kondo):
+        bath = build_ohmic_bath(n_modes, kondo, 3.0)
+        args = (W1 ** 2, bath.freqs ** 2, math.sqrt(2.0) * bath.couplings)
+        lam, vecs = arrowhead_eigensystem(*args)
+        ref_lam, ref_vecs = np.linalg.eigh(arrowhead(*args))
+        scale = np.abs(arrowhead(*args)).max()
+        order = np.argsort(lam)
+        assert np.abs(lam[order] - ref_lam).max() <= 1e-14 * scale
+        vecs = vecs[:, order]
+        vecs *= np.sign(np.sum(vecs * ref_vecs, axis=0))   # eigh's signs
+        # either side's vectors are good to about eps |A| / (smallest gap)
+        gap = np.diff(ref_lam).min()
+        assert np.abs(vecs - ref_vecs).max() <= 64 * np.finfo(float).eps * scale / gap
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data())
+    def test_random_arrowheads(self, n, data):
+        # positive, strictly increasing poles, some of them clustered; a
+        # border with exact zeros, entries down to 1e-12 and either sign
+        gap = st.sampled_from([1e-9, 1e-6]) | st.floats(1e-3, 2.0)
+        d = np.cumsum(data.draw(arrays(float, n, elements=gap)))
+        size = st.sampled_from([0.0, 1e-12, 1e-8]) | st.floats(1e-12, 3.0)
+        z = (data.draw(arrays(float, n, elements=size))
+             * data.draw(arrays(float, n, elements=st.sampled_from([-1.0, 1.0]))))
+        alpha = data.draw(st.floats(-5.0, 50.0))
+        a = arrowhead(alpha, d, z)
+        lam, vecs = arrowhead_eigensystem(alpha, d, z)
+        tol = 8 * (n + 1) * np.finfo(float).eps
+        assert np.abs(a @ vecs - vecs * lam).max() <= tol * np.abs(a).max()
+        assert np.abs(vecs.T @ vecs - np.eye(n + 1)).max() <= tol
+        # one root below the coupled poles, one between each pair and one
+        # above, each measured from the nearer pole of its interval
+        modes = oracle._arrowhead_modes(alpha, d, z)
+        poles, i = d[z != 0], np.arange(len(modes.lam))
+        assert np.all(modes.lam[:-1] <= poles) and np.all(poles <= modes.lam[1:])
+        below = modes.pole == i - 1
+        assert np.all(below | (modes.pole == i))
+        assert np.all((modes.tau > 0) == below) and np.all(modes.tau != 0)
+        # backward stability: the roots are exact for Lowner's border, and
+        # that border is z to working accuracy
+        assert np.all(np.abs(modes.zhat / z[z != 0] - 1) <= tol)
+
+    def test_bare_alpha_is_its_own_mode(self):
+        # no coupled pole: the isolated model's 1x1 block keeps its bits
+        modes = oracle._arrowhead_modes(1.25, np.array([0.5, 2.0]), np.zeros(2))
+        assert modes.lam.tolist() == [1.25] and modes.first.tolist() == [1.0]
+        assert modes.components(0, 64).tolist() == [[1.0]]
+
+
+def test_package_calls_no_lapack_or_matrix_product():
+    # LAPACK and BLAS-3 round differently on different thread counts; the
+    # package's sums are row-local np.vecdot calls, which do not
+    package = Path(__file__).resolve().parents[1] / "src" / "sqzbath"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("linalg", "matmul")
+                    or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+                    or isinstance(getattr(node, "op", None), ast.MatMult)):   # @ and @=
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
