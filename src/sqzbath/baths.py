@@ -18,14 +18,15 @@ import math
 
 import numpy as np
 
-from .system import SystemPhase, system_energy
+from .system import SystemPhase, check_range, system_energy
 
 # Largest bath an Ohmic run takes (checked by driver.RunConfig). Each
-# trajectory row's sum over the modes is one OpenBLAS ddot, which OpenBLAS
-# 0.3.31 splits over its threads above 10000 elements, so that a larger
-# bath's bits would follow OPENBLAS_NUM_THREADS. An NHC run only reads its
-# Ohmic reference's tables once, so it takes any size.
-MAX_BATH_MODES = 10000
+# row-local sum over the modes is one OpenBLAS ddot, which OpenBLAS 0.3.31
+# splits over its threads above 10000 terms, so that its bits would follow
+# OPENBLAS_NUM_THREADS. The bound counts terms per ddot: N for the stepper's
+# sums, N + 1 for the mode-1 oracle's over the (1 + N) block. An NHC run only
+# reads its Ohmic reference's tables once, so it takes any size.
+MAX_BATH_MODES = 9999
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +57,8 @@ def build_ohmic_bath(n_modes: int, kondo: float, cutoff: float) -> OhmicBathPara
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if not 0 <= kondo < np.inf:
-        raise ValueError(f"kondo must be >= 0 and finite, got {kondo}")
-    if not 0 < cutoff < np.inf:
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
+    check_range("kondo", kondo, inclusive=True)
+    check_range("cutoff", cutoff)
     spacing = (1.0 - np.exp(-cutoff)) / n_modes
     j = np.arange(1, n_modes + 1, dtype=float)
     arg = 1.0 - j * spacing
@@ -149,16 +148,12 @@ class NHCBathParams:
     thermo_dof: int = 1
 
     def __post_init__(self):
-        if not 0 < self.osc_freq < np.inf:
-            raise ValueError(f"osc_freq must be positive and finite, got {self.osc_freq}")
-        if not math.isfinite(self.coupling):
-            raise ValueError(f"coupling must be finite, got {self.coupling}")
-        if not (0 < self.mass_eta1 < np.inf and 0 < self.mass_eta2 < np.inf):
-            raise ValueError("all masses must be positive and finite")
-        if not 1 <= self.thermo_dof < np.inf:
-            raise ValueError(f"thermo_dof must be >= 1 and finite, got {self.thermo_dof}")
-        if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        check_range("osc_freq", self.osc_freq)
+        check_range("coupling", self.coupling, low=None)
+        check_range("mass_eta1", self.mass_eta1)
+        check_range("mass_eta2", self.mass_eta2)
+        check_range("thermo_dof", self.thermo_dof, low=1, inclusive=True)
+        check_range("temperature", self.temperature)
 
 
 def nhc_from_ohmic(kondo: float, cutoff: float, temperature: float) -> NHCBathParams:

@@ -70,9 +70,10 @@ from .oracle import (FundamentalSolution, fundamental_solution,
                      mode2_variance_exact, threshold_temperature)
 from .observables import (SqueezeReport, VarianceAccumulator, VarianceSeries,
                           squeeze_report)
-from .sampling import (SamplingMode, init_nhc_bath, sample_ohmic_bath,
+from .sampling import (SamplingMode, init_nhc_bath, philox_keys, sample_ohmic_bath,
                        sample_system, trajectory_rng)
-from .system import SystemParams, SystemPhase, system_energy, to_normal_modes
+from .system import (SystemParams, SystemPhase, check_range, system_energy,
+                     to_normal_modes)
 
 SEED_STREAM_RULE = "philox(seed_sequence=(seed, trajectory_index))"
 
@@ -114,8 +115,7 @@ class RunConfig:
     track_energy: bool = False
 
     def __post_init__(self):
-        if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        check_range("temperature", self.temperature)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_traj < 2:
@@ -567,9 +567,9 @@ def run_ensemble(config: RunConfig, *, pool=None,
 
 
 def temperature_seed(master_seed: int, index: int) -> int:
-    """Derived master seed for sweep point ``index`` (documented, stable)."""
-    return int(np.random.SeedSequence((master_seed, 7919, index))
-               .generate_state(1, np.uint64)[0])
+    """Derived master seed for sweep point ``index`` (documented, stable): the
+    first uint64 of ``SeedSequence((master_seed, 7919, index))``'s state."""
+    return int(philox_keys((master_seed, 7919), [index])[0, 0])
 
 
 @dataclass

@@ -47,8 +47,8 @@ import numpy as np
 
 from .baths import (NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase,
                     OhmicWorkspace, nhc_bath_forces, ohmic_forces)
-from .system import (SystemParams, SystemPhase, coupled_force, coupling_stiffness,
-                     system_force)
+from .system import (SystemParams, SystemPhase, check_range, coupled_force,
+                     coupling_stiffness, system_force)
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class IntegratorConfig:
     stride: int = 25    # steps between observable snapshots
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        check_range("dt", self.dt)
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
         if self.n_yoshida not in (1, 3, 5):

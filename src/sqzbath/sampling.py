@@ -16,9 +16,8 @@ Sampling is two passes. :func:`trajectory_rng` draws a chunk's standard
 normals, one row per trajectory, bit for bit as those generators would;
 the samplers only scale them by the thermal widths. The Philox keys come
 from :func:`philox_keys`, a vectorized uint32 copy of numpy's
-``SeedSequence`` mixing. That copy covers entropy that fits the pool of four
-32-bit words; it falls back to numpy's own ``SeedSequence`` when an index is
->= 2**32 or the seed is >= 2**96.
+``SeedSequence`` mixing, which is the one key path for seeds of any size and
+indices below 2**64.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .baths import NHCBathParams, NHCBathPhase, OhmicBathParams, OhmicBathPhase
-from .system import NormalModePhase, SystemParams, SystemPhase, from_normal_modes, normal_mode_freqs
+from .system import (NormalModePhase, SystemParams, SystemPhase, check_range,
+                     from_normal_modes, normal_mode_freqs)
 
 
 class SamplingMode(enum.Enum):
@@ -70,8 +70,7 @@ def thermal_widths(mass, freq, temperature, mode: SamplingMode) -> ThermalWidths
     Quantum: var_q = 1/(2 m w tanh(w/2T)), var_p = m w / (2 tanh(w/2T)).
     Classical: var_q = T/(m w^2), var_p = m T.
     """
-    if not 0 < temperature < np.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    check_range("temperature", temperature)
     if mode is SamplingMode.QUANTUM:
         th = np.tanh(freq / (2.0 * temperature))
         return ThermalWidths(var_q=1.0 / (2.0 * mass * freq * th),
@@ -106,8 +105,14 @@ _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 
 
-def _uint32_words(value: int) -> list:
-    """Little-endian 32-bit words of a non-negative integer; [0] for 0."""
+def _uint32_words(entropy) -> list:
+    """Little-endian 32-bit words of SeedSequence entropy, [0] for 0: a
+    non-negative int, or a tuple of them, whose words are joined in order."""
+    if isinstance(entropy, tuple):
+        return [word for part in entropy for word in _uint32_words(part)]
+    value = int(entropy)
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -115,59 +120,78 @@ def _uint32_words(value: int) -> list:
     return words
 
 
-def philox_keys(seed: int, indices) -> np.ndarray:
-    """Philox keys of trajectories ``indices``, shape (len(indices), 2).
-
-    Row r equals ``SeedSequence((seed, indices[r])).generate_state(2,
-    np.uint64)``, the key ``Philox(SeedSequence((seed, indices[r])))`` uses.
-    All rows are mixed at once while the entropy words (the seed's, then the
-    index's) fit the pool of four; otherwise, for an index >= 2**32 or a seed
-    >= 2**96, numpy's SeedSequence computes each row.
-    """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    idx = np.asarray(indices)
-    if idx.size and idx.min() < 0:
-        raise ValueError("trajectory indices must be non-negative")
-    seed_words = _uint32_words(seed)
-    if len(seed_words) >= _POOL_SIZE or (idx.size and idx.max() > _MASK32):
-        return np.array([np.random.SeedSequence((seed, int(i))).generate_state(2, np.uint64)
-                         for i in indices], dtype=np.uint64).reshape(-1, 2)
-
-    n = idx.size
-    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words]
-    entropy.append(idx.astype(np.uint32))
-    hash_const = _INIT_A
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays: its constant starts at
+    ``init`` and is multiplied by ``mult`` at every call."""
+    const = init
 
     def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
         return value ^ (value >> np.uint32(_XSHIFT))
+    return hashmix
 
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    mixed = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return mixed ^ (mixed >> np.uint32(_XSHIFT))
+
+
+def _mixed_keys(words: list) -> np.ndarray:
+    """``SeedSequence`` keys of rows whose entropy is ``words``, a list of
+    (n,) uint32 arrays, one word per row in each: the (n, 2) uint64
+    ``generate_state(2, np.uint64)``."""
     # SeedSequence.mix_entropy: hash the entropy into the pool, padding with
-    # zeros, then mix every pool word into every other one
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
+    # zeros; mix every pool word into every other one; then fold each word
+    # beyond the pool into every pool word
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0]))
             for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
-                         - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
-                pool[dst] = mixed ^ (mixed >> np.uint32(_XSHIFT))
-
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
     # SeedSequence.generate_state(2, np.uint64): one uint32 word per pool
     # word, read in pairs as two little-endian uint64
-    state = np.empty((n, _POOL_SIZE), dtype="<u4")
-    hash_const = _INIT_B
-    for i in range(_POOL_SIZE):
-        value = pool[i] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(_XSHIFT))
-    return state.view("<u8").astype(np.uint64)
+    hash_out = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hash_out(word) for word in pool], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def philox_keys(seed, indices) -> np.ndarray:
+    """Philox keys of trajectories ``indices``, shape (len(indices), 2).
+
+    Row r equals ``SeedSequence((seed, indices[r])).generate_state(2,
+    np.uint64)``, the key ``Philox(SeedSequence((seed, indices[r])))`` uses.
+    ``seed`` is a non-negative int of any size, or a tuple of them, which
+    SeedSequence reads as their words joined. Indices must lie in
+    [0, 2**64). The rows whose index is one 32-bit word and those whose
+    index is two are mixed as two groups, each all at once.
+    """
+    seed_words = _uint32_words(seed)
+    idx = np.asarray(indices)
+    if idx.dtype.kind == "f":   # ints past int64 beside smaller ones
+        idx = np.asarray(indices, dtype=object)
+    if idx.size and idx.min() < 0:
+        raise ValueError("trajectory indices must be non-negative")
+    if idx.size and idx.max() >= 2**64:
+        raise ValueError(f"trajectory indices must be < 2**64, got {idx.max()}")
+    idx = idx.astype(np.uint64)
+    keys = np.empty((idx.size, 2), dtype=np.uint64)
+    one_word = idx <= _MASK32
+    for rows, n_words in ((one_word, 1), (~one_word, 2)):
+        part = idx[rows]
+        if part.size:
+            keys[rows] = _mixed_keys(
+                [np.full(part.size, word, dtype=np.uint32) for word in seed_words]
+                + [(part >> np.uint64(32 * k)).astype(np.uint32) for k in range(n_words)])
+    return keys
 
 
 def trajectory_rng(seed: int, indices, *shapes) -> list:
@@ -179,7 +203,8 @@ def trajectory_rng(seed: int, indices, *shapes) -> list:
     arrays in argument order. Each row is one draw into one (rows, total
     size) buffer, and the arrays are views of its consecutive column blocks,
     so their rows are strided. One Philox generator serves all rows: it is
-    re-keyed for each row from one state dict of Python ints, which the
+    re-keyed for each row, with the keys :func:`philox_keys` mixes for the
+    whole chunk at once, from one state dict of Python ints, which the
     state setter reads faster than numpy arrays.
     """
     keys = philox_keys(seed, indices).tolist()

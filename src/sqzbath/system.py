@@ -21,6 +21,23 @@ _HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)   # J s
 _KB_SI = 1.380649e-23                         # J/K
 
 
+def check_range(name: str, value: float, low: float | None = 0,
+                inclusive: bool = False) -> None:
+    """The range rule of every float model parameter: a ValueError naming
+    ``name`` unless ``low < value < inf``, or ``low <= value < inf`` when
+    ``inclusive``, or, for ``low=None``, ``value`` is finite. NaN and +-inf
+    fail every form."""
+    if low is None:
+        ok, bound = -math.inf < value < math.inf, "finite"
+    elif inclusive:
+        ok, bound = low <= value < math.inf, f">= {low} and finite"
+    else:
+        ok = low < value < math.inf
+        bound = ("positive" if low == 0 else f"> {low}") + " and finite"
+    if not ok:
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Dimensionless parameters of the driven two-oscillator system.
@@ -39,16 +56,11 @@ class SystemParams:
     frozen_coupling: bool = False
 
     def __post_init__(self):
-        if not 0 < self.mass < np.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not 0 < self.spring_k < np.inf:
-            raise ValueError(f"spring_k must be positive and finite, got {self.spring_k}")
-        if not 0 <= self.coupling_amp < np.inf:
-            raise ValueError(f"coupling_amp must be >= 0 and finite, got {self.coupling_amp}")
-        if not 0 < self.drive_freq < np.inf:
-            raise ValueError(f"drive_freq must be positive and finite, got {self.drive_freq}")
-        if not 0 < self.carrier_freq < np.inf:
-            raise ValueError(f"carrier_freq must be positive and finite, got {self.carrier_freq}")
+        check_range("mass", self.mass)
+        check_range("spring_k", self.spring_k)
+        check_range("coupling_amp", self.coupling_amp, inclusive=True)
+        check_range("drive_freq", self.drive_freq)
+        check_range("carrier_freq", self.carrier_freq)
 
     @property
     def freq(self) -> float:
@@ -166,6 +178,5 @@ def normal_mode_freqs(t, sys: SystemParams):
 def to_kelvin(temperature: float, carrier_freq: float) -> float:
     """A dimensionless temperature in kelvin: one unit is hbar omega_c / k_B
     at the carrier frequency ``carrier_freq`` (rad/s)."""
-    if not 0 < carrier_freq < np.inf:
-        raise ValueError(f"carrier_freq must be positive and finite, got {carrier_freq}")
+    check_range("carrier_freq", carrier_freq)
     return temperature * _HBAR_SI * carrier_freq / _KB_SI

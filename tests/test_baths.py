@@ -52,10 +52,11 @@ class TestBuildOhmic:
             build_ohmic_bath(*args)
 
     def test_row_sums_at_the_size_bound_ignore_blas_threads(self):
-        # each row's pull is one np.vecdot; at the largest bath it must give
-        # the same bits on one BLAS thread as on two (a BLAS that splits a
-        # shorter dot over its threads fails here)
-        n = MAX_BATH_MODES
+        # each row's pull is one np.vecdot, and the mode-1 oracle's sums over
+        # the (1 + N) block have one term more; at the largest bath they must
+        # give the same bits on one BLAS thread as on two (a BLAS that splits
+        # a shorter dot over its threads fails here)
+        n = MAX_BATH_MODES + 1
         script = ("import hashlib, numpy as np; rng = np.random.default_rng(5); "
                   f"rows, vec = rng.standard_normal((8, {n})), rng.standard_normal({n}); "
                   "print(hashlib.sha256(np.vecdot(rows, vec).tobytes()).hexdigest())")

@@ -244,10 +244,10 @@ class TestRunCommand:
         assert "temperature" in capsys.readouterr().err
 
     def test_oversized_bath_exits_config_no_files(self, tmp_path, capsys):
-        cfg, out = write_ini(tmp_path, SMALL_INI.replace("n_modes = 6", "n_modes = 10001"))
+        cfg, out = write_ini(tmp_path, SMALL_INI.replace("n_modes = 6", "n_modes = 10000"))
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert not out.exists()
-        assert "n_modes must be <= 10000" in capsys.readouterr().err
+        assert "n_modes must be <= 9999" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["flag", "file"])
     def test_too_many_workers_exit_config_no_files(self, tmp_path, capsys, where):

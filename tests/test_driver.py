@@ -113,13 +113,27 @@ class TestRunConfigValidation:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: SystemParams(mass=np.inf), "mass must be positive and finite, got inf"),
+        (lambda: SystemParams(spring_k=np.inf),
+         "spring_k must be positive and finite, got inf"),
         (lambda: SystemParams(coupling_amp=np.inf),
          "coupling_amp must be >= 0 and finite, got inf"),
+        (lambda: SystemParams(drive_freq=np.inf),
+         "drive_freq must be positive and finite, got inf"),
+        (lambda: SystemParams(carrier_freq=np.inf),
+         "carrier_freq must be positive and finite, got inf"),
         (lambda: IntegratorConfig(dt=np.inf), "dt must be positive and finite, got inf"),
+        (lambda: NHCBathParams(osc_freq=np.inf, coupling=0.1, temperature=1.0),
+         "osc_freq must be positive and finite, got inf"),
+        (lambda: NHCBathParams(osc_freq=0.8, coupling=np.inf, temperature=1.0),
+         "coupling must be finite, got inf"),
         (lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0,
-                               mass_eta1=np.inf), "all masses must be positive and finite"),
+                               mass_eta1=np.inf), "mass_eta1 must be positive and finite, got inf"),
+        (lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0,
+                               mass_eta2=np.inf), "mass_eta2 must be positive and finite, got inf"),
         (lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=1.0,
                                thermo_dof=np.inf), "thermo_dof must be >= 1 and finite, got inf"),
+        (lambda: NHCBathParams(osc_freq=0.8, coupling=0.1, temperature=np.inf),
+         "temperature must be positive and finite, got inf"),
         (lambda: isolated_config(temperature=np.inf),
          "temperature must be positive and finite, got inf"),
         (lambda: thermal_widths(1.0, 1.0, np.inf, SamplingMode.QUANTUM),
@@ -127,9 +141,14 @@ class TestRunConfigValidation:
         (lambda: to_kelvin(1.0, np.inf), "carrier_freq must be positive and finite, got inf"),
         (lambda: build_ohmic_bath(8, np.inf, 3.0), "kondo must be >= 0 and finite, got inf"),
         (lambda: build_ohmic_bath(8, 0.007, np.inf), "cutoff must be positive and finite, got inf"),
+        (lambda: SystemParams(mass=np.nan), "mass must be positive and finite, got nan"),
+        (lambda: build_ohmic_bath(8, np.nan, 3.0), "kondo must be >= 0 and finite, got nan"),
+        (lambda: NHCBathParams(osc_freq=0.8, coupling=np.nan, temperature=1.0),
+         "coupling must be finite, got nan"),
     ])
     def test_range_messages_name_the_whole_range(self, make, message):
-        # +inf fails the upper end of the range, so the message names both ends
+        # +inf fails the upper end of the range, so the message names both
+        # ends; NaN fails every form with the same message
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
@@ -147,7 +166,7 @@ class TestRunConfigValidation:
         assert (isolated_config(bath=build_ohmic_bath(MAX_BATH_MODES, 0.007, 3.0))
                 .bath.n_modes == MAX_BATH_MODES)
         big = build_ohmic_bath(MAX_BATH_MODES + 1, 0.007, 3.0)
-        with pytest.raises(ValueError, match="n_modes must be <= 10000"):
+        with pytest.raises(ValueError, match="n_modes must be <= 9999"):
             isolated_config(bath=big)
         assert isolated_config(bath=nhc_matched_to_ohmic(big, 1.0)).model is ModelKind.NHC
 
@@ -247,6 +266,10 @@ class TestDeterminism:
     def test_temperature_seed_derivation_is_stable(self):
         assert temperature_seed(123, 0) == temperature_seed(123, 0)
         assert temperature_seed(123, 0) != temperature_seed(123, 1)
+        # the documented derivation, for seeds of one to four 32-bit words
+        for seed, index in [(123, 0), (123, 11), (2**40 + 3, 2), (2**100, 7)]:
+            state = np.random.SeedSequence((seed, 7919, index)).generate_state(1, np.uint64)
+            assert temperature_seed(seed, index) == int(state[0])
 
 
 class TestBatching:

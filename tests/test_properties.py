@@ -419,13 +419,16 @@ class TestThermostatReference:
 
 class TestPhiloxKeys:
     """``philox_keys`` is a vectorized copy of numpy's SeedSequence mixing,
-    with numpy itself as the fallback; either way each row must be numpy's
-    key. A numpy release that changed SeedSequence would fail here."""
+    the one key path for every seed and index, so each row must be numpy's
+    key: for entropy that fits the pool of four 32-bit words and for longer
+    entropy, whose words beyond the pool are folded in. A numpy release that
+    changed SeedSequence would fail here."""
 
     seeds = (st.just(0) | st.integers(1, 2**32 - 1) | st.integers(2**32, 2**64 - 1)
-             | st.integers(2**64, 2**96 - 1) | st.integers(2**96, 2**128))
+             | st.integers(2**64, 2**96 - 1) | st.integers(2**96, 2**200))
     indices = (st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12)
-               | st.lists(st.integers(0, 2**40), min_size=1, max_size=12))
+               | st.lists(st.integers(0, 2**40), min_size=1, max_size=12)
+               | st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
 
     @staticmethod
     def numpy_keys(seed, indices):
@@ -439,11 +442,11 @@ class TestPhiloxKeys:
         assert keys.dtype == np.uint64
         assert np.array_equal(keys, self.numpy_keys(seed, indices))
 
-    @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**96 + 1])
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**96 + 1, 2**200 + 3])
     def test_chunk_ranges(self, seed):
-        for lo, hi in [(0, 500), (2**32 - 4, 2**32 + 4)]:
-            assert np.array_equal(philox_keys(seed, range(lo, hi)),
-                                  self.numpy_keys(seed, range(lo, hi)))
+        for indices in [range(0, 500), range(2**32 - 4, 2**32 + 4), range(2**64 - 3, 2**64),
+                        [2**63 + 1, 5, 2**32]]:
+            assert np.array_equal(philox_keys(seed, indices), self.numpy_keys(seed, indices))
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -451,11 +454,17 @@ class TestPhiloxKeys:
         with pytest.raises(ValueError, match="indices"):
             philox_keys(3, [2, -1])
 
+    def test_indices_past_uint64_rejected(self):
+        # indices are mixed as uint64 words; 2**64 - 1 is the last one
+        assert philox_keys(3, [2**64 - 1]).shape == (1, 2)
+        with pytest.raises(ValueError, match=f"indices must be < 2\\*\\*64, got {2**64}"):
+            philox_keys(3, [2, 2**64])
+
 
 class TestTrajectoryRng:
     """Each row of a chunk's normals is its trajectory's contract generator,
-    drawn in argument order, whether the keys are mixed in numpy or come from
-    the SeedSequence fallback."""
+    drawn in argument order, for seeds of any size and indices on both sides
+    of 2**32."""
 
     starts = (st.integers(0, 2**20) | st.integers(2**32 - 8, 2**32 - 1)
               | st.integers(2**32, 2**40))
